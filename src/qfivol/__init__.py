@@ -4,7 +4,10 @@ The package builds the family of metric inner products generated by
 normalized symmetric operator monotone functions, the tilde-transformed
 correlation that links them to covariances, and the determinant volume
 comparisons between the two, together with deterministic random sweeps that
-search for counterexamples to the open inequalities.
+stress the numerics of the volume inequality.  The inequality is proved for
+any number of observables (A. Andai, J. Math. Phys. 49, 012106 (2008); P.
+Gibilisco, F. Hiai, D. Petz, IEEE Trans. Inf. Theory 55, 439 (2009)), so a
+sweep candidate points at a numerical defect.
 """
 
 from .matrices import (

@@ -1,8 +1,10 @@
 """Command line interface: reproductions, catalog, sweeps, and replay.
 
 Exit codes: 0 success, 2 a frozen-value assertion or replay comparison
-failed (argparse also uses 2 for usage errors), 3 a sweep run with --strict
-recorded at least one candidate counterexample.
+failed or an input was unusable (argparse also uses 2 for usage errors), 3 a
+sweep run with --strict recorded at least one candidate counterexample, 4 a
+runtime failure such as an eigendecomposition that failed its checks (the
+message names the sample).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import os
 import sys
 
 from . import repro
+from .matrices import DecompositionError
 from .monotone import builtin
 from .sweep import SweepConfig, replay_record, run_sweep
 
@@ -23,6 +26,7 @@ DEFAULT_PARALLELISM = 1
 EXIT_OK = 0
 EXIT_VALUE_MISMATCH = 2
 EXIT_COUNTEREXAMPLE = 3
+EXIT_RUNTIME_ERROR = 4
 
 CATALOG_IDS = ("sld", "wy", "rld", "wyd:0.25", "wyd:0.1")
 
@@ -222,6 +226,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALUE_MISMATCH
+    except DecompositionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
 
 
 if __name__ == "__main__":

@@ -26,51 +26,82 @@ class DecompositionError(RuntimeError):
     """Eigendecomposition failed to converge or violated its guarantees."""
 
 
+def _require(ok, error, message, *values):
+    """Raise ``error`` for the first matrix k of a stack whose check in ``ok``
+    is not True (NaN fails), with ``message`` formatted from the k-th entries
+    of ``values``; the exception's ``position`` attribute records k."""
+    if not np.all(ok):
+        k = int(np.flatnonzero(~ok)[0])
+        exc = error(message.format(*(value.flat[k] for value in values)))
+        exc.position = k
+        raise exc
+
+
 def as_hermitian(matrix, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate near-self-adjointness and return the exactly symmetrized matrix.
 
-    The input must be square and satisfy ``max|M - M^dagger| <= atol``.  The
-    returned array is ``(M + M^dagger) / 2``, so downstream code can rely on
-    exact self-adjointness.  Real input stays real.
+    The input is a square matrix or a ``(..., d, d)`` stack of them, each
+    satisfying ``max|M - M^dagger| <= atol``.  The returned array is
+    ``(M + M^dagger) / 2``, so downstream code can rely on exact
+    self-adjointness.  Real input stays real.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    adj = m.conj().T
-    deviation = float(np.max(np.abs(m - adj))) if m.size else 0.0
-    if deviation > atol:
-        raise ValueError(
-            f"matrix is not self-adjoint: max deviation {deviation:.3e} > {atol:.1e}"
-        )
+    adj = m.conj().swapaxes(-1, -2)
+    if m.size:
+        deviation = np.abs(m - adj).max(axis=(-2, -1))
+        message = "matrix is not self-adjoint: max deviation {:.3e} > " + f"{atol:.1e}"
+        _require(deviation <= atol, ValueError, message, deviation)
     return (m + adj) / 2
 
 
 def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a self-adjoint matrix, eigenvalues descending.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as columns.
-    The output is deterministic for identical input bits: the symmetric
-    LAPACK solver is deterministic on a fixed build, and the descending
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as columns; a
+    ``(..., d, d)`` stack gives stacks of both.  The output is deterministic
+    for identical input bits: the symmetric LAPACK solver is deterministic on
+    a fixed build and runs once per matrix of a stack, and the descending
     reorder is a fixed slice reversal, so repeated calls agree bit for bit,
     including the basis chosen inside degenerate eigenspaces.
     """
-    m = as_hermitian(matrix)
+    return _checked_eigh(as_hermitian(matrix))
+
+
+def _checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    # m is exactly self-adjoint already
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    dim = m.shape[0]
-    unit_err = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
-    scale = max(1.0, float(np.max(np.abs(w))) if dim else 1.0)
-    recon_err = float(np.max(np.abs((v * w) @ v.conj().T - m)))
-    if unit_err > UNITARITY_ATOL or recon_err > RECONSTRUCTION_ATOL * scale:
-        raise DecompositionError(
-            f"decomposition checks failed: unitarity {unit_err:.3e}, "
-            f"reconstruction {recon_err:.3e}"
-        )
+    w = np.ascontiguousarray(w[..., ::-1])
+    v = np.ascontiguousarray(v[..., ::-1])
+    if m.shape[-1]:
+        vh = v.conj().swapaxes(-1, -2)
+        unit_err = np.abs(vh @ v - np.eye(m.shape[-1])).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(w).max(axis=-1))
+        recon_err = np.abs((v * w[..., None, :]) @ vh - m).max(axis=(-2, -1))
+        ok = (unit_err <= UNITARITY_ATOL) & (recon_err <= RECONSTRUCTION_ATOL * scale)
+        message = "decomposition checks failed: unitarity {:.3e}, reconstruction {:.3e}"
+        _require(ok, DecompositionError, message, unit_err, recon_err)
     return w, v
+
+
+def density_stack(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a ``(B, d, d)`` stack of density matrices and decompose each:
+    the symmetrized matrices, descending eigenvalues (those below
+    ``EIGENVALUE_FLOOR`` clamped to exact zeros) and eigenvectors."""
+    m = as_hermitian(matrices)
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    message = f"trace must be 1 within {TRACE_ATOL:.1e}, got " + "{}"
+    _require(np.abs(trace - 1.0) <= TRACE_ATOL, ValueError, message, trace.astype(complex))
+    w, v = _checked_eigh(m)
+    lowest = w[..., -1]
+    message = "negative eigenvalue {:.3e} beyond tolerance"
+    _require(lowest >= -EIGENVALUE_FLOOR, ValueError, message, lowest)
+    w[w < EIGENVALUE_FLOOR] = 0.0
+    return m, w, v
 
 
 class DensityMatrix:
@@ -83,14 +114,10 @@ class DensityMatrix:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors", "dim", "faithful")
 
     def __init__(self, matrix):
-        m = as_hermitian(matrix)
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace must be 1 within {TRACE_ATOL:.1e}, got {trace}")
-        w, v = spectral_decompose(m)
-        if w.size and float(w[-1]) < -EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {w[-1]:.3e} beyond tolerance")
-        w[w < EIGENVALUE_FLOOR] = 0.0
+        m = np.asarray(matrix)
+        if m.ndim != 2:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m, w, v = (x[0] for x in density_stack(m[None]))
         self.matrix = m
         self.eigenvalues = w
         self.eigenvectors = v
@@ -111,13 +138,33 @@ class DensityMatrix:
         )
 
 
-def center(state: DensityMatrix, observable) -> np.ndarray:
-    """Subtract the state expectation: A -> A - Tr(rho A) I."""
+def expectation_stack(rho, observables) -> np.ndarray:
+    """Tr(rho A) for each sample of two ``(B, d, d)`` stacks, shaped (B, 1, 1).
+
+    One einsum per sample on purpose: a batched einsum sums in an order that
+    depends on the batch size, and record bits must not.
+    """
+    means = [np.einsum("ij,ji->", r, a).real for r, a in zip(rho, observables)]
+    return np.array(means, dtype=np.float64).reshape(-1, 1, 1)
+
+
+def frame_stack(eigenvectors, observables, means) -> np.ndarray:
+    """U^dagger A U - Tr(rho A) I for ``(B, d, d)`` stacks; see to_eigenframe."""
+    frame = eigenvectors.conj().swapaxes(-1, -2) @ observables @ eigenvectors
+    return frame - means * np.eye(frame.shape[-1])
+
+
+def _checked_observable(state: DensityMatrix, observable) -> np.ndarray:
     a = as_hermitian(observable)
     if a.shape[0] != state.dim:
         raise ValueError(f"dimension mismatch: {a.shape[0]} != {state.dim}")
-    mean = state.expectation(a)
-    return a - mean * np.eye(state.dim, dtype=a.dtype)
+    return a
+
+
+def center(state: DensityMatrix, observable) -> np.ndarray:
+    """Subtract the state expectation: A -> A - Tr(rho A) I."""
+    a = _checked_observable(state, observable)
+    return a - state.expectation(a) * np.eye(state.dim, dtype=a.dtype)
 
 
 def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
@@ -126,47 +173,50 @@ def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
     The result is self-adjoint and satisfies the weighted centering identity
     sum_h eigenvalues[h] * a[h, h] = 0 (within roundoff).
     """
-    a = as_hermitian(observable)
-    if a.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} != {state.dim}")
-    mean = state.expectation(a)
-    u = state.eigenvectors
-    frame = u.conj().T @ a @ u
-    frame -= mean * np.eye(state.dim, dtype=frame.dtype)
-    return frame
+    a = _checked_observable(state, observable)[None]
+    means = expectation_stack(state.matrix[None], a)
+    return frame_stack(state.eigenvectors[None], a, means)[0]
 
 
 def icommutator(state: DensityMatrix, observable) -> np.ndarray:
     """i[rho, A] = i(rho A - A rho); self-adjoint for self-adjoint A."""
-    a = as_hermitian(observable)
-    if a.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} != {state.dim}")
+    a = _checked_observable(state, observable)
     c = 1j * (state.matrix @ a - a @ state.matrix)
     return (c + c.conj().T) / 2
 
 
-def det_small(matrix) -> float:
-    """Determinant of a small real matrix (n <= 8).
+def det_small(matrix):
+    """Determinant of a small real matrix (n <= 8), or of each matrix of a
+    ``(..., n, n)`` stack (then an array of determinants).
 
-    Uses cofactor expansion for n <= 3 and partial-pivot elimination with
-    explicit sign tracking for 4 <= n <= 8.
+    Uses cofactor expansion, vectorized over the stack, for n <= 3 and
+    partial-pivot elimination with explicit sign tracking, one matrix at a
+    time, for 4 <= n <= 8.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    n = m.shape[-1]
     if n == 0 or n > DET_SMALL_MAX_DIM:
         raise ValueError(f"supported sizes are 1..{DET_SMALL_MAX_DIM}, got {n}")
     if n == 1:
-        return float(m[0, 0])
-    if n == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if n == 3:
-        return float(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        det = m[..., 0, 0]
+    elif n == 2:
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    elif n == 3:
+        det = (
+            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
+    else:
+        det = np.array([_elimination_det(x) for x in m.reshape(-1, n, n)])
+        det = det.reshape(m.shape[:-2])
+    return float(det) if m.ndim == 2 else det
+
+
+def _elimination_det(m) -> float:
+    n = m.shape[0]
     work = m.copy()
     sign = 1.0
     for col in range(n - 1):

@@ -47,16 +47,42 @@ def metric_context(state: DensityMatrix, function: MonotoneFunction) -> MetricCo
     return MetricContext(state, function, table_f, table_t)
 
 
-def _pair_weights(eigenvalues: np.ndarray) -> np.ndarray:
-    return 0.5 * (eigenvalues[:, None] + eigenvalues[None, :])
+def batched_grams(eigenvalues, frames, tables):
+    """Covariance Grams (B, n, n) and, per tilde mean table, metric-bound
+    Grams (F, B, n, n) with entries Cov(A_h, A_j) and Corr_f(A_h, A_j).
+
+    ``eigenvalues`` is (B, d), ``frames`` one (B, d, d) eigenframe stack per
+    observable and ``tables`` an (F, B, d, d) stack of tilde mean tables.
+    Each entry sums its matrix's terms in the order a single ``np.sum`` uses,
+    so it does not depend on the batch.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    weights = 0.5 * (lam[:, :, None] + lam[:, None, :])
+    n = len(frames)
+    cov = np.empty((lam.shape[0], n, n))
+    qfi = np.empty((len(tables), lam.shape[0], n, n))
+    for h in range(n):
+        for j in range(h, n):
+            overlap = np.real(frames[h] * frames[j].swapaxes(-1, -2))
+            c = _entry_sums(weights * overlap)
+            cov[:, h, j] = cov[:, j, h] = c
+            qfi[:, :, h, j] = qfi[:, :, j, h] = c - _entry_sums(tables * overlap)
+    return cov, qfi
+
+
+def _entry_sums(x):
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]).sum(axis=-1)
+
+
+def _pair_frames(state: DensityMatrix, a, b):
+    return [to_eigenframe(state, a)[None], to_eigenframe(state, b)[None]]
 
 
 def covariance(state: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho A0 B0); centers both arguments."""
-    fa = to_eigenframe(state, a)
-    fb = to_eigenframe(state, b)
-    weights = _pair_weights(state.eigenvalues)
-    return float(np.sum(weights * np.real(fa * fb.T)))
+    no_tables = np.empty((0, 1, state.dim, state.dim))
+    cov, _ = batched_grams(state.eigenvalues[None], _pair_frames(state, a, b), no_tables)
+    return float(cov[0, 0, 1])
 
 
 def mean_superop_apply(ctx: MetricContext, observable, use_tilde: bool = False) -> np.ndarray:
@@ -103,11 +129,12 @@ def f_correlation(ctx: MetricContext, a, b) -> float:
         raise TildeUndefinedError(
             f"f-correlation undefined for non-regular {ctx.function.fid}"
         )
-    fa = to_eigenframe(ctx.state, a)
-    fb = to_eigenframe(ctx.state, b)
-    overlap = np.real(fa * fb.T)
-    cov = float(np.sum(_pair_weights(ctx.state.eigenvalues) * overlap))
-    return cov - float(np.sum(ctx.mean_table_tilde * overlap))
+    _, qfi = batched_grams(
+        ctx.state.eigenvalues[None],
+        _pair_frames(ctx.state, a, b),
+        ctx.mean_table_tilde[None, None],
+    )
+    return float(qfi[0, 0, 0, 1])
 
 
 def identity_residual(ctx: MetricContext, a, b) -> float:

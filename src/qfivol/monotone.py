@@ -216,13 +216,14 @@ def scalar_mean(f: MonotoneFunction, x: float, y: float) -> float:
 def mean_table(f: MonotoneFunction, eigenvalues) -> np.ndarray:
     """Matrix of scalar means m_f(lam_i, lam_j) over a spectrum.
 
+    A ``(..., d)`` stack of spectra gives a ``(..., d, d)`` stack of tables.
     Diagonal entries are the eigenvalues themselves (bit-exact) and entries
     involving a zero eigenvalue are hi * f(0) exactly; for tilde transforms
     that makes them exact zeros.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    hi = np.maximum(lam[:, None], lam[None, :])
-    lo = np.minimum(lam[:, None], lam[None, :])
+    hi = np.maximum(lam[..., :, None], lam[..., None, :])
+    lo = np.minimum(lam[..., :, None], lam[..., None, :])
     ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
     return hi * np.asarray(f.evaluate(ratio), dtype=np.float64)
 
@@ -243,6 +244,7 @@ class TildeOrder:
         return not (self.first_le_second or self.second_le_first)
 
 
+@lru_cache(maxsize=None)
 def tilde_order(f: MonotoneFunction, g: MonotoneFunction, *, atol: float = 1e-12) -> TildeOrder:
     """Order tilde_f vs tilde_g via the ratio criterion.
 

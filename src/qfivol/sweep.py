@@ -12,27 +12,28 @@ never written to the file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import det_small, to_eigenframe
-from .monotone import builtin, mean_table, tilde, tilde_order
-from .sampling import ENSEMBLES, RandomSpec, sample_observables, sample_state
-from .volumes import (
-    EQUALITY_RTOL,
-    MAIN_INEQUALITY_SLACK,
-    MONOTONICITY_SLACK,
-    observables_dependent,
-    robertson_bound,
-)
+from .monotone import builtin
+from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
+from .sampling import ENSEMBLES, RandomSpec, draw_observables, draw_states
+from .volumes import BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
 CHUNK_SIZE = 256
+# samples per evaluation-kernel call inside a chunk; records do not depend on
+# it, and at 256 samples of dim 8 the kernel's temporaries (~2 MB) raised a
+# sweep worker's peak RSS by ~2 MB where 64 costs ~0.5 MB
+KERNEL_BATCH = 64
 
 RECORD_FIELDS = (
     "index",
@@ -125,93 +126,60 @@ class SweepSummary:
     elapsed: float
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return f'"{value}"'
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+# one conversion per RECORD_FIELDS entry; floats print with 17 significant
+# digits so they round-trip, and %s fields take JSON words
+_RECORD_TEMPLATE = (
+    '{"index": %d, "seed": %d, "ensemble": "%s", "dim": %d, "n": %d, '
+    '"function": "%s", "cov_det": %.17g, "qfi_det": %.17g, "gap": %.17g, '
+    '"volume_cov": %.17g, "volume_qfi": %.17g, "robertson_det": %s, '
+    '"main_holds": %s, "dependent": %s, "equality_consistent": %s, "candidate": %s}'
+)
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+_NUMBER_FIELDS = operator.itemgetter(*RECORD_FIELDS[:11])
+_FLAG_FIELDS = operator.itemgetter(*RECORD_FIELDS[12:])
 
 
 def format_record(record: dict) -> str:
     """One record as a JSON object line with fixed key order."""
-    parts = [f'"{key}": {_format_value(record[key])}' for key in RECORD_FIELDS]
-    return "{" + ", ".join(parts) + "}"
+    rob = record["robertson_det"]
+    return _RECORD_TEMPLATE % (
+        *_NUMBER_FIELDS(record),
+        "null" if rob is None else "%.17g" % rob,
+        *map(_JSON_WORDS.__getitem__, _FLAG_FIELDS(record)),
+    )
 
 
-def _order_pairs(functions):
-    """Resolvable ordered pairs (i, j) meaning volume_i >= volume_j must hold."""
-    pairs = []
-    for i in range(len(functions)):
-        for j in range(i + 1, len(functions)):
-            order = tilde_order(functions[i], functions[j])
-            if order.first_le_second:
-                pairs.append((i, j))
-            if order.second_le_first:
-                pairs.append((j, i))
-    return tuple(pairs)
+def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
+    rho, lam, vectors = draw_states(rspec, indices)
+    return evaluate_batch(rho, lam, vectors, draw_observables(rspec, indices, n), functions)
+
+
+def _records(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
+    """The records of a kernel report (sample-major, then function), each dict
+    built on demand so that a chunk holds formatted lines, not dicts."""
+    cov_det, vol_cov = out.cov_det.tolist(), out.volume_cov.tolist()
+    dependent = out.dependent.tolist()
+    rob = [None] * len(indices) if out.robertson_det is None else out.robertson_det.tolist()
+    columns = [
+        (f.fid, *(arr[k].tolist() for arr in (
+            out.qfi_det, out.gap, out.volume_qfi, out.main_holds, out.equality_consistent
+        )))
+        for k, f in enumerate(functions)
+    ]
+    for b, index in enumerate(indices):
+        for fid, qfi_det, gap, vol_qfi, main, equal in columns:
+            yield dict(zip(RECORD_FIELDS, (
+                index, rspec.seed, rspec.ensemble, rspec.dim, n, fid, cov_det[b],
+                qfi_det[b], gap[b], vol_cov[b], vol_qfi[b], rob[b], main[b],
+                dependent[b], equal[b], not main[b],
+            )))
 
 
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
     """All per-function records for one sample plus its monotonicity violations."""
-    state = sample_state(rspec, index)
-    observables = sample_observables(rspec, index, n)
-    frames = [to_eigenframe(state, o) for o in observables]
-    lam = state.eigenvalues
-    weights = 0.5 * (lam[:, None] + lam[None, :])
-    overlaps = {}
-    cov = np.empty((n, n))
-    for h in range(n):
-        for j in range(h, n):
-            ov = np.real(frames[h] * frames[j].T)
-            overlaps[(h, j)] = ov
-            cov[h, j] = cov[j, h] = float(np.sum(weights * ov))
-    cov_det = det_small(cov)
-    dependent = observables_dependent(state, observables)
-    robertson = robertson_bound(state, observables) if n % 2 == 0 else None
-    scale = max(1.0, abs(cov_det))
-    records = []
-    volumes = []
-    for f in functions:
-        table = mean_table(tilde(f), lam)
-        qfi = np.empty((n, n))
-        for (h, j), ov in overlaps.items():
-            qfi[h, j] = qfi[j, h] = cov[h, j] - float(np.sum(table * ov))
-        qfi_det = det_small(qfi)
-        gap = cov_det - qfi_det
-        main = bool(gap >= -MAIN_INEQUALITY_SLACK * scale)
-        vol_qfi = math.sqrt(max(0.0, qfi_det))
-        volumes.append(vol_qfi)
-        records.append(
-            {
-                "index": index,
-                "seed": rspec.seed,
-                "ensemble": rspec.ensemble,
-                "dim": rspec.dim,
-                "n": n,
-                "function": f.fid,
-                "cov_det": cov_det,
-                "qfi_det": qfi_det,
-                "gap": gap,
-                "volume_cov": math.sqrt(max(0.0, cov_det)),
-                "volume_qfi": vol_qfi,
-                "robertson_det": robertson,
-                "main_holds": main,
-                "dependent": dependent,
-                "equality_consistent": bool(
-                    (not dependent) or abs(gap) <= EQUALITY_RTOL * scale
-                ),
-                "candidate": not main,
-            }
-        )
-    violations = sum(
-        1 for i, j in order_pairs if volumes[i] < volumes[j] - MONOTONICITY_SLACK
-    )
-    return records, violations
+    out = _evaluate(rspec, [index], n, functions)
+    records = list(_records(rspec, [index], n, functions, out))
+    return records, int(out.violations(order_pairs)[0])
 
 
 def _empty_aggregate(fids):
@@ -249,66 +217,67 @@ def _merge_aggregate(total, part):
 def _chunk_worker(args):
     config, start, stop = args
     functions = tuple(builtin(fid) for fid in config.functions)
-    order_pairs = _order_pairs(functions)
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
-    agg = _empty_aggregate(config.functions)
-    lines = []
-    for index in range(start, stop):
-        records, violations = evaluate_sample(
-            rspec, index, config.n, functions, order_pairs
-        )
-        agg["mono_violations"] += violations
-        for rec in records:
-            lines.append(format_record(rec))
-            agg["records"] += 1
-            stats = agg["per_function"][rec["function"]]
-            stats["sum_gap"] += rec["gap"]
-            stats["count"] += 1
-            if rec["gap"] < stats["min_gap"]:
-                stats["min_gap"] = rec["gap"]
-            if rec["candidate"]:
-                stats["candidates"] += 1
-                agg["candidates"] += 1
-            if rec["gap"] < agg["min_gap"]:
-                agg["min_gap"] = rec["gap"]
-                agg["argmin_index"] = rec["index"]
-                agg["argmin_function"] = rec["function"]
-    return lines, agg
+    pairs = order_pairs(functions)
+    lines, gap, main, violations = [], [], [], 0
+    for lo in range(start, stop, KERNEL_BATCH):
+        indices = range(lo, min(lo + KERNEL_BATCH, stop))
+        out = _evaluate(rspec, indices, config.n, functions)
+        lines += [format_record(rec) for rec in _records(rspec, indices, config.n, functions, out)]
+        gap.append(out.gap)
+        main.append(out.main_holds)
+        violations += int(out.violations(pairs).sum())
+    gap, main = np.concatenate(gap, axis=1), np.concatenate(main, axis=1)
+    # in record order (sample-major) argmin keeps the first minimum, as a scan
+    # with a strict < would; each sum_gap adds this chunk's gaps in order
+    gaps = gap.T.ravel()
+    best = int(np.argmin(gaps))
+    candidates = (~main).sum(axis=1).tolist()
+    return lines, {
+        "min_gap": float(gaps[best]),
+        "argmin_index": start + best // len(functions),
+        "argmin_function": functions[best % len(functions)].fid,
+        "candidates": sum(candidates),
+        "mono_violations": violations,
+        "records": gaps.size,
+        "per_function": {
+            f.fid: {"min_gap": min(g), "sum_gap": sum(g, 0.0), "count": len(g), "candidates": c}
+            for f, g, c in zip(functions, gap.tolist(), candidates)
+        },
+    }
+
+
+def _per_function(agg: dict) -> dict:
+    return {
+        fid: {
+            "min_gap": stats["min_gap"],
+            "mean_gap": stats["sum_gap"] / stats["count"] if stats["count"] else 0.0,
+            "candidates": stats["candidates"],
+        }
+        for fid, stats in agg["per_function"].items()
+    }
+
+
+_SUMMARY_TEMPLATE = (
+    '{"summary": true, "samples": %d, "records": %d, "n": %d, "dim": %d, '
+    '"ensemble": "%s", "seed": %d, "functions": [%s], "min_gap": %.17g, '
+    '"argmin_index": %d, "argmin_function": "%s", "candidate_counterexamples": %d, '
+    '"monotonicity_violations": %d, "per_function": {%s}}'
+)
 
 
 def format_summary(config: SweepConfig, agg: dict) -> str:
     """The trailing summary line (fixed key order, no wall time)."""
-    per_parts = []
-    for fid in config.functions:
-        stats = agg["per_function"][fid]
-        mean_gap = stats["sum_gap"] / stats["count"] if stats["count"] else 0.0
-        per_parts.append(
-            f'"{fid}": {{"min_gap": {_format_value(stats["min_gap"])}, '
-            f'"mean_gap": {_format_value(mean_gap)}, '
-            f'"candidates": {stats["candidates"]}}}'
-        )
-    fids = ", ".join(f'"{fid}"' for fid in config.functions)
-    return (
-        "{"
-        + ", ".join(
-            [
-                '"summary": true',
-                f'"samples": {config.samples}',
-                f'"records": {agg["records"]}',
-                f'"n": {config.n}',
-                f'"dim": {config.dim}',
-                f'"ensemble": "{config.ensemble}"',
-                f'"seed": {config.seed}',
-                f'"functions": [{fids}]',
-                f'"min_gap": {_format_value(agg["min_gap"])}',
-                f'"argmin_index": {agg["argmin_index"]}',
-                f'"argmin_function": "{agg["argmin_function"]}"',
-                f'"candidate_counterexamples": {agg["candidates"]}',
-                f'"monotonicity_violations": {agg["mono_violations"]}',
-                f'"per_function": {{{", ".join(per_parts)}}}',
-            ]
-        )
-        + "}"
+    per_function = ", ".join(
+        '"%s": {"min_gap": %.17g, "mean_gap": %.17g, "candidates": %d}'
+        % (fid, stats["min_gap"], stats["mean_gap"], stats["candidates"])
+        for fid, stats in _per_function(agg).items()
+    )
+    return _SUMMARY_TEMPLATE % (
+        config.samples, agg["records"], config.n, config.dim, config.ensemble,
+        config.seed, ", ".join(f'"{fid}"' for fid in config.functions),
+        agg["min_gap"], agg["argmin_index"], agg["argmin_function"],
+        agg["candidates"], agg["mono_violations"], per_function,
     )
 
 
@@ -320,29 +289,17 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
         for lo in range(0, config.samples, CHUNK_SIZE)
     ]
     agg = _empty_aggregate(config.functions)
-    with open(out_path, "w") as fh:
+    with open(out_path, "w") as fh, ExitStack() as stack:
         if config.parallelism == 1:
             parts = map(_chunk_worker, chunks)
-            for lines, part in parts:
-                fh.write("\n".join(lines))
-                fh.write("\n")
-                _merge_aggregate(agg, part)
         else:
-            with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-                for lines, part in pool.map(_chunk_worker, chunks, chunksize=1):
-                    fh.write("\n".join(lines))
-                    fh.write("\n")
-                    _merge_aggregate(agg, part)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.parallelism))
+            parts = pool.map(_chunk_worker, chunks, chunksize=1)
+        for lines, part in parts:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+            _merge_aggregate(agg, part)
         fh.write(format_summary(config, agg) + "\n")
-    elapsed = time.perf_counter() - start_time
-    per_function = {}
-    for fid in config.functions:
-        stats = agg["per_function"][fid]
-        per_function[fid] = {
-            "min_gap": stats["min_gap"],
-            "mean_gap": stats["sum_gap"] / stats["count"] if stats["count"] else 0.0,
-            "candidates": stats["candidates"],
-        }
     return SweepSummary(
         samples=config.samples,
         records=agg["records"],
@@ -352,8 +309,8 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
         argmin_function=agg["argmin_function"],
         candidate_counterexamples=agg["candidates"],
         monotonicity_violations=agg["mono_violations"],
-        per_function=per_function,
-        elapsed=elapsed,
+        per_function=_per_function(agg),
+        elapsed=time.perf_counter() - start_time,
     )
 
 
@@ -365,24 +322,20 @@ def replay_record(path, line_number: int) -> dict:
     on this build.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not 1 <= line_number <= len(lines):
-        raise ValueError(f"line {line_number} out of range 1..{len(lines)}")
-    stored = json.loads(lines[line_number - 1])
+        # read up to the wanted line only; count the rest just for the error
+        line = next(itertools.islice(fh, line_number - 1, None), None) if line_number > 0 else None
+        if line is None:
+            fh.seek(0)
+            raise ValueError(f"line {line_number} out of range 1..{sum(1 for _ in fh)}")
+    stored = json.loads(line)
     if stored.get("summary"):
         raise ValueError("the summary line cannot be replayed")
     rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"])
     function = builtin(stored["function"])
     records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))
     fresh = records[0]
-    mismatches = {}
-    for key in RECORD_FIELDS:
-        old, new = stored[key], fresh[key]
-        same = (old == new) if not isinstance(new, float) else (
-            isinstance(old, (int, float)) and float(old) == float(new)
-        )
-        if old is None or new is None:
-            same = old is None and new is None
-        if not same:
-            mismatches[key] = (old, new)
+    # JSON gives back exactly the printed floats, ints for integral ones
+    mismatches = {
+        key: (stored[key], fresh[key]) for key in RECORD_FIELDS if stored[key] != fresh[key]
+    }
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

@@ -4,14 +4,16 @@ For observables A_1..A_N and a regular function f, two Gram matrices are
 compared: the covariance Gram {Cov(A_h, A_j)} and the metric-bound Gram
 {Cov(A_h, A_j) - sum m_tilde(lam_u, lam_v) Re{a_uv b_vu}}, whose determinant
 equals that of the scaled commutator inner products.  The gap between the
-two determinants is conjectured (proved for N <= 2, and for N = 3 in the
-real and structured cases) to be nonnegative, so the covariance ellipsoid
-volume dominates the metric one.
+two determinants is nonnegative for every N, so the covariance ellipsoid
+volume dominates the metric one: proved by A. Andai, J. Math. Phys. 49,
+012106 (2008), and by P. Gibilisco, F. Hiai and D. Petz, IEEE Trans. Inf.
+Theory 55, 439 (2009).
 
-The same gap admits an explicit decomposition as a positively-weighted sum
-sum H * K over index tuples, which this module evaluates independently of
-the determinant route as a cross-check oracle.
-"""
+Every entry point (sweeps, replay, volume_gap, check_inequalities) computes
+its Grams, determinants and verdicts through one kernel, evaluate_batch, over
+a stack of samples.  The same gap admits an explicit decomposition as a
+positively-weighted sum sum H * K over index tuples, which this module
+evaluates independently of the determinant route as a cross-check oracle."""
 
 from __future__ import annotations
 
@@ -26,9 +28,11 @@ from .matrices import (
     as_hermitian,
     center,
     det_small,
+    expectation_stack,
+    frame_stack,
     to_eigenframe,
 )
-from .metrics import MetricUndefinedError, metric_context
+from .metrics import MetricUndefinedError, batched_grams
 from .monotone import (
     MonotoneFunction,
     TildeUndefinedError,
@@ -84,27 +88,101 @@ class VolumeReport:
     decomposition_gap: float | None
 
 
-def grams_from_frames(eigenvalues, frames, tilde_table):
-    """Covariance and metric-bound Gram matrices from eigenframe data."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    weights = 0.5 * (lam[:, None] + lam[None, :])
-    n = len(frames)
-    cov = np.empty((n, n))
-    qfi = np.empty((n, n))
-    for h in range(n):
-        for j in range(h, n):
-            overlap = np.real(frames[h] * frames[j].T)
-            c = float(np.sum(weights * overlap))
-            t = float(np.sum(tilde_table * overlap))
-            cov[h, j] = cov[j, h] = c
-            qfi[h, j] = qfi[j, h] = c - t
-    return cov, qfi
+@dataclass(frozen=True)
+class BatchReport:
+    """Kernel output for B samples and F functions.
+
+    Arrays indexed by function lead with F, then B.  ``rank_deficient`` says
+    that n exceeds commutator_rank, so every metric Gram in the batch is
+    singular by theory and its volume order carries no information.
+    """
+
+    cov_gram: np.ndarray
+    qfi_gram: np.ndarray
+    cov_det: np.ndarray
+    qfi_det: np.ndarray
+    gap: np.ndarray
+    scale: np.ndarray
+    volume_cov: np.ndarray
+    volume_qfi: np.ndarray
+    robertson_det: np.ndarray | None
+    dependent: np.ndarray
+    main_holds: np.ndarray
+    equality_consistent: np.ndarray
+    rank_deficient: bool
+
+    def violations(self, pairs) -> np.ndarray:
+        """Per sample, how many (i, j) in ``pairs`` break volume_i >= volume_j."""
+        count = np.zeros(self.cov_det.shape, dtype=int)
+        if not self.rank_deficient:
+            for i, j in pairs:
+                count += self.volume_qfi[i] < self.volume_qfi[j] - MONOTONICITY_SLACK
+        return count
 
 
-def gram_matrices(state: DensityMatrix, observables, function: MonotoneFunction):
-    ctx = metric_context(state, function)
-    frames = [to_eigenframe(state, o) for o in observables]
-    return grams_from_frames(state.eigenvalues, frames, ctx.mean_table_tilde)
+def commutator_rank(dim: int, real: bool) -> int:
+    """Most linearly independent commutators i[rho, A] there can be: in rho's
+    eigenbasis their diagonal is zero, leaving d^2 - d real dimensions, or
+    d(d-1)/2 when rho and every A are real symmetric."""
+    return dim * (dim - 1) // 2 if real else dim * dim - dim
+
+
+def _volume(det):
+    # sqrt(max(0, det)) with Python's max semantics: -0.0 and NaN give 0.0
+    return np.sqrt(np.where(det > 0.0, det, 0.0))
+
+
+def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> BatchReport:
+    """The evaluation kernel: Grams, determinants and verdicts for a stack.
+
+    ``rho`` and ``eigenvectors`` are (B, d, d) stacks and ``eigenvalues`` a
+    (B, d) stack of validated states (see matrices.density_stack);
+    ``observables`` holds one exactly self-adjoint (B, d, d) stack per
+    observable, each in its own dtype; ``functions`` are regular.  Every
+    per-sample result is bit-identical whatever the batch it came in.
+    """
+    n, dim = len(observables), eigenvalues.shape[-1]
+    means = [expectation_stack(rho, a) for a in observables]
+    # a real identity shifts complex matrices exactly as a complex one would
+    centered = np.stack([a - m * np.eye(dim) for a, m in zip(observables, means)], axis=1)
+    dependent = _dependent(centered)
+    frames = [frame_stack(eigenvectors, a, m) for a, m in zip(observables, means)]
+    tables = np.array([mean_table(tilde(f), eigenvalues) for f in functions])
+    cov, qfi = batched_grams(eigenvalues, frames, tables.reshape(-1, *eigenvectors.shape))
+    cov_det = det_small(cov)
+    qfi_det = det_small(qfi)
+    gap = cov_det - qfi_det
+    scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
+    real = not any(np.iscomplexobj(x) for x in (rho, *observables))
+    return BatchReport(
+        cov_gram=cov,
+        qfi_gram=qfi,
+        cov_det=cov_det,
+        qfi_det=qfi_det,
+        gap=gap,
+        scale=scale,
+        volume_cov=_volume(cov_det),
+        volume_qfi=_volume(qfi_det),
+        robertson_det=_robertson(rho, observables) if n % 2 == 0 else None,
+        dependent=dependent,
+        main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
+        equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
+        rank_deficient=n > commutator_rank(dim, real),
+    )
+
+
+def _evaluate_spec(spec: GramSpec, functions) -> BatchReport:
+    """Batch-of-one kernel call; the observables are validated here, once."""
+    state, observables = spec.state, [as_hermitian(o)[None] for o in spec.observables]
+    return evaluate_batch(
+        state.matrix[None], state.eigenvalues[None], state.eigenvectors[None], observables, functions
+    )
+
+
+def _volume_report(out: BatchReport, decomposition=None) -> VolumeReport:
+    rob = None if out.robertson_det is None else float(out.robertson_det[0])
+    dets = (float(out.cov_det[0]), float(out.qfi_det[0, 0]), float(out.gap[0, 0]))
+    return VolumeReport(out.cov_gram[0], out.qfi_gram[0, 0], *dets, rob, decomposition)
 
 
 def volume_gap(spec: GramSpec, *, with_decomposition: bool = False) -> VolumeReport:
@@ -115,13 +193,8 @@ def volume_gap(spec: GramSpec, *, with_decomposition: bool = False) -> VolumeRep
     independent route and is restricted to N <= 3, faithful states, and
     dim <= 6.
     """
-    cov, qfi = gram_matrices(spec.state, spec.observables, spec.function)
-    cov_det = det_small(cov)
-    qfi_det = det_small(qfi)
-    n = len(spec.observables)
-    rob = robertson_bound(spec.state, spec.observables) if n % 2 == 0 else None
-    dec = gap_from_decomposition(spec) if with_decomposition else None
-    return VolumeReport(cov, qfi, cov_det, qfi_det, cov_det - qfi_det, rob, dec)
+    out = _evaluate_spec(spec, (spec.function,))
+    return _volume_report(out, gap_from_decomposition(spec) if with_decomposition else None)
 
 
 def volume(spec: GramSpec, kind: str = "covariance") -> float:
@@ -304,18 +377,22 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
     so the determinant vanishes identically for odd N and gives the classical
     lower bound for even N.
     """
-    n = len(observables)
-    if n % 2 == 1:
+    if len(observables) % 2 == 1:
         return 0.0
-    mats = [as_hermitian(o) for o in observables]
-    r = np.zeros((n, n))
+    mats = [as_hermitian(o)[None] for o in observables]
+    return float(_robertson(state.matrix[None], mats)[0])
+
+
+def _robertson(rho, observables) -> np.ndarray:
+    n = len(observables)
+    r = np.zeros((len(rho), n, n))
     for h in range(n):
         for j in range(h + 1, n):
-            t = complex(
-                np.einsum("ij,ji->", state.matrix, mats[h] @ mats[j] - mats[j] @ mats[h])
-            )
-            r[h, j] = 0.5 * t.imag
-            r[j, h] = -r[h, j]
+            a, b = observables[h], observables[j]
+            # one einsum per sample, as in matrices.expectation_stack
+            traces = [np.einsum("ij,ji->", x, c) for x, c in zip(rho, a @ b - b @ a)]
+            r[:, h, j] = [0.5 * complex(t).imag for t in traces]
+            r[:, j, h] = -r[:, h, j]
     return det_small(r)
 
 
@@ -328,12 +405,28 @@ def observables_dependent(
     value; self-adjoint matrices form a real vector space, so dependence is
     over real coefficients.
     """
-    rows = []
-    for o in observables:
-        c = center(state, o)
-        rows.append(np.concatenate([np.real(c).ravel(), np.imag(c).ravel()]))
-    singular = np.linalg.svd(np.asarray(rows), compute_uv=False)
-    return bool(singular[-1] < tol)
+    centered = np.stack([center(state, o) for o in observables])
+    return bool(_dependent(centered[None], tol)[0])
+
+
+def _dependent(centered, tol: float = DEPENDENCE_SV_TOL) -> np.ndarray:
+    # centered: (B, n, d, d); one singular value decomposition per sample
+    flat = centered.reshape(*centered.shape[:2], -1)
+    rows = np.concatenate([np.real(flat), np.imag(flat)], axis=-1)
+    return np.linalg.svd(rows, compute_uv=False)[:, -1] < tol
+
+
+def order_pairs(functions) -> tuple:
+    """Resolvable ordered pairs (i, j) meaning volume_i >= volume_j must hold."""
+    pairs = []
+    for i in range(len(functions)):
+        for j in range(i + 1, len(functions)):
+            order = tilde_order(functions[i], functions[j])
+            if order.first_le_second:
+                pairs.append((i, j))
+            if order.second_le_first:
+                pairs.append((j, i))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -341,8 +434,9 @@ class InequalityVerdict:
     """Outcome flags for one configuration; every outcome is data.
 
     candidate_counterexample mirrors (not main_holds): a negative gap beyond
-    tolerance is recorded for later replay rather than raised, because for
-    complex N = 3 inputs the inequality is an open conjecture.
+    tolerance is recorded for later replay rather than raised.  The
+    inequality is proved for every N (see the module docstring), so a
+    candidate points at a numerical defect, not at a counterexample.
     """
 
     report: VolumeReport
@@ -362,31 +456,24 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
     equality_consistent: dependence implies |gap| <= 1e-8 * scale (the
                     proved direction of the equality characterization).
     monotonicity_holds: with a partner g, the qfi volumes respect every
-                    grid-resolvable tilde ordering; None when incomparable.
+                    grid-resolvable tilde ordering; None when incomparable,
+                    and None when N exceeds commutator_rank, where both
+                    metric Grams are singular by theory.
+    The function and its partner share one kernel call.
     """
-    report = volume_gap(spec)
-    scale = max(1.0, abs(report.cov_det))
-    main = bool(report.gap >= -MAIN_INEQUALITY_SLACK * scale)
-    dependent = observables_dependent(spec.state, spec.observables)
-    equality_ok = (not dependent) or abs(report.gap) <= EQUALITY_RTOL * scale
-    mono: bool | None = None
-    if partner is not None:
-        order = tilde_order(spec.function, partner)
-        vol_f = math.sqrt(max(0.0, report.qfi_det))
-        partner_report = volume_gap(GramSpec(spec.state, spec.observables, partner))
-        vol_g = math.sqrt(max(0.0, partner_report.qfi_det))
-        checks = []
-        if order.first_le_second:
-            checks.append(vol_f >= vol_g - MONOTONICITY_SLACK)
-        if order.second_le_first:
-            checks.append(vol_g >= vol_f - MONOTONICITY_SLACK)
-        mono = all(checks) if checks else None
+    functions = (spec.function,) if partner is None else (spec.function, partner)
+    out = _evaluate_spec(spec, functions)
+    pairs = order_pairs(functions) if partner is not None else ()
+    mono = None
+    if pairs and not out.rank_deficient:
+        mono = bool(out.violations(pairs)[0] == 0)
+    main = bool(out.main_holds[0, 0])
     return InequalityVerdict(
-        report=report,
-        scale=scale,
+        report=_volume_report(out),
+        scale=float(out.scale[0]),
         main_holds=main,
-        dependent=dependent,
-        equality_consistent=equality_ok,
+        dependent=bool(out.dependent[0]),
+        equality_consistent=bool(out.equality_consistent[0, 0]),
         monotonicity_holds=mono,
         candidate_counterexample=not main,
     )

@@ -33,7 +33,7 @@ from qfivol import (
     volume_gap,
 )
 from qfivol import repro
-from qfivol.sweep import _order_pairs
+from qfivol.volumes import order_pairs
 
 
 @contextmanager
@@ -150,7 +150,7 @@ def test_criterion_7_volume_chain_on_real_triples():
     # always linearly dependent, so dim 2 carries no ordering information
     with _criterion(7, "volume chain on real triples", 30.0):
         functions = regular_builtins()
-        pairs = _order_pairs(functions)
+        pairs = order_pairs(functions)
         assert pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         for index in range(200):
             dim = 3 + index % 3

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qfivol.cli import main
@@ -146,3 +147,23 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--n", "9"])
     assert excinfo.value.code == 2
+
+
+def test_decomposition_failure_exits_four_naming_the_sample(tmp_path, capsys, monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def eigh_breaking_sample_3(m):
+        w, v = real_eigh(m)
+        if m.ndim == 3 and len(m) > 3:
+            v = v.copy()
+            v[3] *= 2.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_breaking_sample_3)
+    code = main(
+        ["sweep", "--n", "1", "--dim", "2", "--samples", "5", "--seed", "3",
+         "--out", str(tmp_path / "records.jsonl")]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample 3: decomposition checks failed")

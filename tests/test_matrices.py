@@ -241,3 +241,25 @@ def test_det_small_size_limits():
         det_small(np.ones((2, 3)))
     with pytest.raises(ValueError, match="supported sizes"):
         det_small(np.eye(9))
+
+
+def test_stacks_match_single_matrices_bit_for_bit():
+    rng = np.random.default_rng(13)
+    stack = np.array([_random_hermitian(rng, 4) for _ in range(7)])
+    w, v = spectral_decompose(stack)
+    symmetric = as_hermitian(stack)
+    for k, m in enumerate(stack):
+        wk, vk = spectral_decompose(m)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.array_equal(symmetric[k], as_hermitian(m))
+    for n in (1, 2, 3, 5):
+        grams = stack.real[:, :n, :n]
+        assert np.array_equal(det_small(grams), [det_small(g) for g in grams])
+
+
+def test_stack_check_names_the_failing_position():
+    stack = np.array([np.eye(3)] * 5)
+    stack[2, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="not self-adjoint") as info:
+        as_hermitian(stack)
+    assert info.value.position == 2

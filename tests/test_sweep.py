@@ -1,22 +1,43 @@
 """Tests for the deterministic bulk sweep and its record replay machinery."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from qfivol import (
+    SLD,
+    GramSpec,
     RandomSpec,
     SweepConfig,
     builtin,
+    check_inequalities,
     evaluate_sample,
     format_record,
     regular_builtins,
     replay_record,
     resolve_ensemble,
     run_sweep,
+    sample_observables,
+    sample_state,
+    sweep,
+    volume_gap,
 )
-from qfivol.sweep import _order_pairs
+from qfivol.volumes import order_pairs
+
+# sha256 of 300-sample, seed-7 sweep files as the per-sample loop wrote them
+# before the batched kernel replaced it.  The digests belong to one
+# numpy/LAPACK build (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64);
+# another build may round differently, and then this guard fails by design.
+SWEEP_DIGESTS = {
+    ("complex", 3, 3, "sld,wy,wyd:0.25"):
+        "ade4703a2aaccf6460890e8940fe5c189cf9dad7dbd9b68b194be3d6108eda83",
+    ("real", 8, 2, "sld,wy,wyd:0.05,wyd:0.1,wyd:0.25,wyd:0.4"):
+        "5b9f8fa81329357a79afbdfaabd8aa6ff310c0eb444b689facfc7ae1481462de",
+    ("structured", 4, 3, "sld,wy"):
+        "3523a19d24d8dec7f0cf50e2e71983863cd9d7cee795dee9f06f0c5b13600282",
+}
 
 
 def _config(**overrides):
@@ -81,13 +102,13 @@ def test_format_record_round_trips_as_json():
 
 
 def test_order_pairs_covers_the_chain():
-    pairs = _order_pairs(regular_builtins())
+    pairs = order_pairs(regular_builtins())
     assert pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_order_pairs_detects_equality_both_ways():
     f = builtin("sld")
-    assert _order_pairs((f, f)) == ((0, 1), (1, 0))
+    assert order_pairs((f, f)) == ((0, 1), (1, 0))
 
 
 def test_evaluate_sample_fields():
@@ -196,3 +217,66 @@ def test_replay_rejects_out_of_range_line(tmp_path):
     run_sweep(config, out)
     with pytest.raises(ValueError, match="line"):
         replay_record(str(out), 999)
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_DIGESTS))
+def test_sweep_digest_guard(tmp_path, key):
+    ensemble, dim, n, functions = key
+    config = _config(
+        ensemble=ensemble, dim=dim, n=n, samples=300, seed=7,
+        functions=tuple(functions.split(",")),
+    )
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(config, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[key]
+
+
+@pytest.mark.parametrize("ensemble,dim,n", [("complex", 3, 3), ("real", 4, 2), ("structured", 3, 3)])
+def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, dim, n):
+    """Records must not depend on the kernel's batch size, where chunk
+    boundaries fall, or how many workers evaluate the chunks."""
+    config = _config(ensemble=ensemble, dim=dim, n=n, samples=40, functions=("sld", "wy", "wyd:0.25"))
+    outputs = []
+    for chunk, batch, parallelism in ((256, 256, 1), (256, 7, 1), (256, 1, 1), (7, 256, 2)):
+        monkeypatch.setattr(sweep, "CHUNK_SIZE", chunk)
+        monkeypatch.setattr(sweep, "KERNEL_BATCH", batch)
+        out = tmp_path / f"{chunk}-{batch}-{parallelism}.jsonl"
+        run_sweep(dataclasses.replace(config, parallelism=parallelism), out)
+        outputs.append(out.read_text().splitlines()[:-1])
+    assert all(lines == outputs[0] for lines in outputs[1:])
+
+
+@pytest.mark.parametrize(
+    "ensemble,dim,n", [("complex", 3, 3), ("complex", 4, 2), ("real", 3, 3), ("structured", 4, 3)]
+)
+def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
+    config = _config(ensemble=ensemble, dim=dim, n=n, samples=75, functions=("sld", "wy", "wyd:0.25"))
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(config, out)
+    rspec = RandomSpec(config.seed, dim, config.ensemble)
+    for line in out.read_text().splitlines()[:-1]:
+        record = json.loads(line)
+        spec = GramSpec(
+            sample_state(rspec, record["index"]),
+            sample_observables(rspec, record["index"], n),
+            builtin(record["function"]),
+        )
+        verdict = check_inequalities(spec, partner=SLD)
+        for report in (volume_gap(spec), verdict.report):
+            assert (report.cov_det, report.qfi_det, report.gap) == (
+                record["cov_det"], record["qfi_det"], record["gap"]
+            )
+        assert verdict.main_holds == record["main_holds"]
+        assert verdict.dependent == record["dependent"]
+
+
+@pytest.mark.parametrize("ensemble,n", [("complex", 3), ("real", 2), ("real", 3)])
+def test_dim2_rank_deficient_samples_report_no_violations(tmp_path, ensemble, n):
+    """With d = 2 the commutators span 2 real dimensions (1 for real
+    ensembles), so these metric Grams are singular by theory and their
+    volume order is roundoff."""
+    config = _config(ensemble=ensemble, n=n, samples=512, seed=1, functions=("sld", "wy", "wyd:0.25"))
+    assert run_sweep(config, tmp_path / "d2.jsonl").monotonicity_violations == 0
+    rspec = RandomSpec(1, 2, config.ensemble)
+    spec = GramSpec(sample_state(rspec, 0), sample_observables(rspec, 0, n), builtin("wy"))
+    assert check_inequalities(spec, partner=SLD).monotonicity_holds is None
