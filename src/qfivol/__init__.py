@@ -48,7 +48,7 @@ from .monotone import (
 from .sampling import (
     ENSEMBLES,
     RandomSpec,
-    sample,
+    resolve_ensemble,
     sample_observables,
     sample_pure_state,
     sample_state,
@@ -59,7 +59,6 @@ from .sweep import (
     evaluate_sample,
     format_record,
     replay_record,
-    resolve_ensemble,
     run_sweep,
 )
 from .volumes import (
@@ -126,7 +125,6 @@ __all__ = [
     "resolve_ensemble",
     "robertson_bound",
     "run_sweep",
-    "sample",
     "sample_observables",
     "sample_pure_state",
     "sample_state",

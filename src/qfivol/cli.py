@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--functions", default="sld,wy,wyd:0.25",
                               help="comma-separated regular functions")
     sweep_parser.add_argument("--ensemble", default="complex",
-                              help="complex | real | structured | base tag | STATE+OBS")
+                              help="complex | real | structured, a base tag (density, real-density, "
+                                   "pauli-like-structured) or STATE+OBS")
     sweep_parser.add_argument("--seed", type=int, default=None,
                               help=f"default from ${ENV_SEED} or {DEFAULT_SEED}")
     sweep_parser.add_argument("--parallelism", type=int, default=None,

@@ -190,8 +190,9 @@ def det_small(matrix):
     ``(..., n, n)`` stack (then an array of determinants).
 
     Uses cofactor expansion, vectorized over the stack, for n <= 3 and
-    partial-pivot elimination with explicit sign tracking, one matrix at a
-    time, for 4 <= n <= 8.
+    ``np.linalg.det`` (LAPACK LU with partial pivoting) on the whole stack for
+    4 <= n <= 8; each matrix's determinant has the same bits as a call on that
+    matrix alone.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -210,22 +211,5 @@ def det_small(matrix):
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
     else:
-        det = np.array([_elimination_det(x) for x in m.reshape(-1, n, n)])
-        det = det.reshape(m.shape[:-2])
+        det = np.linalg.det(m)
     return float(det) if m.ndim == 2 else det
-
-
-def _elimination_det(m) -> float:
-    n = m.shape[0]
-    work = m.copy()
-    sign = 1.0
-    for col in range(n - 1):
-        pivot = col + int(np.argmax(np.abs(work[col:, col])))
-        if work[pivot, col] == 0.0:
-            return 0.0
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-            sign = -sign
-        factors = work[col + 1 :, col] / work[col, col]
-        work[col + 1 :, col:] -= np.outer(factors, work[col, col:])
-    return float(sign * np.prod(np.diagonal(work)))

@@ -116,7 +116,7 @@ def hessian_example() -> dict:
 
 def pure_volume_rows(dim, n, seed, draws=3, function_ids=EXAMPLE_FUNCTIONS) -> list[dict]:
     """Volume pairs for random pure states and random complex observables."""
-    spec = RandomSpec(seed=seed, dim=dim, ensemble="complex-hermitian")
+    spec = RandomSpec(seed=seed, dim=dim, ensemble="density")
     rows = []
     for draw in range(draws):
         state = sample_pure_state(seed, dim, draw)

@@ -17,13 +17,22 @@ import numpy as np
 
 from .matrices import DecompositionError, DensityMatrix, density_stack
 
-ENSEMBLES = (
-    "complex-hermitian",
-    "real-symmetric",
-    "density",
-    "real-density",
-    "pauli-like-structured",
-)
+# base tags, the names records carry
+ENSEMBLES = ("density", "real-density", "pauli-like-structured")
+
+# CLI names, STATE+OBSERVABLE compounds and the retired complex-hermitian and
+# real-symmetric tags, which drew exactly the streams of their base tags, so
+# records that carry them still replay
+_ALIASES = {
+    "complex": "density",
+    "complex-hermitian": "density",
+    "density+complex-hermitian": "density",
+    "real": "real-density",
+    "real-symmetric": "real-density",
+    "real-density+real-symmetric": "real-density",
+    "structured": "pauli-like-structured",
+    "pauli-like-structured+pauli-like-structured": "pauli-like-structured",
+}
 
 STATE_CHANNEL = 0
 OBSERVABLE_CHANNEL = 1
@@ -37,19 +46,27 @@ MAX_DIM = 8
 STRUCTURED_SPECTRUM_FLOOR = 0.05
 
 
+def resolve_ensemble(tag: str) -> str:
+    """Map an ensemble tag (base tag, alias or STATE+OBSERVABLE pair) to its
+    base tag."""
+    key = tag.strip().lower()
+    base = _ALIASES.get(key, key)
+    if base not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {tag!r}; use one of {ENSEMBLES} or {sorted(_ALIASES)}")
+    return base
+
+
 @dataclass(frozen=True)
 class RandomSpec:
-    """Identifies a reproducible stream of random draws."""
+    """Identifies a reproducible stream of random draws; ``ensemble`` is
+    resolved to its base tag."""
 
     seed: int
     dim: int
     ensemble: str
 
     def __post_init__(self):
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(
-                f"unknown ensemble {self.ensemble!r}; expected one of {ENSEMBLES}"
-            )
+        object.__setattr__(self, "ensemble", resolve_ensemble(self.ensemble))
         if not MIN_DIM <= self.dim <= MAX_DIM:
             raise ValueError(f"dim must be in [{MIN_DIM}, {MAX_DIM}], got {self.dim}")
         if not 0 <= int(self.seed) < 2**64:
@@ -78,10 +95,9 @@ def _hermitian(z) -> np.ndarray:
 def _state_matrices(spec: RandomSpec, indices) -> np.ndarray:
     """Unit-trace state matrices, before validation, as a (B, d, d) stack.
 
-    complex-hermitian/density use a complex Ginibre state, the real ensembles
-    a real one, and pauli-like-structured a diagonal state with a floored
-    random spectrum (the structured positivity result assumes a diagonal,
-    faithful state).
+    density uses a complex Ginibre state, real-density a real one, and
+    pauli-like-structured a diagonal state with a floored random spectrum (the
+    structured positivity result assumes a diagonal, faithful state).
     """
     dim = spec.dim
     if spec.ensemble == "pauli-like-structured":
@@ -89,7 +105,7 @@ def _state_matrices(spec: RandomSpec, indices) -> np.ndarray:
         m = np.zeros((len(g), dim, dim))
         m[:, np.arange(dim), np.arange(dim)] = g / g.sum(axis=-1, keepdims=True)
         return m
-    real = spec.ensemble in ("real-symmetric", "real-density")
+    real = spec.ensemble == "real-density"
     z = _normals(spec, indices, STATE_CHANNEL, (1 if real else 2, dim, dim))
     g = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
     # g.conj() is g itself for real draws, so matmul sees g @ g.T as before
@@ -131,7 +147,7 @@ def draw_observables(spec: RandomSpec, indices, count: int) -> tuple[np.ndarray,
         c = np.zeros_like(b, dtype=np.float64)
         c[:, diag[0], diag[1]] = z[:, 4 * dim * dim :]
         return (a, b, c)
-    real = spec.ensemble in ("real-symmetric", "real-density")
+    real = spec.ensemble == "real-density"
     z = _normals(spec, indices, OBSERVABLE_CHANNEL, (count, 1 if real else 2, dim, dim))
     return tuple(_hermitian(z[:, k]) for k in range(count))
 
@@ -144,19 +160,6 @@ def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
     """Observable draws for one sample (see draw_observables)."""
     return tuple(stack[0] for stack in draw_observables(spec, [index], count))
-
-
-def sample(spec: RandomSpec, index: int):
-    """One draw from the ensemble.
-
-    Density ensembles yield a DensityMatrix, the Hermitian/symmetric
-    ensembles one observable, and pauli-like-structured the (A, B, C) triple.
-    """
-    if spec.ensemble in ("density", "real-density"):
-        return sample_state(spec, index)
-    if spec.ensemble == "pauli-like-structured":
-        return sample_observables(spec, index, 3)
-    return sample_observables(spec, index, 1)[0]
 
 
 def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:

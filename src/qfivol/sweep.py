@@ -3,11 +3,16 @@
 One record is emitted per (sample, function) to a line-delimited file with a
 fixed field order and floats printed with 17 significant digits, so records
 round-trip bit-exactly and a file is byte-identical across runs and worker
-counts.  Work is split into fixed-size chunks (independent of parallelism)
-and both the record stream and the running aggregates are combined in chunk
+counts.  Work is split into fixed-size chunks (independent of parallelism);
+each chunk returns its formatted lines with its gap and main-flag arrays, and
+the parent writes the lines and folds the arrays into the summary in chunk
 order, which keeps even the floating-point summary stable when the worker
-count changes.  Wall time is reported on the returned summary object only,
+count changes.  The file is written next to its target and renamed onto it
+once complete.  Wall time is reported on the returned summary object only,
 never written to the file.
+
+Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
+the base tags, and records with retired tags replay unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -25,7 +30,7 @@ import numpy as np
 
 from .monotone import builtin
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .sampling import ENSEMBLES, RandomSpec, draw_observables, draw_states
+from .sampling import RandomSpec, draw_observables, draw_states
 from .volumes import BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -54,27 +59,6 @@ RECORD_FIELDS = (
     "candidate",
 )
 
-_ALIASES = {
-    "complex": "density",
-    "real": "real-density",
-    "structured": "pauli-like-structured",
-    "density+complex-hermitian": "density",
-    "real-density+real-symmetric": "real-density",
-    "pauli-like-structured+pauli-like-structured": "pauli-like-structured",
-}
-
-
-def resolve_ensemble(tag: str) -> str:
-    """Map a CLI ensemble tag (alias or STATE+OBSERVABLE pair) to a base tag."""
-    key = tag.strip().lower()
-    if key in _ALIASES:
-        return _ALIASES[key]
-    if key in ENSEMBLES:
-        return key
-    raise ValueError(
-        f"unknown ensemble {tag!r}; use one of {sorted(_ALIASES)} or {ENSEMBLES}"
-    )
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -99,17 +83,15 @@ class SweepConfig:
             raise ValueError("parallelism must be positive")
         if not self.functions:
             raise ValueError("at least one function is required")
-        canonical = resolve_ensemble(self.ensemble)
-        object.__setattr__(self, "ensemble", canonical)
+        object.__setattr__(self, "ensemble", RandomSpec(self.seed, self.dim, self.ensemble).ensemble)
         object.__setattr__(
             self, "functions", tuple(builtin(fid).fid for fid in self.functions)
         )
         for fid in self.functions:
             if not builtin(fid).regular:
                 raise ValueError(f"sweep functions must be regular, got {fid}")
-        if canonical == "pauli-like-structured" and self.n != 3:
+        if self.ensemble == "pauli-like-structured" and self.n != 3:
             raise ValueError("the structured ensemble requires n = 3")
-        RandomSpec(self.seed, self.dim, canonical)
 
 
 @dataclass(frozen=True)
@@ -135,18 +117,18 @@ _RECORD_TEMPLATE = (
     '"main_holds": %s, "dependent": %s, "equality_consistent": %s, "candidate": %s}'
 )
 _JSON_WORDS = {True: "true", False: "false", None: "null"}
-_NUMBER_FIELDS = operator.itemgetter(*RECORD_FIELDS[:11])
-_FLAG_FIELDS = operator.itemgetter(*RECORD_FIELDS[12:])
+
+
+def _format_row(row) -> str:
+    rob = row[11]
+    return _RECORD_TEMPLATE % (
+        *row[:11], "null" if rob is None else "%.17g" % rob, *map(_JSON_WORDS.__getitem__, row[12:])
+    )
 
 
 def format_record(record: dict) -> str:
     """One record as a JSON object line with fixed key order."""
-    rob = record["robertson_det"]
-    return _RECORD_TEMPLATE % (
-        *_NUMBER_FIELDS(record),
-        "null" if rob is None else "%.17g" % rob,
-        *map(_JSON_WORDS.__getitem__, _FLAG_FIELDS(record)),
-    )
+    return _format_row([record[key] for key in RECORD_FIELDS])
 
 
 def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
@@ -154,9 +136,9 @@ def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
     return evaluate_batch(rho, lam, vectors, draw_observables(rspec, indices, n), functions)
 
 
-def _records(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
-    """The records of a kernel report (sample-major, then function), each dict
-    built on demand so that a chunk holds formatted lines, not dicts."""
+def _rows(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
+    """The records of a kernel report as tuples in RECORD_FIELDS order,
+    sample-major, then function."""
     cov_det, vol_cov = out.cov_det.tolist(), out.volume_cov.tolist()
     dependent = out.dependent.tolist()
     rob = [None] * len(indices) if out.robertson_det is None else out.robertson_det.tolist()
@@ -168,53 +150,23 @@ def _records(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
     ]
     for b, index in enumerate(indices):
         for fid, qfi_det, gap, vol_qfi, main, equal in columns:
-            yield dict(zip(RECORD_FIELDS, (
+            yield (
                 index, rspec.seed, rspec.ensemble, rspec.dim, n, fid, cov_det[b],
                 qfi_det[b], gap[b], vol_cov[b], vol_qfi[b], rob[b], main[b],
                 dependent[b], equal[b], not main[b],
-            )))
+            )
 
 
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
     """All per-function records for one sample plus its monotonicity violations."""
     out = _evaluate(rspec, [index], n, functions)
-    records = list(_records(rspec, [index], n, functions, out))
+    records = [dict(zip(RECORD_FIELDS, row)) for row in _rows(rspec, [index], n, functions, out)]
     return records, int(out.violations(order_pairs)[0])
 
 
-def _empty_aggregate(fids):
-    return {
-        "min_gap": math.inf,
-        "argmin_index": -1,
-        "argmin_function": "",
-        "candidates": 0,
-        "mono_violations": 0,
-        "records": 0,
-        "per_function": {
-            fid: {"min_gap": math.inf, "sum_gap": 0.0, "count": 0, "candidates": 0}
-            for fid in fids
-        },
-    }
-
-
-def _merge_aggregate(total, part):
-    if part["min_gap"] < total["min_gap"]:
-        total["min_gap"] = part["min_gap"]
-        total["argmin_index"] = part["argmin_index"]
-        total["argmin_function"] = part["argmin_function"]
-    total["candidates"] += part["candidates"]
-    total["mono_violations"] += part["mono_violations"]
-    total["records"] += part["records"]
-    for fid, stats in part["per_function"].items():
-        dst = total["per_function"][fid]
-        dst["min_gap"] = min(dst["min_gap"], stats["min_gap"])
-        dst["sum_gap"] += stats["sum_gap"]
-        dst["count"] += stats["count"]
-        dst["candidates"] += stats["candidates"]
-    return total
-
-
 def _chunk_worker(args):
+    """Record lines, (F, B) gap and main-flag arrays and the monotonicity
+    violation count of samples start..stop."""
     config, start, stop = args
     functions = tuple(builtin(fid) for fid in config.functions)
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
@@ -223,39 +175,11 @@ def _chunk_worker(args):
     for lo in range(start, stop, KERNEL_BATCH):
         indices = range(lo, min(lo + KERNEL_BATCH, stop))
         out = _evaluate(rspec, indices, config.n, functions)
-        lines += [format_record(rec) for rec in _records(rspec, indices, config.n, functions, out)]
+        lines += map(_format_row, _rows(rspec, indices, config.n, functions, out))
         gap.append(out.gap)
         main.append(out.main_holds)
         violations += int(out.violations(pairs).sum())
-    gap, main = np.concatenate(gap, axis=1), np.concatenate(main, axis=1)
-    # in record order (sample-major) argmin keeps the first minimum, as a scan
-    # with a strict < would; each sum_gap adds this chunk's gaps in order
-    gaps = gap.T.ravel()
-    best = int(np.argmin(gaps))
-    candidates = (~main).sum(axis=1).tolist()
-    return lines, {
-        "min_gap": float(gaps[best]),
-        "argmin_index": start + best // len(functions),
-        "argmin_function": functions[best % len(functions)].fid,
-        "candidates": sum(candidates),
-        "mono_violations": violations,
-        "records": gaps.size,
-        "per_function": {
-            f.fid: {"min_gap": min(g), "sum_gap": sum(g, 0.0), "count": len(g), "candidates": c}
-            for f, g, c in zip(functions, gap.tolist(), candidates)
-        },
-    }
-
-
-def _per_function(agg: dict) -> dict:
-    return {
-        fid: {
-            "min_gap": stats["min_gap"],
-            "mean_gap": stats["sum_gap"] / stats["count"] if stats["count"] else 0.0,
-            "candidates": stats["candidates"],
-        }
-        for fid, stats in agg["per_function"].items()
-    }
+    return lines, np.concatenate(gap, axis=1), np.concatenate(main, axis=1), violations
 
 
 _SUMMARY_TEMPLATE = (
@@ -266,52 +190,87 @@ _SUMMARY_TEMPLATE = (
 )
 
 
-def format_summary(config: SweepConfig, agg: dict) -> str:
+def format_summary(config: SweepConfig, summary: SweepSummary) -> str:
     """The trailing summary line (fixed key order, no wall time)."""
     per_function = ", ".join(
         '"%s": {"min_gap": %.17g, "mean_gap": %.17g, "candidates": %d}'
         % (fid, stats["min_gap"], stats["mean_gap"], stats["candidates"])
-        for fid, stats in _per_function(agg).items()
+        for fid, stats in summary.per_function.items()
     )
     return _SUMMARY_TEMPLATE % (
-        config.samples, agg["records"], config.n, config.dim, config.ensemble,
+        summary.samples, summary.records, config.n, config.dim, config.ensemble,
         config.seed, ", ".join(f'"{fid}"' for fid in config.functions),
-        agg["min_gap"], agg["argmin_index"], agg["argmin_function"],
-        agg["candidates"], agg["mono_violations"], per_function,
+        summary.min_gap, summary.argmin_index, summary.argmin_function,
+        summary.candidate_counterexamples, summary.monotonicity_violations, per_function,
+    )
+
+
+def _fold(config: SweepConfig, parts, fh, start_time) -> SweepSummary:
+    """Write each chunk's lines and fold its arrays into the summary, in chunk
+    order: per-function gap sums add each chunk's in-order sum, and the
+    argmin keeps the first record holding the minimum gap."""
+    fids = config.functions
+    min_gap, sum_gap = [math.inf] * len(fids), [0.0] * len(fids)
+    candidates, violations, done = np.zeros(len(fids), dtype=int), 0, 0
+    best, argmin_index, argmin_function = math.inf, -1, ""
+    for lines, gap, main, count in parts:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+        for k, g in enumerate(gap.tolist()):
+            min_gap[k] = min(min_gap[k], min(g))
+            sum_gap[k] += sum(g, 0.0)
+        flat = gap.T.ravel()
+        k = int(np.argmin(flat))
+        if flat[k] < best:
+            best, argmin_index = float(flat[k]), done + k // len(fids)
+            argmin_function = fids[k % len(fids)]
+        candidates += (~main).sum(axis=1)
+        violations += count
+        done += gap.shape[1]
+    return SweepSummary(
+        samples=config.samples,
+        records=config.samples * len(fids),
+        functions=fids,
+        min_gap=best,
+        argmin_index=argmin_index,
+        argmin_function=argmin_function,
+        candidate_counterexamples=int(candidates.sum()),
+        monotonicity_violations=violations,
+        per_function={
+            fid: {"min_gap": lo, "mean_gap": total / config.samples, "candidates": int(c)}
+            for fid, lo, total, c in zip(fids, min_gap, sum_gap, candidates)
+        },
+        elapsed=time.perf_counter() - start_time,
     )
 
 
 def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
-    """Run the sweep, write records plus a summary line, return the summary."""
+    """Run the sweep, write records plus a summary line, return the summary.
+
+    The file is written as ``OUT.tmp`` next to ``OUT`` and renamed onto it
+    after the summary line, so a failed sweep leaves ``OUT`` as it was.
+    """
     start_time = time.perf_counter()
     chunks = [
         (config, lo, min(lo + CHUNK_SIZE, config.samples))
         for lo in range(0, config.samples, CHUNK_SIZE)
     ]
-    agg = _empty_aggregate(config.functions)
-    with open(out_path, "w") as fh, ExitStack() as stack:
-        if config.parallelism == 1:
-            parts = map(_chunk_worker, chunks)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.parallelism))
-            parts = pool.map(_chunk_worker, chunks, chunksize=1)
-        for lines, part in parts:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-            _merge_aggregate(agg, part)
-        fh.write(format_summary(config, agg) + "\n")
-    return SweepSummary(
-        samples=config.samples,
-        records=agg["records"],
-        functions=config.functions,
-        min_gap=agg["min_gap"],
-        argmin_index=agg["argmin_index"],
-        argmin_function=agg["argmin_function"],
-        candidate_counterexamples=agg["candidates"],
-        monotonicity_violations=agg["mono_violations"],
-        per_function=_per_function(agg),
-        elapsed=time.perf_counter() - start_time,
-    )
+    tmp_path = f"{os.fspath(out_path)}.tmp"
+    try:
+        with open(tmp_path, "w") as fh, ExitStack() as stack:
+            if config.parallelism == 1:
+                parts = map(_chunk_worker, chunks)
+            else:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.parallelism))
+                parts = pool.map(_chunk_worker, chunks, chunksize=1)
+            summary = _fold(config, parts, fh, start_time)
+            fh.write(format_summary(config, summary) + "\n")
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
+    return summary
 
 
 def replay_record(path, line_number: int) -> dict:
@@ -334,8 +293,10 @@ def replay_record(path, line_number: int) -> dict:
     function = builtin(stored["function"])
     records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))
     fresh = records[0]
-    # JSON gives back exactly the printed floats, ints for integral ones
+    # JSON gives back exactly the printed floats, ints for integral ones; a
+    # retired ensemble tag names the stream of the base tag fresh records carry
+    expected = dict(stored, ensemble=rspec.ensemble)
     mismatches = {
-        key: (stored[key], fresh[key]) for key in RECORD_FIELDS if stored[key] != fresh[key]
+        key: (stored[key], fresh[key]) for key in RECORD_FIELDS if expected[key] != fresh[key]
     }
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

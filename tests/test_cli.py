@@ -167,3 +167,20 @@ def test_decomposition_failure_exits_four_naming_the_sample(tmp_path, capsys, mo
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: sample 3: decomposition checks failed")
+    assert not (tmp_path / "records.jsonl").exists()
+    assert not (tmp_path / "records.jsonl.tmp").exists()
+
+
+def test_failed_sweep_leaves_an_existing_file_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "records.jsonl"
+    args = ["sweep", "--n", "1", "--dim", "2", "--seed", "3", "--out", str(out), "--samples"]
+    assert main(args + ["5"]) == 0
+    before = out.read_bytes()
+
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert main(args + ["9"]) == 4
+    assert out.read_bytes() == before
+    assert not (tmp_path / "records.jsonl.tmp").exists()

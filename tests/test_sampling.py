@@ -6,7 +6,6 @@ import pytest
 from qfivol import (
     DensityMatrix,
     RandomSpec,
-    sample,
     sample_observables,
     sample_pure_state,
     sample_state,
@@ -24,18 +23,28 @@ def test_randomspec_validation():
         RandomSpec(-1, 3, "density")
 
 
+def _observable(spec, index):
+    return sample_observables(spec, index, 1)[0]
+
+
 def test_same_index_is_bit_identical():
     spec = RandomSpec(1, 4, "complex-hermitian")
-    assert np.array_equal(sample(spec, 0), sample(spec, 0))
+    assert np.array_equal(_observable(spec, 0), _observable(spec, 0))
     dspec = RandomSpec(1, 4, "density")
-    assert np.array_equal(sample(dspec, 5).matrix, sample(dspec, 5).matrix)
+    assert np.array_equal(sample_state(dspec, 5).matrix, sample_state(dspec, 5).matrix)
 
 
 def test_distinct_indices_and_seeds_differ():
     spec = RandomSpec(1, 3, "complex-hermitian")
     other_seed = RandomSpec(2, 3, "complex-hermitian")
-    assert not np.array_equal(sample(spec, 0), sample(spec, 1))
-    assert not np.array_equal(sample(spec, 0), sample(other_seed, 0))
+    assert not np.array_equal(_observable(spec, 0), _observable(spec, 1))
+    assert not np.array_equal(_observable(spec, 0), _observable(other_seed, 0))
+
+
+def test_retired_tags_resolve_to_their_base_streams():
+    assert RandomSpec(1, 3, "complex-hermitian") == RandomSpec(1, 3, "density")
+    assert RandomSpec(1, 3, "real-symmetric").ensemble == "real-density"
+    assert RandomSpec(1, 3, "Structured").ensemble == "pauli-like-structured"
 
 
 def test_state_stream_independent_of_observable_count():
@@ -49,11 +58,11 @@ def test_state_stream_independent_of_observable_count():
 
 def test_hermitian_ensembles_shapes_and_symmetry():
     spec = RandomSpec(4, 5, "complex-hermitian")
-    a = sample(spec, 0)
+    a = _observable(spec, 0)
     assert a.shape == (5, 5)
     assert np.array_equal(a, a.conj().T)
     rspec = RandomSpec(4, 5, "real-symmetric")
-    b = sample(rspec, 0)
+    b = _observable(rspec, 0)
     assert not np.iscomplexobj(b)
     assert np.array_equal(b, b.T)
 
@@ -61,7 +70,7 @@ def test_hermitian_ensembles_shapes_and_symmetry():
 def test_density_ensembles_are_faithful_states():
     for ensemble in ("density", "real-density"):
         spec = RandomSpec(8, 4, ensemble)
-        state = sample(spec, 0)
+        state = sample_state(spec, 0)
         assert isinstance(state, DensityMatrix)
         assert abs(np.trace(state.matrix) - 1.0) <= 1e-12
         assert state.faithful
@@ -74,7 +83,7 @@ def test_structured_ensemble_shapes():
     # diagonal faithful state
     assert np.array_equal(state.matrix, np.diag(np.diag(state.matrix)))
     assert state.faithful
-    a, b, c = sample(spec, 0)
+    a, b, c = sample_observables(spec, 0, 3)
     assert np.max(np.abs(np.diag(b))) == 0.0
     assert np.array_equal(c, np.diag(np.diag(c)))
     assert np.isrealobj(c)

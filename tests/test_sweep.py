@@ -86,6 +86,7 @@ def test_config_canonicalizes_tags():
     config = _config(functions=("SLD", "Wy"), ensemble="real")
     assert config.functions == ("sld", "wy")
     assert config.ensemble == "real-density"
+    assert _config(ensemble="complex-hermitian").ensemble == "density"
 
 
 def test_format_record_round_trips_as_json():
@@ -177,6 +178,53 @@ def test_summary_matches_records(tmp_path):
     assert trailer["argmin_index"] == summary.argmin_index
     assert "elapsed" not in trailer
     assert set(trailer["per_function"]) == {"sld"}
+
+
+def test_summary_folds_functions_across_chunks(tmp_path, monkeypatch):
+    """40 samples in chunks of 7 and 3 functions: the summary folded from the
+    chunks' arrays matches one pass over the records."""
+    monkeypatch.setattr(sweep, "CHUNK_SIZE", 7)
+    config = _config(samples=40, n=2, dim=3, functions=("sld", "wy", "wyd:0.25"))
+    out = tmp_path / "sweep.jsonl"
+    summary = run_sweep(config, out)
+    lines = out.read_text().splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    trailer = json.loads(lines[-1])
+    assert summary.records == trailer["records"] == len(records) == 40 * 3
+    for fid in config.functions:
+        gaps = [r["gap"] for r in records if r["function"] == fid]
+        stats = summary.per_function[fid]
+        assert stats == trailer["per_function"][fid]
+        assert stats["min_gap"] == min(gaps)
+        assert stats["candidates"] == sum(r["candidate"] for r in records if r["function"] == fid)
+        assert stats["mean_gap"] == pytest.approx(sum(gaps) / len(gaps), rel=1e-12)
+    first = min(records, key=lambda r: r["gap"])  # min keeps the first minimum
+    assert (summary.min_gap, summary.argmin_index, summary.argmin_function) == (
+        first["gap"], first["index"], first["function"]
+    )
+    assert (trailer["argmin_index"], trailer["argmin_function"]) == (first["index"], first["function"])
+    assert summary.candidate_counterexamples == sum(r["candidate"] for r in records)
+
+
+@pytest.mark.parametrize(
+    "base,retired", [("density", "complex-hermitian"), ("real-density", "real-symmetric")]
+)
+def test_records_with_retired_ensemble_tags_replay(tmp_path, base, retired):
+    """The retired tags drew exactly the streams of their base tags; a record
+    written under one, byte for byte as such a sweep wrote it, replays."""
+    config = _config(samples=6, n=2, dim=3, functions=("sld", "wy"), ensemble=retired)
+    assert config.ensemble == base
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(config, out)
+    lines = out.read_text().splitlines()
+    tag = f'"ensemble": "{base}"'
+    assert all(tag in line for line in lines[:-1])
+    lines[:-1] = [line.replace(tag, f'"ensemble": "{retired}"') for line in lines[:-1]]
+    out.write_text("\n".join(lines) + "\n")
+    for line_number in (1, 4, len(lines) - 1):
+        result = replay_record(str(out), line_number)
+        assert result["stored"]["ensemble"] == retired
+        assert result["mismatches"] == {}
 
 
 def test_replay_round_trip(tmp_path):
