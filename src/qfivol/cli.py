@@ -126,7 +126,6 @@ def cmd_sweep(args) -> int:
         ensemble=args.ensemble,
         seed=_resolve_seed(args.seed),
         parallelism=_resolve_parallelism(args.parallelism),
-        strict=args.strict,
     )
     summary = run_sweep(config, args.out)
     print(f"sweep: {summary.records} records from {summary.samples} samples -> {args.out}")
@@ -138,7 +137,7 @@ def cmd_sweep(args) -> int:
         print(f"  {fid:<10} min {stats['min_gap']:+.6e}  mean {stats['mean_gap']:+.6e}  "
               f"candidates {stats['candidates']}")
     print(f"elapsed: {summary.elapsed:.2f}s")
-    if config.strict and summary.candidate_counterexamples > 0:
+    if args.strict and summary.candidate_counterexamples > 0:
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
 
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     pure.set_defaults(handler=cmd_repro_pure_volume)
 
     sweep_parser = sub.add_parser("sweep", help="random sweep writing replayable records")
-    sweep_parser.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
+    sweep_parser.add_argument("--n", type=int, required=True, help="1..8 (3 for structured)")
     sweep_parser.add_argument("--dim", type=int, required=True)
     sweep_parser.add_argument("--samples", type=int, required=True)
     sweep_parser.add_argument("--functions", default="sld,wy,wyd:0.25",

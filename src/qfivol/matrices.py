@@ -37,11 +37,11 @@ def _require(ok, error, message, *values):
         raise exc
 
 
-def as_hermitian(matrix, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def as_hermitian(matrix) -> np.ndarray:
     """Validate near-self-adjointness and return the exactly symmetrized matrix.
 
     The input is a square matrix or a ``(..., d, d)`` stack of them, each
-    satisfying ``max|M - M^dagger| <= atol``.  The returned array is
+    satisfying ``max|M - M^dagger| <= HERMITIAN_ATOL``.  The returned array is
     ``(M + M^dagger) / 2``, so downstream code can rely on exact
     self-adjointness.  Real input stays real.
     """
@@ -51,8 +51,8 @@ def as_hermitian(matrix, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     adj = m.conj().swapaxes(-1, -2)
     if m.size:
         deviation = np.abs(m - adj).max(axis=(-2, -1))
-        message = "matrix is not self-adjoint: max deviation {:.3e} > " + f"{atol:.1e}"
-        _require(deviation <= atol, ValueError, message, deviation)
+        message = "matrix is not self-adjoint: max deviation {:.3e} > " + f"{HERMITIAN_ATOL:.1e}"
+        _require(deviation <= HERMITIAN_ATOL, ValueError, message, deviation)
     return (m + adj) / 2
 
 
@@ -128,8 +128,7 @@ class DensityMatrix:
 
     def expectation(self, observable) -> float:
         """Tr(rho A) for a self-adjoint A (real by construction)."""
-        a = np.asarray(observable)
-        return float(np.einsum("ij,ji->", self.matrix, a).real)
+        return float(trace_product(self.matrix, observable).real)
 
     def __repr__(self):  # pragma: no cover
         return (
@@ -138,14 +137,21 @@ class DensityMatrix:
         )
 
 
-def expectation_stack(rho, observables) -> np.ndarray:
-    """Tr(rho A) for each sample of two ``(B, d, d)`` stacks, shaped (B, 1, 1).
+def trace_product(x, y):
+    """Tr(X Y) for two square matrices, or for each pair of two ``(..., d, d)``
+    stacks.
 
-    One einsum per sample on purpose: a batched einsum sums in an order that
-    depends on the batch size, and record bits must not.
+    Each trace has the bits of ``np.einsum("ij,ji->", X, Y)`` on that pair
+    alone, whatever the stack size, dtype mix or memory layout (checked on
+    numpy 2.4.6 against the per-pair loop in the tests).
     """
-    means = [np.einsum("ij,ji->", r, a).real for r, a in zip(rho, observables)]
-    return np.array(means, dtype=np.float64).reshape(-1, 1, 1)
+    return np.einsum("...ij,...ji->...", x, y)
+
+
+def expectation_stack(rho, observables) -> np.ndarray:
+    """Tr(rho A) for each sample of two ``(B, d, d)`` stacks, shaped (B, 1, 1),
+    by one stacked trace_product."""
+    return trace_product(rho, observables).real.reshape(-1, 1, 1)
 
 
 def frame_stack(eigenvectors, observables, means) -> np.ndarray:

@@ -21,6 +21,7 @@ SANDWICH_ATOL = 1e-12
 WYD_SERIES_WINDOW = 1e-4
 
 CHECK_GRID = np.logspace(-6.0, 6.0, 64)
+ORDER_ATOL = 1e-12
 
 
 class RegistrationError(ValueError):
@@ -245,17 +246,18 @@ class TildeOrder:
 
 
 @lru_cache(maxsize=None)
-def tilde_order(f: MonotoneFunction, g: MonotoneFunction, *, atol: float = 1e-12) -> TildeOrder:
+def tilde_order(f: MonotoneFunction, g: MonotoneFunction) -> TildeOrder:
     """Order tilde_f vs tilde_g via the ratio criterion.
 
     tilde_f <= tilde_g holds exactly when f(0)/f(t) >= g(0)/g(t) for all t;
-    the check samples a fixed 64-point log grid on [1e-6, 1e6].
+    the check samples a fixed 64-point log grid on [1e-6, 1e6], within
+    ORDER_ATOL.
     """
     if not (f.regular and g.regular):
         raise TildeUndefinedError("tilde ordering needs two regular functions")
     rf = f.value_at_zero / np.asarray(f.evaluate(CHECK_GRID), dtype=np.float64)
     rg = g.value_at_zero / np.asarray(g.evaluate(CHECK_GRID), dtype=np.float64)
     return TildeOrder(
-        first_le_second=bool(np.all(rf >= rg - atol)),
-        second_le_first=bool(np.all(rg >= rf - atol)),
+        first_le_second=bool(np.all(rf >= rg - ORDER_ATOL)),
+        second_le_first=bool(np.all(rg >= rf - ORDER_ATOL)),
     )

@@ -64,12 +64,12 @@ EXPECTED_VERTEX_QUADRATIC = -16.0 / 3.0
 PURE_GAP_TOL = 1e-8
 
 
-def entanglement_rows(function_ids=EXAMPLE_FUNCTIONS) -> list[dict]:
+def entanglement_rows() -> list[dict]:
     """Covariance and f-correlation of (A, B) on both states, per function."""
     mixture = DensityMatrix(MIXTURE_STATE)
     entangled = DensityMatrix(ENTANGLED_STATE)
     rows = []
-    for fid in function_ids:
+    for fid in EXAMPLE_FUNCTIONS:
         f = builtin(fid)
         rows.append(
             {
@@ -114,14 +114,14 @@ def hessian_example() -> dict:
     }
 
 
-def pure_volume_rows(dim, n, seed, draws=3, function_ids=EXAMPLE_FUNCTIONS) -> list[dict]:
+def pure_volume_rows(dim, n, seed, draws=3) -> list[dict]:
     """Volume pairs for random pure states and random complex observables."""
     spec = RandomSpec(seed=seed, dim=dim, ensemble="density")
     rows = []
     for draw in range(draws):
         state = sample_pure_state(seed, dim, draw)
         observables = sample_observables(spec, draw, n)
-        for fid in function_ids:
+        for fid in EXAMPLE_FUNCTIONS:
             report = volume_gap(GramSpec(state, observables, builtin(fid)))
             vol_cov = math.sqrt(max(0.0, report.cov_det))
             vol_qfi = math.sqrt(max(0.0, report.qfi_det))

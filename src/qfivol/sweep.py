@@ -31,7 +31,7 @@ import numpy as np
 from .monotone import builtin
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
 from .sampling import RandomSpec, draw_observables, draw_states
-from .volumes import BatchReport, evaluate_batch, order_pairs
+from .volumes import MAX_OBSERVABLES, BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
 CHUNK_SIZE = 256
@@ -72,11 +72,10 @@ class SweepConfig:
     ensemble: str
     seed: int
     parallelism: int = 1
-    strict: bool = False
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"n must be 1, 2, or 3, got {self.n}")
+        if not 1 <= self.n <= MAX_OBSERVABLES:
+            raise ValueError(f"n must be in 1..{MAX_OBSERVABLES}, got {self.n}")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.parallelism < 1:
@@ -287,8 +286,11 @@ def replay_record(path, line_number: int) -> dict:
             fh.seek(0)
             raise ValueError(f"line {line_number} out of range 1..{sum(1 for _ in fh)}")
     stored = json.loads(line)
-    if stored.get("summary"):
+    if isinstance(stored, dict) and stored.get("summary"):
         raise ValueError("the summary line cannot be replayed")
+    missing = [key for key in RECORD_FIELDS if not isinstance(stored, dict) or key not in stored]
+    if missing:
+        raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
     rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"])
     function = builtin(stored["function"])
     records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))

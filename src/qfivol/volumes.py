@@ -31,6 +31,7 @@ from .matrices import (
     expectation_stack,
     frame_stack,
     to_eigenframe,
+    trace_product,
 )
 from .metrics import MetricUndefinedError, batched_grams
 from .monotone import (
@@ -384,36 +385,35 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 
 
 def _robertson(rho, observables) -> np.ndarray:
+    """Robertson determinants of a (B, d, d) state stack and n (B, d, d)
+    observable stacks: entries -(i/2) Tr(rho [A_h, A_j]) = Im Tr(rho [A_h, A_j]) / 2,
+    each a stacked trace_product over the commutator stack."""
     n = len(observables)
     r = np.zeros((len(rho), n, n))
     for h in range(n):
         for j in range(h + 1, n):
             a, b = observables[h], observables[j]
-            # one einsum per sample, as in matrices.expectation_stack
-            traces = [np.einsum("ij,ji->", x, c) for x, c in zip(rho, a @ b - b @ a)]
-            r[:, h, j] = [0.5 * complex(t).imag for t in traces]
+            r[:, h, j] = 0.5 * trace_product(rho, a @ b - b @ a).imag
             r[:, j, h] = -r[:, h, j]
     return det_small(r)
 
 
-def observables_dependent(
-    state: DensityMatrix, observables, tol: float = DEPENDENCE_SV_TOL
-) -> bool:
+def observables_dependent(state: DensityMatrix, observables) -> bool:
     """Real-linear dependence of the centered observables.
 
     Stacks [Re, Im] vectorizations and thresholds the smallest singular
-    value; self-adjoint matrices form a real vector space, so dependence is
-    over real coefficients.
+    value at DEPENDENCE_SV_TOL; self-adjoint matrices form a real vector
+    space, so dependence is over real coefficients.
     """
     centered = np.stack([center(state, o) for o in observables])
-    return bool(_dependent(centered[None], tol)[0])
+    return bool(_dependent(centered[None])[0])
 
 
-def _dependent(centered, tol: float = DEPENDENCE_SV_TOL) -> np.ndarray:
+def _dependent(centered) -> np.ndarray:
     # centered: (B, n, d, d); one singular value decomposition per sample
     flat = centered.reshape(*centered.shape[:2], -1)
     rows = np.concatenate([np.real(flat), np.imag(flat)], axis=-1)
-    return np.linalg.svd(rows, compute_uv=False)[:, -1] < tol
+    return np.linalg.svd(rows, compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
 
 
 def order_pairs(functions) -> tuple:

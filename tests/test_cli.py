@@ -143,6 +143,38 @@ def test_replay_detects_tampered_record(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_sweep_rejects_more_than_eight_observables(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    code = main(["sweep", "--n", "9", "--dim", "5", "--samples", "5", "--out", str(out)])
+    assert code == 2
+    assert "n must be in 1..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_eight_observables_replays(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    code = main(["sweep", "--n", "8", "--dim", "5", "--ensemble", "real", "--samples", "3",
+                 "--functions", "sld,wy", "--seed", "2", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert all('"n": 8' in line for line in lines)
+    for line_number in range(1, len(lines)):
+        assert main(["replay", "--record", f"{out}:{line_number}"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "line,named", [('{"index": 0, "dim": 3}', "seed"), ("[1, 2]", "index")]
+)
+def test_replay_malformed_record_exits_two(tmp_path, capsys, line, named):
+    out = tmp_path / "records.jsonl"
+    out.write_text(line + "\n")
+    assert main(["replay", "--record", f"{out}:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1 is not a sweep record")
+    assert named in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--n", "9"])

@@ -13,6 +13,7 @@ from qfivol import (
     spectral_decompose,
     to_eigenframe,
 )
+from qfivol.matrices import trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -263,3 +264,25 @@ def test_stack_check_names_the_failing_position():
     with pytest.raises(ValueError, match="not self-adjoint") as info:
         as_hermitian(stack)
     assert info.value.position == 2
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize(
+    "rho_complex,obs_complex", [(False, False), (False, True), (True, False), (True, True)]
+)
+def test_stacked_trace_matches_per_sample_loop_bit_for_bit(dim, rho_complex, obs_complex):
+    """The kernel's stacked trace gives each sample the bits of a per-sample
+    einsum, whatever the stack size, dtype mix or memory layout."""
+    rng = np.random.default_rng(dim)
+
+    def draw(batch, complex_):
+        x = rng.standard_normal((batch, dim, dim))
+        return x + 1j * rng.standard_normal((batch, dim, dim)) if complex_ else x
+
+    for batch in (1, 7, 257):
+        rho, a = draw(batch, rho_complex), draw(batch, obs_complex)
+        for x, y in ((rho, a), (rho, a.swapaxes(-1, -2))):
+            reference = np.array([np.einsum("ij,ji->", r, o) for r, o in zip(x, y)])
+            stacked = trace_product(x, y)
+            assert stacked.dtype == reference.dtype
+            assert stacked.tobytes() == reference.tobytes()

@@ -66,8 +66,10 @@ def test_resolve_ensemble_aliases():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="n must be"):
-        _config(n=4)
+    with pytest.raises(ValueError, match="n must be in 1..8"):
+        _config(n=9)
+    with pytest.raises(ValueError, match="n must be in 1..8"):
+        _config(n=0)
     with pytest.raises(ValueError, match="samples"):
         _config(samples=0)
     with pytest.raises(ValueError, match="parallelism"):
@@ -279,7 +281,9 @@ def test_sweep_digest_guard(tmp_path, key):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[key]
 
 
-@pytest.mark.parametrize("ensemble,dim,n", [("complex", 3, 3), ("real", 4, 2), ("structured", 3, 3)])
+@pytest.mark.parametrize(
+    "ensemble,dim,n", [("complex", 3, 3), ("real", 4, 2), ("structured", 3, 3), ("real", 5, 8)]
+)
 def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, dim, n):
     """Records must not depend on the kernel's batch size, where chunk
     boundaries fall, or how many workers evaluate the chunks."""
@@ -295,7 +299,8 @@ def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, d
 
 
 @pytest.mark.parametrize(
-    "ensemble,dim,n", [("complex", 3, 3), ("complex", 4, 2), ("real", 3, 3), ("structured", 4, 3)]
+    "ensemble,dim,n",
+    [("complex", 3, 3), ("complex", 4, 2), ("real", 3, 3), ("structured", 4, 3), ("complex", 3, 4)],
 )
 def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
     config = _config(ensemble=ensemble, dim=dim, n=n, samples=75, functions=("sld", "wy", "wyd:0.25"))
@@ -314,6 +319,7 @@ def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
             assert (report.cov_det, report.qfi_det, report.gap) == (
                 record["cov_det"], record["qfi_det"], record["gap"]
             )
+            assert report.robertson_det == record["robertson_det"]
         assert verdict.main_holds == record["main_holds"]
         assert verdict.dependent == record["dependent"]
 
