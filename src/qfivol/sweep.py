@@ -30,7 +30,7 @@ import numpy as np
 
 from .monotone import builtin
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .sampling import RandomSpec, draw_observables, draw_states
+from .sampling import RandomSpec, draw_samples
 from .volumes import MAX_OBSERVABLES, BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -131,8 +131,8 @@ def format_record(record: dict) -> str:
 
 
 def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
-    rho, lam, vectors = draw_states(rspec, indices)
-    return evaluate_batch(rho, lam, vectors, draw_observables(rspec, indices, n), functions)
+    (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
+    return evaluate_batch(rho, lam, vectors, observables, functions)
 
 
 def _rows(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
@@ -272,6 +272,11 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
     return summary
 
 
+# the record fields a replay draws and evaluates from, checked before SweepConfig
+_REPLAY_TYPES = {"index": int, "seed": int, "dim": int, "n": int, "ensemble": str, "function": str}
+_TYPE_NAMES = {int: "an integer", str: "a string"}
+
+
 def replay_record(path, line_number: int) -> dict:
     """Recompute one record from its own fields and compare bit-for-bit.
 
@@ -279,7 +284,9 @@ def replay_record(path, line_number: int) -> dict:
     comparison are exact; any mismatch means the stream is not reproducible
     on this build.
     """
-    with open(path) as fh:
+    # binary lines, since only the wanted line needs decoding (json.loads
+    # takes bytes); records end in "\n"
+    with open(path, "rb") as fh:
         # read up to the wanted line only; count the rest just for the error
         line = next(itertools.islice(fh, line_number - 1, None), None) if line_number > 0 else None
         if line is None:
@@ -291,9 +298,21 @@ def replay_record(path, line_number: int) -> dict:
     missing = [key for key in RECORD_FIELDS if not isinstance(stored, dict) or key not in stored]
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
-    rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"])
-    function = builtin(stored["function"])
-    records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))
+    for key, kind in _REPLAY_TYPES.items():
+        # exact types: JSON gives bool for true/false, which int would accept
+        if type(stored[key]) is not kind:
+            raise ValueError(
+                f"line {line_number}: {key} must be {_TYPE_NAMES[kind]}, got {stored[key]!r}"
+            )
+    try:
+        config = SweepConfig(
+            n=stored["n"], dim=stored["dim"], samples=1, functions=(stored["function"],),
+            ensemble=stored["ensemble"], seed=stored["seed"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"line {line_number}: {exc}") from exc
+    rspec = RandomSpec(config.seed, config.dim, config.ensemble)
+    records, _ = evaluate_sample(rspec, stored["index"], config.n, (builtin(config.functions[0]),))
     fresh = records[0]
     # JSON gives back exactly the printed floats, ints for integral ones; a
     # retired ensemble tag names the stream of the base tag fresh records carry

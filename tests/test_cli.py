@@ -175,6 +175,45 @@ def test_replay_malformed_record_exits_two(tmp_path, capsys, line, named):
     assert named in err
 
 
+def _edited_record(tmp_path, **fields):
+    """Line 1 of a real one-sample sweep with ``fields`` replaced."""
+    out = tmp_path / "records.jsonl"
+    assert main(["sweep", "--n", "3", "--dim", "3", "--samples", "1", "--functions", "wy",
+                 "--seed", "4", "--out", str(out)]) == 0
+    record = json.loads(out.read_text().splitlines()[0])
+    out.write_text(json.dumps(dict(record, **fields)) + "\n")
+    return out
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("dim", "3"), ("seed", None), ("ensemble", 5), ("function", 3), ("index", True), ("n", 3.0)],
+)
+def test_replay_mistyped_field_exits_two(tmp_path, capsys, field, value):
+    out = _edited_record(tmp_path, **{field: value})
+    capsys.readouterr()
+    assert main(["replay", "--record", f"{out}:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: {field} must be")
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [({"n": 9}, "n must be in 1..8, got 9"),
+     ({"ensemble": "pauli-like-structured", "n": 2}, "the structured ensemble requires n = 3")],
+)
+def test_replay_checks_the_record_before_drawing(tmp_path, capsys, monkeypatch, fields, message):
+    out = _edited_record(tmp_path, **fields)
+    capsys.readouterr()
+
+    def no_draw(*args):
+        raise AssertionError("replay drew a sample before checking its record")
+
+    monkeypatch.setattr("qfivol.sweep.draw_samples", no_draw)
+    assert main(["replay", "--record", f"{out}:1"]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--n", "9"])
