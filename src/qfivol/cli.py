@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 a frozen-value assertion or replay comparison
 failed or an input was unusable (argparse also uses 2 for usage errors), 3 a
 sweep run with --strict recorded at least one candidate counterexample, 4 a
 runtime failure such as an eigendecomposition that failed its checks (the
-message names the sample).
+message names the sample) or a sweep worker that died.
 """
 
 from __future__ import annotations
@@ -228,6 +228,10 @@ def main(argv=None) -> int:
         return EXIT_VALUE_MISMATCH
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
+    except Exception as exc:
+        # any other failure, such as a sweep worker that died
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
 

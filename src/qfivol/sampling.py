@@ -1,23 +1,25 @@
 """Deterministic random ensembles for states and observables.
 
-Stream v1 defines every draw: the normals of sample ``index`` on ``channel``
-come from one ``standard_normal`` call of
-``default_rng(SeedSequence(seed, spawn_key=(index, channel)))``, where
-``channel`` separates the state stream from the observable stream.  One call
-yields the same values as drawing them piece by piece.  The same (seed, dim,
-ensemble, index) therefore always yields bit-identical output, independent of
-call order, batch, process, thread, or worker count.
+Stream v2 defines every draw: the normals of sample ``i`` on ``channel`` are
+row ``i % BLOCK`` of ``Generator(Philox(key=seed, counter=[0, 0, i // BLOCK,
+channel])).standard_normal((BLOCK, *shape))``, with BLOCK = 8 and ``channel``
+separating the state, observable and pure-state streams.  The same (seed,
+dim, ensemble, index) therefore always yields bit-identical output,
+independent of call order, batch, process, thread, or worker count.  Philox
+is counter-based, so a block's draw starts from a state assignment: one
+generator per thread is set to each block's (key, counter) in turn and draws
+the whole block in one call.
 
-Those objects are never built: ``_pcg64_states`` repeats SeedSequence's hash
-and PCG64's seeding for a whole batch of indices in one vectorized pass, and
-one generator per thread is set to each resulting state in turn.
+Stream v1, which records without a ``version`` field were drawn from, is
+kept only so those records replay: there the normals of sample ``i`` are one
+``standard_normal(shape)`` call of ``default_rng(SeedSequence(seed,
+spawn_key=(i, channel)))``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +41,9 @@ _ALIASES = {
     "structured": "pauli-like-structured",
     "pauli-like-structured+pauli-like-structured": "pauli-like-structured",
 }
+
+# the stream new draws come from; records without a version field are stream 1
+STREAM_VERSION = 2
 
 STATE_CHANNEL = 0
 OBSERVABLE_CHANNEL = 1
@@ -79,126 +84,49 @@ class RandomSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-
-
-def _u32(value) -> np.ndarray:
-    # uint32 arrays, never numpy scalars: array arithmetic wraps silently where
-    # scalar arithmetic warns on overflow, and a 0-d array constant costs about
-    # half as much per operation as a Python int operand
-    return np.array(value, dtype=np.uint32)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * mult & _M32)
-    return _u32(out)
-
-
-# numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): its k-th
-# hashmix xors with _HASH_A[k] and multiplies by _HASH_A[k + 1]; k runs over
-# the 4 seed words, the 12 cross mixes of the pool, then 4 per spawn-key word
-# (an index's one or two words, then the channel)
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 29)
-_SPAWN_XOR, _SPAWN_MUL = _HASH_A[16:28].reshape(3, 1, 4), _HASH_A[17:29].reshape(3, 1, 4)
-# generate_state hashes its i-th output word with _HASH_B[i], _HASH_B[i + 1];
-# PCG64 asks for 8 words and reads them as its (initstate, initseq) uint64s
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-_OUT_XOR, _OUT_MUL = _HASH_B[:8].reshape(1, 2, 4), _HASH_B[1:].reshape(1, 2, 4)
-_MIX_L, _MIX_R, _SHIFT = _u32(0xCA01F9DD), _u32(0x4973F715), _u32(16)
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# stream v2's block size: sample i draws row i % BLOCK of its block's call;
+# part of the stream's definition, so changing it changes every record
+BLOCK = 8
 
 _thread = threading.local()
 
 
-def _hashmix(value, xor, mul):
-    value = value ^ xor
-    value *= mul
-    value ^= value >> _SHIFT
-    return value
-
-
-def _mix(l_x, r_y):
-    """SeedSequence's mix(x, y), given l_x = _MIX_L * x and r_y = _MIX_R * y."""
-    out = l_x - r_y
-    out ^= out >> _SHIFT
-    return out
-
-
-@lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> np.ndarray:
-    """_MIX_L times SeedSequence's (1, 4) entropy pool after the seed's words
-    (padded with zeros to 4) and their cross mixes, the form in which the
-    first spawn-key word meets it."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    pool = _hashmix(_u32([seed & _M32, seed >> 32, 0, 0]), _HASH_A[:4], _HASH_A[1:5])
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                hashed = _hashmix(pool[src : src + 1], _HASH_A[k : k + 1], _HASH_A[k + 1 : k + 2])
-                pool[dst : dst + 1] = _mix(_MIX_L * pool[dst : dst + 1], _MIX_R * hashed)
-                k += 1
-    pool = _MIX_L * pool[None]
-    pool.flags.writeable = False
-    return pool
-
-
-def _pcg64_states(seed: int, indices, channels) -> list[dict]:
-    """The PCG64 states that ``default_rng(SeedSequence(seed,
-    spawn_key=(index, channel)))`` starts from, channel-major over
-    ``channels`` x ``indices``, hashed in one pass."""
+def _normals(seed: int, indices, draws, version: int = STREAM_VERSION) -> list[np.ndarray]:
+    """For each (channel, shape) of ``draws`` a (B, *shape) stack whose row b
+    holds the normals of sample indices[b] on that channel, from stream
+    ``version`` (see the module docstring)."""
     if len(indices):
         low, high = min(indices), max(indices)
         if low < 0 or high >= 2**64:
             raise ValueError(f"sample indices must be in [0, 2**64), got {low if low < 0 else high}")
-    # (4, N): three spawn-key words per row, then whether the index takes two
-    # words; a one-word index makes the channel its second word, and its
-    # third round is computed but not kept
-    words = _u32(
-        [(index & _M32, index >> 32 or c, c, index >> 32 != 0) for c in channels for index in indices]
-    ).T
-    r_spawn = _MIX_R * _hashmix(words[:3, :, None], _SPAWN_XOR, _SPAWN_MUL)
-    pool = _mix(_seed_pool(int(seed)), r_spawn[0])
-    pool = _mix(_MIX_L * pool, r_spawn[1])
-    pool = np.where(words[3, :, None], _mix(_MIX_L * pool, r_spawn[2]), pool)
-    out = _hashmix(pool[:, None], _OUT_XOR, _OUT_MUL).reshape(-1, 8).view("<u8")
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in out.tolist():
-        # PCG64's seeding: inc = 2 initseq + 1, two LCG steps around initstate
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _M128
-        states.append({
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        })
-    return states
-
-
-def _generator() -> np.random.Generator:
-    """This thread's generator; callers set its state before every draw."""
-    gen = getattr(_thread, "generator", None)
-    if gen is None:
-        gen = _thread.generator = np.random.Generator(np.random.PCG64(0))
-    return gen
-
-
-def _normals(seed: int, indices, draws) -> list[np.ndarray]:
-    """For each (channel, shape) of ``draws`` a (B, *shape) stack whose row b
-    is one standard_normal call on stream v1 at (seed, indices[b], channel)."""
-    states = iter(_pcg64_states(seed, indices, [channel for channel, _ in draws]))
-    gen = _generator()
-    bit_generator = gen.bit_generator
+    if version == 1:
+        return [
+            np.stack([
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
+                .standard_normal(shape) for index in indices
+            ])
+            for channel, shape in draws
+        ]
+    blocks = sorted({index // BLOCK for index in indices})
+    first_row = {block: k * BLOCK for k, block in enumerate(blocks)}
+    rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]
+    if not hasattr(_thread, "generator"):
+        # one per thread, whose state each block sets: building a Philox
+        # costs ~20x as much as setting its state (numpy 2.4.6, x86-64)
+        _thread.generator = np.random.Generator(np.random.Philox(key=0))
+    gen = _thread.generator
     stacks = []
-    for _, shape in draws:
-        stack = np.empty((len(indices), *shape))
-        for row in stack:
-            bit_generator.state = next(states)
-            gen.standard_normal(out=row)
-        stacks.append(stack)
+    for channel, shape in draws:
+        drawn = np.empty((len(blocks), BLOCK, *shape))
+        for block, out in zip(blocks, drawn):
+            # the state of a fresh Philox(key=seed, counter=[0, 0, block, channel])
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, 0, block, channel], "key": [seed, 0]},
+                "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            gen.standard_normal(out=out)
+        stacks.append(drawn.reshape(-1, *shape)[rows])
     return stacks
 
 
@@ -272,12 +200,13 @@ def _observables(spec: RandomSpec, z, count: int) -> tuple[np.ndarray, ...]:
     return tuple(_hermitian(z).swapaxes(0, 1))
 
 
-def draw_samples(spec: RandomSpec, indices, count: int):
-    """The samples at ``indices``: validated (matrix, eigenvalues,
-    eigenvectors) state stacks, as matrices.density_stack returns them, and
-    ``count`` observable stacks (see _observables).  Both channels are seeded
-    in one pass; a failed state check names the sample index."""
-    z_state, z_obs = _normals(spec.seed, indices, (_state_draw(spec), _observable_draw(spec, count)))
+def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VERSION):
+    """The samples at ``indices`` on stream ``version``: validated (matrix,
+    eigenvalues, eigenvectors) state stacks, as matrices.density_stack
+    returns them, and ``count`` observable stacks (see _observables).  A
+    failed state check names the sample index."""
+    draws = (_state_draw(spec), _observable_draw(spec, count))
+    z_state, z_obs = _normals(spec.seed, indices, draws, version)
     try:
         states = density_stack(_state_matrices(spec, z_state))
     except (ValueError, DecompositionError) as exc:
@@ -302,8 +231,10 @@ def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.nda
 
 def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:
     """Rank-1 projector onto a normalized complex Gaussian vector (real parts
-    first, then imaginary parts, from one call)."""
-    (z,) = _normals(seed, [index], ((PURE_CHANNEL, (2 * dim,)),))
+    first, then imaginary parts, from one call); seed and dim are checked as
+    a RandomSpec checks them."""
+    spec = RandomSpec(seed, dim, "density")
+    (z,) = _normals(spec.seed, [index], ((PURE_CHANNEL, (2 * dim,)),))
     v = z[0, :dim] + 1j * z[0, dim:]
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))

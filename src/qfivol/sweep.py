@@ -11,6 +11,10 @@ count changes.  The file is written next to its target and renamed onto it
 once complete.  Wall time is reported on the returned summary object only,
 never written to the file.
 
+Every record starts with ``"version": 2``, the random stream its inputs were
+drawn from (see ``sampling``).  Replay redraws a record without that field,
+as written before stream v2, from stream v1, so old files replay bit for bit.
+
 Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
 the base tags, and records with retired tags replay unchanged.
 """
@@ -30,7 +34,7 @@ import numpy as np
 
 from .monotone import builtin
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .sampling import RandomSpec, draw_samples
+from .sampling import STREAM_VERSION, RandomSpec, draw_samples
 from .volumes import MAX_OBSERVABLES, BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -107,10 +111,12 @@ class SweepSummary:
     elapsed: float
 
 
-# one conversion per RECORD_FIELDS entry; floats print with 17 significant
-# digits so they round-trip, and %s fields take JSON words
+# the stream version, then one conversion per RECORD_FIELDS entry; floats
+# print with 17 significant digits so they round-trip, and %s fields take
+# JSON words
 _RECORD_TEMPLATE = (
-    '{"index": %d, "seed": %d, "ensemble": "%s", "dim": %d, "n": %d, '
+    f'{{"version": {STREAM_VERSION}, '
+    '"index": %d, "seed": %d, "ensemble": "%s", "dim": %d, "n": %d, '
     '"function": "%s", "cov_det": %.17g, "qfi_det": %.17g, "gap": %.17g, '
     '"volume_cov": %.17g, "volume_qfi": %.17g, "robertson_det": %s, '
     '"main_holds": %s, "dependent": %s, "equality_consistent": %s, "candidate": %s}'
@@ -126,12 +132,13 @@ def _format_row(row) -> str:
 
 
 def format_record(record: dict) -> str:
-    """One record as a JSON object line with fixed key order."""
+    """One record, drawn from stream STREAM_VERSION, as a JSON object line
+    with fixed key order."""
     return _format_row([record[key] for key in RECORD_FIELDS])
 
 
-def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
-    (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
+def _evaluate(rspec: RandomSpec, indices, n: int, functions, version=STREAM_VERSION) -> BatchReport:
+    (rho, lam, vectors), observables = draw_samples(rspec, indices, n, version)
     return evaluate_batch(rho, lam, vectors, observables, functions)
 
 
@@ -156,9 +163,12 @@ def _rows(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
             )
 
 
-def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
-    """All per-function records for one sample plus its monotonicity violations."""
-    out = _evaluate(rspec, [index], n, functions)
+def evaluate_sample(
+    rspec: RandomSpec, index: int, n: int, functions, order_pairs=(), version=STREAM_VERSION
+):
+    """All per-function records for one sample drawn from stream ``version``,
+    plus its monotonicity violations."""
+    out = _evaluate(rspec, [index], n, functions, version)
     records = [dict(zip(RECORD_FIELDS, row)) for row in _rows(rspec, [index], n, functions, out)]
     return records, int(out.violations(order_pairs)[0])
 
@@ -282,7 +292,8 @@ def replay_record(path, line_number: int) -> dict:
 
     Floats are printed with 17 significant digits, so parsing and equality
     comparison are exact; any mismatch means the stream is not reproducible
-    on this build.
+    on this build.  A record redraws its inputs from the stream its
+    ``version`` field names: 2, or stream 1 when the field is absent.
     """
     # binary lines, since only the wanted line needs decoding (json.loads
     # takes bytes); records end in "\n"
@@ -298,6 +309,12 @@ def replay_record(path, line_number: int) -> dict:
     missing = [key for key in RECORD_FIELDS if not isinstance(stored, dict) or key not in stored]
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
+    # lines written before stream v2 carry no version field
+    version = stored.get("version", 1)
+    if "version" in stored and (type(version) is not int or version != STREAM_VERSION):
+        raise ValueError(
+            f"line {line_number}: version must be {STREAM_VERSION} or absent, got {version!r}"
+        )
     for key, kind in _REPLAY_TYPES.items():
         # exact types: JSON gives bool for true/false, which int would accept
         if type(stored[key]) is not kind:
@@ -312,7 +329,8 @@ def replay_record(path, line_number: int) -> dict:
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
-    records, _ = evaluate_sample(rspec, stored["index"], config.n, (builtin(config.functions[0]),))
+    function = builtin(config.functions[0])
+    records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,), version=version)
     fresh = records[0]
     # JSON gives back exactly the printed floats, ints for integral ones; a
     # retired ensemble tag names the stream of the base tag fresh records carry

@@ -1,11 +1,18 @@
 """End-to-end tests for the command line interface."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfivol.cli import main
+
+# records written before stream v2 (no version field): complex d3 n3, real
+# d8 n2 and structured d4 n3 seed-7 sweep lines, and one line whose ensemble
+# tag was rewritten to the retired complex-hermitian
+RECORDS_V1 = Path(__file__).parent / "data" / "records_v1.jsonl"
 
 
 def test_list_functions(capsys):
@@ -212,6 +219,47 @@ def test_replay_checks_the_record_before_drawing(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr("qfivol.sweep.draw_samples", no_draw)
     assert main(["replay", "--record", f"{out}:1"]) == 2
     assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+
+@pytest.mark.parametrize("value", [3, "2", True, None, 1, 2.0])
+def test_replay_rejects_unknown_version_before_drawing(tmp_path, capsys, monkeypatch, value):
+    out = _edited_record(tmp_path, version=value)
+    capsys.readouterr()
+
+    def no_draw(*args):
+        raise AssertionError("replay drew a sample before checking its version")
+
+    monkeypatch.setattr("qfivol.sweep.draw_samples", no_draw)
+    assert main(["replay", "--record", f"{out}:1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: version must be 2 or absent, got {value!r}\n"
+    )
+
+
+def test_stream_v1_records_replay(tmp_path, capsys):
+    lines = RECORDS_V1.read_text().splitlines()
+    assert len(lines) == 13 and not any('"version"' in line for line in lines)
+    for line_number in range(1, len(lines) + 1):
+        assert main(["replay", "--record", f"{RECORDS_V1}:{line_number}"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    # the same line claiming stream v2 draws other inputs
+    out = tmp_path / "records.jsonl"
+    out.write_text(json.dumps({"version": 2, **json.loads(lines[0])}) + "\n")
+    assert main(["replay", "--record", f"{out}:1"]) == 2
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("boom"), BrokenProcessPool("a process in the pool died")]
+)
+def test_unexpected_failure_exits_four(tmp_path, capsys, monkeypatch, exc):
+    def failing_sweep(config, out_path):
+        raise exc
+
+    monkeypatch.setattr("qfivol.cli.run_sweep", failing_sweep)
+    code = main(["sweep", "--n", "1", "--dim", "2", "--samples", "5", "--out", str(tmp_path / "r.jsonl")])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 def test_usage_error_exits_two():

@@ -15,14 +15,25 @@ from qfivol import (
     sampling,
 )
 
-# stream v1 at its word boundaries: one- and two-word seeds and indices
+# stream v1 at its word boundaries: one- and two-word seeds
 STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
-STREAM_INDICES = (0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1)
+# (channel, shape) of one sample's draws on the state, observable and pure channels
+DRAWS = ((0, (2, 3, 3)), (1, (5,)), (2, (1, 4)))
 
 
 def _oracle(seed, index, channel):
     """Stream v1 as defined: numpy's own SeedSequence and default_rng."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
+
+
+def _block_oracle(seed, block, channel):
+    """Stream v2 as defined: a freshly built Philox at the block's counter."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, channel]))
+
+
+def _v2_row(seed, index, channel, shape):
+    block = _block_oracle(seed, index // 8, channel).standard_normal((8, *shape))
+    return block[index % 8]
 
 
 def test_randomspec_validation():
@@ -132,39 +143,54 @@ def test_pure_state_stream_is_deterministic():
     assert np.array_equal(first.matrix, second.matrix)
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_pcg64_states_match_seedsequence(seed):
-    channels = (0, 1, 2)
-    states = sampling._pcg64_states(seed, STREAM_INDICES, channels)
-    expected = [
-        _oracle(seed, index, c).bit_generator.state for c in channels for index in STREAM_INDICES
-    ]
-    assert states == expected
-
-
 @pytest.mark.parametrize(
     "start,size",
     # the 7-sample batch mixes one-word and two-word indices
     [(2**64 - 1, 1), (2**32 - 3, 7), (0, 64), (2**40, 257)],
 )
 def test_normals_match_seedsequence_bytes(start, size):
+    """Stream v1, kept for replaying records without a version field."""
     indices = range(start, start + size)
-    draws = ((0, (2, 3, 3)), (1, (5,)), (2, (1, 4)))
     for seed in STREAM_SEEDS:
-        stacks = sampling._normals(seed, indices, draws)
-        for (channel, shape), stack in zip(draws, stacks):
+        stacks = sampling._normals(seed, indices, DRAWS, version=1)
+        for (channel, shape), stack in zip(DRAWS, stacks):
             expected = np.stack(
                 [_oracle(seed, index, channel).standard_normal(shape) for index in indices]
             )
             assert stack.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [
+        # block edges, one sample each
+        [0], [7], [8], [2**64 - 1],
+        # batches that start in the middle of a block
+        range(3, 10), range(13, 22), range(5, 69), range(2**40 + 3, 2**40 + 260),
+        range(2**64 - 259, 2**64 - 2),
+        # out of order, with a repeat
+        [70, 9, 2, 9, 2**33 + 1],
+    ],
+)
+def test_normals_match_philox_blocks(indices):
+    for seed in (0, 1, 2**32, 2**64 - 1):
+        stacks = sampling._normals(seed, indices, DRAWS)
+        for (channel, shape), stack in zip(DRAWS, stacks):
+            expected = np.stack([_v2_row(seed, index, channel, shape) for index in indices])
+            assert stack.tobytes() == expected.tobytes()
+
+
 def test_pure_state_matches_two_oracle_calls():
-    rng = _oracle(11, 2**33 + 5, sampling.PURE_CHANNEL)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    expected = DensityMatrix(np.outer(v, v.conj())).matrix
-    assert sample_pure_state(11, 4, 2**33 + 5).matrix.tobytes() == expected.tobytes()
+    """The pure channel's one call of 2 dim normals per sample gives the
+    values of two calls of dim normals at the sample's row of its block."""
+    for seed in (0, 11, 2**64 - 1):
+        for index in (0, 7, 2**33 + 5):
+            rng = _block_oracle(seed, index // 8, sampling.PURE_CHANNEL)
+            rng.standard_normal((index % 8, 8))
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            expected = DensityMatrix(np.outer(v, v.conj())).matrix
+            assert sample_pure_state(seed, 4, index).matrix.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("index", [-1, 2**64])

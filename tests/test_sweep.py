@@ -26,17 +26,17 @@ from qfivol import (
 )
 from qfivol.volumes import order_pairs
 
-# sha256 of 300-sample, seed-7 sweep files as the per-sample loop wrote them
-# before the batched kernel replaced it.  The digests belong to one
-# numpy/LAPACK build (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64);
-# another build may round differently, and then this guard fails by design.
+# sha256 of 300-sample, seed-7 sweep files on stream v2, as the batched
+# kernel writes them.  The digests belong to one numpy/LAPACK build (numpy
+# 2.4.6 with scipy-openblas 0.3.31 on x86-64); another build may round
+# differently, and then this guard fails by design.
 SWEEP_DIGESTS = {
     ("complex", 3, 3, "sld,wy,wyd:0.25"):
-        "ade4703a2aaccf6460890e8940fe5c189cf9dad7dbd9b68b194be3d6108eda83",
+        "52b36170da66a09a92c74679f6593623a73c791734369b576e15176c0dd2670d",
     ("real", 8, 2, "sld,wy,wyd:0.05,wyd:0.1,wyd:0.25,wyd:0.4"):
-        "5b9f8fa81329357a79afbdfaabd8aa6ff310c0eb444b689facfc7ae1481462de",
+        "66acdedb5b1de8bb563e98c0c11680da96e8949b197b6ad9507f9e12f6f68716",
     ("structured", 4, 3, "sld,wy"):
-        "3523a19d24d8dec7f0cf50e2e71983863cd9d7cee795dee9f06f0c5b13600282",
+        "a7275f1aa793511ee643934fa837b0705934d6c5e73c706210c5c46b8aafbd28",
 }
 
 
@@ -102,6 +102,7 @@ def test_format_record_round_trips_as_json():
     assert '"candidate": false' in line or '"candidate": true' in line
     assert '"candidate": 0' not in line
     assert line.index('"index"') < line.index('"gap"') < line.index('"candidate"')
+    assert line.startswith('{"version": 2, "index": 7, ')
 
 
 def test_order_pairs_covers_the_chain():
@@ -289,7 +290,10 @@ def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, d
     boundaries fall, or how many workers evaluate the chunks."""
     config = _config(ensemble=ensemble, dim=dim, n=n, samples=40, functions=("sld", "wy", "wyd:0.25"))
     outputs = []
-    for chunk, batch, parallelism in ((256, 256, 1), (256, 7, 1), (256, 1, 1), (7, 256, 2)):
+    # chunk 13 with batch 3 starts kernel calls in the middle of stream blocks
+    for chunk, batch, parallelism in (
+        (256, 256, 1), (256, 7, 1), (256, 1, 1), (7, 256, 2), (13, 3, 4)
+    ):
         monkeypatch.setattr(sweep, "CHUNK_SIZE", chunk)
         monkeypatch.setattr(sweep, "KERNEL_BATCH", batch)
         out = tmp_path / f"{chunk}-{batch}-{parallelism}.jsonl"
