@@ -42,7 +42,8 @@ _ALIASES = {
     "pauli-like-structured+pauli-like-structured": "pauli-like-structured",
 }
 
-# the stream new draws come from; records without a version field are stream 1
+# the stream new draws come from (sweep.RECORD_VERSION names the record
+# format); records without a version field are stream 1
 STREAM_VERSION = 2
 
 STATE_CHANNEL = 0

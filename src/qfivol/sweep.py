@@ -11,9 +11,13 @@ count changes.  The file is written next to its target and renamed onto it
 once complete.  Wall time is reported on the returned summary object only,
 never written to the file.
 
-Every record starts with ``"version": 2``, the random stream its inputs were
-drawn from (see ``sampling``).  Replay redraws a record without that field,
-as written before stream v2, from stream v1, so old files replay bit for bit.
+Every record starts with ``"version": 3`` (``RECORD_VERSION``), its format.
+Each chunk formats its lines from one template per function with the
+sweep's shared fields baked in, and each sample's ``cov_det``,
+``robertson_det`` and ``dependent`` once for all its functions.  Replay reads
+older files too: version 2 and unversioned records also carry
+``volume_cov`` and ``volume_qfi``, and unversioned ones were drawn from
+stream v1 rather than stream 2 (see ``sampling``), so they replay bit for bit.
 
 Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
 the base tags, and records with retired tags replay unchanged.
@@ -44,6 +48,10 @@ CHUNK_SIZE = 256
 # sweep worker's peak RSS by ~2 MB where 64 costs ~0.5 MB
 KERNEL_BATCH = 64
 
+# the format of the records a sweep writes, the "version" each starts with;
+# sampling.STREAM_VERSION names the stream their inputs are drawn from
+RECORD_VERSION = 3
+
 RECORD_FIELDS = (
     "index",
     "seed",
@@ -54,8 +62,6 @@ RECORD_FIELDS = (
     "cov_det",
     "qfi_det",
     "gap",
-    "volume_cov",
-    "volume_qfi",
     "robertson_det",
     "main_holds",
     "dependent",
@@ -111,66 +117,74 @@ class SweepSummary:
     elapsed: float
 
 
-# the stream version, then one conversion per RECORD_FIELDS entry; floats
-# print with 17 significant digits so they round-trip, and %s fields take
-# JSON words
-_RECORD_TEMPLATE = (
-    f'{{"version": {STREAM_VERSION}, '
-    '"index": %d, "seed": %d, "ensemble": "%s", "dim": %d, "n": %d, '
-    '"function": "%s", "cov_det": %.17g, "qfi_det": %.17g, "gap": %.17g, '
-    '"volume_cov": %.17g, "volume_qfi": %.17g, "robertson_det": %s, '
-    '"main_holds": %s, "dependent": %s, "equality_consistent": %s, "candidate": %s}'
-)
-_JSON_WORDS = {True: "true", False: "false", None: "null"}
+_JSON_WORDS = {True: "true", False: "false"}
 
 
-def _format_row(row) -> str:
-    rob = row[11]
-    return _RECORD_TEMPLATE % (
-        *row[:11], "null" if rob is None else "%.17g" % rob, *map(_JSON_WORDS.__getitem__, row[12:])
+def _templates(seed: int, ensemble: str, dim: int, n: int, fids) -> list:
+    """One %-template per function: the record version and the fields every
+    line of a sweep shares baked in, then index, cov_det, qfi_det, gap,
+    robertson_det and the four JSON words.  cov_det and robertson_det are
+    %s, formatted once per sample; floats print with 17 significant digits so
+    they round-trip."""
+    return [
+        f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+        f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
+        '"gap": %.17g, "robertson_det": %s, "main_holds": %s, "dependent": %s, '
+        '"equality_consistent": %s, "candidate": %s}'
+        for fid in fids
+    ]
+
+
+def _format_batch(templates, indices, out: BatchReport) -> list:
+    """The record lines of a kernel report, sample-major, then function."""
+    words = _JSON_WORDS.__getitem__
+    cov = ["%.17g" % x for x in out.cov_det.tolist()]
+    rob = (
+        ["null"] * len(cov) if out.robertson_det is None
+        else ["%.17g" % x for x in out.robertson_det.tolist()]
     )
+    dependent = list(map(words, out.dependent.tolist()))
+    columns = [
+        map(template.__mod__, zip(
+            indices, cov, qfi_det, gap, rob, map(words, main), dependent, map(words, equal),
+            [words(not m) for m in main],
+        ))
+        for template, qfi_det, gap, main, equal in zip(
+            templates, out.qfi_det.tolist(), out.gap.tolist(),
+            out.main_holds.tolist(), out.equality_consistent.tolist(),
+        )
+    ]
+    return [line for sample in zip(*columns) for line in sample]
 
 
 def format_record(record: dict) -> str:
-    """One record, drawn from stream STREAM_VERSION, as a JSON object line
-    with fixed key order."""
-    return _format_row([record[key] for key in RECORD_FIELDS])
+    """One version-RECORD_VERSION record as the JSON object line a sweep
+    writes for it."""
+    rob = record["robertson_det"]
+    (template,) = _templates(
+        record["seed"], record["ensemble"], record["dim"], record["n"], [record["function"]]
+    )
+    return template % (
+        record["index"], "%.17g" % record["cov_det"], record["qfi_det"], record["gap"],
+        "null" if rob is None else "%.17g" % rob,
+        *(_JSON_WORDS[record[key]] for key in RECORD_FIELDS[-4:]),
+    )
 
 
-def _evaluate(rspec: RandomSpec, indices, n: int, functions, version=STREAM_VERSION) -> BatchReport:
-    (rho, lam, vectors), observables = draw_samples(rspec, indices, n, version)
+def _evaluate(rspec: RandomSpec, indices, n: int, functions, stream=STREAM_VERSION) -> BatchReport:
+    (rho, lam, vectors), observables = draw_samples(rspec, indices, n, stream)
     return evaluate_batch(rho, lam, vectors, observables, functions)
 
 
-def _rows(rspec: RandomSpec, indices, n: int, functions, out: BatchReport):
-    """The records of a kernel report as tuples in RECORD_FIELDS order,
-    sample-major, then function."""
-    cov_det, vol_cov = out.cov_det.tolist(), out.volume_cov.tolist()
-    dependent = out.dependent.tolist()
-    rob = [None] * len(indices) if out.robertson_det is None else out.robertson_det.tolist()
-    columns = [
-        (f.fid, *(arr[k].tolist() for arr in (
-            out.qfi_det, out.gap, out.volume_qfi, out.main_holds, out.equality_consistent
-        )))
-        for k, f in enumerate(functions)
-    ]
-    for b, index in enumerate(indices):
-        for fid, qfi_det, gap, vol_qfi, main, equal in columns:
-            yield (
-                index, rspec.seed, rspec.ensemble, rspec.dim, n, fid, cov_det[b],
-                qfi_det[b], gap[b], vol_cov[b], vol_qfi[b], rob[b], main[b],
-                dependent[b], equal[b], not main[b],
-            )
-
-
 def evaluate_sample(
-    rspec: RandomSpec, index: int, n: int, functions, order_pairs=(), version=STREAM_VERSION
+    rspec: RandomSpec, index: int, n: int, functions, order_pairs=(), stream=STREAM_VERSION
 ):
-    """All per-function records for one sample drawn from stream ``version``,
-    plus its monotonicity violations."""
-    out = _evaluate(rspec, [index], n, functions, version)
-    records = [dict(zip(RECORD_FIELDS, row)) for row in _rows(rspec, [index], n, functions, out)]
-    return records, int(out.violations(order_pairs)[0])
+    """The records (parsed from their lines) of one sample drawn from stream
+    ``stream``, one per function, plus its monotonicity violations."""
+    out = _evaluate(rspec, [index], n, functions, stream)
+    templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, [f.fid for f in functions])
+    lines = _format_batch(templates, [index], out)
+    return [json.loads(line) for line in lines], int(out.violations(order_pairs)[0])
 
 
 def _chunk_worker(args):
@@ -179,12 +193,13 @@ def _chunk_worker(args):
     config, start, stop = args
     functions = tuple(builtin(fid) for fid in config.functions)
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
+    templates = _templates(config.seed, config.ensemble, config.dim, config.n, config.functions)
     pairs = order_pairs(functions)
     lines, gap, main, violations = [], [], [], 0
     for lo in range(start, stop, KERNEL_BATCH):
         indices = range(lo, min(lo + KERNEL_BATCH, stop))
         out = _evaluate(rspec, indices, config.n, functions)
-        lines += map(_format_row, _rows(rspec, indices, config.n, functions, out))
+        lines += _format_batch(templates, indices, out)
         gap.append(out.gap)
         main.append(out.main_holds)
         violations += int(out.violations(pairs).sum())
@@ -282,6 +297,14 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
     return summary
 
 
+# the fields of record versions before 3: volume_cov and volume_qfi after gap
+_OLD_FIELDS = (*RECORD_FIELDS[:9], "volume_cov", "volume_qfi", *RECORD_FIELDS[9:])
+# record version (None when absent) -> (stream its inputs were drawn from, fields)
+_RECORD_FORMATS = {
+    None: (1, _OLD_FIELDS),
+    2: (2, _OLD_FIELDS),
+    RECORD_VERSION: (STREAM_VERSION, RECORD_FIELDS),
+}
 # the record fields a replay draws and evaluates from, checked before SweepConfig
 _REPLAY_TYPES = {"index": int, "seed": int, "dim": int, "n": int, "ensemble": str, "function": str}
 _TYPE_NAMES = {int: "an integer", str: "a string"}
@@ -292,8 +315,9 @@ def replay_record(path, line_number: int) -> dict:
 
     Floats are printed with 17 significant digits, so parsing and equality
     comparison are exact; any mismatch means the stream is not reproducible
-    on this build.  A record redraws its inputs from the stream its
-    ``version`` field names: 2, or stream 1 when the field is absent.
+    on this build.  The record's ``version`` names its stream and fields (see
+    ``_RECORD_FORMATS``); the volumes of versions before 3 are recomputed as
+    sqrt(max(0, det)) from the fresh determinants.
     """
     # binary lines, since only the wanted line needs decoding (json.loads
     # takes bytes); records end in "\n"
@@ -303,18 +327,23 @@ def replay_record(path, line_number: int) -> dict:
         if line is None:
             fh.seek(0)
             raise ValueError(f"line {line_number} out of range 1..{sum(1 for _ in fh)}")
-    stored = json.loads(line)
+    try:
+        stored = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"line {line_number} is not a JSON record: {exc}") from exc
     if isinstance(stored, dict) and stored.get("summary"):
         raise ValueError("the summary line cannot be replayed")
-    missing = [key for key in RECORD_FIELDS if not isinstance(stored, dict) or key not in stored]
+    is_dict = isinstance(stored, dict)
+    version = stored.get("version") if is_dict else None
+    # exact type: JSON gives bool for true and float for 2.0, which hash like ints
+    if is_dict and "version" in stored and (
+        type(version) is not int or version not in _RECORD_FORMATS
+    ):
+        raise ValueError(f"line {line_number}: version must be 2, 3 or absent, got {version!r}")
+    stream, fields = _RECORD_FORMATS[version]
+    missing = [key for key in fields if not is_dict or key not in stored]
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
-    # lines written before stream v2 carry no version field
-    version = stored.get("version", 1)
-    if "version" in stored and (type(version) is not int or version != STREAM_VERSION):
-        raise ValueError(
-            f"line {line_number}: version must be {STREAM_VERSION} or absent, got {version!r}"
-        )
     for key, kind in _REPLAY_TYPES.items():
         # exact types: JSON gives bool for true/false, which int would accept
         if type(stored[key]) is not kind:
@@ -330,12 +359,13 @@ def replay_record(path, line_number: int) -> dict:
         raise ValueError(f"line {line_number}: {exc}") from exc
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
     function = builtin(config.functions[0])
-    records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,), version=version)
+    records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,), stream=stream)
     fresh = records[0]
+    if fields is _OLD_FIELDS:
+        fresh["volume_cov"] = math.sqrt(max(0.0, fresh["cov_det"]))
+        fresh["volume_qfi"] = math.sqrt(max(0.0, fresh["qfi_det"]))
     # JSON gives back exactly the printed floats, ints for integral ones; a
     # retired ensemble tag names the stream of the base tag fresh records carry
     expected = dict(stored, ensemble=rspec.ensemble)
-    mismatches = {
-        key: (stored[key], fresh[key]) for key in RECORD_FIELDS if expected[key] != fresh[key]
-    }
+    mismatches = {key: (stored[key], fresh[key]) for key in fields if expected[key] != fresh[key]}
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

@@ -104,7 +104,6 @@ class BatchReport:
     qfi_det: np.ndarray
     gap: np.ndarray
     scale: np.ndarray
-    volume_cov: np.ndarray
     volume_qfi: np.ndarray
     robertson_det: np.ndarray | None
     dependent: np.ndarray
@@ -162,7 +161,6 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
         qfi_det=qfi_det,
         gap=gap,
         scale=scale,
-        volume_cov=_volume(cov_det),
         volume_qfi=_volume(qfi_det),
         robertson_det=_robertson(rho, observables) if n % 2 == 0 else None,
         dependent=dependent,

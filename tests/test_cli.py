@@ -13,6 +13,10 @@ from qfivol.cli import main
 # d8 n2 and structured d4 n3 seed-7 sweep lines, and one line whose ensemble
 # tag was rewritten to the retired complex-hermitian
 RECORDS_V1 = Path(__file__).parent / "data" / "records_v1.jsonl"
+# version-2 records (stream v2, with volume_cov and volume_qfi): seed-7 sweep
+# lines of the three digest-guarded configs across kernel batches, and one
+# complex d4 n2 line with a nonzero robertson_det
+RECORDS_V2 = Path(__file__).parent / "data" / "records_v2.jsonl"
 
 
 def test_list_functions(capsys):
@@ -221,7 +225,7 @@ def test_replay_checks_the_record_before_drawing(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
-@pytest.mark.parametrize("value", [3, "2", True, None, 1, 2.0])
+@pytest.mark.parametrize("value", [4, "2", True, None, 1, 2.0])
 def test_replay_rejects_unknown_version_before_drawing(tmp_path, capsys, monkeypatch, value):
     out = _edited_record(tmp_path, version=value)
     capsys.readouterr()
@@ -232,7 +236,7 @@ def test_replay_rejects_unknown_version_before_drawing(tmp_path, capsys, monkeyp
     monkeypatch.setattr("qfivol.sweep.draw_samples", no_draw)
     assert main(["replay", "--record", f"{out}:1"]) == 2
     assert capsys.readouterr().err == (
-        f"error: line 1: version must be 2 or absent, got {value!r}\n"
+        f"error: line 1: version must be 2, 3 or absent, got {value!r}\n"
     )
 
 
@@ -247,6 +251,35 @@ def test_stream_v1_records_replay(tmp_path, capsys):
     out.write_text(json.dumps({"version": 2, **json.loads(lines[0])}) + "\n")
     assert main(["replay", "--record", f"{out}:1"]) == 2
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_record_v2_lines_replay(capsys):
+    lines = RECORDS_V2.read_text().splitlines()
+    assert len(lines) == 13 and all(line.startswith('{"version": 2, ') for line in lines)
+    for line_number in range(1, len(lines) + 1):
+        assert main(["replay", "--record", f"{RECORDS_V2}:{line_number}"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
+def test_record_v3_line_relabelled_v2_exits_two(tmp_path, capsys):
+    out = _edited_record(tmp_path, version=2)
+    capsys.readouterr()
+    assert main(["replay", "--record", f"{out}:1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1 is not a sweep record: missing volume_cov, volume_qfi\n"
+    )
+
+
+@pytest.mark.parametrize("text,line_number", [("not json", 2), ("", 3)])
+def test_replay_non_json_line_names_the_file_line(tmp_path, capsys, text, line_number):
+    out = _edited_record(tmp_path)
+    record = out.read_text()
+    out.write_text(record + (text + "\n") * (line_number - 1) + record)
+    capsys.readouterr()
+    assert main(["replay", "--record", f"{out}:{line_number}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line_number} is not a JSON record: Expecting value")
+    assert main(["replay", "--record", f"{out}:{line_number + 1}"]) == 0
 
 
 @pytest.mark.parametrize(

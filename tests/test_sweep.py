@@ -26,17 +26,17 @@ from qfivol import (
 )
 from qfivol.volumes import order_pairs
 
-# sha256 of 300-sample, seed-7 sweep files on stream v2, as the batched
-# kernel writes them.  The digests belong to one numpy/LAPACK build (numpy
-# 2.4.6 with scipy-openblas 0.3.31 on x86-64); another build may round
-# differently, and then this guard fails by design.
+# sha256 of 300-sample, seed-7 sweep files of record version 3 on stream
+# v2, as the batched kernel writes them.  The digests belong to one
+# numpy/LAPACK build (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64);
+# another build may round differently, and then this guard fails by design.
 SWEEP_DIGESTS = {
     ("complex", 3, 3, "sld,wy,wyd:0.25"):
-        "52b36170da66a09a92c74679f6593623a73c791734369b576e15176c0dd2670d",
+        "8cda7f4846fe4a6cb45a2afb78f8f1f4b379e30717e744135361cfa536a90baa",
     ("real", 8, 2, "sld,wy,wyd:0.05,wyd:0.1,wyd:0.25,wyd:0.4"):
-        "66acdedb5b1de8bb563e98c0c11680da96e8949b197b6ad9507f9e12f6f68716",
+        "ea001abb350f6949d1c01e99734121e1f4dcbd452db3e6ae3583eeb4ed897b0d",
     ("structured", 4, 3, "sld,wy"):
-        "a7275f1aa793511ee643934fa837b0705934d6c5e73c706210c5c46b8aafbd28",
+        "c7ec59bc1ad9168ee24a746123124831741d9febe3aeffca696d54993e5f2e6a",
 }
 
 
@@ -102,7 +102,31 @@ def test_format_record_round_trips_as_json():
     assert '"candidate": false' in line or '"candidate": true' in line
     assert '"candidate": 0' not in line
     assert line.index('"index"') < line.index('"gap"') < line.index('"candidate"')
-    assert line.startswith('{"version": 2, "index": 7, ')
+    assert line.startswith('{"version": 3, "index": 7, ')
+
+
+@pytest.mark.parametrize(
+    "ensemble,dim,n,functions",
+    [
+        ("complex", 3, 3, "sld,wy,wyd:0.25"),
+        ("real", 8, 2, "sld,wy,wyd:0.4"),
+        ("structured", 4, 3, "sld,wy"),
+    ],
+)
+def test_format_record_matches_sweep_lines(tmp_path, ensemble, dim, n, functions):
+    """The single-record formatter writes the bytes of the sweep's own line
+    for each (index, function), across kernel batches."""
+    config = _config(
+        ensemble=ensemble, dim=dim, n=n, samples=70, functions=tuple(functions.split(","))
+    )
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(config, out)
+    lines = out.read_text().splitlines()
+    rspec = RandomSpec(config.seed, dim, config.ensemble)
+    for index in (0, 1, 63, 64, 69):
+        records, _ = evaluate_sample(rspec, index, n, tuple(map(builtin, config.functions)))
+        for k, record in enumerate(records):
+            assert format_record(record) == lines[index * len(records) + k]
 
 
 def test_order_pairs_covers_the_chain():
