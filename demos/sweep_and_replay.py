@@ -24,31 +24,32 @@ config = SweepConfig(
     parallelism=2,
 )
 
-out = Path(tempfile.mkdtemp()) / "records.jsonl"
-summary = run_sweep(config, out)
+with tempfile.TemporaryDirectory() as workdir:
+    out = Path(workdir) / "records.jsonl"
+    summary = run_sweep(config, out)
 
-print(f"wrote {summary.records} records to {out}")
-print(f"min gap {summary.min_gap:.6e} at sample {summary.argmin_index} "
-      f"({summary.argmin_function})")
-print(f"candidate counterexamples: {summary.candidate_counterexamples}")
-print(f"monotonicity violations:   {summary.monotonicity_violations}")
-print(f"elapsed: {summary.elapsed:.2f}s")
+    print(f"wrote {summary.records} records to {out}")
+    print(f"min gap {summary.min_gap:.6e} at sample {summary.argmin_index} "
+          f"({summary.argmin_function})")
+    print(f"candidate counterexamples: {summary.candidate_counterexamples}")
+    print(f"monotonicity violations:   {summary.monotonicity_violations}")
+    print(f"elapsed: {summary.elapsed:.2f}s")
 
-print()
-print("per-function aggregates:")
-for fid, stats in summary.per_function.items():
-    print(f"  {fid:<10} min {stats['min_gap']:+.6e}  mean {stats['mean_gap']:+.6e}")
+    print()
+    print("per-function aggregates:")
+    for fid, stats in summary.per_function.items():
+        print(f"  {fid:<10} min {stats['min_gap']:+.6e}  mean {stats['mean_gap']:+.6e}")
 
-# replay the record where the gap was smallest
-lines = out.read_text().splitlines()
-target = next(
-    i + 1
-    for i, line in enumerate(lines)
-    if not json.loads(line).get("summary")
-    and json.loads(line)["index"] == summary.argmin_index
-    and json.loads(line)["function"] == summary.argmin_function
-)
-print()
-print(f"replaying line {target} (the minimal-gap record)...")
-result = replay_record(str(out), target)
-print("mismatches:", result["mismatches"] or "none - reproduced bit-for-bit")
+    # replay the record where the gap was smallest
+    lines = out.read_text().splitlines()
+    target = next(
+        i + 1
+        for i, line in enumerate(lines)
+        if not json.loads(line).get("summary")
+        and json.loads(line)["index"] == summary.argmin_index
+        and json.loads(line)["function"] == summary.argmin_function
+    )
+    print()
+    print(f"replaying line {target} (the minimal-gap record)...")
+    result = replay_record(str(out), target)
+    print("mismatches:", result["mismatches"] or "none - reproduced bit-for-bit")

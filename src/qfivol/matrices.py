@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
@@ -142,21 +144,24 @@ def trace_product(x, y):
     stacks.
 
     Each trace has the bits of ``np.einsum("ij,ji->", X, Y)`` on that pair
-    alone, whatever the stack size, dtype mix or memory layout (checked on
-    numpy 2.4.6 against the per-pair loop in the tests).
+    alone, whatever the stack size or dtype mix, if both are C-contiguous along
+    their stack axes (each matrix may be transposed); on numpy 2.4.6 a stride-0
+    broadcast or the permuted stack axes fancy indexing leaves change the bits.
     """
     return np.einsum("...ij,...ji->...", x, y)
 
 
 def expectation_stack(rho, observables) -> np.ndarray:
-    """Tr(rho A) for each sample of two ``(B, d, d)`` stacks, shaped (B, 1, 1),
-    by one stacked trace_product."""
-    return trace_product(rho, observables).real.reshape(-1, 1, 1)
+    """Tr(rho A) for (B, d, d) states and (B, n, d, d) observables, shaped (B, n, 1, 1)."""
+    states = np.repeat(rho[:, None], observables.shape[1], axis=1)
+    return trace_product(states, observables).real[..., None, None]
 
 
 def frame_stack(eigenvectors, observables, means) -> np.ndarray:
-    """U^dagger A U - Tr(rho A) I for ``(B, d, d)`` stacks; see to_eigenframe."""
-    frame = eigenvectors.conj().swapaxes(-1, -2) @ observables @ eigenvectors
+    """U^dagger A U - Tr(rho A) I for (B, d, d) eigenvectors and (B, n, d, d) observables."""
+    left = eigenvectors[:, None].conj().swapaxes(-1, -2) @ observables
+    # one (n d, d) @ (d, d) product per sample has the bits of n (d, d) ones (numpy 2.4.6)
+    frame = (left.reshape(len(left), -1, left.shape[-1]) @ eigenvectors).reshape(left.shape)
     return frame - means * np.eye(frame.shape[-1])
 
 
@@ -179,9 +184,9 @@ def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
     The result is self-adjoint and satisfies the weighted centering identity
     sum_h eigenvalues[h] * a[h, h] = 0 (within roundoff).
     """
-    a = _checked_observable(state, observable)[None]
+    a = _checked_observable(state, observable)[None, None]
     means = expectation_stack(state.matrix[None], a)
-    return frame_stack(state.eigenvectors[None], a, means)[0]
+    return frame_stack(state.eigenvectors[None], a, means)[0, 0]
 
 
 def icommutator(state: DensityMatrix, observable) -> np.ndarray:
@@ -189,6 +194,10 @@ def icommutator(state: DensityMatrix, observable) -> np.ndarray:
     a = _checked_observable(state, observable)
     c = 1j * (state.matrix @ a - a @ state.matrix)
     return (c + c.conj().T) / 2
+
+
+# np.triu_indices(n, offset) cached per size; callers share the arrays and never write them
+pair_indices = lru_cache(maxsize=None)(np.triu_indices)
 
 
 def det_small(matrix):

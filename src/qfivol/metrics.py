@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DensityMatrix, as_hermitian, icommutator, to_eigenframe
+from .matrices import DensityMatrix, as_hermitian, icommutator, pair_indices, to_eigenframe
 from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde
 
 
@@ -51,22 +51,23 @@ def batched_grams(eigenvalues, frames, tables):
     """Covariance Grams (B, n, n) and, per tilde mean table, metric-bound
     Grams (F, B, n, n) with entries Cov(A_h, A_j) and Corr_f(A_h, A_j).
 
-    ``eigenvalues`` is (B, d), ``frames`` one (B, d, d) eigenframe stack per
-    observable and ``tables`` an (F, B, d, d) stack of tilde mean tables.
-    Each entry sums its matrix's terms in the order a single ``np.sum`` uses,
-    so it does not depend on the batch.
+    ``eigenvalues`` is (B, d), ``frames`` a (B, n, d, d) eigenframe stack and
+    ``tables`` an (F, B, d, d) stack of tilde mean tables.  The overlaps of
+    all n(n+1)/2 pairs h <= j are one stack; each entry sums its matrix's
+    terms in the order a single ``np.sum`` uses, so it does not depend on the
+    batch.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     weights = 0.5 * (lam[:, :, None] + lam[:, None, :])
-    n = len(frames)
-    cov = np.empty((lam.shape[0], n, n))
-    qfi = np.empty((len(tables), lam.shape[0], n, n))
-    for h in range(n):
-        for j in range(h, n):
-            overlap = np.real(frames[h] * frames[j].swapaxes(-1, -2))
-            c = _entry_sums(weights * overlap)
-            cov[:, h, j] = cov[:, j, h] = c
-            qfi[:, :, h, j] = qfi[:, :, j, h] = c - _entry_sums(tables * overlap)
+    batch, n = frames.shape[:2]
+    rows, cols = pair_indices(n)
+    overlap = np.real(frames.take(rows, axis=1) * frames.take(cols, axis=1).swapaxes(-1, -2))
+    c = _entry_sums(weights[:, None] * overlap)
+    # a table at a time bounds the temporaries at (B, P, d, d), P = n(n+1)/2
+    q = np.reshape([c - _entry_sums(table[:, None] * overlap) for table in tables], (-1, *c.shape))
+    cov, qfi = np.empty((batch, n, n)), np.empty((len(tables), batch, n, n))
+    cov[:, rows, cols] = cov[:, cols, rows] = c
+    qfi[:, :, rows, cols] = qfi[:, :, cols, rows] = q
     return cov, qfi
 
 
@@ -75,7 +76,7 @@ def _entry_sums(x):
 
 
 def _pair_frames(state: DensityMatrix, a, b):
-    return [to_eigenframe(state, a)[None], to_eigenframe(state, b)[None]]
+    return np.stack([to_eigenframe(state, a), to_eigenframe(state, b)])[None]
 
 
 def covariance(state: DensityMatrix, a, b) -> float:

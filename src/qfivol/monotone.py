@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .matrices import pair_indices
+
 NORMALIZATION_ATOL = 1e-12
 SYMMETRY_RTOL = 1e-10
 SANDWICH_ATOL = 1e-12
@@ -89,13 +91,14 @@ def _reflected(core):
 
     def evaluate(x):
         arr = np.asarray(x, dtype=np.float64)
-        flat = arr.reshape(-1).copy()
+        flat = arr.reshape(-1)
         big = flat > 1.0
-        flat[big] = 1.0 / flat[big]
-        out = core(flat)
-        out[big] *= arr.reshape(-1)[big]
-        out = out.reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        if big.any():
+            out = core(np.divide(1.0, flat, out=flat.copy(), where=big))
+            out[big] *= flat[big]
+        else:  # as in every mean table: nothing to reflect, nothing to copy
+            out = core(flat)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     return evaluate
 
@@ -214,19 +217,30 @@ def scalar_mean(f: MonotoneFunction, x: float, y: float) -> float:
     return float(hi * f.evaluate(lo / hi))
 
 
+@lru_cache(maxsize=None)
+def _packing(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pair_indices(dim) and, per row-major entry (i, j), the position of (min, max) in them."""
+    rows, cols = pair_indices(dim)
+    slots = np.empty((dim, dim), dtype=np.intp)
+    slots[rows, cols] = slots[cols, rows] = np.arange(len(rows))
+    return rows, cols, slots.reshape(-1)
+
+
 def mean_table(f: MonotoneFunction, eigenvalues) -> np.ndarray:
     """Matrix of scalar means m_f(lam_i, lam_j) over a spectrum.
 
     A ``(..., d)`` stack of spectra gives a ``(..., d, d)`` stack of tables.
     Diagonal entries are the eigenvalues themselves (bit-exact) and entries
     involving a zero eigenvalue are hi * f(0) exactly; for tilde transforms
-    that makes them exact zeros.
+    that makes them exact zeros.  f is evaluated on the upper triangle only.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    hi = np.maximum(lam[..., :, None], lam[..., None, :])
-    lo = np.minimum(lam[..., :, None], lam[..., None, :])
+    rows, cols, slots = _packing(lam.shape[-1])
+    x, y = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
+    hi, lo = np.maximum(x, y), np.minimum(x, y)
     ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return hi * np.asarray(f.evaluate(ratio), dtype=np.float64)
+    packed = hi * np.asarray(f.evaluate(ratio), dtype=np.float64)
+    return packed.take(slots, axis=-1).reshape(*lam.shape, lam.shape[-1])
 
 
 @dataclass(frozen=True)

@@ -181,31 +181,30 @@ def _observable_draw(spec: RandomSpec, count: int) -> tuple:
     return OBSERVABLE_CHANNEL, (count, _planes(spec), dim, dim)
 
 
-def _observables(spec: RandomSpec, z, count: int) -> tuple[np.ndarray, ...]:
-    """``count`` exactly self-adjoint (B, d, d) observable stacks from their
-    normals, one per slot.
+def _observables(spec: RandomSpec, z, count: int) -> np.ndarray:
+    """A (B, count, d, d) stack of exactly self-adjoint observables from
+    their normals.
 
     For pauli-like-structured the slots hold the (A, B, C) triple: A an
     arbitrary complex Hermitian matrix, B Hermitian with zero diagonal, C real
-    diagonal.
+    diagonal (held in the complex stack).
     """
     dim = spec.dim
     if spec.ensemble == "pauli-like-structured":
         diag = np.arange(dim), np.arange(dim)
-        pair = z[:, : 4 * dim * dim].reshape(-1, 2, 2, dim, dim)
-        a, b = _hermitian(pair).swapaxes(0, 1)
-        b[:, diag[0], diag[1]] = 0.0
-        c = np.zeros_like(b, dtype=np.float64)
-        c[:, diag[0], diag[1]] = z[:, 4 * dim * dim :]
-        return (a, b, c)
-    return tuple(_hermitian(z).swapaxes(0, 1))
+        obs = np.zeros((len(z), 3, dim, dim), dtype=complex)
+        obs[:, :2] = _hermitian(z[:, : 4 * dim * dim].reshape(-1, 2, 2, dim, dim))
+        obs[:, 1, diag[0], diag[1]] = 0.0
+        obs[:, 2, diag[0], diag[1]] = z[:, 4 * dim * dim :]
+        return obs
+    return _hermitian(z)
 
 
 def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VERSION):
     """The samples at ``indices`` on stream ``version``: validated (matrix,
     eigenvalues, eigenvectors) state stacks, as matrices.density_stack
-    returns them, and ``count`` observable stacks (see _observables).  A
-    failed state check names the sample index."""
+    returns them, and a (B, count, d, d) observable stack (see
+    _observables).  A failed state check names the sample index."""
     draws = (_state_draw(spec), _observable_draw(spec, count))
     z_state, z_obs = _normals(spec.seed, indices, draws, version)
     try:
@@ -225,9 +224,10 @@ def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
 
 
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
-    """Observable draws for one sample (see _observables)."""
+    """One sample's observable draws (see _observables); a structured C stays a real array."""
     (z,) = _normals(spec.seed, [index], (_observable_draw(spec, count),))
-    return tuple(stack[0] for stack in _observables(spec, z, count))
+    a = _observables(spec, z, count)[0]
+    return (*a[:2], a[2].real.copy()) if spec.ensemble == "pauli-like-structured" else tuple(a)
 
 
 def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:

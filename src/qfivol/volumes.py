@@ -30,6 +30,7 @@ from .matrices import (
     det_small,
     expectation_stack,
     frame_stack,
+    pair_indices,
     to_eigenframe,
     trace_product,
 )
@@ -106,9 +107,9 @@ class BatchReport:
     scale: np.ndarray
     volume_qfi: np.ndarray
     robertson_det: np.ndarray | None
-    dependent: np.ndarray
+    dependent: np.ndarray | None
     main_holds: np.ndarray
-    equality_consistent: np.ndarray
+    equality_consistent: np.ndarray | None
     rank_deficient: bool
 
     def violations(self, pairs) -> np.ndarray:
@@ -132,28 +133,32 @@ def _volume(det):
     return np.sqrt(np.where(det > 0.0, det, 0.0))
 
 
-def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> BatchReport:
+def evaluate_batch(
+    rho, eigenvalues, eigenvectors, observables, functions, *, dependence: bool = True
+) -> BatchReport:
     """The evaluation kernel: Grams, determinants and verdicts for a stack.
 
     ``rho`` and ``eigenvectors`` are (B, d, d) stacks and ``eigenvalues`` a
     (B, d) stack of validated states (see matrices.density_stack);
-    ``observables`` holds one exactly self-adjoint (B, d, d) stack per
-    observable, each in its own dtype; ``functions`` are regular.  Every
-    per-sample result is bit-identical whatever the batch it came in.
+    ``observables`` is a (B, n, d, d) stack of exactly self-adjoint
+    matrices; ``functions`` are regular.  With ``dependence`` False the
+    dependence SVD is skipped and ``dependent`` and ``equality_consistent``
+    are None.  Every per-sample result is bit-identical whatever the batch it
+    came in.
     """
-    n, dim = len(observables), eigenvalues.shape[-1]
-    means = [expectation_stack(rho, a) for a in observables]
+    n, dim = observables.shape[1], eigenvalues.shape[-1]
+    means = expectation_stack(rho, observables)
     # a real identity shifts complex matrices exactly as a complex one would
-    centered = np.stack([a - m * np.eye(dim) for a, m in zip(observables, means)], axis=1)
-    dependent = _dependent(centered)
-    frames = [frame_stack(eigenvectors, a, m) for a, m in zip(observables, means)]
+    dependent = _dependent(observables - means * np.eye(dim)) if dependence else None
+    frames = frame_stack(eigenvectors, observables, means)
     tables = np.array([mean_table(tilde(f), eigenvalues) for f in functions])
-    cov, qfi = batched_grams(eigenvalues, frames, tables.reshape(-1, *eigenvectors.shape))
-    cov_det = det_small(cov)
-    qfi_det = det_small(qfi)
+    cov, qfi = batched_grams(eigenvalues, frames, tables)
+    dets = det_small(np.concatenate([cov[None], qfi]))
+    cov_det, qfi_det = dets[0], dets[1:]
     gap = cov_det - qfi_det
     scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
-    real = not any(np.iscomplexobj(x) for x in (rho, *observables))
+    equal = None if dependent is None else ~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale)
+    real = not (np.iscomplexobj(rho) or np.iscomplexobj(observables))
     return BatchReport(
         cov_gram=cov,
         qfi_gram=qfi,
@@ -165,17 +170,16 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
         robertson_det=_robertson(rho, observables) if n % 2 == 0 else None,
         dependent=dependent,
         main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
-        equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
+        equality_consistent=equal,
         rank_deficient=n > commutator_rank(dim, real),
     )
 
 
-def _evaluate_spec(spec: GramSpec, functions) -> BatchReport:
+def _evaluate_spec(spec: GramSpec, functions, dependence: bool = True) -> BatchReport:
     """Batch-of-one kernel call; the observables are validated here, once."""
-    state, observables = spec.state, [as_hermitian(o)[None] for o in spec.observables]
-    return evaluate_batch(
-        state.matrix[None], state.eigenvalues[None], state.eigenvectors[None], observables, functions
-    )
+    state, observables = spec.state, as_hermitian(np.stack(spec.observables))[None]
+    return evaluate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
+                          observables, functions, dependence=dependence)
 
 
 def _volume_report(out: BatchReport, decomposition=None) -> VolumeReport:
@@ -192,7 +196,7 @@ def volume_gap(spec: GramSpec, *, with_decomposition: bool = False) -> VolumeRep
     independent route and is restricted to N <= 3, faithful states, and
     dim <= 6.
     """
-    out = _evaluate_spec(spec, (spec.function,))
+    out = _evaluate_spec(spec, (spec.function,), dependence=False)
     return _volume_report(out, gap_from_decomposition(spec) if with_decomposition else None)
 
 
@@ -378,21 +382,22 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
     """
     if len(observables) % 2 == 1:
         return 0.0
-    mats = [as_hermitian(o)[None] for o in observables]
-    return float(_robertson(state.matrix[None], mats)[0])
+    return float(_robertson(state.matrix[None], as_hermitian(np.stack(observables))[None])[0])
 
 
 def _robertson(rho, observables) -> np.ndarray:
-    """Robertson determinants of a (B, d, d) state stack and n (B, d, d)
-    observable stacks: entries -(i/2) Tr(rho [A_h, A_j]) = Im Tr(rho [A_h, A_j]) / 2,
-    each a stacked trace_product over the commutator stack."""
-    n = len(observables)
+    """Robertson determinants of a (B, d, d) state stack and a (B, n, d, d)
+    observable stack: entries -(i/2) Tr(rho [A_h, A_j]) = Im Tr(rho [A_h, A_j]) / 2,
+    one stacked trace_product over the commutators of all pairs h < j."""
+    n = observables.shape[1]
+    rows, cols = pair_indices(n, 1)
+    # take leaves the stacks C-contiguous, keeping per-pair trace bits (see trace_product)
+    a, b = observables.take(rows, axis=1), observables.take(cols, axis=1)
+    commutators = a @ b - b @ a
+    states = np.repeat(rho[:, None], len(rows), axis=1)
     r = np.zeros((len(rho), n, n))
-    for h in range(n):
-        for j in range(h + 1, n):
-            a, b = observables[h], observables[j]
-            r[:, h, j] = 0.5 * trace_product(rho, a @ b - b @ a).imag
-            r[:, j, h] = -r[:, h, j]
+    r[:, rows, cols] = 0.5 * trace_product(states, commutators).imag
+    r[:, cols, rows] = -r[:, rows, cols]
     return det_small(r)
 
 

@@ -31,3 +31,5 @@ def test_demo_runs(tmp_path, demo):
     assert result.returncode == 0, result.stderr
     if demo.stem == "sweep_and_replay":
         assert "reproduced bit-for-bit" in result.stdout
+    # a demo that writes files removes them again
+    assert not any(tmp_path.iterdir())

@@ -13,7 +13,7 @@ from qfivol import (
     spectral_decompose,
     to_eigenframe,
 )
-from qfivol.matrices import trace_product
+from qfivol.matrices import frame_stack, trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -272,17 +272,49 @@ def test_stack_check_names_the_failing_position():
 )
 def test_stacked_trace_matches_per_sample_loop_bit_for_bit(dim, rho_complex, obs_complex):
     """The kernel's stacked trace gives each sample the bits of a per-sample
-    einsum, whatever the stack size, dtype mix or memory layout."""
+    einsum, whatever the stack size or dtype mix, on (B, d, d) stacks (also
+    transposed) and on C-contiguous (B, n, d, d) stacks against a repeated
+    state stack, as the kernel passes them."""
     rng = np.random.default_rng(dim)
 
-    def draw(batch, complex_):
-        x = rng.standard_normal((batch, dim, dim))
-        return x + 1j * rng.standard_normal((batch, dim, dim)) if complex_ else x
+    def draw(shape, complex_):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    def check(x, y):
+        pairs = zip(x.reshape(-1, dim, dim), y.reshape(-1, dim, dim))
+        reference = np.array([np.einsum("ij,ji->", r, o) for r, o in pairs])
+        stacked = trace_product(x, y)
+        assert stacked.dtype == reference.dtype
+        assert stacked.tobytes() == reference.tobytes()
 
     for batch in (1, 7, 257):
-        rho, a = draw(batch, rho_complex), draw(batch, obs_complex)
-        for x, y in ((rho, a), (rho, a.swapaxes(-1, -2))):
-            reference = np.array([np.einsum("ij,ji->", r, o) for r, o in zip(x, y)])
-            stacked = trace_product(x, y)
-            assert stacked.dtype == reference.dtype
-            assert stacked.tobytes() == reference.tobytes()
+        rho, a = draw((batch, dim, dim), rho_complex), draw((batch, dim, dim), obs_complex)
+        check(rho, a)
+        check(rho, a.swapaxes(-1, -2))
+    for n in range(1, 9):
+        for batch in (1, 7, 64):
+            rho = draw((batch, dim, dim), rho_complex)
+            check(np.repeat(rho[:, None], n, axis=1), draw((batch, n, dim, dim), obs_complex))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize(
+    "u_complex,obs_complex", [(False, False), (False, True), (True, False), (True, True)]
+)
+def test_frame_stack_matches_per_matrix_products_bit_for_bit(dim, u_complex, obs_complex):
+    """The stacked eigenframes, whose right-hand product runs once per sample
+    over all n observables, have the bits of U^dagger A U - m I per pair."""
+    rng = np.random.default_rng(100 + dim)
+    for n in range(1, 9):
+        z = rng.standard_normal((7, dim, dim))
+        u = np.linalg.qr(z + 1j * rng.standard_normal(z.shape) if u_complex else z)[0]
+        a = rng.standard_normal((7, n, dim, dim))
+        if obs_complex:
+            a = a + 1j * rng.standard_normal(a.shape)
+        means = rng.standard_normal((7, n, 1, 1))
+        stacked = frame_stack(u, a, means)
+        for b in range(7):
+            for k in range(n):
+                single = u[b].conj().T @ a[b, k] @ u[b] - means[b, k] * np.eye(dim)
+                assert stacked[b, k].tobytes() == single.tobytes()

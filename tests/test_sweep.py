@@ -37,6 +37,9 @@ SWEEP_DIGESTS = {
         "ea001abb350f6949d1c01e99734121e1f4dcbd452db3e6ae3583eeb4ed897b0d",
     ("structured", 4, 3, "sld,wy"):
         "c7ec59bc1ad9168ee24a746123124831741d9febe3aeffca696d54993e5f2e6a",
+    # the one config with even n and a nonzero Robertson determinant
+    ("complex", 8, 4, "sld,wy"):
+        "9078b99396c3e1174af60261782a2b7ae25baf6f65499c498b73d456bca7d83b",
 }
 
 
@@ -307,7 +310,8 @@ def test_sweep_digest_guard(tmp_path, key):
 
 
 @pytest.mark.parametrize(
-    "ensemble,dim,n", [("complex", 3, 3), ("real", 4, 2), ("structured", 3, 3), ("real", 5, 8)]
+    "ensemble,dim,n",
+    [("complex", 3, 3), ("real", 4, 2), ("structured", 3, 3), ("real", 5, 8), ("complex", 8, 4)],
 )
 def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, dim, n):
     """Records must not depend on the kernel's batch size, where chunk
@@ -343,11 +347,15 @@ def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
             builtin(record["function"]),
         )
         verdict = check_inequalities(spec, partner=SLD)
-        for report in (volume_gap(spec), verdict.report):
+        gap_report = volume_gap(spec)
+        for report in (gap_report, verdict.report):
             assert (report.cov_det, report.qfi_det, report.gap) == (
                 record["cov_det"], record["qfi_det"], record["gap"]
             )
             assert report.robertson_det == record["robertson_det"]
+        # volume_gap skips the dependence SVD and keeps every bit of its Grams
+        assert gap_report.cov_gram.tobytes() == verdict.report.cov_gram.tobytes()
+        assert gap_report.qfi_gram.tobytes() == verdict.report.qfi_gram.tobytes()
         assert verdict.main_holds == record["main_holds"]
         assert verdict.dependent == record["dependent"]
 

@@ -36,6 +36,7 @@ from qfivol import (
     wyd,
     RandomSpec,
 )
+from qfivol import volumes
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -364,6 +365,25 @@ def test_check_inequalities_dependent_equality():
     assert verdict.dependent
     assert verdict.equality_consistent
     assert abs(verdict.report.gap) <= 1e-8 * verdict.scale
+
+
+def test_volume_gap_skips_the_dependence_svd(monkeypatch):
+    """volume_gap reports no dependence verdict, so its kernel call runs no
+    SVD; check_inequalities still does."""
+    rng = np.random.default_rng(62)
+    state = _random_density(rng, 3)
+    spec = GramSpec(state, (_random_hermitian(rng, 3), _random_hermitian(rng, 3)), WY)
+    expected = volume_gap(spec)
+
+    def no_svd(centered):
+        raise AssertionError("dependence SVD ran")
+
+    monkeypatch.setattr(volumes, "_dependent", no_svd)
+    report = volume_gap(spec)
+    assert report.qfi_gram.tobytes() == expected.qfi_gram.tobytes()
+    assert (report.gap, report.robertson_det) == (expected.gap, expected.robertson_det)
+    with pytest.raises(AssertionError, match="dependence SVD ran"):
+        check_inequalities(spec)
 
 
 def test_check_inequalities_two_level_real_triples_degenerate():
