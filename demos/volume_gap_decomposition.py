@@ -10,9 +10,11 @@ commutator bound, tying the gap to the usual determinant-form uncertainty
 relation.
 """
 
+import math
+
 import numpy as np
 
-from qfivol import DensityMatrix, GramSpec, regular_builtins, volume, volume_gap
+from qfivol import DensityMatrix, GramSpec, regular_builtins, volume_gap
 
 rng = np.random.default_rng(11)
 dim = 3
@@ -52,5 +54,5 @@ print("volumes shrink as the tilde transform grows (three real observables):")
 real_state = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
 real_obs = tuple((h + h.T) / 2 for h in rng.standard_normal((3, dim, dim)))
 for f in regular_builtins():
-    v = volume(GramSpec(real_state, real_obs, f), "qfi")
+    v = math.sqrt(max(0.0, volume_gap(GramSpec(real_state, real_obs, f)).qfi_det))
     print(f"  {f.fid:<10} V = {v:.8f}")

@@ -25,10 +25,7 @@ from .metrics import (
     MetricUndefinedError,
     covariance,
     f_correlation,
-    identity_residual,
-    mean_superop_apply,
     metric_context,
-    qfi_inner,
 )
 from .monotone import (
     RLD,
@@ -45,6 +42,7 @@ from .monotone import (
     tilde_order,
     wyd,
 )
+from .oracles import identity_residual, k_coefficient
 from .sampling import (
     ENSEMBLES,
     RandomSpec,
@@ -66,15 +64,8 @@ from .volumes import (
     InequalityVerdict,
     VolumeReport,
     check_inequalities,
-    gap_from_decomposition,
-    h_weight,
-    hessian_generalized_variance,
-    k_coefficient,
-    k_grid,
     observables_dependent,
-    quadratic_form,
     robertson_bound,
-    volume,
     volume_gap,
 )
 
@@ -107,19 +98,12 @@ __all__ = [
     "f_correlation",
     "evaluate_sample",
     "format_record",
-    "gap_from_decomposition",
-    "h_weight",
-    "hessian_generalized_variance",
     "icommutator",
     "identity_residual",
     "k_coefficient",
-    "k_grid",
-    "mean_superop_apply",
     "mean_table",
     "metric_context",
     "observables_dependent",
-    "qfi_inner",
-    "quadratic_form",
     "regular_builtins",
     "replay_record",
     "resolve_ensemble",
@@ -133,7 +117,6 @@ __all__ = [
     "tilde",
     "tilde_order",
     "to_eigenframe",
-    "volume",
     "volume_gap",
     "wyd",
 ]

@@ -1,4 +1,4 @@
-"""Covariance, the monotone-metric inner product, and the f-correlation.
+"""Covariance, monotone-metric contexts, and the f-correlation.
 
 For a state with spectrum lam and eigenframe matrices a, b (centered
 observables in the eigenbasis) the three central quantities are
@@ -8,7 +8,9 @@ observables in the eigenbasis) the three central quantities are
 * Corr_f(A, B)   = Cov(A, B) - sum_{hj} m_tilde_f(lam_h, lam_j) Re{a_hj b_jh},
 
 and the two-route identity (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B)
-connects them for regular f on faithful states.
+connects them for regular f on faithful states.  This module computes the
+covariance and the correlation, the kernel's route; the inner product and
+the identity residual are test oracles and live in qfivol.oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DensityMatrix, as_hermitian, icommutator, pair_indices, to_eigenframe
+from .matrices import DensityMatrix, pair_indices, to_eigenframe
 from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde
 
 
@@ -86,39 +88,6 @@ def covariance(state: DensityMatrix, a, b) -> float:
     return float(cov[0, 0, 1])
 
 
-def mean_superop_apply(ctx: MetricContext, observable, use_tilde: bool = False) -> np.ndarray:
-    """Apply the scalar-mean multiplier to a centered observable.
-
-    In the eigenframe each entry (h, j) is scaled by the mean of lam_h and
-    lam_j; the result is mapped back to the original basis and exactly
-    symmetrized.  With use_tilde=False and [rho, A] = 0 this returns rho A0.
-    """
-    table = ctx.mean_table_tilde if use_tilde else ctx.mean_table_f
-    if table is None:
-        raise TildeUndefinedError(
-            f"tilde mean table undefined for non-regular {ctx.function.fid}"
-        )
-    frame = to_eigenframe(ctx.state, observable)
-    u = ctx.state.eigenvectors
-    out = u @ (table * frame) @ u.conj().T
-    return (out + out.conj().T) / 2
-
-
-def qfi_inner(ctx: MetricContext, x, y) -> float:
-    """Monotone-metric inner product of two self-adjoint tangent vectors.
-
-    The arguments are used as given (no centering); the intended inputs are
-    commutators i[rho, A].  Requires a faithful state, otherwise the mean
-    table has zero entries and the sum is undefined.
-    """
-    if not ctx.state.faithful:
-        raise MetricUndefinedError("qfi inner product requires a faithful state")
-    u = ctx.state.eigenvectors
-    fx = u.conj().T @ as_hermitian(x) @ u
-    fy = u.conj().T @ as_hermitian(y) @ u
-    return float(np.sum(np.real(np.conj(fx) * fy) / ctx.mean_table_f))
-
-
 def f_correlation(ctx: MetricContext, a, b) -> float:
     """Covariance minus the tilde-mean weighted frame overlap.
 
@@ -136,16 +105,3 @@ def f_correlation(ctx: MetricContext, a, b) -> float:
         ctx.mean_table_tilde[None, None],
     )
     return float(qfi[0, 0, 0, 1])
-
-
-def identity_residual(ctx: MetricContext, a, b) -> float:
-    """Absolute difference between the two routes to the correlation.
-
-    Route one scales the inner product of the commutators by f(0)/2; route
-    two is the tilde form computed by f_correlation.  Requires a faithful
-    state and a regular function.
-    """
-    direct = 0.5 * ctx.function.value_at_zero * qfi_inner(
-        ctx, icommutator(ctx.state, a), icommutator(ctx.state, b)
-    )
-    return abs(direct - f_correlation(ctx, a, b))

@@ -254,10 +254,6 @@ class TildeOrder:
     def equal(self) -> bool:
         return self.first_le_second and self.second_le_first
 
-    @property
-    def incomparable(self) -> bool:
-        return not (self.first_le_second or self.second_le_first)
-
 
 @lru_cache(maxsize=None)
 def tilde_order(f: MonotoneFunction, g: MonotoneFunction) -> TildeOrder:

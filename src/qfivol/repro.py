@@ -23,12 +23,7 @@ from .matrices import DensityMatrix
 from .metrics import covariance, f_correlation, metric_context
 from .monotone import builtin
 from .sampling import RandomSpec, sample_observables, sample_pure_state
-from .volumes import (
-    GramSpec,
-    hessian_generalized_variance,
-    quadratic_form,
-    volume_gap,
-)
+from .volumes import GramSpec, volume_gap
 
 MIXTURE_STATE = np.diag([0.5, 0.0, 0.0, 0.5])
 ENTANGLED_STATE = 0.5 * np.array(
@@ -101,11 +96,46 @@ def entanglement_errors(rows) -> float:
     return worst
 
 
+def hessian_generalized_variance(probabilities, x, y) -> np.ndarray:
+    """Hessian of p -> Var_p(X) Var_p(Y) - Cov_p(X, Y)^2, unconstrained.
+
+    Partial derivatives are taken in the ambient coordinates p_i without a
+    simplex constraint; moments are linear in p, so second partials of the
+    objective collect into the closed form below.  The result is symmetric
+    and generally indefinite.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if p.ndim != 1 or xv.shape != p.shape or yv.shape != p.shape:
+        raise ValueError("probabilities, x, y must be 1-d arrays of equal length")
+    if np.any(p < 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(float(p.sum()) - 1.0) > 1e-12:
+        raise ValueError("probabilities must sum to 1 within 1e-12")
+    ex = float(p @ xv)
+    ey = float(p @ yv)
+    var_x = float(p @ xv**2) - ex**2
+    var_y = float(p @ yv**2) - ey**2
+    cov = float(p @ (xv * yv)) - ex * ey
+    u = xv**2 - 2.0 * ex * xv
+    v = yv**2 - 2.0 * ey * yv
+    w = xv * yv - ey * xv - ex * yv
+    return (
+        -2.0 * var_y * np.outer(xv, xv)
+        - 2.0 * var_x * np.outer(yv, yv)
+        + np.outer(u, v)
+        + np.outer(v, u)
+        - 2.0 * np.outer(w, w)
+        + 2.0 * cov * (np.outer(xv, yv) + np.outer(yv, xv))
+    )
+
+
 def hessian_example() -> dict:
     hess = hessian_generalized_variance(HESSIAN_DISTRIBUTION, HESSIAN_X, HESSIAN_Y)
-    along_distribution = quadratic_form(hess, HESSIAN_DISTRIBUTION)
+    along_distribution = float(HESSIAN_DISTRIBUTION @ hess @ HESSIAN_DISTRIBUTION)
     vertex = np.array([0.0, 1.0, 0.0])
-    along_vertex = quadratic_form(hess, vertex)
+    along_vertex = float(vertex @ hess @ vertex)
     return {
         "hessian": hess,
         "distribution_quadratic": along_distribution,
@@ -116,6 +146,8 @@ def hessian_example() -> dict:
 
 def pure_volume_rows(dim, n, seed, draws=3) -> list[dict]:
     """Volume pairs for random pure states and random complex observables."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     spec = RandomSpec(seed=seed, dim=dim, ensemble="density")
     rows = []
     for draw in range(draws):

@@ -96,9 +96,11 @@ class SweepConfig:
         object.__setattr__(
             self, "functions", tuple(builtin(fid).fid for fid in self.functions)
         )
-        for fid in self.functions:
+        for k, fid in enumerate(self.functions):
             if not builtin(fid).regular:
                 raise ValueError(f"sweep functions must be regular, got {fid}")
+            if fid in self.functions[:k]:
+                raise ValueError(f"function {fid} is listed twice")
         if self.ensemble == "pauli-like-structured" and self.n != 3:
             raise ValueError("the structured ensemble requires n = 3")
 

@@ -48,6 +48,15 @@ def test_repro_pure_volume(capsys):
     assert "seed=5" in out
 
 
+@pytest.mark.parametrize("draws", ["0", "-2"])
+def test_pure_volume_rejects_a_draw_count_below_one(capsys, draws):
+    """With no draws there is nothing to compare, so no PASS line may print."""
+    assert main(["repro", "pure-volume", "--draws", draws]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.splitlines() == [f"error: draws must be at least 1, got {draws}"]
+
+
 def test_pure_volume_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("QFIVOL_SEED", "17")
     assert main(["repro", "pure-volume"]) == 0

@@ -14,13 +14,11 @@ from qfivol import (
     covariance,
     f_correlation,
     icommutator,
-    identity_residual,
-    mean_superop_apply,
     metric_context,
-    qfi_inner,
     regular_builtins,
     sample_pure_state,
 )
+from qfivol.oracles import identity_residual, mean_superop_apply, qfi_inner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -1,0 +1,58 @@
+"""Package boundaries: every module imports on its own, every export
+resolves, and the test oracles stay out of the kernel's import graph."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qfivol
+
+PACKAGE = Path(qfivol.__file__).resolve().parent
+# __main__ runs the command line when imported
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__main__")
+
+
+def _package_imports(module):
+    """Sibling modules that ``module`` imports (``from .x import ...``)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (alias.name for alias in node.names))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    """A fresh interpreter per module, so no earlier import can hide a cycle."""
+    name = "qfivol" if module == "__init__" else f"qfivol.{module}"
+    pythonpath = os.environ.get("PYTHONPATH")
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + pythonpath if pythonpath else src)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {name}"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_export_resolves():
+    missing = [name for name in qfivol.__all__ if not hasattr(qfivol, name)]
+    assert missing == []
+
+
+def test_only_the_gate_oracles_are_exported():
+    exported = {
+        name for name in qfivol.__all__
+        if getattr(getattr(qfivol, name), "__module__", None) == "qfivol.oracles"
+    }
+    assert exported == {"identity_residual", "k_coefficient"}
+
+
+def test_oracles_stay_out_of_the_kernel_imports():
+    assert _package_imports("oracles") <= {"matrices", "monotone", "metrics"}
+    importers = {module for module in MODULES if "oracles" in _package_imports(module)}
+    assert importers == {"__init__", "volumes"}

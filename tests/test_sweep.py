@@ -15,9 +15,11 @@ from qfivol import (
     check_inequalities,
     evaluate_sample,
     format_record,
+    observables_dependent,
     regular_builtins,
     replay_record,
     resolve_ensemble,
+    robertson_bound,
     run_sweep,
     sample_observables,
     sample_state,
@@ -85,6 +87,9 @@ def test_config_validation():
         _config(ensemble="structured", n=2)
     with pytest.raises(ValueError, match="dim"):
         _config(dim=1)
+    # two spellings of one function would write its records twice per sample
+    with pytest.raises(ValueError, match="wyd:0.25 is listed twice"):
+        _config(functions=("sld", "wyd:.25", "wyd:0.25"))
 
 
 def test_config_canonicalizes_tags():
@@ -358,6 +363,9 @@ def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
         assert gap_report.qfi_gram.tobytes() == verdict.report.qfi_gram.tobytes()
         assert verdict.main_holds == record["main_holds"]
         assert verdict.dependent == record["dependent"]
+        assert observables_dependent(spec.state, spec.observables) == record["dependent"]
+        if n % 2 == 0:
+            assert robertson_bound(spec.state, spec.observables) == record["robertson_det"]
 
 
 @pytest.mark.parametrize("ensemble,n", [("complex", 3), ("real", 2), ("real", 3)])

@@ -14,15 +14,10 @@ from qfivol import (
     SLD,
     TildeUndefinedError,
     WY,
+    as_hermitian,
     check_inequalities,
-    gap_from_decomposition,
-    h_weight,
-    hessian_generalized_variance,
-    k_coefficient,
-    k_grid,
     mean_table,
     observables_dependent,
-    quadratic_form,
     regular_builtins,
     robertson_bound,
     sample_observables,
@@ -31,12 +26,13 @@ from qfivol import (
     scalar_mean,
     tilde,
     to_eigenframe,
-    volume,
     volume_gap,
     wyd,
     RandomSpec,
 )
 from qfivol import volumes
+from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient, k_grid
+from qfivol.repro import hessian_generalized_variance
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -92,24 +88,15 @@ def test_single_observable_gap_is_tilde_weighted_frame_mass():
         assert report.gap >= 0.0
 
 
-def test_volume_kinds():
-    state = DensityMatrix(np.diag([0.75, 0.25]))
-    spec = GramSpec(state, (SIGMA_X,), WY)
-    assert_allclose(volume(spec, "covariance"), 1.0, rtol=0, atol=0)
-    assert_allclose(volume(spec, "qfi"), math.sqrt(1.0 - math.sqrt(3.0) / 2.0), rtol=1e-13)
-    with pytest.raises(ValueError, match="kind"):
-        volume(spec, "other")
-
-
 def test_volume_vanishes_for_dependent_observables():
     rng = np.random.default_rng(2)
     state = _random_density(rng, 3)
     a = _random_hermitian(rng, 3)
     b = _random_hermitian(rng, 3)
     c = a + b
-    spec = GramSpec(state, (a, b, c), SLD)
-    assert volume(spec, "covariance") <= 1e-6
-    assert volume(spec, "qfi") <= 1e-6
+    report = volume_gap(GramSpec(state, (a, b, c), SLD))
+    assert math.sqrt(max(0.0, report.cov_det)) <= 1e-6
+    assert math.sqrt(max(0.0, report.qfi_det)) <= 1e-6
     assert observables_dependent(state, (a, b, c))
     assert not observables_dependent(state, (a, b))
 
@@ -308,6 +295,18 @@ def test_robertson_odd_count_is_exactly_zero():
     assert robertson_bound(state, obs) == 0.0
 
 
+def test_robertson_validates_every_count():
+    """Odd counts are checked before the exact-zero shortcut, and a mismatched
+    even count is named rather than failing inside the stacked trace."""
+    state = DensityMatrix(np.diag([0.6, 0.4]))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match dim 2"):
+        robertson_bound(state, (np.eye(3),))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        robertson_bound(state, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match dim 2"):
+        robertson_bound(state, (np.eye(3), np.eye(3)))
+
+
 def test_robertson_qubit_value():
     p = 0.8
     state = DensityMatrix(np.diag([p, 1.0 - p]))
@@ -386,6 +385,29 @@ def test_volume_gap_skips_the_dependence_svd(monkeypatch):
         check_inequalities(spec)
 
 
+def test_single_spec_calls_validate_observables_once(monkeypatch):
+    """GramSpec validates its observables; the kernel calls on a spec do not
+    validate them again, and the observable-taking helpers validate once."""
+    rng = np.random.default_rng(63)
+    state = _random_density(rng, 3)
+    obs = (_random_hermitian(rng, 3), _random_hermitian(rng, 3))
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return as_hermitian(matrix)
+
+    monkeypatch.setattr(volumes, "as_hermitian", counted)
+    spec = GramSpec(state, obs, WY)
+    assert len(calls) == 1
+    check_inequalities(spec, partner=SLD)
+    volume_gap(spec)
+    assert len(calls) == 1
+    robertson_bound(state, obs)
+    observables_dependent(state, obs)
+    assert len(calls) == 3
+
+
 def test_check_inequalities_two_level_real_triples_degenerate():
     """Three centered real symmetric 2x2 observables are always dependent,
     so the gap must sit at the equality point."""
@@ -420,7 +442,7 @@ def test_volume_chain_on_real_triples():
         dim = 3 + k % 3
         state = _random_density(rng, dim, real=True)
         obs = tuple(_random_hermitian(rng, dim, real=True) for _ in range(3))
-        vols = [volume(GramSpec(state, obs, f), "qfi") for f in chain]
+        vols = [math.sqrt(max(0.0, volume_gap(GramSpec(state, obs, f)).qfi_det)) for f in chain]
         for first, second in zip(vols, vols[1:]):
             assert first >= second - 1e-10
 
@@ -430,8 +452,9 @@ def test_hessian_frozen_values():
     x = np.array([1.0, 0.0, -1.0])
     y = np.array([1.0, -2.0, 1.0])
     hess = hessian_generalized_variance(p, x, y)
-    assert_allclose(quadratic_form(hess, p), 8.0 / 3.0, rtol=1e-14)
-    assert_allclose(quadratic_form(hess, np.array([0.0, 1.0, 0.0])), -16.0 / 3.0, rtol=1e-14)
+    vertex = np.array([0.0, 1.0, 0.0])
+    assert_allclose(p @ hess @ p, 8.0 / 3.0, rtol=1e-14)
+    assert_allclose(vertex @ hess @ vertex, -16.0 / 3.0, rtol=1e-14)
     assert np.array_equal(hess, hess.T)
 
 
