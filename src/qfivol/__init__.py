@@ -14,7 +14,6 @@ from .matrices import (
     DecompositionError,
     DensityMatrix,
     as_hermitian,
-    center,
     det_small,
     icommutator,
     spectral_decompose,
@@ -91,7 +90,6 @@ __all__ = [
     "WY",
     "as_hermitian",
     "builtin",
-    "center",
     "check_inequalities",
     "covariance",
     "det_small",

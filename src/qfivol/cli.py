@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--seed", type=int, default=None,
                               help=f"default from ${ENV_SEED} or {DEFAULT_SEED}")
     sweep_parser.add_argument("--parallelism", type=int, default=None,
-                              help=f"default from ${ENV_PARALLELISM} or {DEFAULT_PARALLELISM}")
+                              help="processes that evaluate chunks, this one included; "
+                                   f"default from ${ENV_PARALLELISM} or {DEFAULT_PARALLELISM}")
     sweep_parser.add_argument("--out", required=True, help="record file path")
     sweep_parser.add_argument("--strict", action="store_true",
                               help="exit 3 when candidate counterexamples are found")

@@ -128,10 +128,6 @@ class DensityMatrix:
         for arr in (self.matrix, self.eigenvalues, self.eigenvectors):
             arr.setflags(write=False)
 
-    def expectation(self, observable) -> float:
-        """Tr(rho A) for a self-adjoint A (real by construction)."""
-        return float(trace_product(self.matrix, observable).real)
-
     def __repr__(self):  # pragma: no cover
         return (
             f"DensityMatrix(dim={self.dim}, faithful={self.faithful}, "
@@ -170,12 +166,6 @@ def _checked_observable(state: DensityMatrix, observable) -> np.ndarray:
     if a.shape[0] != state.dim:
         raise ValueError(f"dimension mismatch: {a.shape[0]} != {state.dim}")
     return a
-
-
-def center(state: DensityMatrix, observable) -> np.ndarray:
-    """Subtract the state expectation: A -> A - Tr(rho A) I."""
-    a = _checked_observable(state, observable)
-    return a - state.expectation(a) * np.eye(state.dim, dtype=a.dtype)
 
 
 def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:

@@ -7,9 +7,11 @@ counts.  Work is split into fixed-size chunks (independent of parallelism);
 each chunk returns its formatted lines with its gap and main-flag arrays, and
 the parent writes the lines and folds the arrays into the summary in chunk
 order, which keeps even the floating-point summary stable when the worker
-count changes.  The file is written next to its target and renamed onto it
-once complete.  Wall time is reported on the returned summary object only,
-never written to the file.
+count changes.  At parallelism P the parent also evaluates every P-th chunk
+itself, beside at most P - 1 worker processes that evaluate the rest, so P
+counts every process that evaluates chunks.  The file is written next to its
+target and renamed onto it once complete.  Wall time is reported on the
+returned summary object only, never written to the file.
 
 Every record starts with ``"version": 3`` (``RECORD_VERSION``), its format.
 Each chunk formats its lines from one template per function with the
@@ -275,20 +277,31 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
 
     The file is written as ``OUT.tmp`` next to ``OUT`` and renamed onto it
     after the summary line, so a failed sweep leaves ``OUT`` as it was.
+
+    At parallelism P this process evaluates chunks 0, P, 2P, ... itself; a
+    pool of at most P - 1 worker processes, and never more than the chunks
+    it gets, evaluates the others, and is built only if it gets any.
     """
     start_time = time.perf_counter()
     chunks = [
         (config, lo, min(lo + CHUNK_SIZE, config.samples))
         for lo in range(0, config.samples, CHUNK_SIZE)
     ]
+    step = config.parallelism
     tmp_path = f"{os.fspath(out_path)}.tmp"
     try:
         with open(tmp_path, "w") as fh, ExitStack() as stack:
-            if config.parallelism == 1:
-                parts = map(_chunk_worker, chunks)
-            else:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.parallelism))
-                parts = pool.map(_chunk_worker, chunks, chunksize=1)
+            theirs = [chunk for k, chunk in enumerate(chunks) if k % step]
+            results = iter(())
+            if theirs:
+                # a fork-started pool forks all its workers at the first submit
+                pool = ProcessPoolExecutor(max_workers=min(step - 1, len(theirs)))
+                stack.callback(pool.shutdown, cancel_futures=True)
+                results = pool.map(_chunk_worker, theirs)
+            parts = (
+                next(results) if k % step else _chunk_worker(chunk)
+                for k, chunk in enumerate(chunks)
+            )
             summary = _fold(config, parts, fh, start_time)
             fh.write(format_summary(config, summary) + "\n")
         os.replace(tmp_path, out_path)

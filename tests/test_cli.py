@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qfivol import RandomSpec, sample_state, sweep
 from qfivol.cli import main
 
 # records written before stream v2 (no version field): complex d3 n3, real
@@ -310,20 +311,41 @@ def test_usage_error_exits_two():
     assert excinfo.value.code == 2
 
 
-def test_decomposition_failure_exits_four_naming_the_sample(tmp_path, capsys, monkeypatch):
+def _fail_on_sample_3(monkeypatch, raising):
+    """Make np.linalg.eigh fail on any stack holding the state of sample 3 of
+    the seed-3 complex dim-2 sweep, in whichever process its chunk runs
+    (forked workers inherit the patch): raise LinAlgError, or return
+    eigenvectors that fail the decomposition checks."""
+    target = sample_state(RandomSpec(3, 2, "complex"), 3).matrix
     real_eigh = np.linalg.eigh
 
-    def eigh_breaking_sample_3(m):
+    def eigh(m):
+        hit = np.abs(m - target).max(axis=(-2, -1)) < 1e-9 if m.shape[-2:] == (2, 2) else False
+        if raising and np.any(hit):
+            raise np.linalg.LinAlgError("no convergence")
         w, v = real_eigh(m)
-        if m.ndim == 3 and len(m) > 3:
+        if np.any(hit):
             v = v.copy()
-            v[3] *= 2.0
+            v[hit] *= 2.0
         return w, v
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh_breaking_sample_3)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+# sweep.CHUNK_SIZE at --parallelism 2: chunks of 4 put sample 3 in chunk 0,
+# which the parent evaluates; chunks of 2 put it in chunk 1, which the one
+# worker evaluates
+parallel_chunk_sizes = pytest.mark.parametrize(
+    "chunk_size", [4, 2], ids=["parent-chunk", "worker-chunk"]
+)
+
+
+def _assert_decomposition_failure_exits_four(tmp_path, capsys, monkeypatch, parallelism, chunk_size):
+    monkeypatch.setattr(sweep, "CHUNK_SIZE", chunk_size)
+    _fail_on_sample_3(monkeypatch, raising=False)
     code = main(
         ["sweep", "--n", "1", "--dim", "2", "--samples", "5", "--seed", "3",
-         "--out", str(tmp_path / "records.jsonl")]
+         "--parallelism", str(parallelism), "--out", str(tmp_path / "records.jsonl")]
     )
     assert code == 4
     err = capsys.readouterr().err
@@ -332,16 +354,34 @@ def test_decomposition_failure_exits_four_naming_the_sample(tmp_path, capsys, mo
     assert not (tmp_path / "records.jsonl.tmp").exists()
 
 
-def test_failed_sweep_leaves_an_existing_file_untouched(tmp_path, monkeypatch):
+def test_decomposition_failure_exits_four_naming_the_sample(tmp_path, capsys, monkeypatch):
+    _assert_decomposition_failure_exits_four(tmp_path, capsys, monkeypatch, 1, sweep.CHUNK_SIZE)
+
+
+@parallel_chunk_sizes
+def test_parallel_decomposition_failure_exits_four_naming_the_sample(
+    tmp_path, capsys, monkeypatch, chunk_size
+):
+    _assert_decomposition_failure_exits_four(tmp_path, capsys, monkeypatch, 2, chunk_size)
+
+
+def _assert_failed_sweep_leaves_file_untouched(tmp_path, monkeypatch, parallelism, chunk_size):
     out = tmp_path / "records.jsonl"
-    args = ["sweep", "--n", "1", "--dim", "2", "--seed", "3", "--out", str(out), "--samples"]
+    args = ["sweep", "--n", "1", "--dim", "2", "--seed", "3", "--out", str(out),
+            "--parallelism", str(parallelism), "--samples"]
     assert main(args + ["5"]) == 0
     before = out.read_bytes()
-
-    def failing_eigh(m):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(sweep, "CHUNK_SIZE", chunk_size)
+    _fail_on_sample_3(monkeypatch, raising=True)
     assert main(args + ["9"]) == 4
     assert out.read_bytes() == before
     assert not (tmp_path / "records.jsonl.tmp").exists()
+
+
+def test_failed_sweep_leaves_an_existing_file_untouched(tmp_path, monkeypatch):
+    _assert_failed_sweep_leaves_file_untouched(tmp_path, monkeypatch, 1, sweep.CHUNK_SIZE)
+
+
+@parallel_chunk_sizes
+def test_failed_parallel_sweep_leaves_an_existing_file_untouched(tmp_path, monkeypatch, chunk_size):
+    _assert_failed_sweep_leaves_file_untouched(tmp_path, monkeypatch, 2, chunk_size)

@@ -7,13 +7,12 @@ from numpy.testing import assert_allclose
 from qfivol import (
     DensityMatrix,
     as_hermitian,
-    center,
     det_small,
     icommutator,
     spectral_decompose,
     to_eigenframe,
 )
-from qfivol.matrices import frame_stack, trace_product
+from qfivol.matrices import expectation_stack, frame_stack, trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -115,22 +114,31 @@ def test_density_matrix_clamps_tiny_eigenvalues():
     assert not state.faithful
 
 
+def _center(state, a):
+    """A - Tr(rho A) I through the kernel's expectation_stack."""
+    mean = expectation_stack(state.matrix[None], np.asarray(a)[None, None])[0, 0]
+    return a - mean * np.eye(state.dim)
+
+
 def test_density_expectation():
     state = DensityMatrix(np.diag([0.75, 0.25]))
-    assert_allclose(state.expectation(np.diag([1.0, -1.0])), 0.5, rtol=0, atol=0)
+    mean = expectation_stack(state.matrix[None], np.diag([1.0, -1.0])[None, None])
+    assert mean.shape == (1, 1, 1, 1)
+    assert_allclose(mean[0, 0, 0, 0], 0.5, rtol=0, atol=0)
 
 
 def test_center_identity_gives_zero():
     rng = np.random.default_rng(5)
     state = _random_density(rng, 3)
-    assert_allclose(center(state, np.eye(3)), np.zeros((3, 3)), atol=1e-15)
+    assert_allclose(_center(state, np.eye(3)), np.zeros((3, 3)), atol=1e-15)
+    assert_allclose(to_eigenframe(state, np.eye(3)), np.zeros((3, 3)), atol=1e-15)
 
 
 def test_center_fixed_point_and_hand_value():
     state = DensityMatrix(np.diag([0.5, 0.5]))
     # already centered: sigma_x has zero expectation here
-    assert_allclose(center(state, SIGMA_X), SIGMA_X, rtol=0, atol=0)
-    out = center(state, np.diag([1.0, 0.0]))
+    assert_allclose(_center(state, SIGMA_X), SIGMA_X, rtol=0, atol=0)
+    out = _center(state, np.diag([1.0, 0.0]))
     assert_allclose(out, np.diag([0.5, -0.5]), rtol=0, atol=0)
 
 
@@ -138,14 +146,16 @@ def test_center_is_idempotent():
     rng = np.random.default_rng(11)
     state = _random_density(rng, 4)
     a = _random_hermitian(rng, 4)
-    once = center(state, a)
-    assert_allclose(center(state, once), once, atol=1e-14)
+    once = _center(state, a)
+    assert_allclose(_center(state, once), once, atol=1e-14)
+    # the eigenframe centers too: centering first changes nothing
+    assert_allclose(to_eigenframe(state, once), to_eigenframe(state, a), atol=1e-14)
 
 
 def test_center_dimension_mismatch():
     state = DensityMatrix(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError, match="mismatch"):
-        center(state, np.eye(3))
+        to_eigenframe(state, np.eye(3))
 
 
 def test_to_eigenframe_diagonal_state():

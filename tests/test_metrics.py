@@ -18,6 +18,7 @@ from qfivol import (
     regular_builtins,
     sample_pure_state,
 )
+from qfivol.matrices import trace_product
 from qfivol.oracles import identity_residual, mean_superop_apply, qfi_inner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -100,7 +101,7 @@ def test_mean_superop_commuting_returns_rho_a0():
     state = DensityMatrix(np.diag([0.7, 0.2, 0.1]))
     a = np.diag([1.0, -1.0, 3.0])
     ctx = metric_context(state, SLD)
-    a0 = a - state.expectation(a) * np.eye(3)
+    a0 = a - trace_product(state.matrix, a).real * np.eye(3)
     assert_allclose(mean_superop_apply(ctx, a), state.matrix @ a0, atol=1e-14)
 
 
@@ -111,7 +112,7 @@ def test_mean_superop_tilde_vanishes_against_pure_state():
     out = mean_superop_apply(ctx, _random_hermitian(rng, 3), use_tilde=True)
     for _ in range(5):
         b = _random_hermitian(rng, 3)
-        b0 = b - state.expectation(b) * np.eye(3)
+        b0 = b - trace_product(state.matrix, b).real * np.eye(3)
         assert abs(np.trace(out @ b0)) < 1e-12
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -177,16 +179,87 @@ def test_evaluate_sample_counts_monotonicity_violations():
 
 
 def test_sweep_output_independent_of_parallelism(tmp_path):
-    # 600 samples spans three chunks, so the parallel path reorders work
+    # 600 samples spans three chunks: at parallelism 2 the parent evaluates
+    # chunks 0 and 2 and one worker chunk 1; at 3 each process evaluates one
     config = _config(samples=600)
     serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
     summary_one = run_sweep(config, serial)
-    summary_two = run_sweep(dataclasses.replace(config, parallelism=2), parallel)
-    assert serial.read_bytes() == parallel.read_bytes()
-    assert dataclasses.replace(summary_one, elapsed=0.0) == dataclasses.replace(
-        summary_two, elapsed=0.0
-    )
+    for parallelism in (2, 3):
+        parallel = tmp_path / f"parallel-{parallelism}.jsonl"
+        summary = run_sweep(dataclasses.replace(config, parallelism=parallelism), parallel)
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert dataclasses.replace(summary_one, elapsed=0.0) == dataclasses.replace(
+            summary, elapsed=0.0
+        )
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """Stands a thread pool in for sweep's ProcessPoolExecutor, so a test can
+    see which thread evaluates a chunk; returns a list recording each pool's
+    max_workers and the cancel_futures of each shutdown."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            self.record = {"max_workers": max_workers, "cancel_futures": None}
+            pools.append(self.record)
+            super().__init__(max_workers)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.record["cancel_futures"] = cancel_futures
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Pool)
+    return pools
+
+
+@pytest.mark.parametrize(
+    "samples,parallelism,workers",
+    [(300, 64, [1]), (256, 4, []), (1, 2, []), (600, 2, [1]), (600, 3, [2]), (600, 8, [2])],
+)
+def test_sweep_forks_no_more_workers_than_worker_chunks(
+    tmp_path, thread_pools, samples, parallelism, workers
+):
+    """The parent keeps chunks 0, P, 2P, ...; the pool gets min(P - 1, the
+    other chunks) workers, and no pool is built when it would get no chunk."""
+    run_sweep(_config(samples=samples, parallelism=parallelism), tmp_path / "out.jsonl")
+    assert [pool["max_workers"] for pool in thread_pools] == workers
+    assert all(pool["cancel_futures"] is True for pool in thread_pools)
+
+
+@pytest.mark.parametrize("parallelism,parents", [(1, [0, 256, 512]), (2, [0, 512]), (3, [0])])
+def test_parent_evaluates_every_pth_chunk(tmp_path, monkeypatch, thread_pools, parallelism, parents):
+    evaluated = []
+    chunk_worker = sweep._chunk_worker
+
+    def recording(args):
+        evaluated.append((args[1], threading.current_thread() is threading.main_thread()))
+        return chunk_worker(args)
+
+    monkeypatch.setattr(sweep, "_chunk_worker", recording)
+    config = _config(samples=600, parallelism=parallelism)
+    run_sweep(config, tmp_path / "out.jsonl")
+    assert [start for start, on_parent in evaluated if on_parent] == parents
+    assert sorted(start for start, _ in evaluated) == [0, 256, 512]
+
+
+def test_a_failing_parent_chunk_cancels_the_pool(tmp_path, monkeypatch, thread_pools):
+    chunk_worker = sweep._chunk_worker
+
+    def failing_on_parent(args):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError(f"chunk at {args[1]} failed")
+        return chunk_worker(args)
+
+    monkeypatch.setattr(sweep, "_chunk_worker", failing_on_parent)
+    monkeypatch.setattr(sweep, "CHUNK_SIZE", 10)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(RuntimeError, match="chunk at 0 failed"):
+        run_sweep(_config(samples=60, parallelism=2), out)
+    assert thread_pools == [{"max_workers": 1, "cancel_futures": True}]
+    assert not out.exists()
+    assert not (tmp_path / "out.jsonl.tmp").exists()
 
 
 def test_sweep_repeated_run_is_byte_identical(tmp_path):
