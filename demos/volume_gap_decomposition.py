@@ -2,12 +2,13 @@
 The generalized-variance gap and its explicit decomposition
 ===========================================================
 
-For up to three observables the gap between the covariance Gram determinant
-and the metric Gram determinant can be rebuilt as a weighted sum of
-f-dependent positive weights against f-independent frame coefficients.  For
-two observables the covariance determinant also dominates the classical
-commutator bound, tying the gap to the usual determinant-form uncertainty
-relation.
+For any number of observables the gap between the covariance Gram
+determinant and the metric Gram determinant can be rebuilt, by Cauchy-Binet,
+as a sum of f-dependent nonnegative weights against f-independent squared
+minors of the eigenframe coordinates; here for one to four observables on a
+dim-3 state.  For evenly many observables the covariance determinant also
+dominates the classical commutator bound, tying the gap to the usual
+determinant-form uncertainty relation.
 """
 
 import math
@@ -29,13 +30,13 @@ def hermitian():
     return (h + h.conj().T) / 2
 
 
-observables = tuple(hermitian() for _ in range(3))
+observables = tuple(hermitian() for _ in range(4))
 
-print("three random observables on a random faithful state, dim 3")
-for n in (1, 2, 3):
+print("four random observables on a random faithful state, dim 3")
+for n in (1, 2, 3, 4):
     print(f"\n  {n} observable(s)")
     header = f"  {'function':<10} {'det(cov)':>12} {'det(qfi)':>12} {'gap':>12} {'sum':>12}"
-    if n == 2:
+    if n % 2 == 0:
         header += f" {'robertson':>12}"
     print(header)
     for f in regular_builtins():
@@ -45,7 +46,7 @@ for n in (1, 2, 3):
             f"  {f.fid:<10} {report.cov_det:>12.8f} {report.qfi_det:>12.8f} "
             f"{report.gap:>12.8f} {report.decomposition_gap:>12.8f}"
         )
-        if n == 2:
+        if n % 2 == 0:
             line += f" {report.robertson_det:>12.8f}"
         print(line)
 

@@ -3,9 +3,10 @@
 None of this runs in a sweep, a replay or a verdict; each function reaches
 its quantity by a second route, so agreement with the kernel is evidence:
 
-* the explicit H*K decomposition of the gap det Cov - det Q as a
-  positively-weighted sum over index tuples (N <= 3), term by term and never
-  through a Gram determinant,
+* the H*K decomposition of the gap det Cov - det Q for 1..8 observables:
+  by Cauchy-Binet a sum over N-subsets of real frame coordinates of a weight
+  H >= 0 times a squared N x N minor, every term a product of nonnegative
+  factors and never through a Gram determinant,
 * the monotone-metric inner product of tangent vectors and the scalar-mean
   superoperator, and with them the two-route identity
   (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B) as a residual.
@@ -15,181 +16,118 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
-from .matrices import as_hermitian, icommutator, to_eigenframe
+from .matrices import as_hermitian, icommutator, pair_indices, to_eigenframe
 from .metrics import MetricContext, MetricUndefinedError, f_correlation
-from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, scalar_mean, tilde
+from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde
 
-DECOMPOSITION_MAX_DIM = 6
+DECOMPOSITION_MAX_TERMS = 10**6
 
-_PERMUTATIONS3 = tuple(itertools.permutations((0, 1, 2)))
-_CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_SUBSET_BATCH = 16384
 
 
-def _half_square_gap(function: MonotoneFunction, u: float, v: float) -> float:
-    # (u+v)/2 - m_tilde(u, v) in its cancellation-free form
-    if u == v:
-        return 0.0
-    return function.value_at_zero * (u - v) ** 2 / (2.0 * scalar_mean(function, u, v))
+def _weights(function: MonotoneFunction, u: np.ndarray, v: np.ndarray):
+    """Per pair (u, v): c = (u+v)/2, q = f(0)(u-v)^2 / (2 m_f(u, v)) (exactly
+    0 where u = v) and m = m_tilde(u, v), so that c = q + m with every factor
+    >= 0 and no cancellation."""
+    pairs = np.stack([u, v], axis=-1)
+    mean = mean_table(function, pairs)[..., 0, 1]
+    square = function.value_at_zero * (u - v) ** 2
+    q = np.divide(square, 2.0 * mean, out=np.zeros_like(square), where=u != v)
+    return 0.5 * (u + v), q, mean_table(tilde(function), pairs)[..., 0, 1]
+
+
+def _h_products(c, q, m) -> np.ndarray:
+    """prod(c) - prod(q) over the last axis, built as H <- H c_k + (prod_{i<k} q_i) m_k
+    from c = q + m: a sum of nonnegative products, so H >= 0 survives floating point."""
+    h, p = np.zeros(c.shape[:-1]), np.ones(c.shape[:-1])
+    for k in range(c.shape[-1]):
+        h = h * c[..., k] + p * m[..., k]
+        p = p * q[..., k]
+    return h
+
+
+def _squared_minors(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """det(x[:, S])^2 of a real (N, K) matrix for each row S of a (B, N) column array."""
+    return np.linalg.det(np.moveaxis(x[:, columns], 0, 1)) ** 2
 
 
 def h_weight(function: MonotoneFunction, args) -> float:
-    """H coefficient at 4 (order 2) or 6 (order 3) positive arguments.
+    """H coefficient prod (u+v)/2 - prod q(u, v) at N pairs (u, v) of positive arguments.
 
-    Evaluated as a sum of nonnegative products, using
-    (u+v)/2 - m_tilde(u,v) = f(0)(u-v)^2 / (2 m_f(u,v)) for the gap factors,
-    so the strict-positivity guarantee survives floating point even at
-    extreme argument ratios where the direct product expansion cancels.
+    Takes 2..16 arguments (u_1, v_1, ..., u_N, v_N).  The gap factors are
+    q(u, v) = (u+v)/2 - m_tilde(u, v) = f(0)(u-v)^2 / (2 m_f(u, v)) and the
+    weight is a sum of nonnegative products, so its strict positivity
+    survives floating point even at extreme argument ratios where the direct
+    product expansion cancels.
     """
-    vals = [float(v) for v in args]
-    if any(not (math.isfinite(v) and v > 0.0) for v in vals):
-        raise ValueError(f"h_weight needs strictly positive finite arguments: {vals}")
+    vals = np.array([float(v) for v in args])
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
+        raise ValueError(f"h_weight needs strictly positive finite arguments: {vals.tolist()}")
+    if len(vals) % 2 or not 2 <= len(vals) <= 16:
+        raise ValueError(f"h_weight takes an even count of 2..16 arguments, got {len(vals)}")
     if not function.regular:
         raise TildeUndefinedError("h_weight needs a regular function")
-    ft = tilde(function)
-    if len(vals) == 4:
-        x, y, w, z = vals
-        m1 = scalar_mean(ft, x, y)
-        m2 = scalar_mean(ft, w, z)
-        d1 = _half_square_gap(function, x, y)
-        d2 = _half_square_gap(function, w, z)
-        return d1 * m2 + d2 * m1 + m1 * m2
-    if len(vals) == 6:
-        x, y, h, k, w, z = vals
-        s1, s2, s3 = 0.5 * (x + y), 0.5 * (h + k), 0.5 * (w + z)
-        m1 = scalar_mean(ft, x, y)
-        m2 = scalar_mean(ft, h, k)
-        m3 = scalar_mean(ft, w, z)
-        d1 = _half_square_gap(function, x, y)
-        d2 = _half_square_gap(function, h, k)
-        d3 = _half_square_gap(function, w, z)
-        return s1 * m3 * d2 + s3 * m2 * d1 + s2 * m1 * d3 + m1 * m2 * m3
-    raise ValueError(f"h_weight takes 4 or 6 arguments, got {len(vals)}")
+    return float(_h_products(*_weights(function, vals[0::2], vals[1::2])))
 
 
 def k_coefficient(frames, indices) -> float:
-    """K coefficient for 2 or 3 eigenframe matrices at a flat index tuple.
+    """K coefficient of N eigenframe matrices at a flat index tuple (i_1, j_1, ..., i_N, j_N).
 
-    For two frames (a, b) and indices (i, j, k, l) this is
-    |a_ij|^2 |b_kl|^2 + |a_kl|^2 |b_ij|^2 - 2 Re{a_ij b_ji} Re{a_kl b_lk};
-    for three frames the signed permutation sum over the three index pairs.
+    With M[h, k] = frames[h][i_k, j_k] this is the sum of det^2 over the 2^N
+    ways of taking the real or the imaginary part of each column of M; for
+    real frames it is det(M)^2.  For two frames (a, b) it equals
+    |a_ij|^2 |b_kl|^2 + |a_kl|^2 |b_ij|^2 - 2 Re{a_ij b_ji} Re{a_kl b_lk}.
     """
-    if len(indices) != 2 * len(frames):
+    mats = [np.asarray(f) for f in frames]
+    shape = mats[0].shape if mats else ()
+    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
+        raise ValueError(f"need square frames of one shape, got {[m.shape for m in mats]}")
+    if len(indices) != 2 * len(mats):
         raise ValueError("need two indices per frame")
-    pairs = [(int(indices[2 * i]), int(indices[2 * i + 1])) for i in range(len(frames))]
-    if len(frames) == 2:
-        a, b = frames
-        (p1, p2) = pairs
-        qa1, qa2 = abs(a[p1]) ** 2, abs(a[p2]) ** 2
-        qb1, qb2 = abs(b[p1]) ** 2, abs(b[p2]) ** 2
-        pab1 = float(np.real(a[p1] * b[p1[1], p1[0]]))
-        pab2 = float(np.real(a[p2] * b[p2[1], p2[0]]))
-        return qa1 * qb2 + qa2 * qb1 - 2.0 * pab1 * pab2
-    if len(frames) == 3:
-        a, b, c = frames
-        q = [[float(abs(f[p]) ** 2) for p in pairs] for f in frames]
-
-        def rev(f1, f2, p):
-            return float(np.real(f1[p] * f2[p[1], p[0]]))
-
-        pab = [rev(a, b, p) for p in pairs]
-        pac = [rev(a, c, p) for p in pairs]
-        pbc = [rev(b, c, p) for p in pairs]
-        total = 0.0
-        for s in _PERMUTATIONS3:
-            total += q[0][s[0]] * q[1][s[1]] * q[2][s[2]]
-            total += 2.0 * pac[s[0]] * pab[s[1]] * pbc[s[2]]
-        for s in _CYCLIC3:
-            total -= 2.0 * (
-                q[0][s[0]] * pbc[s[1]] * pbc[s[2]]
-                + q[1][s[0]] * pac[s[1]] * pac[s[2]]
-                + q[2][s[0]] * pab[s[1]] * pab[s[2]]
-            )
-        return total
-    raise ValueError("k_coefficient supports 2 or 3 frames")
-
-
-def _axis3(vec: np.ndarray, axis: int) -> np.ndarray:
-    shape = [1, 1, 1]
-    shape[axis] = vec.size
-    return vec.reshape(shape)
-
-
-def k_grid(frames) -> np.ndarray:
-    """All K coefficients over flattened index pairs (row-major (i, j)).
-
-    Returns a P x P (order 2) or P x P x P (order 3) array with P = dim^2;
-    entry [p1, p2(, p3)] is k_coefficient at those pairs.
-    """
-    flats = [np.asarray(f) for f in frames]
-    if len(flats) == 2:
-        a, b = flats
-        qa = (np.abs(a) ** 2).reshape(-1)
-        qb = (np.abs(b) ** 2).reshape(-1)
-        pab = np.real(a * b.T).reshape(-1)
-        return np.outer(qa, qb) + np.outer(qb, qa) - 2.0 * np.outer(pab, pab)
-    if len(flats) == 3:
-        a, b, c = flats
-        qa = (np.abs(a) ** 2).reshape(-1)
-        qb = (np.abs(b) ** 2).reshape(-1)
-        qc = (np.abs(c) ** 2).reshape(-1)
-        pab = np.real(a * b.T).reshape(-1)
-        pac = np.real(a * c.T).reshape(-1)
-        pbc = np.real(b * c.T).reshape(-1)
-        out = np.zeros((qa.size,) * 3)
-        for s in _PERMUTATIONS3:
-            out += _axis3(qa, s[0]) * _axis3(qb, s[1]) * _axis3(qc, s[2])
-            out += 2.0 * _axis3(pac, s[0]) * _axis3(pab, s[1]) * _axis3(pbc, s[2])
-        for s in _CYCLIC3:
-            out -= 2.0 * (
-                _axis3(qa, s[0]) * _axis3(pbc, s[1]) * _axis3(pbc, s[2])
-                + _axis3(qb, s[0]) * _axis3(pac, s[1]) * _axis3(pac, s[2])
-                + _axis3(qc, s[0]) * _axis3(pab, s[1]) * _axis3(pab, s[2])
-            )
-        return out
-    raise ValueError("k_grid supports 2 or 3 frames")
+    for i in indices:
+        if not (isinstance(i, numbers.Integral) and 0 <= i < shape[0]):
+            raise ValueError(f"index {i!r} is not an integer in [0, {shape[0]})")
+    n = len(mats)
+    values = np.stack(mats)[:, list(indices[0::2]), list(indices[1::2])]
+    parts = np.concatenate([values.real, values.imag], axis=1)
+    columns = np.array(list(itertools.product((0, n), repeat=n))) + np.arange(n)
+    return float(np.sum(_squared_minors(parts, columns)))
 
 
 def gap_from_decomposition(spec) -> float:
     """The determinant gap of a volumes.GramSpec through the explicit H*K sums.
 
-    This is a genuinely independent route: the full quadruple/sextuple index
-    sum is evaluated term by term (vectorized over the index grid), never
-    through Gram determinants.  Requires N <= 3, a faithful state, and
-    dim <= DECOMPOSITION_MAX_DIM to keep the grid small.
+    The eigenframes become real coordinates x_k in R^N: the d diagonal
+    entries and sqrt(2) Re, sqrt(2) Im of the upper ones, with weights c, q,
+    m from the pair of eigenvalues each belongs to.  Then Cov = sum c_k x_k
+    x_k^T and the metric Gram is sum q_k x_k x_k^T, so by Cauchy-Binet the gap
+    is the sum over N-subsets S of H_S det(x_S)^2 with H_S = prod_S c -
+    prod_S q >= 0.  The subsets are enumerated in batches, which bounds the
+    work to C(d^2, N) <= DECOMPOSITION_MAX_TERMS terms.
     """
-    n = len(spec.observables)
-    state = spec.state
-    if n > 3:
-        raise ValueError("decomposition is available for 1, 2, or 3 observables")
-    if not state.faithful:
-        raise MetricUndefinedError("decomposition requires a faithful state")
-    if state.dim > DECOMPOSITION_MAX_DIM:
-        raise ValueError(f"decomposition limited to dim <= {DECOMPOSITION_MAX_DIM}")
-    lam = state.eigenvalues
-    frames = [to_eigenframe(state, o) for o in spec.observables]
-    tilde_tab = mean_table(tilde(spec.function), lam)
-    if n == 1:
-        return float(np.sum(tilde_tab * np.abs(frames[0]) ** 2))
-    f_tab = mean_table(spec.function, lam)
-    f0 = spec.function.value_at_zero
-    gap_tab = f0 * (lam[:, None] - lam[None, :]) ** 2 / (2.0 * f_tab)
-    s = (0.5 * (lam[:, None] + lam[None, :])).reshape(-1)
-    d = gap_tab.reshape(-1)
-    m = tilde_tab.reshape(-1)
-    kv = k_grid(frames)
-    if n == 2:
-        hv = np.outer(d, m) + np.outer(m, d) + np.outer(m, m)
-        return 0.5 * float(np.sum(hv * kv))
-    hv = (
-        _axis3(s, 0) * _axis3(m, 2) * _axis3(d, 1)
-        + _axis3(d, 0) * _axis3(m, 1) * _axis3(s, 2)
-        + _axis3(m, 0) * _axis3(s, 1) * _axis3(d, 2)
-        + _axis3(m, 0) * _axis3(m, 1) * _axis3(m, 2)
-    )
-    return float(np.sum(hv * kv)) / 6.0
+    n, dim = len(spec.observables), spec.state.dim
+    terms = math.comb(dim * dim, n)
+    if terms > DECOMPOSITION_MAX_TERMS:
+        raise ValueError(f"decomposition needs C({dim * dim}, {n}) = {terms} terms, "
+                         f"over the budget of {DECOMPOSITION_MAX_TERMS}")
+    frames = np.stack([to_eigenframe(spec.state, o) for o in spec.observables])
+    diag = np.arange(dim)
+    rows, cols = pair_indices(dim, 1)
+    upper = math.sqrt(2.0) * frames[:, rows, cols]
+    x = np.concatenate([frames[:, diag, diag].real, upper.real, upper.imag], axis=1)
+    lam = spec.state.eigenvalues
+    u, v = lam[np.concatenate([diag, rows, rows])], lam[np.concatenate([diag, cols, cols])]
+    c, q, m = _weights(spec.function, u, v)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(dim * dim), n))
+    total = 0.0
+    for _ in range(0, terms, _SUBSET_BATCH):
+        s = np.fromiter(itertools.islice(flat, _SUBSET_BATCH * n), np.intp).reshape(-1, n)
+        total += float(np.sum(_h_products(c[s], q[s], m[s]) * _squared_minors(x, s)))
+    return total
 
 
 def mean_superop_apply(ctx: MetricContext, observable, use_tilde: bool = False) -> np.ndarray:

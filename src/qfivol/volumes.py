@@ -187,8 +187,8 @@ def volume_gap(spec: GramSpec, *, with_decomposition: bool = False) -> VolumeRep
 
     The Robertson determinant is included for even observable counts.  The
     H*K decomposition is only computed on request; it is the expensive
-    independent route and is restricted to N <= 3, faithful states, and
-    dim <= 6.
+    independent route, a sum of C(dim^2, N) terms, and raises ValueError
+    beyond oracles.DECOMPOSITION_MAX_TERMS of them.
     """
     out = _evaluate_spec(spec, (spec.function,), dependence=False)
     return _volume_report(out, gap_from_decomposition(spec) if with_decomposition else None)

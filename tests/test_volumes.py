@@ -30,8 +30,9 @@ from qfivol import (
     wyd,
     RandomSpec,
 )
-from qfivol import volumes
-from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient, k_grid
+from qfivol import matrices, metrics, oracles, volumes
+from qfivol.matrices import EIGENVALUE_FLOOR
+from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
 from qfivol.repro import hessian_generalized_variance
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -116,27 +117,31 @@ def test_pure_state_volumes_coincide():
             assert abs(vol_cov - vol_qfi) <= 1e-8
 
 
+ORDERS = range(1, 9)
+
+
 def test_h_weight_collapses_at_equal_pairs():
     # with each pair equal the means and arithmetic averages coincide,
     # so the weight reduces to the plain product of the pair values
+    values = (0.3, 0.5, 0.2, 0.7, 0.9, 0.4, 0.6, 0.8)
     for f in regular_builtins():
-        assert h_weight(f, (0.3, 0.3, 0.5, 0.5, 0.2, 0.2)) == 0.3 * 0.5 * 0.2
-        assert h_weight(f, (0.3, 0.3, 0.7, 0.7)) == 0.3 * 0.7
-        # one equal pair: the weight reduces to that value times the other
-        # pair's arithmetic average
-        assert_allclose(h_weight(f, (0.3, 0.3, 0.7, 0.1)), 0.3 * 0.4, rtol=1e-14)
+        for order in ORDERS:
+            args = [x for x in values[:order] for _ in range(2)]
+            assert h_weight(f, args) == math.prod(values[:order])
+            # one equal pair: the weight reduces to that value times the
+            # other pairs' arithmetic averages
+            args = (0.3, 0.3) + (0.7, 0.1) * (order - 1)
+            assert_allclose(h_weight(f, args), 0.3 * 0.4 ** (order - 1), rtol=1e-14)
 
 
 def test_h_weight_strict_positivity():
-    """The six-argument weight stays strictly positive even at extreme ratios."""
+    """The weight stays strictly positive at every order even at extreme ratios."""
     rng = np.random.default_rng(5)
     for f in regular_builtins():
-        for _ in range(1000):
-            args = 10.0 ** rng.uniform(-8.0, 0.0, size=6)
-            assert h_weight(f, args) > 0.0
-        for _ in range(250):
-            args = 10.0 ** rng.uniform(-6.0, 0.0, size=4)
-            assert h_weight(f, args) > 0.0
+        for order in ORDERS:
+            for _ in range(150):
+                args = 10.0 ** rng.uniform(-8.0, 0.0, size=2 * order)
+                assert h_weight(f, args) > 0.0
 
 
 def test_h_weight_matches_defining_forms():
@@ -144,39 +149,34 @@ def test_h_weight_matches_defining_forms():
     for f in regular_builtins():
         ft = tilde(f)
         f0 = f.value_at_zero
-        for _ in range(100):
-            x, y, h, k, w, z = rng.uniform(0.05, 1.0, size=6)
-            m1, m2, m3 = (
-                scalar_mean(ft, x, y),
-                scalar_mean(ft, h, k),
-                scalar_mean(ft, w, z),
-            )
+        for k in range(100):
+            x, y, w, z = rng.uniform(0.05, 1.0, size=4)
+            m1, m3 = scalar_mean(ft, x, y), scalar_mean(ft, w, z)
             expected2 = 0.5 * (x + y) * m3 + 0.5 * (w + z) * m1 - m1 * m3
             assert_allclose(h_weight(f, (x, y, w, z)), expected2, rtol=1e-12)
-            prod = 1.0
-            for u, v in ((x, y), (h, k), (w, z)):
-                prod *= f0 * (u - v) ** 2 / scalar_mean(f, u, v)
-            expected3 = ((x + y) * (h + k) * (w + z) - prod) / 8.0
-            assert_allclose(h_weight(f, (x, y, h, k, w, z)), expected3, rtol=1e-11)
+            args = rng.uniform(0.05, 1.0, size=2 * ORDERS[k % len(ORDERS)])
+            pairs = list(zip(args[0::2], args[1::2]))
+            averages = math.prod(0.5 * (u + v) for u, v in pairs)
+            gaps = math.prod(f0 * (u - v) ** 2 / (2.0 * scalar_mean(f, u, v)) for u, v in pairs)
+            assert_allclose(h_weight(f, args), averages - gaps, rtol=1e-11)
 
 
 def test_h_weight_monotone_in_tilde_order():
     """A pointwise larger tilde transform gives a pointwise larger weight."""
     rng = np.random.default_rng(9)
     chain = regular_builtins()
-    for _ in range(1000):
-        args6 = 10.0 ** rng.uniform(-4.0, 0.0, size=6)
-        args4 = args6[:4]
+    for k in range(1000):
+        args = 10.0 ** rng.uniform(-4.0, 0.0, size=2 * ORDERS[k % len(ORDERS)])
         for f, g in zip(chain, chain[1:]):
-            assert h_weight(f, args6) <= h_weight(g, args6) + 1e-12
-            assert h_weight(f, args4) <= h_weight(g, args4) + 1e-12
+            assert h_weight(f, args) <= h_weight(g, args) + 1e-12
 
 
 def test_h_weight_validation():
     with pytest.raises(ValueError, match="positive"):
         h_weight(SLD, (1.0, -1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="4 or 6"):
-        h_weight(SLD, (1.0, 2.0, 3.0))
+    for count in (0, 3, 7, 18):
+        with pytest.raises(ValueError, match="even count of 2..16"):
+            h_weight(SLD, np.linspace(0.1, 0.9, count))
     with pytest.raises(TildeUndefinedError):
         h_weight(RLD, (1.0, 2.0, 3.0, 4.0))
 
@@ -189,57 +189,52 @@ def test_k_coefficient_zero_partner():
         assert k_coefficient((a, b), p) == 0.0
 
 
-def test_k_coefficient_matches_grid():
-    rng = np.random.default_rng(13)
-    frames2 = [_random_hermitian(rng, 3) for _ in range(2)]
-    grid2 = k_grid(frames2)
-    frames3 = [_random_hermitian(rng, 2) for _ in range(3)]
-    grid3 = k_grid(frames3)
-    for _ in range(50):
-        i, j, k, l = rng.integers(0, 3, size=4)
-        assert_allclose(
-            k_coefficient(frames2, (i, j, k, l)),
-            grid2[3 * i + j, 3 * k + l],
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        i, j, k, l, m, o = rng.integers(0, 2, size=6)
-        assert_allclose(
-            k_coefficient(frames3, (i, j, k, l, m, o)),
-            grid3[2 * i + j, 2 * k + l, 2 * m + o],
-            rtol=1e-12,
-            atol=1e-14,
-        )
-
-
 def test_k_order_two_nonnegative():
-    """The two-frame coefficient is nonnegative for arbitrary complex frames."""
+    """The coefficient is nonnegative for arbitrary complex frames: at order
+    two on every index tuple, where it has a closed form, and at orders 4..8
+    on sampled ones."""
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        frames = [_random_hermitian(rng, 3) for _ in range(2)]
-        assert np.min(k_grid(frames)) >= -1e-12
+    for _ in range(20):
+        a, b = (_random_hermitian(rng, 3) for _ in range(2))
+        for i, j, k, l in np.ndindex(3, 3, 3, 3):
+            value = k_coefficient((a, b), (i, j, k, l))
+            closed = (
+                abs(a[i, j]) ** 2 * abs(b[k, l]) ** 2
+                + abs(a[k, l]) ** 2 * abs(b[i, j]) ** 2
+                - 2.0 * np.real(a[i, j] * b[j, i]) * np.real(a[k, l] * b[l, k])
+            )
+            assert value >= 0.0
+            assert abs(value - closed) <= 1e-12 * max(1.0, abs(closed))
+    for order in range(4, 9):
+        frames = [_random_hermitian(rng, 4) for _ in range(order)]
+        for _ in range(20):
+            assert k_coefficient(frames, tuple(rng.integers(0, 4, size=2 * order))) >= 0.0
 
 
 def test_k_order_three_real_equals_squared_determinant():
-    """For real symmetric frames the coefficient is a squared 3x3 determinant."""
+    """For real symmetric frames the coefficient is a squared N x N determinant."""
     rng = np.random.default_rng(19)
-    for _ in range(1000):
-        frames = [_random_hermitian(rng, 3, real=True) for _ in range(3)]
-        pairs = [tuple(rng.integers(0, 3, size=2)) for _ in range(3)]
+    for k in range(1000):
+        order = ORDERS[k % len(ORDERS)]
+        frames = [_random_hermitian(rng, 3, real=True) for _ in range(order)]
+        pairs = [tuple(rng.integers(0, 3, size=2)) for _ in range(order)]
         flat = tuple(int(i) for p in pairs for i in p)
         mat = np.array([[f[p] for p in pairs] for f in frames])
         det = np.linalg.det(mat)
-        assert abs(k_coefficient(frames, flat) - det**2) <= 1e-10
+        assert abs(k_coefficient(frames, flat) - det**2) <= 1e-10 * max(1.0, det**2)
 
 
 def test_k_order_three_structured_nonnegative():
     """Structured triples (arbitrary, zero-diagonal, diagonal) give K >= 0."""
+    rng = np.random.default_rng(23)
     for index in range(10):
-        spec = RandomSpec(23, 3 + index % 2, "pauli-like-structured")
+        dim = 3 + index % 2
+        spec = RandomSpec(23, dim, "pauli-like-structured")
         state = sample_state(spec, index)
         observables = sample_observables(spec, index, 3)
         frames = [to_eigenframe(state, o) for o in observables]
-        assert np.min(k_grid(frames)) >= -1e-12
+        for _ in range(100):
+            assert k_coefficient(frames, tuple(rng.integers(0, dim, size=6))) >= 0.0
 
 
 def test_k_order_three_structured_diagonal_pairs_vanish():
@@ -253,39 +248,123 @@ def test_k_order_three_structured_diagonal_pairs_vanish():
 def test_k_frame_count_validation():
     rng = np.random.default_rng(31)
     one = [_random_hermitian(rng, 2)]
-    with pytest.raises(ValueError):
-        k_grid(one)
     with pytest.raises(ValueError, match="two indices"):
         k_coefficient(one * 2, (0, 1, 0))
 
 
+def test_k_coefficient_validates_indices_and_frames():
+    """Indices must be integers inside the frame, and the frames square
+    matrices of one shape; nothing wraps, truncates or is padded."""
+    rng = np.random.default_rng(33)
+    a, b = (_random_hermitian(rng, 3) for _ in range(2))
+    for indices in ((-1, 0, 0, 1), (1.7, 0, 0, 1), (0, 1, 3, 0), (0, 1, 1, 2.0)):
+        with pytest.raises(ValueError, match="not an integer in"):
+            k_coefficient((a, b), indices)
+    for frames in ((a, b[:2, :2]), (a[:2], b[:2]), (a[0], b[0]), ()):
+        with pytest.raises(ValueError, match="square frames of one shape"):
+            k_coefficient(frames, (0, 1, 1, 0)[: 2 * len(frames)])
+    assert k_coefficient((a, b), (np.int64(2), 0, 0, 1)) == k_coefficient((a, b), (2, 0, 0, 1))
+
+
+def _assert_decomposes(spec):
+    """The oracle reproduces the kernel's gap within 1e-12 max(1, |cov_det|),
+    as a sum of nonnegative terms."""
+    report = volume_gap(spec, with_decomposition=True)
+    assert report.decomposition_gap >= 0.0
+    scale = max(1.0, abs(report.cov_det))
+    assert abs(report.decomposition_gap - report.gap) <= 1e-12 * scale
+
+
 def test_decomposition_matches_gap():
-    """The term-by-term H*K sums reproduce the determinant gap."""
+    """The term-by-term H*K sums reproduce the determinant gap for 1..8
+    observables on complex and real states."""
     rng = np.random.default_rng(37)
     for n in (1, 2, 3):
         for k in range(30):
             dim = 2 + k % 4
             state = _random_density(rng, dim)
             observables = tuple(_random_hermitian(rng, dim) for _ in range(n))
-            f = regular_builtins()[k % 4]
-            report = volume_gap(GramSpec(state, observables, f), with_decomposition=True)
-            scale = max(1.0, abs(report.cov_det))
-            assert abs(report.decomposition_gap - report.gap) <= 1e-8 * scale
+            _assert_decomposes(GramSpec(state, observables, regular_builtins()[k % 4]))
+    for n in ORDERS:
+        for k in range(4):
+            dim, real = 3 + k % 2, k >= 2
+            state = _random_density(rng, dim, real)
+            observables = tuple(_random_hermitian(rng, dim, real) for _ in range(n))
+            _assert_decomposes(GramSpec(state, observables, regular_builtins()[k % 4]))
 
 
 def test_decomposition_restrictions():
+    """The only limit is the C(dim^2, N) term budget; pure states decompose."""
     rng = np.random.default_rng(41)
-    state = _random_density(rng, 2)
-    obs = tuple(_random_hermitian(rng, 2) for _ in range(4))
-    with pytest.raises(ValueError, match="1, 2, or 3"):
-        gap_from_decomposition(GramSpec(state, obs, SLD))
-    pure = sample_pure_state(41, 2, 0)
-    with pytest.raises(MetricUndefinedError):
-        gap_from_decomposition(GramSpec(pure, obs[:2], SLD))
-    big = _random_density(rng, 7)
-    big_obs = (_random_hermitian(rng, 7),)
-    with pytest.raises(ValueError, match="dim"):
+    big = _random_density(rng, 8)
+    big_obs = tuple(_random_hermitian(rng, 8) for _ in range(5))
+    assert math.comb(64, 5) > oracles.DECOMPOSITION_MAX_TERMS
+    with pytest.raises(ValueError, match="terms"):
         gap_from_decomposition(GramSpec(big, big_obs, SLD))
+    pure = sample_pure_state(41, 2, 0)
+    _assert_decomposes(GramSpec(pure, tuple(_random_hermitian(rng, 2) for _ in range(2)), SLD))
+
+
+def test_decomposition_of_pure_and_rank_deficient_states():
+    """Non-faithful states decompose too: the gap is a nonnegative sum that
+    matches the kernel's, which is 0 on pure states."""
+    rng = np.random.default_rng(43)
+    for k in range(12):
+        dim, n = 2 + k % 3, 1 + k % 4
+        if k % 2:
+            state = sample_pure_state(43, dim, k)
+        else:
+            g = rng.standard_normal((dim, dim - 1)) + 1j * rng.standard_normal((dim, dim - 1))
+            m = g @ g.conj().T
+            state = DensityMatrix(m / np.trace(m).real)
+        assert not state.faithful
+        observables = tuple(_random_hermitian(rng, dim) for _ in range(n))
+        for f in regular_builtins():
+            _assert_decomposes(GramSpec(state, observables, f))
+
+
+def test_decomposition_is_nonnegative_on_extreme_spectra():
+    """Every term is a product of nonnegative factors, so the sum is >= 0.0
+    exactly on spectra spread down to the eigenvalue floor and on spectra
+    flat to within 1e-7."""
+    rng = np.random.default_rng(47)
+    spectra = []
+    for dim in (3, 4):
+        spread = np.geomspace(1.0, EIGENVALUE_FLOOR, dim)
+        spread[0] = 1.0 - spread[1:].sum()
+        flat = np.full(dim, 1.0 / dim) + 1e-7 * np.linspace(-0.5, 0.5, dim)
+        spectra += [spread, flat / flat.sum()]
+    for k, lam in enumerate(spectra):
+        state = DensityMatrix(np.diag(lam))
+        assert state.faithful
+        for n in ORDERS:
+            observables = tuple(_random_hermitian(rng, len(lam), k % 2 == 1) for _ in range(n))
+            for f in regular_builtins():
+                _assert_decomposes(GramSpec(state, observables, f))
+
+
+def test_decomposition_never_calls_the_kernel(monkeypatch):
+    """The oracle reaches the gap without the kernel's batch, Grams or
+    determinants, wherever a module holds them."""
+    rng = np.random.default_rng(53)
+    specs = []
+    for n in (1, 2, 4, 6):
+        state = _random_density(rng, 3)
+        observables = tuple(_random_hermitian(rng, 3) for _ in range(n))
+        specs.append(GramSpec(state, observables, WY))
+    gaps = [volume_gap(spec).gap for spec in specs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the decomposition called into the kernel")
+
+    for name in ("evaluate_batch", "batched_grams", "det_small"):
+        for module in (matrices, metrics, volumes, oracles):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="kernel"):
+        volume_gap(specs[0])
+    for spec, gap in zip(specs, gaps):
+        assert abs(gap_from_decomposition(spec) - gap) <= 1e-12 * max(1.0, abs(gap))
 
 
 def test_robertson_odd_count_is_exactly_zero():
