@@ -13,6 +13,15 @@ counts every process that evaluates chunks.  The file is written next to its
 target and renamed onto it once complete.  Wall time is reported on the
 returned summary object only, never written to the file.
 
+The worker processes are forked once per process and worker count and kept
+for later sweeps that need as many workers; a sweep that needs another count,
+or fails, shuts them down, and interpreter exit joins them.  Kept workers see
+this process's module state as it was when they were forked, which the
+records never depend on: each follows from the config alone.  An idle pool
+keeps its memory (~35 MiB per worker on real dim 8) until then.  Workers
+exit once this process is gone, even if it is killed.  ``run_sweep`` at
+parallelism above 1 must not run in several threads at once.
+
 Every record starts with ``"version": 3`` (``RECORD_VERSION``), its format.
 Each chunk formats its lines from one template per function with the
 sweep's shared fields baked in, and each sample's ``cov_det``,
@@ -30,10 +39,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing.connection
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +283,44 @@ def _fold(config: SweepConfig, parts, fh, start_time) -> SweepSummary:
     )
 
 
+# the kept worker pool as (pid of the process that built it, worker count,
+# executor), or None; see run_sweep
+_pool = None
+
+
+def _wait_for_parent(sentinel):
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
+def _exit_with_parent():
+    """Pool initializer: a daemon thread ends the worker once its parent is
+    gone, since a worker holds its own ends of the pool's pipes and would
+    never see them close."""
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_wait_for_parent, args=(sentinel,), daemon=True).start()
+
+
+def _close_pool():
+    """Forget the kept pool; shut it down, cancelling what it has not started,
+    if this process built it (a forked child leaves its parent's pool be)."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[2].shutdown(cancel_futures=True)
+
+
+def _worker_pool(workers):
+    """The kept pool if this process built it with exactly ``workers``
+    workers, else a new one built after the kept one is closed."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _close_pool()
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+        _pool = (os.getpid(), workers, pool)
+    return _pool[2]
+
+
 def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
     """Run the sweep, write records plus a summary line, return the summary.
 
@@ -279,8 +328,13 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
     after the summary line, so a failed sweep leaves ``OUT`` as it was.
 
     At parallelism P this process evaluates chunks 0, P, 2P, ... itself; a
-    pool of at most P - 1 worker processes, and never more than the chunks
-    it gets, evaluates the others, and is built only if it gets any.
+    pool of min(P - 1, the chunks it gets) worker processes evaluates the
+    others, and is used only if it gets any.  The pool is forked at the first
+    sweep that uses it and kept for the next sweep that needs the same
+    worker count, so those workers see the module state of fork time; a
+    sweep needing another count shuts it down before forking anew, a
+    failed sweep shuts it down, and a pool broken while idle is replaced.
+    Not for concurrent calls from several threads at P above 1.
     """
     start_time = time.perf_counter()
     chunks = [
@@ -288,16 +342,20 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
         for lo in range(0, config.samples, CHUNK_SIZE)
     ]
     step = config.parallelism
+    theirs = [chunk for k, chunk in enumerate(chunks) if k % step]
     tmp_path = f"{os.fspath(out_path)}.tmp"
     try:
-        with open(tmp_path, "w") as fh, ExitStack() as stack:
-            theirs = [chunk for k, chunk in enumerate(chunks) if k % step]
+        with open(tmp_path, "w") as fh:
             results = iter(())
             if theirs:
-                # a fork-started pool forks all its workers at the first submit
-                pool = ProcessPoolExecutor(max_workers=min(step - 1, len(theirs)))
-                stack.callback(pool.shutdown, cancel_futures=True)
-                results = pool.map(_chunk_worker, theirs)
+                # a fork-started pool forks all its workers at its first submit
+                workers = min(step - 1, len(theirs))
+                try:
+                    results = _worker_pool(workers).map(_chunk_worker, theirs)
+                except BrokenProcessPool:
+                    # a kept worker died while idle, so nothing was submitted
+                    _close_pool()
+                    results = _worker_pool(workers).map(_chunk_worker, theirs)
             parts = (
                 next(results) if k % step else _chunk_worker(chunk)
                 for k, chunk in enumerate(chunks)
@@ -306,6 +364,9 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
             fh.write(format_summary(config, summary) + "\n")
         os.replace(tmp_path, out_path)
     except BaseException:
+        # a failed pool may be broken or still busy: the next sweep forks anew
+        if theirs:
+            _close_pool()
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
         raise

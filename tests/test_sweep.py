@@ -3,8 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -197,12 +204,15 @@ def test_sweep_output_independent_of_parallelism(tmp_path):
 def thread_pools(monkeypatch):
     """Stands a thread pool in for sweep's ProcessPoolExecutor, so a test can
     see which thread evaluates a chunk; returns a list recording each pool's
-    max_workers and the cancel_futures of each shutdown."""
+    max_workers and the cancel_futures of each shutdown.  The initializer is
+    kept on the pool as ``initializer`` and never run: it is meant for worker
+    processes."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             self.record = {"max_workers": max_workers, "cancel_futures": None}
+            self.initializer = initializer
             pools.append(self.record)
             super().__init__(max_workers)
 
@@ -225,6 +235,7 @@ def test_sweep_forks_no_more_workers_than_worker_chunks(
     other chunks) workers, and no pool is built when it would get no chunk."""
     run_sweep(_config(samples=samples, parallelism=parallelism), tmp_path / "out.jsonl")
     assert [pool["max_workers"] for pool in thread_pools] == workers
+    sweep._close_pool()
     assert all(pool["cancel_futures"] is True for pool in thread_pools)
 
 
@@ -260,6 +271,168 @@ def test_a_failing_parent_chunk_cancels_the_pool(tmp_path, monkeypatch, thread_p
     assert thread_pools == [{"max_workers": 1, "cancel_futures": True}]
     assert not out.exists()
     assert not (tmp_path / "out.jsonl.tmp").exists()
+
+
+def test_consecutive_sweeps_keep_one_pool_per_worker_count(tmp_path, monkeypatch, thread_pools):
+    """Three 600-sample sweeps at P = 2 share one 1-worker pool; P = 3 shuts it
+    down before building a 2-worker pool, and a one-chunk sweep leaves that
+    pool alone."""
+    for k in range(3):
+        run_sweep(_config(samples=600, parallelism=2), tmp_path / f"p2-{k}.jsonl")
+    assert thread_pools == [{"max_workers": 1, "cancel_futures": None}]
+    assert sweep._pool[2].initializer is sweep._exit_with_parent
+    pool_class = sweep.ProcessPoolExecutor
+
+    def after_every_shutdown(*args, **kwargs):
+        assert all(pool["cancel_futures"] is True for pool in thread_pools)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", after_every_shutdown)
+    run_sweep(_config(samples=600, parallelism=3), tmp_path / "p3.jsonl")
+    assert thread_pools == [
+        {"max_workers": 1, "cancel_futures": True},
+        {"max_workers": 2, "cancel_futures": None},
+    ]
+    kept = sweep._pool
+    run_sweep(_config(samples=256, parallelism=4), tmp_path / "p4.jsonl")
+    assert sweep._pool is kept
+    assert len(thread_pools) == 2 and thread_pools[1]["cancel_futures"] is None
+
+
+def test_a_failing_worker_chunk_drops_the_kept_pool(tmp_path, monkeypatch, thread_pools):
+    config = _config(samples=600, parallelism=2)
+    serial = tmp_path / "serial.jsonl"
+    run_sweep(dataclasses.replace(config, parallelism=1), serial)
+    chunk_worker = sweep._chunk_worker
+
+    def failing_off_parent(args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"chunk at {args[1]} failed")
+        return chunk_worker(args)
+
+    monkeypatch.setattr(sweep, "_chunk_worker", failing_off_parent)
+    with pytest.raises(RuntimeError, match="chunk at 256 failed"):
+        run_sweep(config, tmp_path / "out.jsonl")
+    assert sweep._pool is None
+    assert thread_pools == [{"max_workers": 1, "cancel_futures": True}]
+    monkeypatch.setattr(sweep, "_chunk_worker", chunk_worker)
+    run_sweep(config, tmp_path / "out.jsonl")
+    assert [pool["max_workers"] for pool in thread_pools] == [1, 1]
+    assert (tmp_path / "out.jsonl").read_bytes() == serial.read_bytes()
+
+
+def test_a_kept_worker_killed_while_idle_is_replaced(tmp_path):
+    config = _config(samples=600, parallelism=2)
+    serial = tmp_path / "serial.jsonl"
+    run_sweep(dataclasses.replace(config, parallelism=1), serial)
+    run_sweep(config, tmp_path / "out.jsonl")
+    kept = sweep._pool
+    (worker,) = multiprocessing.active_children()
+    os.kill(worker.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while not kept[2]._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    run_sweep(config, tmp_path / "out.jsonl")
+    assert sweep._pool is not kept
+    assert (tmp_path / "out.jsonl").read_bytes() == serial.read_bytes()
+
+
+def _sweep_in_forked_child(config, out):
+    """Body of a fork-started child: sweep with a pool of its own, then close it."""
+    inherited = sweep._pool
+    run_sweep(config, out)
+    assert sweep._pool is not inherited and sweep._pool[0] == os.getpid()
+    sweep._close_pool()
+
+
+def test_a_forked_child_builds_its_own_pool(tmp_path):
+    """A fork-started child sweeps with its own workers and leaves the
+    parent's kept pool to serve the parent's next sweep."""
+    config = _config(samples=600, parallelism=2)
+    serial = tmp_path / "serial.jsonl"
+    run_sweep(dataclasses.replace(config, parallelism=1), serial)
+    run_sweep(config, tmp_path / "parent-1.jsonl")
+    kept = sweep._pool
+    child = multiprocessing.get_context("fork").Process(
+        target=_sweep_in_forked_child, args=(config, tmp_path / "child.jsonl")
+    )
+    child.start()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert (tmp_path / "child.jsonl").read_bytes() == serial.read_bytes()
+    run_sweep(config, tmp_path / "parent-2.jsonl")
+    assert sweep._pool is kept
+    assert (tmp_path / "parent-2.jsonl").read_bytes() == serial.read_bytes()
+
+
+# a child process that sweeps at P = 2 (or P = 3 given "3") and prints the
+# pids of its workers; with "long" it then starts a sweep of many seconds
+_SWEEPING_CHILD = """
+import multiprocessing, sys
+from qfivol import SweepConfig, run_sweep
+out, parallelism, then = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+config = SweepConfig(n=1, dim=2, samples=600, functions=("sld",), ensemble="complex",
+                     seed=5, parallelism=parallelism)
+for _ in range(2):
+    run_sweep(config, out)
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+if then == "long":
+    run_sweep(SweepConfig(n=2, dim=3, samples=10**6, functions=("sld",), ensemble="complex",
+                          seed=5, parallelism=parallelism), out)
+"""
+
+
+def _sweeping_child(tmp_path, parallelism, then):
+    pythonpath = os.environ.get("PYTHONPATH")
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + pythonpath if pythonpath else src)
+    return subprocess.Popen(
+        [sys.executable, "-c", _SWEEPING_CHILD, str(tmp_path / "out.jsonl"), str(parallelism), then],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def _gone(pid, seconds=5.0):
+    """Whether ``pid`` leaves /proc, or is left a zombie, within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                # the state follows the parenthesised command name
+                if fh.read().rsplit(")", 1)[1].split()[0] in "ZX":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_their_sweep_process_is_killed(tmp_path):
+    child = _sweeping_child(tmp_path, 2, "long")
+    try:
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert pids, "no kept worker after a P = 2 sweep"
+        time.sleep(0.5)  # well into the long sweep
+        child.kill()
+        child.wait(timeout=30)
+    finally:
+        child.kill()
+        child.stdout.close()
+    assert [pid for pid in pids if not _gone(pid)] == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_with_a_sweep_process_that_exits(tmp_path):
+    child = _sweeping_child(tmp_path, 3, "exit")
+    try:
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        child.stdout.close()
+    assert len(pids) == 2
+    assert [pid for pid in pids if not _gone(pid)] == []
 
 
 def test_sweep_repeated_run_is_byte_identical(tmp_path):
