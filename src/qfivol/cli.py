@@ -76,7 +76,7 @@ def cmd_repro_entanglement(_args) -> int:
             f"{row['corr_entangled']:>12.8f}"
         )
     worst = repro.entanglement_errors(rows)
-    ok = worst <= 1e-12
+    ok = worst <= repro.EXACT_VALUE_TOL
     print(f"expected (1, 0, 1, 1) per row; worst deviation {worst:.3e} "
           f"-> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VALUE_MISMATCH
@@ -94,7 +94,7 @@ def cmd_repro_hessian(_args) -> int:
         abs(rho_quad - repro.EXPECTED_DISTRIBUTION_QUADRATIC),
         abs(vertex_quad - repro.EXPECTED_VERTEX_QUADRATIC),
     )
-    ok = worst <= 1e-12 and result["indefinite"]
+    ok = worst <= repro.EXACT_VALUE_TOL and result["indefinite"]
     print(f"worst deviation {worst:.3e} -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VALUE_MISMATCH
 

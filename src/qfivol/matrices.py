@@ -21,7 +21,8 @@ EIGENVALUE_FLOOR = 1e-12
 UNITARITY_ATOL = 1e-10
 RECONSTRUCTION_ATOL = 1e-10
 
-DET_SMALL_MAX_DIM = 8
+# the most observables N, and so the largest Gram size n that det_small takes
+MAX_OBSERVABLES = 8
 
 
 class DecompositionError(RuntimeError):
@@ -161,11 +162,16 @@ def frame_stack(eigenvectors, observables, means) -> np.ndarray:
     return frame - means * np.eye(frame.shape[-1])
 
 
-def _checked_observable(state: DensityMatrix, observable) -> np.ndarray:
-    a = as_hermitian(observable)
-    if a.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} != {state.dim}")
-    return a
+def observable_stack(dim: int, observables) -> np.ndarray:
+    """Validate 1..MAX_OBSERVABLES near-self-adjoint (dim, dim) observables
+    and return them as one exactly self-adjoint (n, dim, dim) stack."""
+    obs = [np.asarray(o) for o in observables]
+    if not 1 <= len(obs) <= MAX_OBSERVABLES:
+        raise ValueError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
+    for o in obs:
+        if o.shape != (dim, dim):
+            raise ValueError(f"shape mismatch: observable shape {o.shape} does not match dim {dim}")
+    return as_hermitian(np.stack(obs))
 
 
 def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
@@ -174,14 +180,14 @@ def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
     The result is self-adjoint and satisfies the weighted centering identity
     sum_h eigenvalues[h] * a[h, h] = 0 (within roundoff).
     """
-    a = _checked_observable(state, observable)[None, None]
+    a = observable_stack(state.dim, [observable])[None]
     means = expectation_stack(state.matrix[None], a)
     return frame_stack(state.eigenvectors[None], a, means)[0, 0]
 
 
 def icommutator(state: DensityMatrix, observable) -> np.ndarray:
     """i[rho, A] = i(rho A - A rho); self-adjoint for self-adjoint A."""
-    a = _checked_observable(state, observable)
+    a = observable_stack(state.dim, [observable])[0]
     c = 1j * (state.matrix @ a - a @ state.matrix)
     return (c + c.conj().T) / 2
 
@@ -203,8 +209,8 @@ def det_small(matrix):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[-1]
-    if n == 0 or n > DET_SMALL_MAX_DIM:
-        raise ValueError(f"supported sizes are 1..{DET_SMALL_MAX_DIM}, got {n}")
+    if n == 0 or n > MAX_OBSERVABLES:
+        raise ValueError(f"supported sizes are 1..{MAX_OBSERVABLES}, got {n}")
     if n == 1:
         det = m[..., 0, 0]
     elif n == 2:

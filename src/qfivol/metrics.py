@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DensityMatrix, pair_indices, to_eigenframe
+from .matrices import DensityMatrix, expectation_stack, frame_stack, observable_stack, pair_indices
 from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde
 
 
@@ -54,10 +54,10 @@ def batched_grams(eigenvalues, frames, tables):
     Grams (F, B, n, n) with entries Cov(A_h, A_j) and Corr_f(A_h, A_j).
 
     ``eigenvalues`` is (B, d), ``frames`` a (B, n, d, d) eigenframe stack and
-    ``tables`` an (F, B, d, d) stack of tilde mean tables.  The overlaps of
-    all n(n+1)/2 pairs h <= j are one stack; each entry sums its matrix's
-    terms in the order a single ``np.sum`` uses, so it does not depend on the
-    batch.
+    ``tables`` an iterable of F (B, d, d) tilde mean tables, used one at a
+    time.  The overlaps of all n(n+1)/2 pairs h <= j are one stack; each
+    entry sums its matrix's terms in the order a single ``np.sum`` uses, so
+    it does not depend on the batch.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     weights = 0.5 * (lam[:, :, None] + lam[:, None, :])
@@ -67,7 +67,7 @@ def batched_grams(eigenvalues, frames, tables):
     c = _entry_sums(weights[:, None] * overlap)
     # a table at a time bounds the temporaries at (B, P, d, d), P = n(n+1)/2
     q = np.reshape([c - _entry_sums(table[:, None] * overlap) for table in tables], (-1, *c.shape))
-    cov, qfi = np.empty((batch, n, n)), np.empty((len(tables), batch, n, n))
+    cov, qfi = np.empty((batch, n, n)), np.empty((len(q), batch, n, n))
     cov[:, rows, cols] = cov[:, cols, rows] = c
     qfi[:, :, rows, cols] = qfi[:, :, cols, rows] = q
     return cov, qfi
@@ -78,13 +78,14 @@ def _entry_sums(x):
 
 
 def _pair_frames(state: DensityMatrix, a, b):
-    return np.stack([to_eigenframe(state, a), to_eigenframe(state, b)])[None]
+    obs = observable_stack(state.dim, (a, b))[None]
+    means = expectation_stack(state.matrix[None], obs)
+    return frame_stack(state.eigenvectors[None], obs, means)
 
 
 def covariance(state: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho A0 B0); centers both arguments."""
-    no_tables = np.empty((0, 1, state.dim, state.dim))
-    cov, _ = batched_grams(state.eigenvalues[None], _pair_frames(state, a, b), no_tables)
+    cov, _ = batched_grams(state.eigenvalues[None], _pair_frames(state, a, b), ())
     return float(cov[0, 0, 1])
 
 
@@ -102,6 +103,6 @@ def f_correlation(ctx: MetricContext, a, b) -> float:
     _, qfi = batched_grams(
         ctx.state.eigenvalues[None],
         _pair_frames(ctx.state, a, b),
-        ctx.mean_table_tilde[None, None],
+        [ctx.mean_table_tilde[None]],
     )
     return float(qfi[0, 0, 0, 1])

@@ -7,9 +7,9 @@ its quantity by a second route, so agreement with the kernel is evidence:
   by Cauchy-Binet a sum over N-subsets of real frame coordinates of a weight
   H >= 0 times a squared N x N minor, every term a product of nonnegative
   factors and never through a Gram determinant,
-* the monotone-metric inner product of tangent vectors and the scalar-mean
-  superoperator, and with them the two-route identity
-  (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B) as a residual.
+* the monotone-metric inner product of tangent vectors, and with it the
+  two-route identity (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B) as a
+  residual.
 """
 
 from __future__ import annotations
@@ -128,24 +128,6 @@ def gap_from_decomposition(spec) -> float:
         s = np.fromiter(itertools.islice(flat, _SUBSET_BATCH * n), np.intp).reshape(-1, n)
         total += float(np.sum(_h_products(c[s], q[s], m[s]) * _squared_minors(x, s)))
     return total
-
-
-def mean_superop_apply(ctx: MetricContext, observable, use_tilde: bool = False) -> np.ndarray:
-    """Apply the scalar-mean multiplier to a centered observable.
-
-    In the eigenframe each entry (h, j) is scaled by the mean of lam_h and
-    lam_j; the result is mapped back to the original basis and exactly
-    symmetrized.  With use_tilde=False and [rho, A] = 0 this returns rho A0.
-    """
-    table = ctx.mean_table_tilde if use_tilde else ctx.mean_table_f
-    if table is None:
-        raise TildeUndefinedError(
-            f"tilde mean table undefined for non-regular {ctx.function.fid}"
-        )
-    frame = to_eigenframe(ctx.state, observable)
-    u = ctx.state.eigenvectors
-    out = u @ (table * frame) @ u.conj().T
-    return (out + out.conj().T) / 2
 
 
 def qfi_inner(ctx: MetricContext, x, y) -> float:

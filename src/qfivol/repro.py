@@ -56,6 +56,9 @@ HESSIAN_Y = np.array([1.0, -2.0, 1.0])
 EXPECTED_DISTRIBUTION_QUADRATIC = 8.0 / 3.0
 EXPECTED_VERTEX_QUADRATIC = -16.0 / 3.0
 
+# verdict tolerances: the closed-form examples (entanglement, hessian) and
+# the pure-state volume agreement
+EXACT_VALUE_TOL = 1e-12
 PURE_GAP_TOL = 1e-8
 
 

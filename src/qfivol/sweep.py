@@ -13,14 +13,8 @@ counts every process that evaluates chunks.  The file is written next to its
 target and renamed onto it once complete.  Wall time is reported on the
 returned summary object only, never written to the file.
 
-The worker processes are forked once per process and worker count and kept
-for later sweeps that need as many workers; a sweep that needs another count,
-or fails, shuts them down, and interpreter exit joins them.  Kept workers see
-this process's module state as it was when they were forked, which the
-records never depend on: each follows from the config alone.  An idle pool
-keeps its memory (~35 MiB per worker on real dim 8) until then.  Workers
-exit once this process is gone, even if it is killed.  ``run_sweep`` at
-parallelism above 1 must not run in several threads at once.
+Worker processes are kept from one sweep to the next; ``run_sweep`` says
+when they are forked, reused and shut down.
 
 Every record starts with ``"version": 3`` (``RECORD_VERSION``), its format.
 Each chunk formats its lines from one template per function with the

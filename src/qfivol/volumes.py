@@ -9,11 +9,11 @@ volume dominates the metric one: proved by A. Andai, J. Math. Phys. 49,
 012106 (2008), and by P. Gibilisco, F. Hiai and D. Petz, IEEE Trans. Inf.
 Theory 55, 439 (2009).
 
-Every entry point (sweeps, replay, volume_gap, check_inequalities) computes
-its Grams, determinants and verdicts through one kernel, evaluate_batch, over
-a stack of samples.  The independent H * K decomposition of the gap, which
-volume_gap reports on request, lives with the other test oracles in
-qfivol.oracles."""
+Every entry point (sweeps, replay, volume_gap, check_inequalities,
+robertson_bound, observables_dependent) computes its Grams, determinants and
+verdicts through one kernel, evaluate_batch, over a stack of samples.  The
+independent H * K decomposition of the gap, which volume_gap reports on
+request, lives with the other test oracles in qfivol.oracles."""
 
 from __future__ import annotations
 
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
+    MAX_OBSERVABLES,  # re-exported: sweep imports it from here
     DensityMatrix,
-    as_hermitian,
     det_small,
     expectation_stack,
     frame_stack,
+    observable_stack,
     pair_indices,
     trace_product,
 )
@@ -34,23 +35,10 @@ from .metrics import batched_grams
 from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde, tilde_order
 from .oracles import gap_from_decomposition
 
-MAX_OBSERVABLES = 8
 MAIN_INEQUALITY_SLACK = 1e-10
 EQUALITY_RTOL = 1e-8
 DEPENDENCE_SV_TOL = 1e-8
 MONOTONICITY_SLACK = 1e-10
-
-
-def _observable_stack(state: DensityMatrix, observables) -> np.ndarray:
-    """Validate 1..MAX_OBSERVABLES near-self-adjoint (d, d) observables of a
-    dim-d state and return them as one exactly self-adjoint (n, d, d) stack."""
-    obs = [np.asarray(o) for o in observables]
-    if not 1 <= len(obs) <= MAX_OBSERVABLES:
-        raise ValueError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
-    for o in obs:
-        if o.shape != (state.dim, state.dim):
-            raise ValueError(f"observable shape {o.shape} does not match dim {state.dim}")
-    return as_hermitian(np.stack(obs))
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,7 @@ class GramSpec:
     function: MonotoneFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "observables", _observable_stack(self.state, self.observables))
+        object.__setattr__(self, "observables", observable_stack(self.state.dim, self.observables))
         if not self.function.regular:
             raise TildeUndefinedError("gram volumes need a regular function")
 
@@ -145,7 +133,7 @@ def evaluate_batch(
     # a real identity shifts complex matrices exactly as a complex one would
     dependent = _dependent(observables - means * np.eye(dim)) if dependence else None
     frames = frame_stack(eigenvectors, observables, means)
-    tables = np.array([mean_table(tilde(f), eigenvalues) for f in functions])
+    tables = (mean_table(tilde(f), eigenvalues) for f in functions)
     cov, qfi = batched_grams(eigenvalues, frames, tables)
     dets = det_small(np.concatenate([cov[None], qfi]))
     cov_det, qfi_det = dets[0], dets[1:]
@@ -169,11 +157,10 @@ def evaluate_batch(
     )
 
 
-def _evaluate_spec(spec: GramSpec, functions, dependence: bool = True) -> BatchReport:
-    """Batch-of-one kernel call on the spec's validated observable stack."""
-    state = spec.state
+def _evaluate_one(state: DensityMatrix, observables, functions, dependence=True) -> BatchReport:
+    """Batch-of-one kernel call on a validated (n, d, d) observable stack."""
     return evaluate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
-                          spec.observables[None], functions, dependence=dependence)
+                          observables[None], functions, dependence=dependence)
 
 
 def _volume_report(out: BatchReport, decomposition=None) -> VolumeReport:
@@ -190,7 +177,7 @@ def volume_gap(spec: GramSpec, *, with_decomposition: bool = False) -> VolumeRep
     independent route, a sum of C(dim^2, N) terms, and raises ValueError
     beyond oracles.DECOMPOSITION_MAX_TERMS of them.
     """
-    out = _evaluate_spec(spec, (spec.function,), dependence=False)
+    out = _evaluate_one(spec.state, spec.observables, (spec.function,), dependence=False)
     return _volume_report(out, gap_from_decomposition(spec) if with_decomposition else None)
 
 
@@ -199,12 +186,11 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 
     The matrix entries are -(i/2) Tr(rho [A_h, A_j]), real and antisymmetric,
     so the determinant vanishes identically for odd N and gives the classical
-    lower bound for even N.
+    lower bound for even N.  This is the kernel's own value on a batch of one.
     """
-    obs = _observable_stack(state, observables)
-    if len(obs) % 2 == 1:
-        return 0.0
-    return float(_robertson(state.matrix[None], obs[None])[0])
+    obs = observable_stack(state.dim, observables)
+    det = _evaluate_one(state, obs, (), dependence=False).robertson_det
+    return 0.0 if det is None else float(det[0])
 
 
 def _robertson(rho, observables) -> np.ndarray:
@@ -228,12 +214,11 @@ def observables_dependent(state: DensityMatrix, observables) -> bool:
 
     Stacks [Re, Im] vectorizations and thresholds the smallest singular
     value at DEPENDENCE_SV_TOL; self-adjoint matrices form a real vector
-    space, so dependence is over real coefficients.  The observables are
-    centered as evaluate_batch centers them.
+    space, so dependence is over real coefficients.  This is the kernel's
+    own verdict on a batch of one.
     """
-    obs = _observable_stack(state, observables)[None]
-    means = expectation_stack(state.matrix[None], obs)
-    return bool(_dependent(obs - means * np.eye(state.dim))[0])
+    obs = observable_stack(state.dim, observables)
+    return bool(_evaluate_one(state, obs, ()).dependent[0])
 
 
 def _dependent(centered) -> np.ndarray:
@@ -289,8 +274,8 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
     The function and its partner share one kernel call.
     """
     functions = (spec.function,) if partner is None else (spec.function, partner)
-    out = _evaluate_spec(spec, functions)
-    pairs = order_pairs(functions) if partner is not None else ()
+    out = _evaluate_one(spec.state, spec.observables, functions)
+    pairs = order_pairs(functions)
     mono = None
     if pairs and not out.rank_deficient:
         mono = bool(out.violations(pairs)[0] == 0)

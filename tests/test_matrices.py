@@ -158,6 +158,17 @@ def test_center_dimension_mismatch():
         to_eigenframe(state, np.eye(3))
 
 
+@pytest.mark.parametrize("function", [to_eigenframe, icommutator])
+@pytest.mark.parametrize("count", [0, 1], ids=["d", "d+1"])
+def test_single_observable_helpers_refuse_a_stack(function, count):
+    """A (d, d, d) or (d + 1, d, d) stack is not one observable: both are
+    refused, never evaluated matrix by matrix or along a transposed stack."""
+    state = DensityMatrix(np.diag([0.75, 0.25]))
+    stack = np.stack([SIGMA_X, np.diag([1.0, -1.0]), np.eye(2)][: 2 + count])
+    with pytest.raises(ValueError, match=r"shape \(\d, 2, 2\) does not match dim 2"):
+        function(state, stack)
+
+
 def test_to_eigenframe_diagonal_state():
     state = DensityMatrix(np.diag([0.75, 0.25]))
     assert_allclose(to_eigenframe(state, SIGMA_X), SIGMA_X, rtol=0, atol=0)

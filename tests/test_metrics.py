@@ -18,8 +18,7 @@ from qfivol import (
     regular_builtins,
     sample_pure_state,
 )
-from qfivol.matrices import trace_product
-from qfivol.oracles import identity_residual, mean_superop_apply, qfi_inner
+from qfivol.oracles import identity_residual, qfi_inner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -95,40 +94,6 @@ def test_four_level_example_values():
         assert abs(covariance(entangled, FOUR_LEVEL_A, FOUR_LEVEL_B) - 1.0) <= 1e-12
         assert abs(f_correlation(ctx_mix, FOUR_LEVEL_A, FOUR_LEVEL_B)) <= 1e-12
         assert abs(f_correlation(ctx_ent, FOUR_LEVEL_A, FOUR_LEVEL_B) - 1.0) <= 1e-12
-
-
-def test_mean_superop_commuting_returns_rho_a0():
-    state = DensityMatrix(np.diag([0.7, 0.2, 0.1]))
-    a = np.diag([1.0, -1.0, 3.0])
-    ctx = metric_context(state, SLD)
-    a0 = a - trace_product(state.matrix, a).real * np.eye(3)
-    assert_allclose(mean_superop_apply(ctx, a), state.matrix @ a0, atol=1e-14)
-
-
-def test_mean_superop_tilde_vanishes_against_pure_state():
-    rng = np.random.default_rng(5)
-    state = sample_pure_state(5, 3, 0)
-    ctx = metric_context(state, WY)
-    out = mean_superop_apply(ctx, _random_hermitian(rng, 3), use_tilde=True)
-    for _ in range(5):
-        b = _random_hermitian(rng, 3)
-        b0 = b - trace_product(state.matrix, b).real * np.eye(3)
-        assert abs(np.trace(out @ b0)) < 1e-12
-
-
-def test_mean_superop_tilde_geometric_multiplier():
-    p = 0.7
-    state = DensityMatrix(np.diag([p, 1.0 - p]))
-    ctx = metric_context(state, WY)
-    out = mean_superop_apply(ctx, SIGMA_X, use_tilde=True)
-    assert_allclose(out, np.sqrt(p * (1.0 - p)) * SIGMA_X, atol=1e-15)
-
-
-def test_mean_superop_tilde_requires_regular():
-    state = DensityMatrix(np.diag([0.7, 0.3]))
-    ctx = metric_context(state, RLD)
-    with pytest.raises(TildeUndefinedError):
-        mean_superop_apply(ctx, SIGMA_X, use_tilde=True)
 
 
 def test_qfi_inner_zero_vector():

@@ -476,7 +476,7 @@ def test_single_spec_calls_validate_observables_once(monkeypatch):
         calls.append(1)
         return as_hermitian(matrix)
 
-    monkeypatch.setattr(volumes, "as_hermitian", counted)
+    monkeypatch.setattr(matrices, "as_hermitian", counted)
     spec = GramSpec(state, obs, WY)
     assert len(calls) == 1
     check_inequalities(spec, partner=SLD)
