@@ -4,14 +4,15 @@ One record is emitted per (sample, function) to a line-delimited file with a
 fixed field order and floats printed with 17 significant digits, so records
 round-trip bit-exactly and a file is byte-identical across runs and worker
 counts.  Work is split into fixed-size chunks (independent of parallelism);
-each chunk returns its formatted lines with its gap and main-flag arrays, and
-the parent writes the lines and folds the arrays into the summary in chunk
-order, which keeps even the floating-point summary stable when the worker
-count changes.  At parallelism P the parent also evaluates every P-th chunk
-itself, beside at most P - 1 worker processes that evaluate the rest, so P
-counts every process that evaluates chunks.  The file is written next to its
-target and renamed onto it once complete.  Wall time is reported on the
-returned summary object only, never written to the file.
+each chunk returns its formatted lines as one text block with its gap and
+main-flag arrays, and the parent writes the text and folds the arrays into
+the summary in chunk order, which keeps even the floating-point summary
+stable when the worker count changes.  At parallelism P the parent also
+evaluates every P-th chunk itself, beside at most P - 1 worker processes
+that evaluate the rest, so P counts every process that evaluates chunks.
+The file is written next to its target and renamed onto it once complete.
+Wall time is reported on the returned summary object only, never written to
+the file.
 
 Worker processes are kept from one sweep to the next; ``run_sweep`` says
 when they are forked, reused and shut down.
@@ -34,6 +35,7 @@ import itertools
 import json
 import math
 import multiprocessing.connection
+import operator
 import os
 import threading
 import time
@@ -50,10 +52,14 @@ from .volumes import MAX_OBSERVABLES, BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
 CHUNK_SIZE = 256
-# samples per evaluation-kernel call inside a chunk; records do not depend on
-# it, and at 256 samples of dim 8 the kernel's temporaries (~2 MB) raised a
-# sweep worker's peak RSS by ~2 MB where 64 costs ~0.5 MB
+# a chunk's kernel calls take up to KERNEL_BATCH samples each, more while the
+# kernel's largest temporary, the (B, n(n+1)/2, d, d) overlap stack of
+# metrics.batched_grams, stays within KERNEL_FLOATS float64s (128 KiB) (see
+# _call_bounds): each call pays the kernel's fixed numpy overhead, while one
+# 256-sample call at real dim 8 raised a P = 2 sweep's peak RSS by ~2 MB
+# (4.4 %); records depend on neither
 KERNEL_BATCH = 64
+KERNEL_FLOATS = 2**14
 
 # the format of the records a sweep writes, the "version" each starts with;
 # sampling.STREAM_VERSION names the stream their inputs are drawn from
@@ -77,6 +83,18 @@ RECORD_FIELDS = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integer scalars included); a bool, which a
+    record would print as JSON's true or false, or a non-integral value
+    raises ValueError naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Validated sweep parameters; functions are kept as parse strings so the
@@ -91,6 +109,8 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        for name in ("n", "dim", "samples", "seed", "parallelism"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.n <= MAX_OBSERVABLES:
             raise ValueError(f"n must be in 1..{MAX_OBSERVABLES}, got {self.n}")
         if self.samples < 1:
@@ -196,23 +216,34 @@ def evaluate_sample(
     return [json.loads(line) for line in lines], int(out.violations(order_pairs)[0])
 
 
+def _call_bounds(config: SweepConfig, start: int, stop: int) -> list:
+    """The bounds of the fewest near-equal kernel calls that cover samples
+    start..stop with at most max(KERNEL_BATCH, KERNEL_FLOATS // (n(n+1)/2 d^2))
+    samples each."""
+    per_call = max(KERNEL_BATCH, KERNEL_FLOATS // (config.n * (config.n + 1) // 2 * config.dim**2))
+    calls = -(-(stop - start) // per_call)
+    return [start + (stop - start) * k // calls for k in range(calls + 1)]
+
+
 def _chunk_worker(args):
-    """Record lines, (F, B) gap and main-flag arrays and the monotonicity
-    violation count of samples start..stop."""
+    """Record lines as one text block, (F, B) gap and main-flag arrays and the
+    monotonicity violation count of samples start..stop."""
     config, start, stop = args
     functions = tuple(builtin(fid) for fid in config.functions)
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
     templates = _templates(config.seed, config.ensemble, config.dim, config.n, config.functions)
     pairs = order_pairs(functions)
     lines, gap, main, violations = [], [], [], 0
-    for lo in range(start, stop, KERNEL_BATCH):
-        indices = range(lo, min(lo + KERNEL_BATCH, stop))
+    bounds = _call_bounds(config, start, stop)
+    for lo, hi in zip(bounds, bounds[1:]):
+        indices = range(lo, hi)
         out = _evaluate(rspec, indices, config.n, functions)
         lines += _format_batch(templates, indices, out)
         gap.append(out.gap)
         main.append(out.main_holds)
         violations += int(out.violations(pairs).sum())
-    return lines, np.concatenate(gap, axis=1), np.concatenate(main, axis=1), violations
+    # one string pickles and unpickles far faster than a list of its lines
+    return "\n".join(lines), np.concatenate(gap, axis=1), np.concatenate(main, axis=1), violations
 
 
 _SUMMARY_TEMPLATE = (
@@ -246,8 +277,8 @@ def _fold(config: SweepConfig, parts, fh, start_time) -> SweepSummary:
     min_gap, sum_gap = [math.inf] * len(fids), [0.0] * len(fids)
     candidates, violations, done = np.zeros(len(fids), dtype=int), 0, 0
     best, argmin_index, argmin_function = math.inf, -1, ""
-    for lines, gap, main, count in parts:
-        fh.write("\n".join(lines))
+    for text, gap, main, count in parts:
+        fh.write(text)
         fh.write("\n")
         for k, g in enumerate(gap.tolist()):
             min_gap[k] = min(min_gap[k], min(g))

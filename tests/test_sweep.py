@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qfivol import (
@@ -101,6 +102,29 @@ def test_config_validation():
         _config(functions=("sld", "wyd:.25", "wyd:0.25"))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [(field, value) for field in ("n", "dim", "samples", "seed", "parallelism")
+     for value in (True, 3.0)],
+)
+def test_config_rejects_bool_and_non_integral_fields(tmp_path, field, value):
+    """A bool would be written as "seed": True, which no JSON reader parses,
+    and a float would fail deep inside the draw."""
+    out = tmp_path / "sweep.jsonl"
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        run_sweep(_config(**{field: value}), out)
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_takes_numpy_integers(tmp_path):
+    fields = dict(n=2, dim=3, samples=5, seed=9, parallelism=1)
+    config = _config(**{key: np.int64(value) for key, value in fields.items()})
+    assert all(type(getattr(config, key)) is int for key in fields)
+    run_sweep(config, tmp_path / "numpy.jsonl")
+    run_sweep(_config(**fields), tmp_path / "int.jsonl")
+    assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "int.jsonl").read_bytes()
+
+
 def test_config_canonicalizes_tags():
     config = _config(functions=("SLD", "Wy"), ensemble="real")
     assert config.functions == ("sld", "wy")
@@ -132,15 +156,17 @@ def test_format_record_round_trips_as_json():
 )
 def test_format_record_matches_sweep_lines(tmp_path, ensemble, dim, n, functions):
     """The single-record formatter writes the bytes of the sweep's own line
-    for each (index, function), across kernel batches."""
+    for each (index, function): against a 256-sample kernel call (complex d3
+    n3), 64-sample calls (real d8 n2), 128-sample calls (structured d4 n3) and
+    a partial last chunk."""
     config = _config(
-        ensemble=ensemble, dim=dim, n=n, samples=70, functions=tuple(functions.split(","))
+        ensemble=ensemble, dim=dim, n=n, samples=300, functions=tuple(functions.split(","))
     )
     out = tmp_path / "sweep.jsonl"
     run_sweep(config, out)
     lines = out.read_text().splitlines()
     rspec = RandomSpec(config.seed, dim, config.ensemble)
-    for index in (0, 1, 63, 64, 69):
+    for index in (0, 63, 64, 255, 256, 299):
         records, _ = evaluate_sample(rspec, index, n, tuple(map(builtin, config.functions)))
         for k, record in enumerate(records):
             assert format_record(record) == lines[index * len(records) + k]
@@ -569,9 +595,12 @@ def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, d
     boundaries fall, or how many workers evaluate the chunks."""
     config = _config(ensemble=ensemble, dim=dim, n=n, samples=40, functions=("sld", "wy", "wyd:0.25"))
     outputs = []
-    # chunk 13 with batch 3 starts kernel calls in the middle of stream blocks
+    # with KERNEL_FLOATS at 0, a chunk's calls take at most KERNEL_BATCH
+    # samples each; chunk 13 with batch 3 starts calls in the middle of stream
+    # blocks, and chunk 17 with batch 5 splits unevenly (4, 4, 4, 5 and 3, 3)
+    monkeypatch.setattr(sweep, "KERNEL_FLOATS", 0)
     for chunk, batch, parallelism in (
-        (256, 256, 1), (256, 7, 1), (256, 1, 1), (7, 256, 2), (13, 3, 4)
+        (256, 256, 1), (256, 7, 1), (256, 1, 1), (7, 256, 2), (13, 3, 4), (17, 5, 2)
     ):
         monkeypatch.setattr(sweep, "CHUNK_SIZE", chunk)
         monkeypatch.setattr(sweep, "KERNEL_BATCH", batch)
@@ -579,6 +608,34 @@ def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, d
         run_sweep(dataclasses.replace(config, parallelism=parallelism), out)
         outputs.append(out.read_text().splitlines()[:-1])
     assert all(lines == outputs[0] for lines in outputs[1:])
+
+
+@pytest.mark.parametrize(
+    "ensemble,dim,n,samples,calls",
+    [
+        ("complex", 3, 3, 256, [256]),
+        ("complex", 4, 2, 256, [256]),
+        ("complex", 4, 3, 256, [128, 128]),
+        ("real", 8, 2, 256, [64] * 4),
+        ("real", 8, 8, 256, [64] * 4),
+        ("complex", 3, 3, 300, [256, 44]),
+    ],
+)
+def test_kernel_calls_are_sized_from_the_overlap_stack(
+    tmp_path, monkeypatch, ensemble, dim, n, samples, calls
+):
+    """A chunk makes the fewest near-equal kernel calls of at most
+    max(KERNEL_BATCH, KERNEL_FLOATS // (n(n+1)/2 d^2)) samples each."""
+    sizes = []
+    evaluate = sweep._evaluate
+
+    def recording(rspec, indices, *args, **kwargs):
+        sizes.append(len(indices))
+        return evaluate(rspec, indices, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "_evaluate", recording)
+    run_sweep(_config(ensemble=ensemble, dim=dim, n=n, samples=samples), tmp_path / "out.jsonl")
+    assert sizes == calls
 
 
 @pytest.mark.parametrize(
