@@ -29,24 +29,23 @@ class MetricUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class MetricContext:
-    """A state paired with precomputed scalar-mean tables for one function.
+    """A state paired with its tilde mean table for one function, the table
+    the correlation route reads.
 
     ``mean_table_tilde`` is None for non-regular functions, which support
-    the inner product but not the correlation route.
+    the inner product (see qfivol.oracles) but not the correlation route.
     """
 
     state: DensityMatrix
     function: MonotoneFunction
-    mean_table_f: np.ndarray
     mean_table_tilde: np.ndarray | None
 
 
 def metric_context(state: DensityMatrix, function: MonotoneFunction) -> MetricContext:
-    table_f = mean_table(function, state.eigenvalues)
     table_t = (
         mean_table(tilde(function), state.eigenvalues) if function.regular else None
     )
-    return MetricContext(state, function, table_f, table_t)
+    return MetricContext(state, function, table_t)
 
 
 def batched_grams(eigenvalues, frames, tables):

@@ -161,6 +161,8 @@ def wyd(beta: float) -> MonotoneFunction:
 
 def builtin(name: str) -> MonotoneFunction:
     """Look up a builtin by identifier: sld, wy, rld, or wyd:BETA."""
+    if not isinstance(name, str):
+        raise ValueError(f"function must be a string, got {name!r}")
     key = name.strip().lower()
     if key in _BASE_BUILTINS:
         return _BASE_BUILTINS[key]

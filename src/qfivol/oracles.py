@@ -142,7 +142,8 @@ def qfi_inner(ctx: MetricContext, x, y) -> float:
     u = ctx.state.eigenvectors
     fx = u.conj().T @ as_hermitian(x) @ u
     fy = u.conj().T @ as_hermitian(y) @ u
-    return float(np.sum(np.real(np.conj(fx) * fy) / ctx.mean_table_f))
+    table = mean_table(ctx.function, ctx.state.eigenvalues)
+    return float(np.sum(np.real(np.conj(fx) * fy) / table))
 
 
 def identity_residual(ctx: MetricContext, a, b) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .matrices import DensityMatrix
 from .metrics import covariance, f_correlation, metric_context
 from .monotone import builtin
-from .sampling import RandomSpec, sample_observables, sample_pure_state
+from .sampling import RandomSpec, as_integer, sample_observables, sample_pure_state
 from .volumes import GramSpec, volume_gap
 
 MIXTURE_STATE = np.diag([0.5, 0.0, 0.0, 0.5])
@@ -149,8 +149,7 @@ def hessian_example() -> dict:
 
 def pure_volume_rows(dim, n, seed, draws=3) -> list[dict]:
     """Volume pairs for random pure states and random complex observables."""
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    draws = as_integer("draws", draws, 1)
     spec = RandomSpec(seed=seed, dim=dim, ensemble="density")
     rows = []
     for draw in range(draws):

@@ -18,6 +18,7 @@ spawn_key=(i, channel)))``.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -58,9 +59,28 @@ MAX_DIM = 8
 STRUCTURED_SPECTRUM_FLOOR = 0.05
 
 
+def as_integer(name: str, value, low=None, high=None) -> int:
+    """``value`` as an int (numpy integer scalars included), at least ``low``
+    and at most ``high`` where given (``high`` only with ``low``); a bool,
+    which a record would print as JSON's true or false, a non-integral value
+    or one out of range raises ValueError naming the field."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and number < low) or (high is not None and number > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {number}")
+    return number
+
+
 def resolve_ensemble(tag: str) -> str:
     """Map an ensemble tag (base tag, alias or STATE+OBSERVABLE pair) to its
     base tag."""
+    if not isinstance(tag, str):
+        raise ValueError(f"ensemble must be a string, got {tag!r}")
     key = tag.strip().lower()
     base = _ALIASES.get(key, key)
     if base not in ENSEMBLES:
@@ -71,7 +91,8 @@ def resolve_ensemble(tag: str) -> str:
 @dataclass(frozen=True)
 class RandomSpec:
     """Identifies a reproducible stream of random draws; ``ensemble`` is
-    resolved to its base tag."""
+    resolved to its base tag.  The one check of these three fields: sweeps
+    and replay pass theirs here."""
 
     seed: int
     dim: int
@@ -79,10 +100,8 @@ class RandomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", resolve_ensemble(self.ensemble))
-        if not MIN_DIM <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in [{MIN_DIM}, {MAX_DIM}], got {self.dim}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "dim", as_integer("dim", self.dim, MIN_DIM, MAX_DIM))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed, 0, 2**64 - 1))
 
 
 # stream v2's block size: sample i draws row i % BLOCK of its block's call;
@@ -219,13 +238,13 @@ def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VE
 
 def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
     """State draw for the ensemble's state stream (see _state_matrices)."""
-    (z,) = _normals(spec.seed, [index], (_state_draw(spec),))
+    (z,) = _normals(spec.seed, [as_integer("index", index)], (_state_draw(spec),))
     return DensityMatrix(_state_matrices(spec, z)[0])
 
 
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
     """One sample's observable draws (see _observables); a structured C stays a real array."""
-    (z,) = _normals(spec.seed, [index], (_observable_draw(spec, count),))
+    (z,) = _normals(spec.seed, [as_integer("index", index)], (_observable_draw(spec, count),))
     a = _observables(spec, z, count)[0]
     return (*a[:2], a[2].real.copy()) if spec.ensemble == "pauli-like-structured" else tuple(a)
 
@@ -235,7 +254,7 @@ def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:
     first, then imaginary parts, from one call); seed and dim are checked as
     a RandomSpec checks them."""
     spec = RandomSpec(seed, dim, "density")
-    (z,) = _normals(spec.seed, [index], ((PURE_CHANNEL, (2 * dim,)),))
+    (z,) = _normals(spec.seed, [as_integer("index", index)], ((PURE_CHANNEL, (2 * dim,)),))
     v = z[0, :dim] + 1j * z[0, dim:]
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))

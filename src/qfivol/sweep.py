@@ -35,7 +35,6 @@ import itertools
 import json
 import math
 import multiprocessing.connection
-import operator
 import os
 import threading
 import time
@@ -45,10 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import MAX_OBSERVABLES
 from .monotone import builtin
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .sampling import STREAM_VERSION, RandomSpec, draw_samples
-from .volumes import MAX_OBSERVABLES, BatchReport, evaluate_batch, order_pairs
+from .sampling import STREAM_VERSION, RandomSpec, as_integer, draw_samples
+from .volumes import BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
 CHUNK_SIZE = 256
@@ -83,22 +83,12 @@ RECORD_FIELDS = (
 )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int (numpy integer scalars included); a bool, which a
-    record would print as JSON's true or false, or a non-integral value
-    raises ValueError naming the field."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Validated sweep parameters; functions are kept as parse strings so the
-    config stays picklable for worker processes."""
+    config stays picklable for worker processes.  Seed, dim and ensemble are
+    checked by the RandomSpec they build, function names by
+    monotone.builtin."""
 
     n: int
     dim: int
@@ -109,17 +99,13 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("n", "dim", "samples", "seed", "parallelism"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 1 <= self.n <= MAX_OBSERVABLES:
-            raise ValueError(f"n must be in 1..{MAX_OBSERVABLES}, got {self.n}")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
-        if not self.functions:
-            raise ValueError("at least one function is required")
-        object.__setattr__(self, "ensemble", RandomSpec(self.seed, self.dim, self.ensemble).ensemble)
+        for name, high in (("n", MAX_OBSERVABLES), ("samples", None), ("parallelism", None)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), 1, high))
+        if isinstance(self.functions, str) or not self.functions:
+            raise ValueError(f"functions must be a non-empty tuple of names, got {self.functions!r}")
+        spec = RandomSpec(self.seed, self.dim, self.ensemble)
+        for name in ("seed", "dim", "ensemble"):
+            object.__setattr__(self, name, getattr(spec, name))
         object.__setattr__(
             self, "functions", tuple(builtin(fid).fid for fid in self.functions)
         )
@@ -406,9 +392,6 @@ _RECORD_FORMATS = {
     2: (2, _OLD_FIELDS),
     RECORD_VERSION: (STREAM_VERSION, RECORD_FIELDS),
 }
-# the record fields a replay draws and evaluates from, checked before SweepConfig
-_REPLAY_TYPES = {"index": int, "seed": int, "dim": int, "n": int, "ensemble": str, "function": str}
-_TYPE_NAMES = {int: "an integer", str: "a string"}
 
 
 def replay_record(path, line_number: int) -> dict:
@@ -420,6 +403,7 @@ def replay_record(path, line_number: int) -> dict:
     ``_RECORD_FORMATS``); the volumes of versions before 3 are recomputed as
     sqrt(max(0, det)) from the fresh determinants.
     """
+    line_number = as_integer("line_number", line_number)
     # binary lines, since only the wanted line needs decoding (json.loads
     # takes bytes); records end in "\n"
     with open(path, "rb") as fh:
@@ -432,35 +416,29 @@ def replay_record(path, line_number: int) -> dict:
         stored = json.loads(line)
     except ValueError as exc:
         raise ValueError(f"line {line_number} is not a JSON record: {exc}") from exc
-    if isinstance(stored, dict) and stored.get("summary"):
+    stored = stored if isinstance(stored, dict) else {}
+    if stored.get("summary"):
         raise ValueError("the summary line cannot be replayed")
-    is_dict = isinstance(stored, dict)
-    version = stored.get("version") if is_dict else None
+    version = stored.get("version")
     # exact type: JSON gives bool for true and float for 2.0, which hash like ints
-    if is_dict and "version" in stored and (
-        type(version) is not int or version not in _RECORD_FORMATS
-    ):
+    if "version" in stored and (type(version) is not int or version not in _RECORD_FORMATS):
         raise ValueError(f"line {line_number}: version must be 2, 3 or absent, got {version!r}")
     stream, fields = _RECORD_FORMATS[version]
-    missing = [key for key in fields if not is_dict or key not in stored]
+    missing = [key for key in fields if key not in stored]
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
-    for key, kind in _REPLAY_TYPES.items():
-        # exact types: JSON gives bool for true/false, which int would accept
-        if type(stored[key]) is not kind:
-            raise ValueError(
-                f"line {line_number}: {key} must be {_TYPE_NAMES[kind]}, got {stored[key]!r}"
-            )
     try:
+        # a sweep's own checks, which refuse JSON's true, false and 3.0 as integers
         config = SweepConfig(
             n=stored["n"], dim=stored["dim"], samples=1, functions=(stored["function"],),
             ensemble=stored["ensemble"], seed=stored["seed"],
         )
+        index = as_integer("index", stored["index"], 0, 2**64 - 1)
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
     function = builtin(config.functions[0])
-    records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,), stream=stream)
+    records, _ = evaluate_sample(rspec, index, config.n, (function,), stream=stream)
     fresh = records[0]
     if fields is _OLD_FIELDS:
         fresh["volume_cov"] = math.sqrt(max(0.0, fresh["cov_det"]))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    MAX_OBSERVABLES,  # re-exported: sweep imports it from here
     DensityMatrix,
     det_small,
     expectation_stack,

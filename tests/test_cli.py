@@ -221,7 +221,9 @@ def test_replay_mistyped_field_exits_two(tmp_path, capsys, field, value):
 @pytest.mark.parametrize(
     "fields,message",
     [({"n": 9}, "n must be in 1..8, got 9"),
-     ({"ensemble": "pauli-like-structured", "n": 2}, "the structured ensemble requires n = 3")],
+     ({"ensemble": "pauli-like-structured", "n": 2}, "the structured ensemble requires n = 3"),
+     ({"index": -1}, "index must be in 0..18446744073709551615, got -1"),
+     ({"index": 2**64}, "index must be in 0..18446744073709551615, got 18446744073709551616")],
 )
 def test_replay_checks_the_record_before_drawing(tmp_path, capsys, monkeypatch, fields, message):
     out = _edited_record(tmp_path, **fields)

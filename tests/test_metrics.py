@@ -14,6 +14,7 @@ from qfivol import (
     covariance,
     f_correlation,
     icommutator,
+    mean_table,
     metric_context,
     regular_builtins,
     sample_pure_state,
@@ -94,6 +95,21 @@ def test_four_level_example_values():
         assert abs(covariance(entangled, FOUR_LEVEL_A, FOUR_LEVEL_B) - 1.0) <= 1e-12
         assert abs(f_correlation(ctx_mix, FOUR_LEVEL_A, FOUR_LEVEL_B)) <= 1e-12
         assert abs(f_correlation(ctx_ent, FOUR_LEVEL_A, FOUR_LEVEL_B) - 1.0) <= 1e-12
+
+
+def test_metric_context_builds_only_the_tilde_table(monkeypatch):
+    """The correlation route reads the tilde table alone; qfi_inner, an
+    oracle, builds the f table itself."""
+    built = []
+
+    def counting(f, eigenvalues):
+        built.append(f.fid)
+        return mean_table(f, eigenvalues)
+
+    monkeypatch.setattr("qfivol.metrics.mean_table", counting)
+    ctx = metric_context(DensityMatrix(np.diag([0.6, 0.3, 0.1])), WY)
+    assert built == ["tilde(wy)"]
+    assert not hasattr(ctx, "mean_table_f")
 
 
 def test_qfi_inner_zero_vector():

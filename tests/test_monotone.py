@@ -28,6 +28,13 @@ ALL_BUILTINS = (SLD, WY, RLD, wyd(0.25), wyd(0.1))
 positive_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
+@pytest.mark.parametrize("name", [3, None, b"sld", ("sld",)])
+def test_builtin_rejects_non_string_names(name):
+    with pytest.raises(ValueError) as info:
+        builtin(name)
+    assert str(info.value) == f"function must be a string, got {name!r}"
+
+
 def test_builtin_values_at_zero():
     assert SLD.value_at_zero == 0.5
     assert WY.value_at_zero == 0.25

@@ -47,6 +47,60 @@ def test_randomspec_validation():
         RandomSpec(-1, 3, "density")
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [(("n", 3.0), "n must be an integer, got 3.0"),
+     (("n", True), "n must be an integer, got True"),
+     (("n", np.True_), "n must be an integer, got np.True_"),
+     (("n", "3"), "n must be an integer, got '3'"),
+     (("draws", 0, 1), "draws must be at least 1, got 0"),
+     (("dim", 9, 2, 8), "dim must be in 2..8, got 9"),
+     (("seed", np.int64(-1), 0, 2**64 - 1), "seed must be in 0..18446744073709551615, got -1")],
+)
+def test_as_integer_names_the_field(args, message):
+    with pytest.raises(ValueError) as info:
+        sampling.as_integer(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "seed,dim,ensemble,field",
+    [(3.7, 3, "complex", "seed"), (True, 3, "complex", "seed"), ("7", 3, "complex", "seed"),
+     (3, 2.5, "complex", "dim"), (3, 3, 5, "ensemble")],
+)
+def test_randomspec_rejects_mistyped_fields(seed, dim, ensemble, field):
+    """int() of a float, bool or string seed names another seed's stream."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        RandomSpec(seed, dim, ensemble)
+
+
+def test_randomspec_takes_numpy_integers():
+    spec = RandomSpec(np.uint64(2**64 - 1), np.int64(3), "complex")
+    assert type(spec.seed) is int and type(spec.dim) is int
+    plain = RandomSpec(2**64 - 1, 3, "complex")
+    assert spec == plain
+    assert sample_state(spec, 5).matrix.tobytes() == sample_state(plain, 5).matrix.tobytes()
+    assert all(
+        a.tobytes() == b.tobytes()
+        for a, b in zip(sample_observables(spec, 5, 2), sample_observables(plain, 5, 2))
+    )
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+@pytest.mark.parametrize(
+    "draw",
+    [lambda index: sample_state(RandomSpec(3, 3, "density"), index),
+     lambda index: sample_observables(RandomSpec(3, 3, "density"), index, 2),
+     lambda index: sample_pure_state(3, 3, index)],
+    ids=["state", "observables", "pure-state"],
+)
+def test_single_draws_reject_non_integer_index(draw, index):
+    """True would draw index 1, and 1.0 names no stream position."""
+    with pytest.raises(ValueError) as info:
+        draw(index)
+    assert str(info.value) == f"index must be an integer, got {index!r}"
+
+
 def _observable(spec, index):
     return sample_observables(spec, index, 1)[0]
 

@@ -116,6 +116,18 @@ def test_config_rejects_bool_and_non_integral_fields(tmp_path, field, value):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "functions,message",
+    [((3,), "function must be a string, got 3"),
+     # a string would be iterated one character at a time
+     ("sld,wy", "functions must be a non-empty tuple of names, got 'sld,wy'")],
+)
+def test_config_rejects_mistyped_functions(functions, message):
+    with pytest.raises(ValueError) as info:
+        _config(functions=functions)
+    assert str(info.value) == message
+
+
 def test_config_takes_numpy_integers(tmp_path):
     fields = dict(n=2, dim=3, samples=5, seed=9, parallelism=1)
     config = _config(**{key: np.int64(value) for key, value in fields.items()})
@@ -572,6 +584,16 @@ def test_replay_rejects_out_of_range_line(tmp_path):
     run_sweep(config, out)
     with pytest.raises(ValueError, match="line"):
         replay_record(str(out), 999)
+
+
+@pytest.mark.parametrize("line_number", [1.0, True, "1", None])
+def test_replay_rejects_a_non_integer_line_number(tmp_path, line_number):
+    """True would replay line 1."""
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=2), out)
+    with pytest.raises(ValueError) as info:
+        replay_record(str(out), line_number)
+    assert str(info.value) == f"line_number must be an integer, got {line_number!r}"
 
 
 @pytest.mark.parametrize("key", sorted(SWEEP_DIGESTS))
