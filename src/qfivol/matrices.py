@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -194,6 +195,18 @@ def icommutator(state: DensityMatrix, observable) -> np.ndarray:
 
 # np.triu_indices(n, offset) cached per size; callers share the arrays and never write them
 pair_indices = lru_cache(maxsize=None)(np.triu_indices)
+
+
+def real_coordinates(frames) -> np.ndarray:
+    """Real coordinates of a ``(..., n, d, d)`` stack of self-adjoint matrices,
+    shaped ``(..., n, d^2)``: the d diagonal entries, then sqrt(2) Re and
+    sqrt(2) Im of the upper ones.  The map is a Frobenius isometry, so
+    X X^T = Re Tr(a_h a_j) for each stacked n-tuple of matrices a."""
+    dim = frames.shape[-1]
+    diag = np.arange(dim)
+    rows, cols = pair_indices(dim, 1)
+    upper = math.sqrt(2.0) * frames[..., rows, cols]
+    return np.concatenate([frames[..., diag, diag].real, upper.real, upper.imag], axis=-1)
 
 
 def det_small(matrix):

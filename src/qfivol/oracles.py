@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .matrices import as_hermitian, icommutator, pair_indices, to_eigenframe
+from .matrices import as_hermitian, icommutator, pair_indices, real_coordinates, to_eigenframe
 from .metrics import MetricContext, MetricUndefinedError, f_correlation
 from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde
 
@@ -89,7 +89,7 @@ def k_coefficient(frames, indices) -> float:
     if len(indices) != 2 * len(mats):
         raise ValueError("need two indices per frame")
     for i in indices:
-        if not (isinstance(i, numbers.Integral) and 0 <= i < shape[0]):
+        if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < shape[0]):
             raise ValueError(f"index {i!r} is not an integer in [0, {shape[0]})")
     n = len(mats)
     values = np.stack(mats)[:, list(indices[0::2]), list(indices[1::2])]
@@ -101,9 +101,10 @@ def k_coefficient(frames, indices) -> float:
 def gap_from_decomposition(spec) -> float:
     """The determinant gap of a volumes.GramSpec through the explicit H*K sums.
 
-    The eigenframes become real coordinates x_k in R^N: the d diagonal
-    entries and sqrt(2) Re, sqrt(2) Im of the upper ones, with weights c, q,
-    m from the pair of eigenvalues each belongs to.  Then Cov = sum c_k x_k
+    The eigenframes become real coordinates x_k in R^N, the d diagonal
+    entries and sqrt(2) Re, sqrt(2) Im of the upper ones (the coordinates of
+    the kernel's dependence test, matrices.real_coordinates), with weights c,
+    q, m from the pair of eigenvalues each belongs to.  Then Cov = sum c_k x_k
     x_k^T and the metric Gram is sum q_k x_k x_k^T, so by Cauchy-Binet the gap
     is the sum over N-subsets S of H_S det(x_S)^2 with H_S = prod_S c -
     prod_S q >= 0.  The subsets are enumerated in batches, which bounds the
@@ -115,10 +116,9 @@ def gap_from_decomposition(spec) -> float:
         raise ValueError(f"decomposition needs C({dim * dim}, {n}) = {terms} terms, "
                          f"over the budget of {DECOMPOSITION_MAX_TERMS}")
     frames = np.stack([to_eigenframe(spec.state, o) for o in spec.observables])
+    x = real_coordinates(frames)
     diag = np.arange(dim)
     rows, cols = pair_indices(dim, 1)
-    upper = math.sqrt(2.0) * frames[:, rows, cols]
-    x = np.concatenate([frames[:, diag, diag].real, upper.real, upper.imag], axis=1)
     lam = spec.state.eigenvalues
     u, v = lam[np.concatenate([diag, rows, rows])], lam[np.concatenate([diag, cols, cols])]
     c, q, m = _weights(spec.function, u, v)

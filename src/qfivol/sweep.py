@@ -54,7 +54,7 @@ from .volumes import BatchReport, evaluate_batch, order_pairs
 CHUNK_SIZE = 256
 # a chunk's kernel calls take up to KERNEL_BATCH samples each, more while the
 # kernel's largest temporary, the (B, n(n+1)/2, d, d) overlap stack of
-# metrics.batched_grams, stays within KERNEL_FLOATS float64s (128 KiB) (see
+# volumes.batched_grams, stays within KERNEL_FLOATS float64s (128 KiB) (see
 # _call_bounds): each call pays the kernel's fixed numpy overhead, while one
 # 256-sample call at real dim 8 raised a P = 2 sweep's peak RSS by ~2 MB
 # (4.4 %); records depend on neither

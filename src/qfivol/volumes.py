@@ -10,10 +10,12 @@ volume dominates the metric one: proved by A. Andai, J. Math. Phys. 49,
 Theory 55, 439 (2009).
 
 Every entry point (sweeps, replay, volume_gap, check_inequalities,
-robertson_bound, observables_dependent) computes its Grams, determinants and
-verdicts through one kernel, evaluate_batch, over a stack of samples.  The
-independent H * K decomposition of the gap, which volume_gap reports on
-request, lives with the other test oracles in qfivol.oracles."""
+robertson_bound, observables_dependent, and the covariance and correlation
+of qfivol.metrics) computes its Grams, determinants and verdicts through one
+kernel, evaluate_batch, over a stack of samples; no other module forms a
+Gram matrix.  The kernel imports only qfivol.matrices and qfivol.monotone.
+The independent H * K decomposition of the gap lives with the other test
+oracles in qfivol.oracles, which the kernel never imports."""
 
 from __future__ import annotations
 
@@ -28,11 +30,10 @@ from .matrices import (
     frame_stack,
     observable_stack,
     pair_indices,
+    real_coordinates,
     trace_product,
 )
-from .metrics import batched_grams
 from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde, tilde_order
-from .oracles import gap_from_decomposition
 
 MAIN_INEQUALITY_SLACK = 1e-10
 EQUALITY_RTOL = 1e-8
@@ -68,7 +69,6 @@ class VolumeReport:
     qfi_det: float
     gap: float
     robertson_det: float | None
-    decomposition_gap: float | None
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,9 @@ class BatchReport:
     scale: np.ndarray
     volume_qfi: np.ndarray
     robertson_det: np.ndarray | None
-    dependent: np.ndarray | None
+    dependent: np.ndarray
     main_holds: np.ndarray
-    equality_consistent: np.ndarray | None
+    equality_consistent: np.ndarray
     rank_deficient: bool
 
     def violations(self, pairs) -> np.ndarray:
@@ -114,31 +114,29 @@ def _volume(det):
     return np.sqrt(np.where(det > 0.0, det, 0.0))
 
 
-def evaluate_batch(
-    rho, eigenvalues, eigenvectors, observables, functions, *, dependence: bool = True
-) -> BatchReport:
+def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> BatchReport:
     """The evaluation kernel: Grams, determinants and verdicts for a stack.
 
     ``rho`` and ``eigenvectors`` are (B, d, d) stacks and ``eigenvalues`` a
     (B, d) stack of validated states (see matrices.density_stack);
     ``observables`` is a (B, n, d, d) stack of exactly self-adjoint
-    matrices; ``functions`` are regular.  With ``dependence`` False the
-    dependence SVD is skipped and ``dependent`` and ``equality_consistent``
-    are None.  Every per-sample result is bit-identical whatever the batch it
-    came in.
+    matrices; ``functions`` are regular.  Every per-sample result is
+    bit-identical whatever the batch it came in.
     """
     n, dim = observables.shape[1], eigenvalues.shape[-1]
     means = expectation_stack(rho, observables)
-    # a real identity shifts complex matrices exactly as a complex one would
-    dependent = _dependent(observables - means * np.eye(dim)) if dependence else None
     frames = frame_stack(eigenvectors, observables, means)
+    # the frames' real coordinates are a Frobenius isometry of the centered
+    # observables, which centering leaves rank <= d^2 - 1: n >= d^2 always
+    # shows a zero among the min(n, d^2) singular values
+    sv = np.linalg.svd(real_coordinates(frames), compute_uv=False)
+    dependent = sv[:, -1] < DEPENDENCE_SV_TOL
     tables = (mean_table(tilde(f), eigenvalues) for f in functions)
     cov, qfi = batched_grams(eigenvalues, frames, tables)
     dets = det_small(np.concatenate([cov[None], qfi]))
     cov_det, qfi_det = dets[0], dets[1:]
     gap = cov_det - qfi_det
     scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
-    equal = None if dependent is None else ~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale)
     real = not (np.iscomplexobj(rho) or np.iscomplexobj(observables))
     return BatchReport(
         cov_gram=cov,
@@ -151,33 +149,59 @@ def evaluate_batch(
         robertson_det=_robertson(rho, observables) if n % 2 == 0 else None,
         dependent=dependent,
         main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
-        equality_consistent=equal,
+        equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
         rank_deficient=n > commutator_rank(dim, real),
     )
 
 
-def _evaluate_one(state: DensityMatrix, observables, functions, dependence=True) -> BatchReport:
+def batched_grams(eigenvalues, frames, tables):
+    """Covariance Grams (B, n, n) and, per tilde mean table, metric-bound
+    Grams (F, B, n, n) with entries Cov(A_h, A_j) and Corr_f(A_h, A_j).
+
+    ``eigenvalues`` is (B, d), ``frames`` a (B, n, d, d) eigenframe stack and
+    ``tables`` an iterable of F (B, d, d) tilde mean tables, used one at a
+    time.  The overlaps of all n(n+1)/2 pairs h <= j are one stack; each
+    entry sums its matrix's terms in the order a single ``np.sum`` uses, so
+    it does not depend on the batch.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    weights = 0.5 * (lam[:, :, None] + lam[:, None, :])
+    batch, n = frames.shape[:2]
+    rows, cols = pair_indices(n)
+    overlap = np.real(frames.take(rows, axis=1) * frames.take(cols, axis=1).swapaxes(-1, -2))
+    c = _entry_sums(weights[:, None] * overlap)
+    # a table at a time bounds the temporaries at (B, P, d, d), P = n(n+1)/2
+    q = np.reshape([c - _entry_sums(table[:, None] * overlap) for table in tables], (-1, *c.shape))
+    cov, qfi = np.empty((batch, n, n)), np.empty((len(q), batch, n, n))
+    cov[:, rows, cols] = cov[:, cols, rows] = c
+    qfi[:, :, rows, cols] = qfi[:, :, cols, rows] = q
+    return cov, qfi
+
+
+def _entry_sums(x):
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]).sum(axis=-1)
+
+
+def evaluate_one(state: DensityMatrix, observables, functions) -> BatchReport:
     """Batch-of-one kernel call on a validated (n, d, d) observable stack."""
     return evaluate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
-                          observables[None], functions, dependence=dependence)
+                          observables[None], functions)
 
 
-def _volume_report(out: BatchReport, decomposition=None) -> VolumeReport:
+def _volume_report(out: BatchReport) -> VolumeReport:
     rob = None if out.robertson_det is None else float(out.robertson_det[0])
     dets = (float(out.cov_det[0]), float(out.qfi_det[0, 0]), float(out.gap[0, 0]))
-    return VolumeReport(out.cov_gram[0], out.qfi_gram[0, 0], *dets, rob, decomposition)
+    return VolumeReport(out.cov_gram[0], out.qfi_gram[0, 0], *dets, rob)
 
 
-def volume_gap(spec: GramSpec, *, with_decomposition: bool = False) -> VolumeReport:
+def volume_gap(spec: GramSpec) -> VolumeReport:
     """Fill both Grams, both determinants, and the gap.
 
     The Robertson determinant is included for even observable counts.  The
-    H*K decomposition is only computed on request; it is the expensive
-    independent route, a sum of C(dim^2, N) terms, and raises ValueError
-    beyond oracles.DECOMPOSITION_MAX_TERMS of them.
+    gap's independent route, the H*K decomposition, is the test oracle
+    oracles.gap_from_decomposition.
     """
-    out = _evaluate_one(spec.state, spec.observables, (spec.function,), dependence=False)
-    return _volume_report(out, gap_from_decomposition(spec) if with_decomposition else None)
+    return _volume_report(evaluate_one(spec.state, spec.observables, (spec.function,)))
 
 
 def robertson_bound(state: DensityMatrix, observables) -> float:
@@ -188,7 +212,7 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
     lower bound for even N.  This is the kernel's own value on a batch of one.
     """
     obs = observable_stack(state.dim, observables)
-    det = _evaluate_one(state, obs, (), dependence=False).robertson_det
+    det = evaluate_one(state, obs, ()).robertson_det
     return 0.0 if det is None else float(det[0])
 
 
@@ -211,20 +235,13 @@ def _robertson(rho, observables) -> np.ndarray:
 def observables_dependent(state: DensityMatrix, observables) -> bool:
     """Real-linear dependence of the centered observables.
 
-    Stacks [Re, Im] vectorizations and thresholds the smallest singular
-    value at DEPENDENCE_SV_TOL; self-adjoint matrices form a real vector
-    space, so dependence is over real coefficients.  This is the kernel's
-    own verdict on a batch of one.
+    Thresholds the smallest singular value of their real coordinates (see
+    matrices.real_coordinates) at DEPENDENCE_SV_TOL; self-adjoint matrices
+    form a real vector space, so dependence is over real coefficients.  This
+    is the kernel's own verdict on a batch of one.
     """
     obs = observable_stack(state.dim, observables)
-    return bool(_evaluate_one(state, obs, ()).dependent[0])
-
-
-def _dependent(centered) -> np.ndarray:
-    # centered: (B, n, d, d); one singular value decomposition per sample
-    flat = centered.reshape(*centered.shape[:2], -1)
-    rows = np.concatenate([np.real(flat), np.imag(flat)], axis=-1)
-    return np.linalg.svd(rows, compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
+    return bool(evaluate_one(state, obs, ()).dependent[0])
 
 
 def order_pairs(functions) -> tuple:
@@ -273,7 +290,7 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
     The function and its partner share one kernel call.
     """
     functions = (spec.function,) if partner is None else (spec.function, partner)
-    out = _evaluate_one(spec.state, spec.observables, functions)
+    out = evaluate_one(spec.state, spec.observables, functions)
     pairs = order_pairs(functions)
     mono = None
     if pairs and not out.rank_deficient:

@@ -33,6 +33,7 @@ from qfivol import (
     volume_gap,
 )
 from qfivol import repro
+from qfivol.oracles import gap_from_decomposition
 from qfivol.volumes import order_pairs
 
 
@@ -106,11 +107,10 @@ def test_criterion_4_decomposition_matches_gap():
                 state = _faithful(rng, dim)
                 observables = tuple(_hermitian(rng, dim) for _ in range(n))
                 for f in regular_builtins():
-                    report = volume_gap(
-                        GramSpec(state, observables, f), with_decomposition=True
-                    )
+                    spec = GramSpec(state, observables, f)
+                    report = volume_gap(spec)
                     scale = max(1.0, abs(report.cov_det))
-                    assert abs(report.decomposition_gap - report.gap) <= 1e-8 * scale
+                    assert abs(gap_from_decomposition(spec) - report.gap) <= 1e-8 * scale
 
 
 def test_criterion_5_real_coefficient_identity():

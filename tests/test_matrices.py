@@ -12,7 +12,7 @@ from qfivol import (
     spectral_decompose,
     to_eigenframe,
 )
-from qfivol.matrices import expectation_stack, frame_stack, trace_product
+from qfivol.matrices import expectation_stack, frame_stack, real_coordinates, trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -339,3 +339,21 @@ def test_frame_stack_matches_per_matrix_products_bit_for_bit(dim, u_complex, obs
             for k in range(n):
                 single = u[b].conj().T @ a[b, k] @ u[b] - means[b, k] * np.eye(dim)
                 assert stacked[b, k].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_real_coordinates_are_a_frobenius_isometry(real):
+    """X X^T reproduces the real Gram Re Tr(a_h a_j) of every stacked tuple,
+    with the d diagonal entries first and d^2 columns in all."""
+    rng = np.random.default_rng(71)
+    for dim in (1, 2, 3, 5, 8):
+        m = rng.standard_normal((4, 3, dim, dim))
+        if not real:
+            m = m + 1j * rng.standard_normal((4, 3, dim, dim))
+        frames = (m + m.conj().swapaxes(-1, -2)) / 2
+        x = real_coordinates(frames)
+        assert x.shape == (4, 3, dim * dim) and x.dtype == np.float64
+        diag = np.arange(dim)
+        assert np.array_equal(x[..., :dim], frames[..., diag, diag].real)
+        gram = np.einsum("...hij,...kji->...hk", frames, frames).real
+        assert_allclose(x @ x.swapaxes(-1, -2), gram, rtol=0, atol=1e-14 * np.abs(gram).max())

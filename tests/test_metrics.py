@@ -97,19 +97,20 @@ def test_four_level_example_values():
         assert abs(f_correlation(ctx_ent, FOUR_LEVEL_A, FOUR_LEVEL_B) - 1.0) <= 1e-12
 
 
-def test_metric_context_builds_only_the_tilde_table(monkeypatch):
-    """The correlation route reads the tilde table alone; qfi_inner, an
-    oracle, builds the f table itself."""
+def test_f_correlation_builds_only_the_tilde_table(monkeypatch):
+    """metric_context builds no table; the correlation, a kernel read, builds
+    the tilde table alone."""
     built = []
 
     def counting(f, eigenvalues):
         built.append(f.fid)
         return mean_table(f, eigenvalues)
 
-    monkeypatch.setattr("qfivol.metrics.mean_table", counting)
+    monkeypatch.setattr("qfivol.volumes.mean_table", counting)
     ctx = metric_context(DensityMatrix(np.diag([0.6, 0.3, 0.1])), WY)
+    assert built == []
+    f_correlation(ctx, np.eye(3), np.ones((3, 3)))
     assert built == ["tilde(wy)"]
-    assert not hasattr(ctx, "mean_table_f")
 
 
 def test_qfi_inner_zero_vector():

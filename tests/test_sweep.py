@@ -683,7 +683,7 @@ def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
                 record["cov_det"], record["qfi_det"], record["gap"]
             )
             assert report.robertson_det == record["robertson_det"]
-        # volume_gap skips the dependence SVD and keeps every bit of its Grams
+        # volume_gap and check_inequalities read their Grams from one kernel
         assert gap_report.cov_gram.tobytes() == verdict.report.cov_gram.tobytes()
         assert gap_report.qfi_gram.tobytes() == verdict.report.qfi_gram.tobytes()
         assert verdict.main_holds == record["main_holds"]

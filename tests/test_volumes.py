@@ -66,13 +66,13 @@ def test_gram_spec_validation():
 
 def test_single_observable_gap_frozen_value():
     # diag(3/4, 1/4) with sigma_x and the geometric tilde mean: gap = sqrt(3)/2
-    state = DensityMatrix(np.diag([0.75, 0.25]))
-    report = volume_gap(GramSpec(state, (SIGMA_X,), WY), with_decomposition=True)
+    spec = GramSpec(DensityMatrix(np.diag([0.75, 0.25])), (SIGMA_X,), WY)
+    report = volume_gap(spec)
     assert_allclose(report.cov_det, 1.0, rtol=0, atol=0)
     assert_allclose(report.gap, np.sqrt(3.0) / 2.0, rtol=1e-14)
     assert_allclose(report.qfi_det, 1.0 - np.sqrt(3.0) / 2.0, rtol=1e-13)
     assert report.robertson_det is None
-    assert_allclose(report.decomposition_gap, report.gap, rtol=1e-14)
+    assert_allclose(gap_from_decomposition(spec), report.gap, rtol=1e-14)
 
 
 def test_single_observable_gap_is_tilde_weighted_frame_mass():
@@ -257,7 +257,7 @@ def test_k_coefficient_validates_indices_and_frames():
     matrices of one shape; nothing wraps, truncates or is padded."""
     rng = np.random.default_rng(33)
     a, b = (_random_hermitian(rng, 3) for _ in range(2))
-    for indices in ((-1, 0, 0, 1), (1.7, 0, 0, 1), (0, 1, 3, 0), (0, 1, 1, 2.0)):
+    for indices in ((-1, 0, 0, 1), (1.7, 0, 0, 1), (0, 1, 3, 0), (0, 1, 1, 2.0), (True, 0, 0, 1)):
         with pytest.raises(ValueError, match="not an integer in"):
             k_coefficient((a, b), indices)
     for frames in ((a, b[:2, :2]), (a[:2], b[:2]), (a[0], b[0]), ()):
@@ -269,10 +269,11 @@ def test_k_coefficient_validates_indices_and_frames():
 def _assert_decomposes(spec):
     """The oracle reproduces the kernel's gap within 1e-12 max(1, |cov_det|),
     as a sum of nonnegative terms."""
-    report = volume_gap(spec, with_decomposition=True)
-    assert report.decomposition_gap >= 0.0
+    report = volume_gap(spec)
+    decomposed = gap_from_decomposition(spec)
+    assert decomposed >= 0.0
     scale = max(1.0, abs(report.cov_det))
-    assert abs(report.decomposition_gap - report.gap) <= 1e-12 * scale
+    assert abs(decomposed - report.gap) <= 1e-12 * scale
 
 
 def test_decomposition_matches_gap():
@@ -434,6 +435,39 @@ def test_check_inequalities_real_triple():
     assert verdict.monotonicity_holds is None
 
 
+def _reference_smallest_singular_value(state, observables):
+    """The dependence SVD in the original basis: [Re, Im] vectorizations of
+    the centered observables, 2 d^2 columns."""
+    rows = []
+    for o in observables:
+        centered = o - np.trace(state.matrix @ o).real * np.eye(state.dim)
+        rows.append(np.concatenate([centered.real.ravel(), centered.imag.ravel()]))
+    return np.linalg.svd(np.array(rows), compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_dependence_ladder_matches_the_original_basis_svd(real):
+    """On (a, b, a + b + t c) for t from 1e-4 to 1e-12 the kernel's verdict,
+    taken from the eigenframes' real coordinates, agrees with an SVD of the
+    centered observables in the original basis on every rung more than 10x
+    away from the threshold."""
+    rng = np.random.default_rng(73)
+    checked = {True: 0, False: 0}
+    for dim in (2, 3, 4, 8):
+        for _ in range(3):
+            state = _random_density(rng, dim, real)
+            a, b, c = (_random_hermitian(rng, dim, real) for _ in range(3))
+            for t in np.logspace(-4, -12, 17):
+                obs = (a, b, a + b + t * c)
+                sv = _reference_smallest_singular_value(state, obs)
+                if volumes.DEPENDENCE_SV_TOL / 10 <= sv <= 10 * volumes.DEPENDENCE_SV_TOL:
+                    continue
+                expected = bool(sv < volumes.DEPENDENCE_SV_TOL)
+                assert observables_dependent(state, obs) == expected, (dim, t, sv)
+                checked[expected] += 1
+    assert min(checked.values()) >= 50
+
+
 def test_check_inequalities_dependent_equality():
     rng = np.random.default_rng(61)
     state = _random_density(rng, 3)
@@ -443,25 +477,6 @@ def test_check_inequalities_dependent_equality():
     assert verdict.dependent
     assert verdict.equality_consistent
     assert abs(verdict.report.gap) <= 1e-8 * verdict.scale
-
-
-def test_volume_gap_skips_the_dependence_svd(monkeypatch):
-    """volume_gap reports no dependence verdict, so its kernel call runs no
-    SVD; check_inequalities still does."""
-    rng = np.random.default_rng(62)
-    state = _random_density(rng, 3)
-    spec = GramSpec(state, (_random_hermitian(rng, 3), _random_hermitian(rng, 3)), WY)
-    expected = volume_gap(spec)
-
-    def no_svd(centered):
-        raise AssertionError("dependence SVD ran")
-
-    monkeypatch.setattr(volumes, "_dependent", no_svd)
-    report = volume_gap(spec)
-    assert report.qfi_gram.tobytes() == expected.qfi_gram.tobytes()
-    assert (report.gap, report.robertson_det) == (expected.gap, expected.robertson_det)
-    with pytest.raises(AssertionError, match="dependence SVD ran"):
-        check_inequalities(spec)
 
 
 def test_single_spec_calls_validate_observables_once(monkeypatch):
