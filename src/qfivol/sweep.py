@@ -24,6 +24,8 @@ sweep's shared fields baked in, and each sample's ``cov_det``,
 older files too: version 2 and unversioned records also carry
 ``volume_cov`` and ``volume_qfi``, and unversioned ones were drawn from
 stream v1 rather than stream 2 (see ``sampling``), so they replay bit for bit.
+The first replay of a file reads it once to index where each line starts;
+later replays of the same unchanged file seek straight to their line.
 
 Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
 the base tags, and records with retired tags replay unchanged.
@@ -36,8 +38,10 @@ import json
 import math
 import multiprocessing.connection
 import os
+import stat
 import threading
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -394,6 +398,82 @@ _RECORD_FORMATS = {
 }
 
 
+# (fstat key, line starts) of the file replay_record read last, or None; see
+# _read_line
+_line_index = None
+
+
+def _file_key(st) -> tuple:
+    """What must match for a kept line index to be used: the file's identity,
+    size and both timestamps (CPython checks only mtime and size for .pyc)."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _line_starts(fh) -> array:
+    """The offset at which each line of an unread binary file starts, then its
+    size, from one streaming pass: 8 bytes a line, never the whole file.  A
+    last line without "\n" still counts."""
+    return array("q", itertools.accumulate(map(len, fh), initial=0))
+
+
+def _indexed_line(fd: int, starts, line_number: int, size: int):
+    """Line ``line_number`` read at the offsets ``starts`` gives it, or None
+    when it is out of their range or the bytes there are not one whole line:
+    the byte before is "\n" (or the line starts the file), and the line's
+    only "\n" is its last byte (or it ends the file without one)."""
+    if not 0 < line_number < len(starts):
+        return None
+    start, end = starts[line_number - 1], starts[line_number]
+    lead = 1 if start else 0
+    data = os.pread(fd, end - start + lead, start - lead)
+    line = data[lead:]
+    whole = (
+        len(line) == end - start
+        and (not lead or data[0] == 0x0A)
+        and line.find(b"\n", 0, len(line) - 1) < 0
+        and (line[-1] == 0x0A or end == size)
+    )
+    return line if whole else None
+
+
+def _read_line(path, line_number: int) -> bytes:
+    """Line ``line_number`` (from 1) of the file at ``path``, as bytes.
+
+    The first call on a file indexes its line starts in one pass and keeps
+    the index, keyed by ``_file_key`` of the open file; later calls on the
+    same unchanged file are an fstat and one pread of the line.  A kept index
+    whose line fails ``_indexed_line``'s checks, or is out of its range, is
+    rebuilt once from the same open file.  ``run_sweep`` renames a new file
+    onto its path, so a re-swept path gets a new inode and a new index.  A
+    file that is not a regular one, such as a pipe, is read up to the line
+    on every call and never indexed.
+    """
+    global _line_index
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            # a pipe can neither seek nor keep an index: read to the line once
+            count = 0
+            for count, line in enumerate(fh, 1):
+                if count == line_number:
+                    return line
+            raise ValueError(f"line {line_number} out of range 1..{count}")
+        key = _file_key(st)
+        # one read of the slot: another thread may replace it meanwhile
+        kept = _line_index
+        if kept is not None and kept[0] == key:
+            line = _indexed_line(fd, kept[1], line_number, st.st_size)
+            if line is not None:
+                return line
+        starts = _line_starts(fh)
+        _line_index = (key, starts)
+        line = _indexed_line(fd, starts, line_number, st.st_size)
+        if line is None:
+            raise ValueError(f"line {line_number} out of range 1..{len(starts) - 1}")
+        return line
+
+
 def replay_record(path, line_number: int) -> dict:
     """Recompute one record from its own fields and compare bit-for-bit.
 
@@ -402,16 +482,16 @@ def replay_record(path, line_number: int) -> dict:
     on this build.  The record's ``version`` names its stream and fields (see
     ``_RECORD_FORMATS``); the volumes of versions before 3 are recomputed as
     sqrt(max(0, det)) from the fresh determinants.
+
+    The first call on a file reads it once to index its line starts; later
+    calls on the same unchanged file seek straight to their line (see
+    ``_read_line``), so checking many lines in one process costs one pass
+    over the file in total.
     """
     line_number = as_integer("line_number", line_number)
-    # binary lines, since only the wanted line needs decoding (json.loads
-    # takes bytes); records end in "\n"
-    with open(path, "rb") as fh:
-        # read up to the wanted line only; count the rest just for the error
-        line = next(itertools.islice(fh, line_number - 1, None), None) if line_number > 0 else None
-        if line is None:
-            fh.seek(0)
-            raise ValueError(f"line {line_number} out of range 1..{sum(1 for _ in fh)}")
+    # binary, since only the wanted line needs decoding (json.loads takes
+    # bytes); an index of line starts, built once per file, finds it
+    line = _read_line(path, line_number)
     try:
         stored = json.loads(line)
     except ValueError as exc:

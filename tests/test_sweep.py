@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -582,8 +583,185 @@ def test_replay_rejects_out_of_range_line(tmp_path):
     config = _config(samples=5)
     out = tmp_path / "sweep.jsonl"
     run_sweep(config, out)
-    with pytest.raises(ValueError, match="line"):
+    # 5 records and the summary line
+    with pytest.raises(ValueError, match=r"^line 999 out of range 1\.\.6$"):
         replay_record(str(out), 999)
+
+
+def test_replay_counts_a_last_line_without_newline(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5), out)
+    out.write_bytes(out.read_bytes().rstrip(b"\n"))
+    with pytest.raises(ValueError, match=r"^line 999 out of range 1\.\.6$"):
+        replay_record(str(out), 999)
+    with pytest.raises(ValueError, match="summary"):
+        replay_record(str(out), 6)
+    assert replay_record(str(out), 5)["mismatches"] == {}
+
+
+def test_replay_rejects_any_line_of_an_empty_file(tmp_path):
+    out = tmp_path / "empty.jsonl"
+    out.write_bytes(b"")
+    for line_number in (999, 1, 0):
+        with pytest.raises(ValueError, match=rf"^line {line_number} out of range 1\.\.0$"):
+            replay_record(str(out), line_number)
+
+
+def _islice_line(path, line_number):
+    """Line ``line_number`` of a file read the plain way, as a reference."""
+    with open(path, "rb") as fh:
+        return next(itertools.islice(fh, line_number - 1, None))
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Start without a kept line index; count the passes that build one."""
+    builds = []
+    build = sweep._line_starts
+
+    def counting(fh):
+        builds.append(fh.name)
+        return build(fh)
+
+    monkeypatch.setattr(sweep, "_line_index", None)
+    monkeypatch.setattr(sweep, "_line_starts", counting)
+    return builds
+
+
+def test_replay_reads_every_line_of_a_multi_chunk_file(tmp_path, index_builds):
+    config = _config(samples=2 * sweep.CHUNK_SIZE + 11, functions=("sld", "wy"))
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(config, out)
+    for line_number in range(1, 2 * config.samples + 1):
+        result = replay_record(str(out), line_number)
+        assert result["stored"] == json.loads(_islice_line(out, line_number))
+        assert result["mismatches"] == {}
+    assert index_builds == [str(out)]
+
+
+def test_replay_indexes_a_file_once(tmp_path, index_builds):
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=40, functions=("sld", "wy")), out)
+    rng = np.random.default_rng(5)
+    for line_number in rng.integers(1, 81, size=50).tolist():
+        replay_record(str(out), line_number)
+    assert index_builds == [str(out)]
+
+
+def test_replay_follows_a_re_swept_path(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(seed=1, samples=20), out)
+    assert replay_record(str(out), 7)["stored"]["seed"] == 1
+    run_sweep(_config(seed=2, samples=20), out)
+    for line_number in (1, 7, 20):
+        result = replay_record(str(out), line_number)
+        assert result["stored"] == json.loads(_islice_line(out, line_number))
+        assert result["stored"]["seed"] == 2
+        assert result["mismatches"] == {}
+
+
+def test_replay_reports_a_same_size_tamper_after_a_replay(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5, n=2, dim=3), out)
+    assert replay_record(str(out), 3)["mismatches"] == {}
+    data = out.read_bytes()
+    line_start = sum(len(line) for line in data.splitlines(keepends=True)[:2])
+    at = data.index(b'"gap": ', line_start) + len(b'"gap": ')
+    at += data[at] == ord("-")
+    digit = data[at] - ord("0")
+    assert 0 <= digit <= 9
+    with open(out, "r+b") as fh:
+        fh.seek(at)
+        fh.write(str((digit + 1) % 10).encode())
+    assert len(out.read_bytes()) == len(data)
+    assert "gap" in replay_record(str(out), 3)["mismatches"]
+
+
+def test_replay_sees_an_appended_line(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5), out)
+    first = _islice_line(out, 1)
+    with pytest.raises(ValueError, match=r"^line 7 out of range 1\.\.6$"):
+        replay_record(str(out), 7)
+    with open(out, "ab") as fh:
+        fh.write(first)
+    result = replay_record(str(out), 7)
+    assert result["stored"] == json.loads(first)
+    assert result["mismatches"] == {}
+    with pytest.raises(ValueError, match=r"^line 8 out of range 1\.\.7$"):
+        replay_record(str(out), 8)
+
+
+def test_replay_from_threads_sharing_the_line_index(tmp_path):
+    """Threads replaying lines of two files in turn keep replacing the one
+    kept index; each still reads its own line."""
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for seed, path in enumerate(paths):
+        run_sweep(_config(seed=seed, samples=12, functions=("sld", "wy")), path)
+    expected = {
+        (str(path), k): json.loads(_islice_line(path, k)) for path in paths for k in range(1, 25)
+    }
+
+    def replay_many(worker):
+        rng = np.random.default_rng(worker)
+        for _ in range(30):
+            path, k = str(paths[int(rng.integers(2))]), int(rng.integers(1, 25))
+            assert replay_record(path, k)["stored"] == expected[path, k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(replay_many, worker) for worker in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_replay_reads_a_pipe_without_indexing_it(tmp_path, index_builds):
+    """A pipe (say, a shell's process substitution) cannot seek: each replay
+    reads it up to the line, and an out-of-range line counts every line."""
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5), out)
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+
+    def replay_through_pipe(line_number):
+        writer = threading.Thread(target=fifo.write_bytes, args=(out.read_bytes(),))
+        writer.start()
+        try:
+            return replay_record(str(fifo), line_number)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    result = replay_through_pipe(3)
+    assert result["stored"] == json.loads(_islice_line(out, 3))
+    assert result["mismatches"] == {}
+    with pytest.raises(ValueError, match=r"^line 999 out of range 1\.\.6$"):
+        replay_through_pipe(999)
+    assert index_builds == []
+
+
+def test_a_stale_line_index_is_rebuilt(tmp_path, index_builds):
+    """A kept index whose key matches a same-size rewrite with moved line
+    boundaries fails the whole-line check and is rebuilt once."""
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5), out)
+    assert replay_record(str(out), 2)["mismatches"] == {}
+    lines = out.read_bytes().splitlines(keepends=True)
+    # line 1 one byte shorter, line 2 one byte longer: JSON spacing only
+    lines[0] = lines[0].replace(b'"version": 3', b'"version":3', 1)
+    lines[1] = lines[1].replace(b'"version": 3', b'"version":  3', 1)
+    with open(out, "r+b") as fh:
+        fh.write(b"".join(lines))
+    _, starts = sweep._line_index
+    sweep._line_index = (sweep._file_key(os.stat(out)), starts)
+    for line_number in (1, 2, 3):
+        result = replay_record(str(out), line_number)
+        assert result["stored"] == json.loads(lines[line_number - 1])
+        assert result["mismatches"] == {}
+    assert index_builds == [str(out), str(out)]
 
 
 @pytest.mark.parametrize("line_number", [1.0, True, "1", None])
