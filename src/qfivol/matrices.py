@@ -197,6 +197,17 @@ def icommutator(state: DensityMatrix, observable) -> np.ndarray:
 pair_indices = lru_cache(maxsize=None)(np.triu_indices)
 
 
+@lru_cache(maxsize=None)
+def pair_slots(n: int) -> np.ndarray:
+    """Per row-major entry (i, j) of an n x n matrix, the position of the pair
+    (min(i, j), max(i, j)) in pair_indices(n), so ``values.take(slots,
+    axis=-1)`` unpacks values over those pairs into symmetric matrices."""
+    rows, cols = pair_indices(n)
+    slots = np.empty((n, n), dtype=np.intp)
+    slots[rows, cols] = slots[cols, rows] = np.arange(len(rows))
+    return slots.reshape(-1)
+
+
 def real_coordinates(frames) -> np.ndarray:
     """Real coordinates of a ``(..., n, d, d)`` stack of self-adjoint matrices,
     shaped ``(..., n, d^2)``: the d diagonal entries, then sqrt(2) Re and

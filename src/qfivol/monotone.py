@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matrices import pair_indices
+from .matrices import pair_indices, pair_slots
 
 NORMALIZATION_ATOL = 1e-12
 SYMMETRY_RTOL = 1e-10
@@ -85,9 +85,17 @@ class MonotoneFunction:
     def __call__(self, x):
         return self.evaluate(x)
 
+    @property
+    def unit_evaluate(self) -> Callable:
+        """The evaluator for float64 arrays with entries in [0, 1], where it
+        has the bits of ``evaluate``: the core of a reflected evaluator, which
+        skips the reflection, and ``evaluate`` itself otherwise."""
+        return getattr(self.evaluate, "core", self.evaluate)
+
 
 def _reflected(core):
-    """Lift a core defined on [0, 1] to (0, inf) via f(x) = x f(1/x)."""
+    """Lift a core defined on [0, 1] to (0, inf) via f(x) = x f(1/x); the
+    lifted evaluator keeps the core as its ``core`` attribute."""
 
     def evaluate(x):
         arr = np.asarray(x, dtype=np.float64)
@@ -96,10 +104,11 @@ def _reflected(core):
         if big.any():
             out = core(np.divide(1.0, flat, out=flat.copy(), where=big))
             out[big] *= flat[big]
-        else:  # as in every mean table: nothing to reflect, nothing to copy
+        else:
             out = core(flat)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
+    evaluate.core = core
     return evaluate
 
 
@@ -190,10 +199,10 @@ def tilde(f: MonotoneFunction) -> MonotoneFunction:
     """
     if not f.regular:
         raise TildeUndefinedError(f"tilde transform requires f(0) > 0, got {f.fid}")
-    f0 = f.value_at_zero
+    f0, unit = f.value_at_zero, f.unit_evaluate
 
-    def core(y):
-        vals = np.asarray(f.evaluate(y), dtype=np.float64)
+    def core(y):  # y lies in [0, 1], so f's own reflection is skipped too
+        vals = np.asarray(unit(y), dtype=np.float64)
         return 0.5 * ((y + 1.0) - (y - 1.0) ** 2 * (f0 / vals))
 
     return MonotoneFunction(
@@ -219,30 +228,33 @@ def scalar_mean(f: MonotoneFunction, x: float, y: float) -> float:
     return float(hi * f.evaluate(lo / hi))
 
 
-@lru_cache(maxsize=None)
-def _packing(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """pair_indices(dim) and, per row-major entry (i, j), the position of (min, max) in them."""
-    rows, cols = pair_indices(dim)
-    slots = np.empty((dim, dim), dtype=np.intp)
-    slots[rows, cols] = slots[cols, rows] = np.arange(len(rows))
-    return rows, cols, slots.reshape(-1)
+def mean_table(functions, eigenvalues) -> np.ndarray:
+    """Matrices of scalar means m_f(lam_i, lam_j) over a spectrum, one per f.
 
-
-def mean_table(f: MonotoneFunction, eigenvalues) -> np.ndarray:
-    """Matrix of scalar means m_f(lam_i, lam_j) over a spectrum.
-
-    A ``(..., d)`` stack of spectra gives a ``(..., d, d)`` stack of tables.
-    Diagonal entries are the eigenvalues themselves (bit-exact) and entries
-    involving a zero eigenvalue are hi * f(0) exactly; for tilde transforms
-    that makes them exact zeros.  f is evaluated on the upper triangle only.
+    ``functions`` is a sequence of F functions and a ``(..., d)`` stack of
+    spectra gives an ``(F, ..., d, d)`` stack of tables.  The packing, hi, lo
+    and the ratio lo/hi are computed once and shared by every f, which is
+    evaluated on the upper triangle only, through its unit_evaluate (the
+    ratio lies in [0, 1]), and mirrored straight into its table, so no
+    packed values of all F functions are held at once.  Diagonal entries are the eigenvalues themselves
+    (bit-exact) and entries involving a zero eigenvalue are hi * f(0)
+    exactly; for tilde transforms that makes them exact zeros.  Each table
+    has the same bits whatever functions share the call.
     """
+    if isinstance(functions, MonotoneFunction):
+        raise TypeError(f"mean_table takes a sequence of functions, got {functions.fid}; pass (f,)")
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    rows, cols, slots = _packing(lam.shape[-1])
+    dim = lam.shape[-1]
+    rows, cols = pair_indices(dim)
     x, y = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
     hi, lo = np.maximum(x, y), np.minimum(x, y)
     ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    packed = hi * np.asarray(f.evaluate(ratio), dtype=np.float64)
-    return packed.take(slots, axis=-1).reshape(*lam.shape, lam.shape[-1])
+    slots = pair_slots(dim)
+    tables = np.empty((len(functions), *lam.shape[:-1], dim * dim))
+    for k, f in enumerate(functions):
+        packed = hi * np.asarray(f.unit_evaluate(ratio), dtype=np.float64)
+        packed.take(slots, axis=-1, out=tables[k])
+    return tables.reshape(*tables.shape[:-1], dim, dim)
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,10 @@ def _weights(function: MonotoneFunction, u: np.ndarray, v: np.ndarray):
     """Per pair (u, v): c = (u+v)/2, q = f(0)(u-v)^2 / (2 m_f(u, v)) (exactly
     0 where u = v) and m = m_tilde(u, v), so that c = q + m with every factor
     >= 0 and no cancellation."""
-    pairs = np.stack([u, v], axis=-1)
-    mean = mean_table(function, pairs)[..., 0, 1]
+    mean, tilde_mean = mean_table((function, tilde(function)), np.stack([u, v], axis=-1))[..., 0, 1]
     square = function.value_at_zero * (u - v) ** 2
     q = np.divide(square, 2.0 * mean, out=np.zeros_like(square), where=u != v)
-    return 0.5 * (u + v), q, mean_table(tilde(function), pairs)[..., 0, 1]
+    return 0.5 * (u + v), q, tilde_mean
 
 
 def _h_products(c, q, m) -> np.ndarray:
@@ -142,7 +141,7 @@ def qfi_inner(ctx: MetricContext, x, y) -> float:
     u = ctx.state.eigenvectors
     fx = u.conj().T @ as_hermitian(x) @ u
     fy = u.conj().T @ as_hermitian(y) @ u
-    table = mean_table(ctx.function, ctx.state.eigenvalues)
+    table = mean_table((ctx.function,), ctx.state.eigenvalues)[0]
     return float(np.sum(np.real(np.conj(fx) * fy) / table))
 
 

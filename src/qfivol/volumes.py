@@ -13,7 +13,10 @@ Every entry point (sweeps, replay, volume_gap, check_inequalities,
 robertson_bound, observables_dependent, and the covariance and correlation
 of qfivol.metrics) computes its Grams, determinants and verdicts through one
 kernel, evaluate_batch, over a stack of samples; no other module forms a
-Gram matrix.  The kernel imports only qfivol.matrices and qfivol.monotone.
+Gram matrix.  Its function-dependent work is one pass: one mean_table call
+for the tilde tables of all functions (none without functions), and one
+(1 + F, B, n, n) Gram array that det_small reads as it is.  The kernel
+imports only qfivol.matrices and qfivol.monotone.
 The independent H * K decomposition of the gap lives with the other test
 oracles in qfivol.oracles, which the kernel never imports."""
 
@@ -30,6 +33,7 @@ from .matrices import (
     frame_stack,
     observable_stack,
     pair_indices,
+    pair_slots,
     real_coordinates,
     trace_product,
 )
@@ -131,16 +135,16 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
     # shows a zero among the min(n, d^2) singular values
     sv = np.linalg.svd(real_coordinates(frames), compute_uv=False)
     dependent = sv[:, -1] < DEPENDENCE_SV_TOL
-    tables = (mean_table(tilde(f), eigenvalues) for f in functions)
-    cov, qfi = batched_grams(eigenvalues, frames, tables)
-    dets = det_small(np.concatenate([cov[None], qfi]))
+    tildes = tuple(tilde(f) for f in functions)
+    grams = batched_grams(eigenvalues, frames, mean_table(tildes, eigenvalues) if tildes else ())
+    dets = det_small(grams)
     cov_det, qfi_det = dets[0], dets[1:]
     gap = cov_det - qfi_det
     scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
     real = not (np.iscomplexobj(rho) or np.iscomplexobj(observables))
     return BatchReport(
-        cov_gram=cov,
-        qfi_gram=qfi,
+        cov_gram=grams[0],
+        qfi_gram=grams[1:],
         cov_det=cov_det,
         qfi_det=qfi_det,
         gap=gap,
@@ -155,27 +159,31 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
 
 
 def batched_grams(eigenvalues, frames, tables):
-    """Covariance Grams (B, n, n) and, per tilde mean table, metric-bound
-    Grams (F, B, n, n) with entries Cov(A_h, A_j) and Corr_f(A_h, A_j).
+    """One (1 + F, B, n, n) array: the covariance Grams with entries
+    Cov(A_h, A_j), then per tilde mean table the metric-bound Grams with
+    entries Corr_f(A_h, A_j).
 
     ``eigenvalues`` is (B, d), ``frames`` a (B, n, d, d) eigenframe stack and
-    ``tables`` an iterable of F (B, d, d) tilde mean tables, used one at a
-    time.  The overlaps of all n(n+1)/2 pairs h <= j are one stack; each
-    entry sums its matrix's terms in the order a single ``np.sum`` uses, so
-    it does not depend on the batch.
+    ``tables`` an (F, B, d, d) stack of tilde mean tables (or an empty
+    sequence), reduced one at a time so that the largest temporary here is the
+    (B, n(n+1)/2, d, d) overlap stack of all pairs h <= j.  Each entry sums
+    its matrix's terms in the order a single ``np.sum`` uses, so it does not
+    depend on the batch.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     weights = 0.5 * (lam[:, :, None] + lam[:, None, :])
     batch, n = frames.shape[:2]
     rows, cols = pair_indices(n)
-    overlap = np.real(frames.take(rows, axis=1) * frames.take(cols, axis=1).swapaxes(-1, -2))
-    c = _entry_sums(weights[:, None] * overlap)
-    # a table at a time bounds the temporaries at (B, P, d, d), P = n(n+1)/2
-    q = np.reshape([c - _entry_sums(table[:, None] * overlap) for table in tables], (-1, *c.shape))
-    cov, qfi = np.empty((batch, n, n)), np.empty((len(q), batch, n, n))
-    cov[:, rows, cols] = cov[:, cols, rows] = c
-    qfi[:, :, rows, cols] = qfi[:, :, cols, rows] = q
-    return cov, qfi
+    # formed in place: the (B, P, d, d) temporary this saves, P = n(n+1)/2,
+    # offsets the (F, B, d, d) tables held meanwhile in the kernel's peak memory
+    overlap = frames.take(rows, axis=1)
+    overlap *= frames.take(cols, axis=1).swapaxes(-1, -2)
+    overlap = np.real(overlap)
+    sums = np.empty((1 + len(tables), batch, len(rows)))
+    sums[0] = c = _entry_sums(weights[:, None] * overlap)
+    for k, table in enumerate(tables, 1):
+        sums[k] = c - _entry_sums(table[:, None] * overlap)
+    return sums.take(pair_slots(n), axis=-1).reshape(*sums.shape[:-1], n, n)
 
 
 def _entry_sums(x):
@@ -287,8 +295,13 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
                     grid-resolvable tilde ordering; None when incomparable,
                     and None when N exceeds commutator_rank, where both
                     metric Grams are singular by theory.
-    The function and its partner share one kernel call.
+    The function and its partner share one kernel call; a partner that is
+    not regular is refused before it.
     """
+    if partner is not None and not partner.regular:
+        raise TildeUndefinedError(
+            f"monotonicity partner must be regular (f(0) > 0), got {partner.fid}"
+        )
     functions = (spec.function,) if partner is None else (spec.function, partner)
     out = evaluate_one(spec.state, spec.observables, functions)
     pairs = order_pairs(functions)

@@ -98,19 +98,22 @@ def test_four_level_example_values():
 
 
 def test_f_correlation_builds_only_the_tilde_table(monkeypatch):
-    """metric_context builds no table; the correlation, a kernel read, builds
-    the tilde table alone."""
-    built = []
+    """metric_context and covariance build no table; the correlation, a
+    kernel read, makes one table call for the tilde table alone."""
+    calls = []
 
-    def counting(f, eigenvalues):
-        built.append(f.fid)
-        return mean_table(f, eigenvalues)
+    def counting(functions, eigenvalues):
+        calls.append([f.fid for f in functions])
+        return mean_table(functions, eigenvalues)
 
     monkeypatch.setattr("qfivol.volumes.mean_table", counting)
-    ctx = metric_context(DensityMatrix(np.diag([0.6, 0.3, 0.1])), WY)
-    assert built == []
+    state = DensityMatrix(np.diag([0.6, 0.3, 0.1]))
+    ctx = metric_context(state, WY)
+    assert calls == []
+    covariance(state, np.eye(3), np.ones((3, 3)))
+    assert calls == []
     f_correlation(ctx, np.eye(3), np.ones((3, 3)))
-    assert built == ["tilde(wy)"]
+    assert calls == [["tilde(wy)"]]
 
 
 def test_qfi_inner_zero_vector():

@@ -200,13 +200,42 @@ def test_wyd_family_registers_for_any_beta(beta):
     assert_allclose(f.value_at_zero, beta * (1.0 - beta), rtol=1e-15)
 
 
+UNIT_GRID = np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-12],
+    np.geomspace(1e-9, 1.0, 97),
+    [1.0 - 2e-4, 1.0 - 5e-5, 1.0],
+])
+
+
+@pytest.mark.parametrize("fid", ["sld", "wy", "rld", "wyd:0.05", "wyd:0.25", "wyd:0.4"])
+def test_unit_evaluate_has_the_bits_of_evaluate(fid):
+    """Tables call unit_evaluate on ratios in [0, 1], including wyd's series
+    window 1 - 5e-5; there it must give evaluate's bits."""
+    f = builtin(fid)
+    for g in (f, tilde(f)) if f.regular else (f,):
+        core, full = g.unit_evaluate(UNIT_GRID), g.evaluate(UNIT_GRID)
+        assert core.dtype == full.dtype and core.tobytes() == full.tobytes(), g.fid
+
+
+def test_mean_table_stacks_functions_on_one_packing():
+    lam = np.array([[0.5, 0.3, 0.2, 0.0], [0.7, 0.2, 0.1, 0.0]])
+    functions = (SLD, tilde(WY), wyd(0.25))
+    tables = mean_table(functions, lam)
+    assert tables.shape == (3, 2, 4, 4)
+    for k, f in enumerate(functions):
+        assert tables[k].tobytes() == mean_table((f,), lam)[0].tobytes()
+    assert mean_table((), lam).shape == (0, 2, 4, 4)
+    with pytest.raises(TypeError, match=r"sequence of functions, got sld; pass \(f,\)"):
+        mean_table(SLD, lam)
+
+
 def test_mean_table_structure():
     lam = np.array([0.6, 0.4, 0.0])
     for f in regular_builtins():
-        table = mean_table(f, lam)
+        table = mean_table((f,), lam)[0]
         assert np.array_equal(table, table.T)
         assert np.array_equal(np.diag(table), lam)
-        tilde_table = mean_table(tilde(f), lam)
+        tilde_table = mean_table((tilde(f),), lam)[0]
         # zero eigenvalue rows vanish exactly because the tilde hits 0 at 0
         assert np.all(tilde_table[2] == 0.0)
         assert np.all(tilde_table[:, 2] == 0.0)

@@ -10,6 +10,7 @@ from qfivol import (
     DensityMatrix,
     GramSpec,
     MetricUndefinedError,
+    MonotoneFunction,
     RLD,
     SLD,
     TildeUndefinedError,
@@ -34,6 +35,7 @@ from qfivol import matrices, metrics, oracles, volumes
 from qfivol.matrices import EIGENVALUE_FLOOR
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
 from qfivol.repro import hessian_generalized_variance
+from qfivol.sampling import draw_samples
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -83,7 +85,7 @@ def test_single_observable_gap_is_tilde_weighted_frame_mass():
         f = regular_builtins()[k % 4]
         report = volume_gap(GramSpec(state, (a,), f))
         frame = to_eigenframe(state, a)
-        table = mean_table(tilde(f), state.eigenvalues)
+        table = mean_table((tilde(f),), state.eigenvalues)[0]
         expected = float(np.sum(table * np.abs(frame) ** 2))
         assert_allclose(report.gap, expected, rtol=1e-12)
         assert report.gap >= 0.0
@@ -521,6 +523,68 @@ def test_check_inequalities_monotone_partner():
         obs = tuple(_random_hermitian(rng, 3, real=True) for _ in range(3))
         verdict = check_inequalities(GramSpec(state, obs, SLD), partner=WY)
         assert verdict.monotonicity_holds is True
+
+
+def test_check_inequalities_refuses_a_non_regular_partner_before_kernel_work(monkeypatch):
+    rng = np.random.default_rng(73)
+    state = _random_density(rng, 3)
+    spec = GramSpec(state, (_random_hermitian(rng, 3), _random_hermitian(rng, 3)), WY)
+
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(volumes, "evaluate_one", kernel)
+    message = "monotonicity partner must be regular (f(0) > 0), got rld"
+    with pytest.raises(TildeUndefinedError) as info:
+        check_inequalities(spec, partner=RLD)
+    assert str(info.value) == message
+
+
+CALL_MATES = (SLD, WY, wyd(0.05), wyd(0.25))
+SLICED_FIELDS = ("qfi_gram", "qfi_det", "gap", "main_holds", "equality_consistent")
+
+
+@pytest.mark.parametrize(
+    "ensemble, dim, n",
+    [("complex", 3, 3), ("real", 8, 2), ("complex", 4, 4), ("structured", 4, 3)],
+)
+def test_call_mates_leave_each_functions_bits_alone(ensemble, dim, n):
+    """Each function's slices of a four-function kernel call are byte-equal to
+    a call of that function alone (complex d4 n4 takes the LU determinant)."""
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(5, dim, ensemble), range(16), n)
+    together = volumes.evaluate_batch(rho, lam, vectors, obs, CALL_MATES)
+    for k, f in enumerate(CALL_MATES):
+        alone = volumes.evaluate_batch(rho, lam, vectors, obs, (f,))
+        for name in SLICED_FIELDS:
+            mine, solo = getattr(together, name)[k], getattr(alone, name)[0]
+            assert mine.dtype == solo.dtype and mine.tobytes() == solo.tobytes(), (f.fid, name)
+        assert alone.cov_gram.tobytes() == together.cov_gram.tobytes()
+
+
+def test_kernel_without_functions_builds_no_table(monkeypatch):
+    def table(*args):
+        raise AssertionError("a mean table was built")
+
+    monkeypatch.setattr(volumes, "mean_table", table)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(5, 3, "complex"), range(4), 2)
+    out = volumes.evaluate_batch(rho, lam, vectors, obs, ())
+    assert out.qfi_gram.shape == (0, 4, 2, 2)
+    assert out.cov_gram.shape == (4, 2, 2)
+    assert out.qfi_det.shape == out.gap.shape == (0, 4)
+
+
+def test_plain_evaluator_gives_the_bits_of_its_builtin():
+    """A function registered with a plain evaluator goes through the kernel as
+    it is: (1+x)/2 under another fid has SLD's Gram bits."""
+    mine = MonotoneFunction("mine", lambda x: (1.0 + x) / 2.0, 0.5, "(1+x)/2")
+    rng = np.random.default_rng(79)
+    for dim in (2, 3, 5):
+        state = _random_density(rng, dim)
+        obs = tuple(_random_hermitian(rng, dim) for _ in range(3))
+        ours = check_inequalities(GramSpec(state, obs, mine)).report
+        ref = check_inequalities(GramSpec(state, obs, SLD)).report
+        assert ours.qfi_gram.tobytes() == ref.qfi_gram.tobytes()
+        assert ours.qfi_det == ref.qfi_det and ours.gap == ref.gap
 
 
 def test_volume_chain_on_real_triples():
