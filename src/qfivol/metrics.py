@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import DensityMatrix, observable_stack
-from .monotone import MonotoneFunction, TildeUndefinedError
+from .monotone import MonotoneFunction, require_regular
 from .volumes import evaluate_one
 
 
@@ -56,9 +56,6 @@ def f_correlation(ctx: MetricContext, a, b) -> float:
     the tilde table) but only for regular functions.  For pure states the
     subtracted sum vanishes and the correlation equals the covariance.
     """
-    if not ctx.function.regular:
-        raise TildeUndefinedError(
-            f"f-correlation undefined for non-regular {ctx.function.fid}"
-        )
+    function = require_regular(ctx.function, "f-correlation function")
     obs = observable_stack(ctx.state.dim, (a, b))
-    return float(evaluate_one(ctx.state, obs, (ctx.function,)).qfi_gram[0, 0, 0, 1])
+    return float(evaluate_one(ctx.state, obs, (function,)).qfi_gram[0, 0, 0, 1])

@@ -93,6 +93,18 @@ class MonotoneFunction:
         return getattr(self.evaluate, "core", self.evaluate)
 
 
+def require_regular(f, role: str) -> MonotoneFunction:
+    """``f`` itself if it is a regular MonotoneFunction (f(0) > 0), the
+    hypothesis of the tilde transform and of the volume bound.  The one
+    check of it: every public function that takes an f passes it here, and
+    ``role`` names that argument in the error."""
+    if not isinstance(f, MonotoneFunction):
+        raise ValueError(f"{role} must be a MonotoneFunction, got {f!r}")
+    if not f.regular:
+        raise TildeUndefinedError(f"{role} must be regular (f(0) > 0), got {f.fid}")
+    return f
+
+
 def _reflected(core):
     """Lift a core defined on [0, 1] to (0, inf) via f(x) = x f(1/x); the
     lifted evaluator keeps the core as its ``core`` attribute."""
@@ -197,9 +209,7 @@ def tilde(f: MonotoneFunction) -> MonotoneFunction:
     same normalization/symmetry/sandwich checks.  Its zero limit is an exact
     0.0, which downstream mean tables rely on.
     """
-    if not f.regular:
-        raise TildeUndefinedError(f"tilde transform requires f(0) > 0, got {f.fid}")
-    f0, unit = f.value_at_zero, f.unit_evaluate
+    f0, unit = require_regular(f, "tilde argument").value_at_zero, f.unit_evaluate
 
     def core(y):  # y lies in [0, 1], so f's own reflection is skipped too
         vals = np.asarray(unit(y), dtype=np.float64)
@@ -277,8 +287,8 @@ def tilde_order(f: MonotoneFunction, g: MonotoneFunction) -> TildeOrder:
     the check samples a fixed 64-point log grid on [1e-6, 1e6], within
     ORDER_ATOL.
     """
-    if not (f.regular and g.regular):
-        raise TildeUndefinedError("tilde ordering needs two regular functions")
+    require_regular(f, "first ordered function")
+    require_regular(g, "second ordered function")
     rf = f.value_at_zero / np.asarray(f.evaluate(CHECK_GRID), dtype=np.float64)
     rg = g.value_at_zero / np.asarray(g.evaluate(CHECK_GRID), dtype=np.float64)
     return TildeOrder(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .matrices import as_hermitian, icommutator, pair_indices, real_coordinates, to_eigenframe
 from .metrics import MetricContext, MetricUndefinedError, f_correlation
-from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde
+from .monotone import MonotoneFunction, mean_table, require_regular, tilde
 
 DECOMPOSITION_MAX_TERMS = 10**6
 
@@ -63,13 +63,12 @@ def h_weight(function: MonotoneFunction, args) -> float:
     survives floating point even at extreme argument ratios where the direct
     product expansion cancels.
     """
+    require_regular(function, "h_weight function")
     vals = np.array([float(v) for v in args])
     if not np.all(np.isfinite(vals) & (vals > 0.0)):
         raise ValueError(f"h_weight needs strictly positive finite arguments: {vals.tolist()}")
     if len(vals) % 2 or not 2 <= len(vals) <= 16:
         raise ValueError(f"h_weight takes an even count of 2..16 arguments, got {len(vals)}")
-    if not function.regular:
-        raise TildeUndefinedError("h_weight needs a regular function")
     return float(_h_products(*_weights(function, vals[0::2], vals[1::2])))
 
 

@@ -19,11 +19,10 @@ import math
 
 import numpy as np
 
-from .matrices import DensityMatrix
-from .metrics import covariance, f_correlation, metric_context
+from .matrices import DensityMatrix, observable_stack
 from .monotone import builtin
 from .sampling import RandomSpec, as_integer, sample_observables, sample_pure_state
-from .volumes import GramSpec, volume_gap
+from .volumes import evaluate_one
 
 MIXTURE_STATE = np.diag([0.5, 0.0, 0.0, 0.5])
 ENTANGLED_STATE = 0.5 * np.array(
@@ -63,26 +62,22 @@ PURE_GAP_TOL = 1e-8
 
 
 def entanglement_rows() -> list[dict]:
-    """Covariance and f-correlation of (A, B) on both states, per function."""
-    mixture = DensityMatrix(MIXTURE_STATE)
-    entangled = DensityMatrix(ENTANGLED_STATE)
-    rows = []
-    for fid in EXAMPLE_FUNCTIONS:
-        f = builtin(fid)
-        rows.append(
-            {
-                "function": f.fid,
-                "cov_mixture": covariance(mixture, OBSERVABLE_A, OBSERVABLE_B),
-                "corr_mixture": f_correlation(
-                    metric_context(mixture, f), OBSERVABLE_A, OBSERVABLE_B
-                ),
-                "cov_entangled": covariance(entangled, OBSERVABLE_A, OBSERVABLE_B),
-                "corr_entangled": f_correlation(
-                    metric_context(entangled, f), OBSERVABLE_A, OBSERVABLE_B
-                ),
-            }
-        )
-    return rows
+    """Covariance and f-correlation of (A, B) on both states, per function,
+    from one kernel call per state."""
+    functions = tuple(builtin(fid) for fid in EXAMPLE_FUNCTIONS)
+    obs = observable_stack(4, (OBSERVABLE_A, OBSERVABLE_B))
+    states = DensityMatrix(MIXTURE_STATE), DensityMatrix(ENTANGLED_STATE)
+    mixture, entangled = (evaluate_one(state, obs, functions) for state in states)
+    return [
+        {
+            "function": f.fid,
+            "cov_mixture": float(mixture.cov_gram[0, 0, 1]),
+            "corr_mixture": float(mixture.qfi_gram[k, 0, 0, 1]),
+            "cov_entangled": float(entangled.cov_gram[0, 0, 1]),
+            "corr_entangled": float(entangled.qfi_gram[k, 0, 0, 1]),
+        }
+        for k, f in enumerate(functions)
+    ]
 
 
 def entanglement_errors(rows) -> float:
@@ -148,17 +143,19 @@ def hessian_example() -> dict:
 
 
 def pure_volume_rows(dim, n, seed, draws=3) -> list[dict]:
-    """Volume pairs for random pure states and random complex observables."""
+    """Volume pairs for random pure states and random complex observables,
+    from one kernel call per draw."""
     draws = as_integer("draws", draws, 1)
     spec = RandomSpec(seed=seed, dim=dim, ensemble="density")
+    functions = tuple(builtin(fid) for fid in EXAMPLE_FUNCTIONS)
     rows = []
     for draw in range(draws):
         state = sample_pure_state(seed, dim, draw)
-        observables = sample_observables(spec, draw, n)
-        for fid in EXAMPLE_FUNCTIONS:
-            report = volume_gap(GramSpec(state, observables, builtin(fid)))
-            vol_cov = math.sqrt(max(0.0, report.cov_det))
-            vol_qfi = math.sqrt(max(0.0, report.qfi_det))
+        obs = observable_stack(state.dim, sample_observables(spec, draw, n))
+        out = evaluate_one(state, obs, functions)
+        vol_cov = math.sqrt(max(0.0, float(out.cov_det[0])))
+        for k, fid in enumerate(EXAMPLE_FUNCTIONS):
+            vol_qfi = math.sqrt(max(0.0, float(out.qfi_det[k, 0])))
             rows.append(
                 {
                     "draw": draw,
@@ -166,7 +163,7 @@ def pure_volume_rows(dim, n, seed, draws=3) -> list[dict]:
                     "volume_cov": vol_cov,
                     "volume_qfi": vol_qfi,
                     "volume_gap": abs(vol_cov - vol_qfi),
-                    "det_gap": report.gap,
+                    "det_gap": float(out.gap[k, 0]),
                 }
             )
     return rows

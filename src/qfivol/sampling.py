@@ -183,25 +183,26 @@ def _state_matrices(spec: RandomSpec, z) -> np.ndarray:
         m[:, np.arange(dim), np.arange(dim)] = g / g.sum(axis=-1, keepdims=True)
         return m
     g = z[:, 0] if z.shape[1] == 1 else z[:, 0] + 1j * z[:, 1]
-    # g.conj() is g itself for real draws, so matmul sees g @ g.T as before
     m = g @ g.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _observable_draw(spec: RandomSpec, count: int) -> tuple:
-    """(channel, shape) of one sample's ``count`` observables' normals."""
-    if count < 1:
-        raise ValueError("count must be positive")
+def observable_draw(spec: RandomSpec, count) -> tuple:
+    """(channel, shape) of one sample's ``count`` observables' normals.  The
+    one check of an observable count: an integer (``as_integer``) of at
+    least 1, and 3 for the structured ensemble; sweeps and replay pass
+    theirs here."""
+    count = as_integer("n", count, 1)
     dim = spec.dim
     if spec.ensemble == "pauli-like-structured":
         if count != 3:
-            raise ValueError("the structured ensemble draws exactly 3 observables")
+            raise ValueError("the structured ensemble requires n = 3")
         return OBSERVABLE_CHANNEL, (4 * dim * dim + dim,)
     return OBSERVABLE_CHANNEL, (count, _planes(spec), dim, dim)
 
 
-def _observables(spec: RandomSpec, z, count: int) -> np.ndarray:
-    """A (B, count, d, d) stack of exactly self-adjoint observables from
+def _observables(spec: RandomSpec, z) -> np.ndarray:
+    """A (B, n, d, d) stack of exactly self-adjoint observables from
     their normals.
 
     For pauli-like-structured the slots hold the (A, B, C) triple: A an
@@ -224,7 +225,7 @@ def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VE
     eigenvalues, eigenvectors) state stacks, as matrices.density_stack
     returns them, and a (B, count, d, d) observable stack (see
     _observables).  A failed state check names the sample index."""
-    draws = (_state_draw(spec), _observable_draw(spec, count))
+    draws = (_state_draw(spec), observable_draw(spec, count))
     z_state, z_obs = _normals(spec.seed, indices, draws, version)
     try:
         states = density_stack(_state_matrices(spec, z_state))
@@ -233,7 +234,7 @@ def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VE
         if position is None:
             raise
         raise type(exc)(f"sample {indices[position]}: {exc}") from exc
-    return states, _observables(spec, z_obs, count)
+    return states, _observables(spec, z_obs)
 
 
 def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
@@ -244,8 +245,8 @@ def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
 
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
     """One sample's observable draws (see _observables); a structured C stays a real array."""
-    (z,) = _normals(spec.seed, [as_integer("index", index)], (_observable_draw(spec, count),))
-    a = _observables(spec, z, count)[0]
+    (z,) = _normals(spec.seed, [as_integer("index", index)], (observable_draw(spec, count),))
+    a = _observables(spec, z)[0]
     return (*a[:2], a[2].real.copy()) if spec.ensemble == "pauli-like-structured" else tuple(a)
 
 

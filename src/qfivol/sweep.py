@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import MAX_OBSERVABLES
-from .monotone import builtin
+from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .sampling import STREAM_VERSION, RandomSpec, as_integer, draw_samples
+from .sampling import STREAM_VERSION, RandomSpec, as_integer, draw_samples, observable_draw
 from .volumes import BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -91,8 +91,9 @@ RECORD_FIELDS = (
 class SweepConfig:
     """Validated sweep parameters; functions are kept as parse strings so the
     config stays picklable for worker processes.  Seed, dim and ensemble are
-    checked by the RandomSpec they build, function names by
-    monotone.builtin."""
+    checked by the RandomSpec they build, the structured ensemble's n by
+    sampling.observable_draw, function names by monotone.builtin and their
+    regularity by monotone.require_regular."""
 
     n: int
     dim: int
@@ -110,16 +111,12 @@ class SweepConfig:
         spec = RandomSpec(self.seed, self.dim, self.ensemble)
         for name in ("seed", "dim", "ensemble"):
             object.__setattr__(self, name, getattr(spec, name))
-        object.__setattr__(
-            self, "functions", tuple(builtin(fid).fid for fid in self.functions)
-        )
-        for k, fid in enumerate(self.functions):
-            if not builtin(fid).regular:
-                raise ValueError(f"sweep functions must be regular, got {fid}")
-            if fid in self.functions[:k]:
+        observable_draw(spec, self.n)
+        fids = tuple(require_regular(builtin(fid), "sweep function").fid for fid in self.functions)
+        object.__setattr__(self, "functions", fids)
+        for k, fid in enumerate(fids):
+            if fid in fids[:k]:
                 raise ValueError(f"function {fid} is listed twice")
-        if self.ensemble == "pauli-like-structured" and self.n != 3:
-            raise ValueError("the structured ensemble requires n = 3")
 
 
 @dataclass(frozen=True)
@@ -200,6 +197,7 @@ def evaluate_sample(
 ):
     """The records (parsed from their lines) of one sample drawn from stream
     ``stream``, one per function, plus its monotonicity violations."""
+    index = as_integer("index", index, 0, 2**64 - 1)
     out = _evaluate(rspec, [index], n, functions, stream)
     templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, [f.fid for f in functions])
     lines = _format_batch(templates, [index], out)
@@ -508,17 +506,17 @@ def replay_record(path, line_number: int) -> dict:
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
     try:
-        # a sweep's own checks, which refuse JSON's true, false and 3.0 as integers
+        # a sweep's own checks, which refuse JSON's true, false and 3.0 as
+        # integers, then evaluate_sample's check of the index before it draws
         config = SweepConfig(
             n=stored["n"], dim=stored["dim"], samples=1, functions=(stored["function"],),
             ensemble=stored["ensemble"], seed=stored["seed"],
         )
-        index = as_integer("index", stored["index"], 0, 2**64 - 1)
+        rspec = RandomSpec(config.seed, config.dim, config.ensemble)
+        function = builtin(config.functions[0])
+        records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,), stream=stream)
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
-    rspec = RandomSpec(config.seed, config.dim, config.ensemble)
-    function = builtin(config.functions[0])
-    records, _ = evaluate_sample(rspec, index, config.n, (function,), stream=stream)
     fresh = records[0]
     if fields is _OLD_FIELDS:
         fresh["volume_cov"] = math.sqrt(max(0.0, fresh["cov_det"]))

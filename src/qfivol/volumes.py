@@ -37,7 +37,7 @@ from .matrices import (
     real_coordinates,
     trace_product,
 )
-from .monotone import MonotoneFunction, TildeUndefinedError, mean_table, tilde, tilde_order
+from .monotone import MonotoneFunction, mean_table, require_regular, tilde, tilde_order
 
 MAIN_INEQUALITY_SLACK = 1e-10
 EQUALITY_RTOL = 1e-8
@@ -59,8 +59,7 @@ class GramSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "observables", observable_stack(self.state.dim, self.observables))
-        if not self.function.regular:
-            raise TildeUndefinedError("gram volumes need a regular function")
+        require_regular(self.function, "GramSpec function")
 
 
 @dataclass(frozen=True)
@@ -298,11 +297,9 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
     The function and its partner share one kernel call; a partner that is
     not regular is refused before it.
     """
-    if partner is not None and not partner.regular:
-        raise TildeUndefinedError(
-            f"monotonicity partner must be regular (f(0) > 0), got {partner.fid}"
-        )
-    functions = (spec.function,) if partner is None else (spec.function, partner)
+    functions = (spec.function,)
+    if partner is not None:
+        functions += (require_regular(partner, "monotonicity partner"),)
     out = evaluate_one(spec.state, spec.observables, functions)
     pairs = order_pairs(functions)
     mono = None

@@ -1,24 +1,32 @@
 """Tests for covariance, the metric inner product, and the f-correlation."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qfivol import (
     DensityMatrix,
+    GramSpec,
     MetricUndefinedError,
     RLD,
     SLD,
     TildeUndefinedError,
     WY,
+    builtin,
     covariance,
     f_correlation,
     icommutator,
     mean_table,
     metric_context,
+    RandomSpec,
     regular_builtins,
+    sample_observables,
     sample_pure_state,
+    volume_gap,
 )
+from qfivol import repro
 from qfivol.oracles import identity_residual, qfi_inner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -259,3 +267,36 @@ def test_bilinearity_of_inner_and_correlation():
     combined = qfi_inner(ctx, xa, 1.5 * xb - 2.0 * xc)
     parts = 1.5 * qfi_inner(ctx, xa, xb) - 2.0 * qfi_inner(ctx, xa, xc)
     assert_allclose(combined, parts, rtol=1e-10, atol=1e-12)
+
+
+def test_repro_rows_are_the_single_function_reads_bit_for_bit():
+    """repro makes one kernel call per state (entanglement) and per draw
+    (pure volumes); each row still has the bits of the one-function calls."""
+    mixture, entangled = DensityMatrix(FOUR_LEVEL_MIXTURE), DensityMatrix(FOUR_LEVEL_PURE)
+    rows = repro.entanglement_rows()
+    assert [row["function"] for row in rows] == list(repro.EXAMPLE_FUNCTIONS)
+    for row in rows:
+        f = builtin(row["function"])
+        assert row == {
+            "function": f.fid,
+            "cov_mixture": covariance(mixture, FOUR_LEVEL_A, FOUR_LEVEL_B),
+            "corr_mixture": f_correlation(metric_context(mixture, f), FOUR_LEVEL_A, FOUR_LEVEL_B),
+            "cov_entangled": covariance(entangled, FOUR_LEVEL_A, FOUR_LEVEL_B),
+            "corr_entangled": f_correlation(
+                metric_context(entangled, f), FOUR_LEVEL_A, FOUR_LEVEL_B
+            ),
+        }
+    for dim, n, seed in ((2, 1, 0), (3, 2, 42), (4, 3, 7)):
+        rows = repro.pure_volume_rows(dim, n, seed, draws=2)
+        assert len(rows) == 2 * len(repro.EXAMPLE_FUNCTIONS)
+        spec = RandomSpec(seed, dim, "density")
+        for row in rows:
+            state = sample_pure_state(seed, dim, row["draw"])
+            observables = sample_observables(spec, row["draw"], n)
+            report = volume_gap(GramSpec(state, observables, builtin(row["function"])))
+            vol_cov = math.sqrt(max(0.0, report.cov_det))
+            vol_qfi = math.sqrt(max(0.0, report.qfi_det))
+            assert row == {
+                "draw": row["draw"], "function": row["function"], "volume_cov": vol_cov,
+                "volume_qfi": vol_qfi, "volume_gap": abs(vol_cov - vol_qfi), "det_gap": report.gap,
+            }

@@ -57,3 +57,29 @@ def test_oracles_stay_out_of_the_kernel_imports():
     assert _package_imports("volumes") <= {"matrices", "monotone"}
     importers = {module for module in MODULES if "oracles" in _package_imports(module)}
     assert importers == {"__init__"}
+
+
+def _regularity_gates(module):
+    """Line numbers in ``module`` of TildeUndefinedError(...) calls and of
+    ``if`` statements whose test reads ``.regular`` and whose branches raise."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "TildeUndefinedError":
+                found.append(node.lineno)
+        elif isinstance(node, ast.If):
+            reads = any(getattr(sub, "attr", None) == "regular" for sub in ast.walk(node.test))
+            branches = (sub for stmt in node.body + node.orelse for sub in ast.walk(stmt))
+            if reads and any(isinstance(sub, ast.Raise) for sub in branches):
+                found.append(node.lineno)
+    return found
+
+
+def test_regularity_is_checked_only_by_the_monotone_gate():
+    """f(0) > 0 is refused in one place, monotone.require_regular; every
+    other module passes its functions there."""
+    outside = {module: _regularity_gates(module) for module in MODULES if module != "monotone"}
+    assert {module: lines for module, lines in outside.items() if lines} == {}
+    assert _regularity_gates("monotone") != []

@@ -14,6 +14,7 @@ from qfivol import (
     sample_state,
     sampling,
 )
+from qfivol import repro
 
 # stream v1 at its word boundaries: one- and two-word seeds
 STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
@@ -170,14 +171,29 @@ def test_structured_ensemble_shapes():
 
 def test_structured_ensemble_requires_three_observables():
     spec = RandomSpec(5, 3, "pauli-like-structured")
-    with pytest.raises(ValueError, match="exactly 3"):
+    with pytest.raises(ValueError, match="requires n = 3"):
         sample_observables(spec, 0, 2)
 
 
 def test_observable_count_validation():
     spec = RandomSpec(5, 3, "density")
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="at least 1"):
         sample_observables(spec, 0, 0)
+
+
+@pytest.mark.parametrize("count", [2.0, True, np.True_, "2"])
+@pytest.mark.parametrize(
+    "draw",
+    [lambda count: sample_observables(RandomSpec(3, 3, "density"), 0, count),
+     lambda count: sampling.draw_samples(RandomSpec(3, 3, "density"), [0, 1], count),
+     lambda count: repro.pure_volume_rows(3, count, 1)],
+    ids=["observables", "draw-samples", "pure-volume"],
+)
+def test_observable_counts_pass_as_integer(draw, count):
+    """2.0 and True name no count; numpy's TypeError would not name the field."""
+    with pytest.raises(ValueError) as info:
+        draw(count)
+    assert str(info.value) == f"n must be an integer, got {count!r}"
 
 
 def test_pure_state_is_rank_one_projector():

@@ -212,6 +212,25 @@ def test_evaluate_sample_fields():
     assert odd[0]["robertson_det"] is None
 
 
+@pytest.mark.parametrize(
+    "index,message",
+    [(True, "index must be an integer, got True"),
+     (2.0, "index must be an integer, got 2.0"),
+     (-1, "index must be in 0..18446744073709551615, got -1"),
+     (2**64, "index must be in 0..18446744073709551615, got 18446744073709551616")],
+)
+def test_evaluate_sample_checks_its_index(monkeypatch, index, message):
+    """True would draw sample 1 and record it as index 1; 2.0 names no sample."""
+
+    def no_draw(*args):
+        raise AssertionError("evaluate_sample drew before checking its index")
+
+    monkeypatch.setattr(sweep, "draw_samples", no_draw)
+    with pytest.raises(ValueError) as info:
+        evaluate_sample(RandomSpec(3, 2, "density"), index, 2, (builtin("wy"),))
+    assert str(info.value) == message
+
+
 def test_evaluate_sample_counts_monotonicity_violations():
     """The ordered chain never breaks on real triples, and flipping a pair
     direction makes the same samples register as violations."""

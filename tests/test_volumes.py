@@ -33,6 +33,7 @@ from qfivol import (
 )
 from qfivol import matrices, metrics, oracles, volumes
 from qfivol.matrices import EIGENVALUE_FLOOR
+from qfivol.monotone import tilde_order
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
 from qfivol.repro import hessian_generalized_variance
 from qfivol.sampling import draw_samples
@@ -538,6 +539,35 @@ def test_check_inequalities_refuses_a_non_regular_partner_before_kernel_work(mon
     with pytest.raises(TildeUndefinedError) as info:
         check_inequalities(spec, partner=RLD)
     assert str(info.value) == message
+
+
+_GATE_STATE = DensityMatrix(np.diag([0.75, 0.25]))
+_GATE_SPEC = GramSpec(_GATE_STATE, (SIGMA_X, SIGMA_Y), WY)
+
+
+@pytest.mark.parametrize(
+    "role,call",
+    [("tilde argument", tilde),
+     ("first ordered function", lambda f: tilde_order(f, WY)),
+     ("second ordered function", lambda f: tilde_order(WY, f)),
+     ("GramSpec function", lambda f: GramSpec(_GATE_STATE, (SIGMA_X,), f)),
+     ("monotonicity partner", lambda f: check_inequalities(_GATE_SPEC, partner=f)),
+     ("f-correlation function",
+      lambda f: metrics.f_correlation(metrics.metric_context(_GATE_STATE, f), SIGMA_X, SIGMA_Y)),
+     ("h_weight function", lambda f: h_weight(f, (1.0, 2.0)))],
+    ids=["tilde", "tilde_order-f", "tilde_order-g", "GramSpec", "partner", "f_correlation",
+         "h_weight"],
+)
+def test_every_function_argument_passes_the_one_gate(role, call):
+    """A name, where a MonotoneFunction belongs, and a non-regular function
+    are refused with an error naming the argument, never an AttributeError."""
+    with pytest.raises(ValueError) as info:
+        call("wy")
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{role} must be a MonotoneFunction, got 'wy'"
+    with pytest.raises(TildeUndefinedError) as info:
+        call(RLD)
+    assert str(info.value) == f"{role} must be regular (f(0) > 0), got rld"
 
 
 CALL_MATES = (SLD, WY, wyd(0.05), wyd(0.25))
