@@ -13,10 +13,7 @@ sweep candidate points at a numerical defect.
 from .matrices import (
     DecompositionError,
     DensityMatrix,
-    as_hermitian,
-    det_small,
     icommutator,
-    spectral_decompose,
     to_eigenframe,
 )
 from .metrics import (
@@ -45,16 +42,10 @@ from .oracles import identity_residual, k_coefficient
 from .sampling import (
     ENSEMBLES,
     RandomSpec,
-    resolve_ensemble,
-    sample_observables,
-    sample_pure_state,
-    sample_state,
 )
 from .sweep import (
     SweepConfig,
     SweepSummary,
-    evaluate_sample,
-    format_record,
     replay_record,
     run_sweep,
 )
@@ -88,14 +79,10 @@ __all__ = [
     "TildeUndefinedError",
     "VolumeReport",
     "WY",
-    "as_hermitian",
     "builtin",
     "check_inequalities",
     "covariance",
-    "det_small",
     "f_correlation",
-    "evaluate_sample",
-    "format_record",
     "icommutator",
     "identity_residual",
     "k_coefficient",
@@ -104,14 +91,9 @@ __all__ = [
     "observables_dependent",
     "regular_builtins",
     "replay_record",
-    "resolve_ensemble",
     "robertson_bound",
     "run_sweep",
-    "sample_observables",
-    "sample_pure_state",
-    "sample_state",
     "scalar_mean",
-    "spectral_decompose",
     "tilde",
     "tilde_order",
     "to_eigenframe",

@@ -93,14 +93,21 @@ class MonotoneFunction:
         return getattr(self.evaluate, "core", self.evaluate)
 
 
+def require_function(f, role: str) -> MonotoneFunction:
+    """``f`` itself if it is a MonotoneFunction.  The one type check of a
+    function argument: every public function that uses an f passes it here,
+    directly or through require_regular, and ``role`` names that argument in
+    the error."""
+    if not isinstance(f, MonotoneFunction):
+        raise ValueError(f"{role} must be a MonotoneFunction, got {f!r}")
+    return f
+
+
 def require_regular(f, role: str) -> MonotoneFunction:
     """``f`` itself if it is a regular MonotoneFunction (f(0) > 0), the
     hypothesis of the tilde transform and of the volume bound.  The one
-    check of it: every public function that takes an f passes it here, and
-    ``role`` names that argument in the error."""
-    if not isinstance(f, MonotoneFunction):
-        raise ValueError(f"{role} must be a MonotoneFunction, got {f!r}")
-    if not f.regular:
+    check of it: every public function that needs it passes its f here."""
+    if not require_function(f, role).regular:
         raise TildeUndefinedError(f"{role} must be regular (f(0) > 0), got {f.fid}")
     return f
 
@@ -228,6 +235,7 @@ def scalar_mean(f: MonotoneFunction, x: float, y: float) -> float:
 
     Exact special cases: m(x, x) = x, m(x, 0) = x f(0), m(0, 0) = 0.
     """
+    require_function(f, "scalar_mean function")
     if x < 0.0 or y < 0.0:
         raise ValueError(f"mean arguments must be nonnegative, got ({x}, {y})")
     if x == y:
@@ -262,7 +270,8 @@ def mean_table(functions, eigenvalues) -> np.ndarray:
     slots = pair_slots(dim)
     tables = np.empty((len(functions), *lam.shape[:-1], dim * dim))
     for k, f in enumerate(functions):
-        packed = hi * np.asarray(f.unit_evaluate(ratio), dtype=np.float64)
+        unit = require_function(f, "mean_table function").unit_evaluate
+        packed = hi * np.asarray(unit(ratio), dtype=np.float64)
         packed.take(slots, axis=-1, out=tables[k])
     return tables.reshape(*tables.shape[:-1], dim, dim)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .matrices import as_hermitian, icommutator, pair_indices, real_coordinates, to_eigenframe
 from .metrics import MetricContext, MetricUndefinedError, f_correlation
-from .monotone import MonotoneFunction, mean_table, require_regular, tilde
+from .monotone import MonotoneFunction, mean_table, require_function, require_regular, tilde
 
 DECOMPOSITION_MAX_TERMS = 10**6
 
@@ -135,12 +135,13 @@ def qfi_inner(ctx: MetricContext, x, y) -> float:
     commutators i[rho, A].  Requires a faithful state, otherwise the mean
     table has zero entries and the sum is undefined.
     """
+    function = require_function(ctx.function, "qfi_inner function")
     if not ctx.state.faithful:
         raise MetricUndefinedError("qfi inner product requires a faithful state")
     u = ctx.state.eigenvectors
     fx = u.conj().T @ as_hermitian(x) @ u
     fy = u.conj().T @ as_hermitian(y) @ u
-    table = mean_table((ctx.function,), ctx.state.eigenvalues)[0]
+    table = mean_table((function,), ctx.state.eigenvalues)[0]
     return float(np.sum(np.real(np.conj(fx) * fy) / table))
 
 

@@ -239,13 +239,14 @@ def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VE
 
 def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
     """State draw for the ensemble's state stream (see _state_matrices)."""
-    (z,) = _normals(spec.seed, [as_integer("index", index)], (_state_draw(spec),))
+    (z,) = _normals(spec.seed, [as_integer("index", index, 0, 2**64 - 1)], (_state_draw(spec),))
     return DensityMatrix(_state_matrices(spec, z)[0])
 
 
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
     """One sample's observable draws (see _observables); a structured C stays a real array."""
-    (z,) = _normals(spec.seed, [as_integer("index", index)], (observable_draw(spec, count),))
+    draw = observable_draw(spec, count)
+    (z,) = _normals(spec.seed, [as_integer("index", index, 0, 2**64 - 1)], (draw,))
     a = _observables(spec, z)[0]
     return (*a[:2], a[2].real.copy()) if spec.ensemble == "pauli-like-structured" else tuple(a)
 
@@ -254,8 +255,8 @@ def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:
     """Rank-1 projector onto a normalized complex Gaussian vector (real parts
     first, then imaginary parts, from one call); seed and dim are checked as
     a RandomSpec checks them."""
-    spec = RandomSpec(seed, dim, "density")
-    (z,) = _normals(spec.seed, [as_integer("index", index)], ((PURE_CHANNEL, (2 * dim,)),))
+    spec, draw = RandomSpec(seed, dim, "density"), (PURE_CHANNEL, (2 * dim,))
+    (z,) = _normals(spec.seed, [as_integer("index", index, 0, 2**64 - 1)], (draw,))
     v = z[0, :dim] + 1j * z[0, dim:]
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))

@@ -19,19 +19,18 @@ from qfivol import (
     RandomSpec,
     SweepConfig,
     builtin,
-    evaluate_sample,
     f_correlation,
     identity_residual,
     k_coefficient,
     metric_context,
     regular_builtins,
     run_sweep,
-    sample_observables,
-    sample_pure_state,
     scalar_mean,
     tilde,
     volume_gap,
 )
+from qfivol.sampling import sample_observables, sample_pure_state
+from qfivol.sweep import evaluate_sample
 from qfivol import repro
 from qfivol.oracles import gap_from_decomposition
 from qfivol.volumes import order_pairs

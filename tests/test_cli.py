@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfivol import RandomSpec, sample_state, sweep
+from qfivol import RandomSpec, sweep
+from qfivol.sampling import sample_state
 from qfivol.cli import main
 
 # records written before stream v2 (no version field): complex d3 n3, real

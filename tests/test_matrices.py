@@ -6,12 +6,10 @@ from numpy.testing import assert_allclose
 
 from qfivol import (
     DensityMatrix,
-    as_hermitian,
-    det_small,
     icommutator,
-    spectral_decompose,
     to_eigenframe,
 )
+from qfivol.matrices import as_hermitian, det_small, spectral_decompose
 from qfivol.matrices import expectation_stack, frame_stack, real_coordinates, trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -22,10 +22,9 @@ from qfivol import (
     metric_context,
     RandomSpec,
     regular_builtins,
-    sample_observables,
-    sample_pure_state,
     volume_gap,
 )
+from qfivol.sampling import sample_observables, sample_pure_state
 from qfivol import repro
 from qfivol.oracles import identity_residual, qfi_inner
 

@@ -1,10 +1,13 @@
-"""Package boundaries: every module imports on its own, every export
-resolves, and the test oracles stay out of the kernel's import graph."""
+"""Package boundaries: every module imports on its own, the package's public
+names are exactly its exports and each resolves, and the test oracles stay
+out of the kernel's import graph."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,34 @@ def test_each_module_imports_alone(module):
 def test_every_export_resolves():
     missing = [name for name in qfivol.__all__ if not hasattr(qfivol, name)]
     assert missing == []
+
+
+# internals that are not exported: callers import each from its module
+INTERNALS = {
+    "as_hermitian": "matrices",
+    "det_small": "matrices",
+    "spectral_decompose": "matrices",
+    "resolve_ensemble": "sampling",
+    "sample_state": "sampling",
+    "sample_observables": "sampling",
+    "sample_pure_state": "sampling",
+    "evaluate_sample": "sweep",
+    "format_record": "sweep",
+}
+
+
+def test_the_public_attributes_are_all_and_only_all():
+    public = {
+        name for name, value in vars(qfivol).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(qfivol.__all__)
+
+
+@pytest.mark.parametrize("name, module", sorted(INTERNALS.items()))
+def test_internals_resolve_at_their_module_only(name, module):
+    assert not hasattr(qfivol, name)
+    assert callable(getattr(importlib.import_module(f"qfivol.{module}"), name))
 
 
 def test_only_the_gate_oracles_are_exported():

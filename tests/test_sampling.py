@@ -9,11 +9,9 @@ import pytest
 from qfivol import (
     DensityMatrix,
     RandomSpec,
-    sample_observables,
-    sample_pure_state,
-    sample_state,
     sampling,
 )
+from qfivol.sampling import sample_observables, sample_pure_state, sample_state
 from qfivol import repro
 
 # stream v1 at its word boundaries: one- and two-word seeds
@@ -100,6 +98,21 @@ def test_single_draws_reject_non_integer_index(draw, index):
     with pytest.raises(ValueError) as info:
         draw(index)
     assert str(info.value) == f"index must be an integer, got {index!r}"
+
+
+@pytest.mark.parametrize("index", [-1, 2**64])
+@pytest.mark.parametrize(
+    "draw",
+    [lambda index: sample_state(RandomSpec(3, 3, "density"), index),
+     lambda index: sample_observables(RandomSpec(3, 3, "density"), index, 2),
+     lambda index: sample_pure_state(3, 3, index)],
+    ids=["state", "observables", "pure-state"],
+)
+def test_single_draws_check_index_range_as_evaluate_sample_does(draw, index):
+    """One index rule and one message for every single-sample entry."""
+    with pytest.raises(ValueError) as info:
+        draw(index)
+    assert str(info.value) == f"index must be in 0..18446744073709551615, got {index}"
 
 
 def _observable(spec, index):
@@ -266,7 +279,7 @@ def test_pure_state_matches_two_oracle_calls():
 @pytest.mark.parametrize("index", [-1, 2**64])
 def test_index_outside_uint64_raises(index):
     spec = RandomSpec(3, 3, "density")
-    with pytest.raises(ValueError, match="indices must be in"):
+    with pytest.raises(ValueError, match=r"index must be in 0\.\.18446744073709551615"):
         sample_state(spec, index)
     with pytest.raises(ValueError, match="indices must be in"):
         sampling.draw_samples(spec, [0, index], 1)

@@ -24,19 +24,16 @@ from qfivol import (
     SweepConfig,
     builtin,
     check_inequalities,
-    evaluate_sample,
-    format_record,
     observables_dependent,
     regular_builtins,
     replay_record,
-    resolve_ensemble,
     robertson_bound,
     run_sweep,
-    sample_observables,
-    sample_state,
     sweep,
     volume_gap,
 )
+from qfivol.sampling import resolve_ensemble, sample_observables, sample_state
+from qfivol.sweep import evaluate_sample, format_record
 from qfivol.volumes import order_pairs
 
 # sha256 of 300-sample, seed-7 sweep files of record version 3 on stream

@@ -15,15 +15,11 @@ from qfivol import (
     SLD,
     TildeUndefinedError,
     WY,
-    as_hermitian,
     check_inequalities,
     mean_table,
     observables_dependent,
     regular_builtins,
     robertson_bound,
-    sample_observables,
-    sample_pure_state,
-    sample_state,
     scalar_mean,
     tilde,
     to_eigenframe,
@@ -32,11 +28,11 @@ from qfivol import (
     RandomSpec,
 )
 from qfivol import matrices, metrics, oracles, volumes
-from qfivol.matrices import EIGENVALUE_FLOOR
+from qfivol.matrices import EIGENVALUE_FLOOR, as_hermitian
 from qfivol.monotone import tilde_order
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
 from qfivol.repro import hessian_generalized_variance
-from qfivol.sampling import draw_samples
+from qfivol.sampling import draw_samples, sample_observables, sample_pure_state, sample_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -568,6 +564,24 @@ def test_every_function_argument_passes_the_one_gate(role, call):
     with pytest.raises(TildeUndefinedError) as info:
         call(RLD)
     assert str(info.value) == f"{role} must be regular (f(0) > 0), got rld"
+
+
+@pytest.mark.parametrize(
+    "role,call",
+    [("scalar_mean function", lambda f: scalar_mean(f, 1.0, 2.0)),
+     ("mean_table function", lambda f: mean_table((f,), _GATE_STATE.eigenvalues)),
+     ("qfi_inner function",
+      lambda f: oracles.qfi_inner(metrics.metric_context(_GATE_STATE, f), SIGMA_X, SIGMA_Y))],
+    ids=["scalar_mean", "mean_table", "qfi_inner"],
+)
+def test_function_arguments_without_a_regularity_need_pass_the_type_gate(role, call):
+    """Where any MonotoneFunction will do, a name is still refused with an
+    error naming the argument, and a non-regular function is taken."""
+    with pytest.raises(ValueError) as info:
+        call("wy")
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{role} must be a MonotoneFunction, got 'wy'"
+    call(RLD)
 
 
 CALL_MATES = (SLD, WY, wyd(0.05), wyd(0.25))
