@@ -52,9 +52,11 @@ def covariance(state: DensityMatrix, a, b) -> float:
 def f_correlation(ctx: MetricContext, a, b) -> float:
     """Covariance minus the tilde-mean weighted frame overlap.
 
-    Defined for any state (zero eigenvalues contribute exact zeros through
-    the tilde table) but only for regular functions.  For pure states the
-    subtracted sum vanishes and the correlation equals the covariance.
+    Defined for any state but only for regular functions.  Zero eigenvalues
+    contribute exact zeros through the tilde table when f's evaluator
+    returns exactly ``value_at_zero`` at 0, as every builtin's does (see
+    monotone.mean_table); then for pure states the subtracted sum vanishes
+    and the correlation equals the covariance.
     """
     function = require_regular(ctx.function, "f-correlation function")
     obs = observable_stack(ctx.state.dim, (a, b))

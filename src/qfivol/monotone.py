@@ -120,11 +120,8 @@ def _reflected(core):
         arr = np.asarray(x, dtype=np.float64)
         flat = arr.reshape(-1)
         big = flat > 1.0
-        if big.any():
-            out = core(np.divide(1.0, flat, out=flat.copy(), where=big))
-            out[big] *= flat[big]
-        else:
-            out = core(flat)
+        out = core(np.divide(1.0, flat, out=flat.copy(), where=big))
+        out[big] *= flat[big]
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     evaluate.core = core
@@ -213,8 +210,11 @@ def tilde(f: MonotoneFunction) -> MonotoneFunction:
     """Tilde transform of a regular function; the result is non-regular.
 
     The transform is itself registered, so the returned object passes the
-    same normalization/symmetry/sandwich checks.  Its zero limit is an exact
-    0.0, which downstream mean tables rely on.
+    same normalization/symmetry/sandwich checks.  Its zero limit, which
+    downstream mean tables rely on, is an exact 0.0 when f's evaluator
+    returns exactly ``value_at_zero`` at 0, as every builtin's does; a
+    registered f that is off there by up to the 1e-12 registration allows
+    leaves the limit that far off 0.
     """
     f0, unit = require_regular(f, "tilde argument").value_at_zero, f.unit_evaluate
 
@@ -254,10 +254,15 @@ def mean_table(functions, eigenvalues) -> np.ndarray:
     and the ratio lo/hi are computed once and shared by every f, which is
     evaluated on the upper triangle only, through its unit_evaluate (the
     ratio lies in [0, 1]), and mirrored straight into its table, so no
-    packed values of all F functions are held at once.  Diagonal entries are the eigenvalues themselves
-    (bit-exact) and entries involving a zero eigenvalue are hi * f(0)
-    exactly; for tilde transforms that makes them exact zeros.  Each table
-    has the same bits whatever functions share the call.
+    packed values of all F functions are held at once.  Each table has the
+    same bits whatever functions share the call.
+
+    Two entries are exact when f's evaluator returns exactly 1.0 at 1 and
+    exactly ``value_at_zero`` at 0, as every builtin does: diagonal entries
+    are then the eigenvalues themselves, bit for bit, and entries involving
+    a zero eigenvalue are hi * f(0), exact zeros for tilde transforms.
+    Registration lets either value be up to 1e-12 off, and these entries
+    are then off by as much relative to hi; nothing here checks it.
     """
     if isinstance(functions, MonotoneFunction):
         raise TypeError(f"mean_table takes a sequence of functions, got {functions.fid}; pass (f,)")

@@ -32,7 +32,9 @@ _SUBSET_BATCH = 16384
 def _weights(function: MonotoneFunction, u: np.ndarray, v: np.ndarray):
     """Per pair (u, v): c = (u+v)/2, q = f(0)(u-v)^2 / (2 m_f(u, v)) (exactly
     0 where u = v) and m = m_tilde(u, v), so that c = q + m with every factor
-    >= 0 and no cancellation."""
+    >= 0.  c and q do not cancel, but m does at small ratios: it is read from
+    tilde(f)'s generic formula ((y+1) - (y-1)^2 f(0)/f(y))/2, whose two terms
+    both tend to 1/2 as y -> 0 (tests/test_error_search.py measures it)."""
     mean, tilde_mean = mean_table((function, tilde(function)), np.stack([u, v], axis=-1))[..., 0, 1]
     square = function.value_at_zero * (u - v) ** 2
     q = np.divide(square, 2.0 * mean, out=np.zeros_like(square), where=u != v)

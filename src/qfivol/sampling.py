@@ -14,6 +14,11 @@ Stream v1, which records without a ``version`` field were drawn from, is
 kept only so those records replay: there the normals of sample ``i`` are one
 ``standard_normal(shape)`` call of ``default_rng(SeedSequence(seed,
 spawn_key=(i, channel)))``.
+
+A ``RandomSpec`` names its stream (``stream``, STREAM_VERSION unless
+given), so every draw of a spec comes from that one stream and no draw
+function takes a stream argument; records without a ``version`` field
+replay through a stream-1 spec.
 """
 
 from __future__ import annotations
@@ -90,18 +95,22 @@ def resolve_ensemble(tag: str) -> str:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Identifies a reproducible stream of random draws; ``ensemble`` is
-    resolved to its base tag.  The one check of these three fields: sweeps
-    and replay pass theirs here."""
+    """Identifies a reproducible stream of random draws: every draw of a
+    spec comes from stream ``stream`` (1 or 2, see the module docstring;
+    records without a version field replay through a stream-1 spec), and
+    ``ensemble`` is resolved to its base tag.  The one check of these four
+    fields: sweeps and replay pass theirs here."""
 
     seed: int
     dim: int
     ensemble: str
+    stream: int = STREAM_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", resolve_ensemble(self.ensemble))
         object.__setattr__(self, "dim", as_integer("dim", self.dim, MIN_DIM, MAX_DIM))
         object.__setattr__(self, "seed", as_integer("seed", self.seed, 0, 2**64 - 1))
+        object.__setattr__(self, "stream", as_integer("stream", self.stream, 1, STREAM_VERSION))
 
 
 # stream v2's block size: sample i draws row i % BLOCK of its block's call;
@@ -111,15 +120,17 @@ BLOCK = 8
 _thread = threading.local()
 
 
-def _normals(seed: int, indices, draws, version: int = STREAM_VERSION) -> list[np.ndarray]:
+def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
     """For each (channel, shape) of ``draws`` a (B, *shape) stack whose row b
-    holds the normals of sample indices[b] on that channel, from stream
-    ``version`` (see the module docstring)."""
+    holds the normals of sample indices[b] on that channel, from the spec's
+    seed and stream (see the module docstring).  Every draw checks its
+    indices here: the batch's smallest and largest pass as_integer as
+    ``index``, in 0..2**64 - 1."""
     if len(indices):
-        low, high = min(indices), max(indices)
-        if low < 0 or high >= 2**64:
-            raise ValueError(f"sample indices must be in [0, 2**64), got {low if low < 0 else high}")
-    if version == 1:
+        as_integer("index", min(indices), 0, 2**64 - 1)
+        as_integer("index", max(indices), 0, 2**64 - 1)
+    seed = spec.seed
+    if spec.stream == 1:
         return [
             np.stack([
                 np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
@@ -220,13 +231,13 @@ def _observables(spec: RandomSpec, z) -> np.ndarray:
     return _hermitian(z)
 
 
-def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VERSION):
-    """The samples at ``indices`` on stream ``version``: validated (matrix,
+def draw_samples(spec: RandomSpec, indices, count: int):
+    """The samples at ``indices`` on the spec's stream: validated (matrix,
     eigenvalues, eigenvectors) state stacks, as matrices.density_stack
     returns them, and a (B, count, d, d) observable stack (see
     _observables).  A failed state check names the sample index."""
     draws = (_state_draw(spec), observable_draw(spec, count))
-    z_state, z_obs = _normals(spec.seed, indices, draws, version)
+    z_state, z_obs = _normals(spec, indices, draws)
     try:
         states = density_stack(_state_matrices(spec, z_state))
     except (ValueError, DecompositionError) as exc:
@@ -239,14 +250,14 @@ def draw_samples(spec: RandomSpec, indices, count: int, version: int = STREAM_VE
 
 def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
     """State draw for the ensemble's state stream (see _state_matrices)."""
-    (z,) = _normals(spec.seed, [as_integer("index", index, 0, 2**64 - 1)], (_state_draw(spec),))
+    (z,) = _normals(spec, [index], (_state_draw(spec),))
     return DensityMatrix(_state_matrices(spec, z)[0])
 
 
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
     """One sample's observable draws (see _observables); a structured C stays a real array."""
     draw = observable_draw(spec, count)
-    (z,) = _normals(spec.seed, [as_integer("index", index, 0, 2**64 - 1)], (draw,))
+    (z,) = _normals(spec, [index], (draw,))
     a = _observables(spec, z)[0]
     return (*a[:2], a[2].real.copy()) if spec.ensemble == "pauli-like-structured" else tuple(a)
 
@@ -256,7 +267,7 @@ def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:
     first, then imaginary parts, from one call); seed and dim are checked as
     a RandomSpec checks them."""
     spec, draw = RandomSpec(seed, dim, "density"), (PURE_CHANNEL, (2 * dim,))
-    (z,) = _normals(spec.seed, [as_integer("index", index, 0, 2**64 - 1)], (draw,))
+    (z,) = _normals(spec, [index], (draw,))
     v = z[0, :dim] + 1j * z[0, dim:]
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))

@@ -23,7 +23,8 @@ sweep's shared fields baked in, and each sample's ``cov_det``,
 ``robertson_det`` and ``dependent`` once for all its functions.  Replay reads
 older files too: version 2 and unversioned records also carry
 ``volume_cov`` and ``volume_qfi``, and unversioned ones were drawn from
-stream v1 rather than stream 2 (see ``sampling``), so they replay bit for bit.
+stream v1 rather than stream 2 (see ``sampling``), so they replay bit for bit
+through a stream-1 RandomSpec.
 The first replay of a file reads it once to index where each line starts;
 later replays of the same unchanged file seek straight to their line.
 
@@ -187,18 +188,16 @@ def format_record(record: dict) -> str:
     )
 
 
-def _evaluate(rspec: RandomSpec, indices, n: int, functions, stream=STREAM_VERSION) -> BatchReport:
-    (rho, lam, vectors), observables = draw_samples(rspec, indices, n, stream)
+def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
+    (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
     return evaluate_batch(rho, lam, vectors, observables, functions)
 
 
-def evaluate_sample(
-    rspec: RandomSpec, index: int, n: int, functions, order_pairs=(), stream=STREAM_VERSION
-):
-    """The records (parsed from their lines) of one sample drawn from stream
-    ``stream``, one per function, plus its monotonicity violations."""
+def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
+    """The records (parsed from their lines) of one sample drawn from the
+    spec's stream, one per function, plus its monotonicity violations."""
     index = as_integer("index", index, 0, 2**64 - 1)
-    out = _evaluate(rspec, [index], n, functions, stream)
+    out = _evaluate(rspec, [index], n, functions)
     templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, [f.fid for f in functions])
     lines = _format_batch(templates, [index], out)
     return [json.loads(line) for line in lines], int(out.violations(order_pairs)[0])
@@ -388,7 +387,8 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
 
 # the fields of record versions before 3: volume_cov and volume_qfi after gap
 _OLD_FIELDS = (*RECORD_FIELDS[:9], "volume_cov", "volume_qfi", *RECORD_FIELDS[9:])
-# record version (None when absent) -> (stream its inputs were drawn from, fields)
+# record version (None when absent) -> (stream its inputs were drawn from, fields);
+# the only map from a record to its stream: replay builds its RandomSpec from it
 _RECORD_FORMATS = {
     None: (1, _OLD_FIELDS),
     2: (2, _OLD_FIELDS),
@@ -500,7 +500,8 @@ def replay_record(path, line_number: int) -> dict:
     version = stored.get("version")
     # exact type: JSON gives bool for true and float for 2.0, which hash like ints
     if "version" in stored and (type(version) is not int or version not in _RECORD_FORMATS):
-        raise ValueError(f"line {line_number}: version must be 2, 3 or absent, got {version!r}")
+        known = ", ".join(str(key) for key in _RECORD_FORMATS if key is not None)
+        raise ValueError(f"line {line_number}: version must be {known} or absent, got {version!r}")
     stream, fields = _RECORD_FORMATS[version]
     missing = [key for key in fields if key not in stored]
     if missing:
@@ -512,9 +513,9 @@ def replay_record(path, line_number: int) -> dict:
             n=stored["n"], dim=stored["dim"], samples=1, functions=(stored["function"],),
             ensemble=stored["ensemble"], seed=stored["seed"],
         )
-        rspec = RandomSpec(config.seed, config.dim, config.ensemble)
+        rspec = RandomSpec(config.seed, config.dim, config.ensemble, stream)
         function = builtin(config.functions[0])
-        records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,), stream=stream)
+        records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,))
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
     fresh = records[0]

@@ -19,6 +19,9 @@ RECORDS_V1 = Path(__file__).parent / "data" / "records_v1.jsonl"
 # lines of the three digest-guarded configs across kernel batches, and one
 # complex d4 n2 line with a nonzero robertson_det
 RECORDS_V2 = Path(__file__).parent / "data" / "records_v2.jsonl"
+# version-3 records (stream v2, no volumes): seed-7 lines of four sweeps,
+# see test_record_v3_lines_replay
+RECORDS_V3 = Path(__file__).parent / "data" / "records_v3.jsonl"
 
 
 def test_list_functions(capsys):
@@ -271,6 +274,28 @@ def test_record_v2_lines_replay(capsys):
     assert len(lines) == 13 and all(line.startswith('{"version": 2, ') for line in lines)
     for line_number in range(1, len(lines) + 1):
         assert main(["replay", "--record", f"{RECORDS_V2}:{line_number}"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
+def test_record_v3_lines_replay(capsys):
+    """The fixture holds these lines of four 300-sample sweeps, across
+    kernel calls and chunks, with nonzero, zero and null robertson_det:
+
+        qfivol sweep --ensemble complex --dim 3 --n 3 --samples 300 \\
+            --functions sld,wy,wyd:0.25 --seed 7 --out d3.jsonl
+        qfivol sweep --ensemble real --dim 8 --n 2 --samples 300 \\
+            --functions sld,wy --seed 7 --out r8.jsonl
+        qfivol sweep --ensemble structured --dim 4 --n 3 --samples 300 \\
+            --functions sld,wy --seed 7 --out s4.jsonl
+        qfivol sweep --ensemble complex --dim 4 --n 2 --samples 300 \\
+            --functions wy,sld --seed 7 --out d4.jsonl
+        { sed -n '1p;191p;195p;769p' d3.jsonl; sed -n '15p;258p;600p' r8.jsonl
+          sed -n '1p;384p;600p' s4.jsonl; sed -n '201p;516p' d4.jsonl; } > records_v3.jsonl
+    """
+    lines = RECORDS_V3.read_text().splitlines()
+    assert len(lines) == 12 and all(line.startswith('{"version": 3, ') for line in lines)
+    for line_number in range(1, len(lines) + 1):
+        assert main(["replay", "--record", f"{RECORDS_V3}:{line_number}"]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
 
 

@@ -114,3 +114,27 @@ def test_regularity_is_checked_only_by_the_monotone_gate():
     outside = {module: _regularity_gates(module) for module in MODULES if module != "monotone"}
     assert {module: lines for module, lines in outside.items() if lines} == {}
     assert _regularity_gates("monotone") != []
+
+
+def _parameters(module):
+    """(function name, parameter name) of every function defined in ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            name = getattr(node, "name", "<lambda>")
+            found += [(name, param.arg) for param in params if param is not None]
+    return found
+
+
+def test_no_function_takes_a_stream_or_version():
+    """A RandomSpec names its stream and replay's version table picks it, so
+    no draw or evaluation function takes either as an argument to thread."""
+    threaded = {
+        module: [(name, param) for name, param in _parameters(module)
+                 if param in ("stream", "version")]
+        for module in MODULES
+    }
+    assert {module: found for module, found in threaded.items() if found} == {}

@@ -115,6 +115,44 @@ def test_single_draws_check_index_range_as_evaluate_sample_does(draw, index):
     assert str(info.value) == f"index must be in 0..18446744073709551615, got {index}"
 
 
+def test_a_spec_names_the_stream_of_every_draw():
+    """draw_samples, sample_state and sample_observables all draw the
+    spec's stream: one stream-1 spec gives each of them the same bytes per
+    index, and a stream-2 spec other bytes."""
+    for ensemble in ("density", "real-density", "pauli-like-structured"):
+        streams = []
+        for stream in (1, 2):
+            spec = RandomSpec(7, 3, ensemble, stream)
+            (rho, _, _), obs = sampling.draw_samples(spec, [2, 9], 3)
+            for row, index in enumerate((2, 9)):
+                assert rho[row].tobytes() == sample_state(spec, index).matrix.tobytes()
+                singles = sample_observables(spec, index, 3)
+                if ensemble == "pauli-like-structured":  # C comes back real
+                    singles = (*singles[:2], singles[2].astype(complex))
+                assert obs[row].tobytes() == np.stack(singles).tobytes()
+            streams.append(rho.tobytes() + obs.tobytes())
+        assert streams[0] != streams[1]
+    assert RandomSpec(7, 3, "density") == RandomSpec(7, 3, "density", sampling.STREAM_VERSION)
+
+
+@pytest.mark.parametrize(
+    "stream,message",
+    [(0, "stream must be in 1..2, got 0"), (3, "stream must be in 1..2, got 3"),
+     (True, "stream must be an integer, got True"), (2.0, "stream must be an integer, got 2.0")],
+)
+def test_randomspec_refuses_unknown_streams(stream, message):
+    with pytest.raises(ValueError) as info:
+        RandomSpec(7, 3, "density", stream)
+    assert str(info.value) == message
+
+
+def test_draw_samples_refuses_a_bool_index():
+    """True would draw sample 1."""
+    with pytest.raises(ValueError) as info:
+        sampling.draw_samples(RandomSpec(3, 3, "density"), [True], 1)
+    assert str(info.value) == "index must be an integer, got True"
+
+
 def _observable(spec, index):
     return sample_observables(spec, index, 1)[0]
 
@@ -235,7 +273,7 @@ def test_normals_match_seedsequence_bytes(start, size):
     """Stream v1, kept for replaying records without a version field."""
     indices = range(start, start + size)
     for seed in STREAM_SEEDS:
-        stacks = sampling._normals(seed, indices, DRAWS, version=1)
+        stacks = sampling._normals(RandomSpec(seed, 2, "density", 1), indices, DRAWS)
         for (channel, shape), stack in zip(DRAWS, stacks):
             expected = np.stack(
                 [_oracle(seed, index, channel).standard_normal(shape) for index in indices]
@@ -257,7 +295,7 @@ def test_normals_match_seedsequence_bytes(start, size):
 )
 def test_normals_match_philox_blocks(indices):
     for seed in (0, 1, 2**32, 2**64 - 1):
-        stacks = sampling._normals(seed, indices, DRAWS)
+        stacks = sampling._normals(RandomSpec(seed, 2, "density"), indices, DRAWS)
         for (channel, shape), stack in zip(DRAWS, stacks):
             expected = np.stack([_v2_row(seed, index, channel, shape) for index in indices])
             assert stack.tobytes() == expected.tobytes()
@@ -281,7 +319,7 @@ def test_index_outside_uint64_raises(index):
     spec = RandomSpec(3, 3, "density")
     with pytest.raises(ValueError, match=r"index must be in 0\.\.18446744073709551615"):
         sample_state(spec, index)
-    with pytest.raises(ValueError, match="indices must be in"):
+    with pytest.raises(ValueError, match=r"index must be in 0\.\.18446744073709551615"):
         sampling.draw_samples(spec, [0, index], 1)
 
 
