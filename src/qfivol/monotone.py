@@ -236,7 +236,7 @@ def scalar_mean(f: MonotoneFunction, x: float, y: float) -> float:
     Exact special cases: m(x, x) = x, m(x, 0) = x f(0), m(0, 0) = 0.
     """
     require_function(f, "scalar_mean function")
-    if x < 0.0 or y < 0.0:
+    if not (x >= 0.0 and y >= 0.0):
         raise ValueError(f"mean arguments must be nonnegative, got ({x}, {y})")
     if x == y:
         return float(x)

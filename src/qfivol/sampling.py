@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DecompositionError, DensityMatrix, density_stack
+from .matrices import MAX_OBSERVABLES, DecompositionError, DensityMatrix, density_stack
 
 # base tags, the names records carry
 ENSEMBLES = ("density", "real-density", "pauli-like-structured")
@@ -123,12 +123,11 @@ _thread = threading.local()
 def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
     """For each (channel, shape) of ``draws`` a (B, *shape) stack whose row b
     holds the normals of sample indices[b] on that channel, from the spec's
-    seed and stream (see the module docstring).  Every draw checks its
-    indices here: the batch's smallest and largest pass as_integer as
-    ``index``, in 0..2**64 - 1."""
-    if len(indices):
-        as_integer("index", min(indices), 0, 2**64 - 1)
-        as_integer("index", max(indices), 0, 2**64 - 1)
+    seed and stream (see the module docstring).  The one check of a sample
+    index: every index of every draw passes as_integer as ``index``, in
+    0..2**64 - 1, before any normal is drawn."""
+    for index in indices:
+        as_integer("index", index, 0, 2**64 - 1)
     seed = spec.seed
     if spec.stream == 1:
         return [
@@ -200,10 +199,10 @@ def _state_matrices(spec: RandomSpec, z) -> np.ndarray:
 
 def observable_draw(spec: RandomSpec, count) -> tuple:
     """(channel, shape) of one sample's ``count`` observables' normals.  The
-    one check of an observable count: an integer (``as_integer``) of at
-    least 1, and 3 for the structured ensemble; sweeps and replay pass
-    theirs here."""
-    count = as_integer("n", count, 1)
+    one check of an observable count: an integer (``as_integer``) in
+    1..MAX_OBSERVABLES, and 3 for the structured ensemble; every draw,
+    SweepConfig and replay pass theirs here."""
+    count = as_integer("n", count, 1, MAX_OBSERVABLES)
     dim = spec.dim
     if spec.ensemble == "pauli-like-structured":
         if count != 3:

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import MAX_OBSERVABLES
 from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
 from .sampling import STREAM_VERSION, RandomSpec, as_integer, draw_samples, observable_draw
@@ -92,9 +91,10 @@ RECORD_FIELDS = (
 class SweepConfig:
     """Validated sweep parameters; functions are kept as parse strings so the
     config stays picklable for worker processes.  Seed, dim and ensemble are
-    checked by the RandomSpec they build, the structured ensemble's n by
-    sampling.observable_draw, function names by monotone.builtin and their
-    regularity by monotone.require_regular."""
+    checked by the RandomSpec they build, n by sampling.observable_draw
+    (1..8, 3 for the structured ensemble), function names by monotone.builtin
+    and their regularity by monotone.require_regular; only samples,
+    parallelism and the function list are checked here."""
 
     n: int
     dim: int
@@ -105,14 +105,15 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name, high in (("n", MAX_OBSERVABLES), ("samples", None), ("parallelism", None)):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name), 1, high))
+        for name in ("samples", "parallelism"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), 1))
         if isinstance(self.functions, str) or not self.functions:
             raise ValueError(f"functions must be a non-empty tuple of names, got {self.functions!r}")
         spec = RandomSpec(self.seed, self.dim, self.ensemble)
         for name in ("seed", "dim", "ensemble"):
             object.__setattr__(self, name, getattr(spec, name))
         observable_draw(spec, self.n)
+        object.__setattr__(self, "n", int(self.n))
         fids = tuple(require_regular(builtin(fid), "sweep function").fid for fid in self.functions)
         object.__setattr__(self, "functions", fids)
         for k, fid in enumerate(fids):
@@ -195,8 +196,8 @@ def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
 
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
     """The records (parsed from their lines) of one sample drawn from the
-    spec's stream, one per function, plus its monotonicity violations."""
-    index = as_integer("index", index, 0, 2**64 - 1)
+    spec's stream, one per function, plus its monotonicity violations.  The
+    draw checks the index and n before it draws anything."""
     out = _evaluate(rspec, [index], n, functions)
     templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, [f.fid for f in functions])
     lines = _format_batch(templates, [index], out)
@@ -479,7 +480,11 @@ def replay_record(path, line_number: int) -> dict:
     comparison are exact; any mismatch means the stream is not reproducible
     on this build.  The record's ``version`` names its stream and fields (see
     ``_RECORD_FORMATS``); the volumes of versions before 3 are recomputed as
-    sqrt(max(0, det)) from the fresh determinants.
+    sqrt(max(0, det)) from the fresh determinants.  The record's seed, dim,
+    ensemble and stream build one RandomSpec, its function passes
+    monotone.builtin and require_regular, and its n and index the draw's own
+    checks, so a bad field fails as ``line N: <field> must be ...`` before
+    any normal is drawn.
 
     The first call on a file reads it once to index its line starts; later
     calls on the same unchanged file seek straight to their line (see
@@ -507,15 +512,11 @@ def replay_record(path, line_number: int) -> dict:
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
     try:
-        # a sweep's own checks, which refuse JSON's true, false and 3.0 as
-        # integers, then evaluate_sample's check of the index before it draws
-        config = SweepConfig(
-            n=stored["n"], dim=stored["dim"], samples=1, functions=(stored["function"],),
-            ensemble=stored["ensemble"], seed=stored["seed"],
-        )
-        rspec = RandomSpec(config.seed, config.dim, config.ensemble, stream)
-        function = builtin(config.functions[0])
-        records, _ = evaluate_sample(rspec, stored["index"], config.n, (function,))
+        # each check refuses JSON's true, false and 3.0 as integers; the draw
+        # checks n and the index before it draws anything
+        rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"], stream)
+        function = require_regular(builtin(stored["function"]), "sweep function")
+        records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
     fresh = records[0]

@@ -116,6 +116,22 @@ def test_sweep_strict_without_candidates(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)])
+def test_sweep_strict_exits_three_on_a_candidate(tmp_path, capsys, monkeypatch, strict, code):
+    """No shipped ensemble yields a candidate, so the sweep's summary is
+    replaced by one that reports a single candidate."""
+    summary = sweep.SweepSummary(
+        samples=1, records=1, functions=("sld",), min_gap=-1.0, argmin_index=0,
+        argmin_function="sld", candidate_counterexamples=1, monotonicity_violations=0,
+        per_function={"sld": {"min_gap": -1.0, "mean_gap": -1.0, "candidates": 1}}, elapsed=0.0,
+    )
+    monkeypatch.setattr("qfivol.cli.run_sweep", lambda config, out: summary)
+    args = ["sweep", "--n", "1", "--dim", "2", "--samples", "1", "--functions", "sld",
+            "--out", str(tmp_path / "records.jsonl")]
+    assert main(args + (["--strict"] if strict else [])) == code
+    assert "candidate counterexamples: 1" in capsys.readouterr().out
+
+
 def test_sweep_rejects_non_regular_function(tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     code = main(
@@ -229,14 +245,11 @@ def test_replay_mistyped_field_exits_two(tmp_path, capsys, field, value):
      ({"index": -1}, "index must be in 0..18446744073709551615, got -1"),
      ({"index": 2**64}, "index must be in 0..18446744073709551615, got 18446744073709551616")],
 )
-def test_replay_checks_the_record_before_drawing(tmp_path, capsys, monkeypatch, fields, message):
+def test_replay_checks_the_record_before_drawing(tmp_path, capsys, fields, message, request):
     out = _edited_record(tmp_path, **fields)
     capsys.readouterr()
-
-    def no_draw(*args):
-        raise AssertionError("replay drew a sample before checking its record")
-
-    monkeypatch.setattr("qfivol.sweep.draw_samples", no_draw)
+    # only after the sweep that wrote the record
+    request.getfixturevalue("no_normals")
     assert main(["replay", "--record", f"{out}:1"]) == 2
     assert capsys.readouterr().err == f"error: line 1: {message}\n"
 

@@ -106,6 +106,11 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def test_density_matrix_rejects_a_stack():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(1, 2, 2\)"):
+        DensityMatrix(np.diag([0.5, 0.5])[None])
+
+
 def test_density_matrix_clamps_tiny_eigenvalues():
     state = DensityMatrix(np.diag([1.0 - 5e-13, 5e-13]))
     assert state.eigenvalues[-1] == 0.0

@@ -126,6 +126,19 @@ def test_registration_rejects_zero_value_out_of_range():
         MonotoneFunction("bad", lambda x: (1.0 + np.asarray(x, dtype=float)) / 2.0, 0.6, "(1+x)/2")
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_registration_rejects_values_not_finite_and_positive(bad):
+    """(1+x)/2 with one bad value at the top of the check grid: f(0) and
+    f(1) still pass, so only the grid check can refuse it."""
+
+    def spoiled(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 1e5, bad, (1.0 + x) / 2.0)
+
+    with pytest.raises(RegistrationError, match="finite and positive on the check grid"):
+        MonotoneFunction("bad", spoiled, 0.5, "spoiled (1+x)/2")
+
+
 def test_sandwich_bounds_hold():
     """Every builtin sits between the harmonic and arithmetic generators."""
     rng = np.random.default_rng(19)
@@ -178,6 +191,13 @@ def test_scalar_mean_fixed_values():
 def test_scalar_mean_rejects_negative():
     with pytest.raises(ValueError, match="nonnegative"):
         scalar_mean(SLD, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("x, y", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+def test_scalar_mean_rejects_nan(x, y):
+    """NaN fails every comparison, so it must not slip past the sign check."""
+    with pytest.raises(ValueError, match="mean arguments must be nonnegative"):
+        scalar_mean(SLD, x, y)
 
 
 @given(positive_floats, positive_floats)

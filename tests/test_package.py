@@ -138,3 +138,36 @@ def test_no_function_takes_a_stream_or_version():
         for module in MODULES
     }
     assert {module: found for module, found in threaded.items() if found} == {}
+
+
+def _calls(node, callee):
+    """The ``callee(...)`` calls (by name or attribute) under ``node``."""
+    return [
+        sub for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+        and callee in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+    ]
+
+
+def test_index_and_count_are_checked_only_by_the_draw():
+    """A sample index and an observable count each have one as_integer
+    check, in sampling, which every draw passes; sweeps and replay leave
+    both to it."""
+    found = {}
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for call in _calls(tree, "as_integer"):
+            first = call.args[0] if call.args else None
+            if isinstance(first, ast.Constant) and first.value in ("index", "n"):
+                found.setdefault(first.value, []).append(module)
+    assert found == {"index": ["sampling"], "n": ["sampling"]}
+
+
+def test_replay_builds_no_sweep_config():
+    tree = ast.parse((PACKAGE / "sweep.py").read_text())
+    (replay,) = (
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "replay_record"
+    )
+    assert _calls(replay, "SweepConfig") == []
+    assert len(_calls(replay, "RandomSpec")) == 1

@@ -153,6 +153,33 @@ def test_draw_samples_refuses_a_bool_index():
     assert str(info.value) == "index must be an integer, got True"
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, np.True_, "1"])
+def test_draw_samples_checks_every_index(no_normals, bad):
+    """An index strictly inside a batch's range is checked too: True would
+    draw sample 1, and 1.5 would escape as numpy's IndexError."""
+    with pytest.raises(ValueError) as info:
+        sampling.draw_samples(RandomSpec(3, 3, "density"), [0, bad, 2], 2)
+    assert str(info.value) == f"index must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda spec: sampling.draw_samples(spec, [0], 9),
+     lambda spec: sample_observables(spec, 0, 9)],
+    ids=["draw-samples", "observables"],
+)
+def test_observable_count_above_eight_is_refused_before_drawing(no_normals, draw):
+    with pytest.raises(ValueError) as info:
+        draw(RandomSpec(3, 3, "density"))
+    assert str(info.value) == "n must be in 1..8, got 9"
+
+
+def test_no_normals_fixture_catches_a_draw(no_normals):
+    """The fixture the before-drawing tests lean on does catch a draw."""
+    with pytest.raises(AssertionError, match="normal was drawn"):
+        sampling.draw_samples(RandomSpec(3, 3, "density"), [0], 2)
+
+
 def _observable(spec, index):
     return sample_observables(spec, index, 1)[0]
 
@@ -228,7 +255,7 @@ def test_structured_ensemble_requires_three_observables():
 
 def test_observable_count_validation():
     spec = RandomSpec(5, 3, "density")
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="in 1..8"):
         sample_observables(spec, 0, 0)
 
 

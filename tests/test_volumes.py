@@ -323,6 +323,55 @@ def test_decomposition_of_pure_and_rank_deficient_states():
             _assert_decomposes(GramSpec(state, observables, f))
 
 
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dim, rank, n", [(4, 2, 3), (5, 2, 4), (6, 3, 5), (3, 1, 2)])
+def test_equality_set_of_rank_deficient_states(dim, rank, n):
+    """C - Q = sum tilde_f(lam_u, lam_v) Re{a_uv b_vu}, and tilde_f vanishes
+    unless both eigenvalues are positive, so the gap is 0 exactly when every
+    centered observable vanishes on the support of rho.  With rho = U
+    diag(lam, 0) U^dagger and A_h = U B_h U^dagger + 0.3 I, where B_h's
+    support block is eps * S_h and its other blocks are random, the gap is 0
+    at eps = 0 and grows as eps^2 off it; at rank 1 centering removes the
+    support block, so it is 0 for every eps.  n <= 2 r (d - r) keeps det C
+    > 0."""
+    rng = np.random.default_rng(0)
+    u = _random_unitary(rng, dim)
+    lam = rng.uniform(0.2, 1.0, rank)
+    lam /= lam.sum()
+    state = DensityMatrix(u @ np.diag(np.concatenate([lam, np.zeros(dim - rank)])) @ u.conj().T)
+    assert not state.faithful
+    blocks = [_random_hermitian(rng, dim) for _ in range(n)]
+
+    def observables(eps):
+        obs = []
+        for b in blocks:
+            b = b.copy()
+            b[:rank, :rank] *= eps
+            obs.append(u @ b @ u.conj().T + 0.3 * np.eye(dim))
+        return obs
+
+    for f in (SLD, WY, wyd(0.25)):
+        relative = []
+        for eps in (0.0, 1e-2, 1e-3, 1e-4):
+            spec = GramSpec(state, observables(eps), f)
+            report = volume_gap(spec)
+            assert report.cov_det > 0.0
+            oracle = gap_from_decomposition(spec)
+            assert abs(report.gap - oracle) <= 1e-14 * report.cov_det, (f.fid, eps)
+            if eps == 0.0 or rank == 1:
+                assert report.gap == 0.0, (f.fid, eps)
+                assert 0.0 <= oracle <= 1e-26 * report.cov_det, (f.fid, eps)
+            relative.append(report.gap / report.cov_det)
+        if rank > 1:
+            assert all(r > 0.0 for r in relative[1:]), f.fid
+            ratios = [hi / lo for hi, lo in zip(relative[1:], relative[2:])]
+            assert all(95.0 < ratio < 105.0 for ratio in ratios), (f.fid, ratios)
+
+
 def test_decomposition_is_nonnegative_on_extreme_spectra():
     """Every term is a product of nonnegative factors, so the sum is >= 0.0
     exactly on spectra spread down to the eigenvalue floor and on spectra
