@@ -130,13 +130,12 @@ def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
         as_integer("index", index, 0, 2**64 - 1)
     seed = spec.seed
     if spec.stream == 1:
-        return [
-            np.stack([
-                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
-                .standard_normal(shape) for index in indices
-            ])
-            for channel, shape in draws
-        ]
+        stacks = [np.empty((len(indices), *shape)) for _, shape in draws]
+        for (channel, _), stack in zip(draws, stacks):
+            for index, row in zip(indices, stack):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
+                rng.standard_normal(out=row)
+        return stacks
     blocks = sorted({index // BLOCK for index in indices})
     first_row = {block: k * BLOCK for k, block in enumerate(blocks)}
     rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]

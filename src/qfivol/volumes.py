@@ -15,8 +15,11 @@ of qfivol.metrics) computes its Grams, determinants and verdicts through one
 kernel, evaluate_batch, over a stack of samples; no other module forms a
 Gram matrix.  Its function-dependent work is one pass: one mean_table call
 for the tilde tables of all functions (none without functions), and one
-(1 + F, B, n, n) Gram array that det_small reads as it is.  The kernel
-imports only qfivol.matrices and qfivol.monotone.
+(1 + F, B, n, n) Gram array that det_small reads as it is.  Its dependence
+flag thresholds the smallest singular value of the observables' real
+coordinates: a Gram-determinant screen decides most samples and a stacked
+SVD the rest, with the flags the SVD alone would give (see _dependent).
+The kernel imports only qfivol.matrices and qfivol.monotone.
 The independent H * K decomposition of the gap lives with the other test
 oracles in qfivol.oracles, which the kernel never imports."""
 
@@ -42,6 +45,8 @@ from .monotone import MonotoneFunction, mean_table, require_regular, tilde, tild
 MAIN_INEQUALITY_SLACK = 1e-10
 EQUALITY_RTOL = 1e-8
 DEPENDENCE_SV_TOL = 1e-8
+# safety factor on DEPENDENCE_SV_TOL before the Gram screen clears a sample
+_SCREEN_MARGIN = 1e3
 MONOTONICITY_SLACK = 1e-10
 
 
@@ -129,11 +134,7 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
     n, dim = observables.shape[1], eigenvalues.shape[-1]
     means = expectation_stack(rho, observables)
     frames = frame_stack(eigenvectors, observables, means)
-    # the frames' real coordinates are a Frobenius isometry of the centered
-    # observables, which centering leaves rank <= d^2 - 1: n >= d^2 always
-    # shows a zero among the min(n, d^2) singular values
-    sv = np.linalg.svd(real_coordinates(frames), compute_uv=False)
-    dependent = sv[:, -1] < DEPENDENCE_SV_TOL
+    dependent = _dependent(real_coordinates(frames))
     tildes = tuple(tilde(f) for f in functions)
     grams = batched_grams(eigenvalues, frames, mean_table(tildes, eigenvalues) if tildes else ())
     dets = det_small(grams)
@@ -155,6 +156,51 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
         equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
         rank_deficient=n > commutator_rank(dim, real),
     )
+
+
+def _dependent(x) -> np.ndarray:
+    """Per sample, whether the smallest singular value of its (n, m) real
+    coordinates, as the stacked SVD computes it, is below DEPENDENCE_SV_TOL.
+
+    The real coordinates are a Frobenius isometry of the centered observables,
+    which centering leaves rank <= d^2 - 1, so n >= m = d^2 is dependent with
+    no SVD (there the SVD's own value, about eps * sigma_max, would pass the
+    threshold, and the SVD alone say "independent", once sigma_max exceeds
+    ~1e8).  Otherwise a Gram screen
+    clears the samples whose SVD verdict is certainly "independent" and the
+    SVD decides the rest, which gives each sample its SVD flag whatever the
+    batch.
+    """
+    n, m = x.shape[1:]
+    if n >= m:
+        return np.ones(len(x), dtype=bool)
+    # With G = X X^T (eigenvalues sigma^2, trace T), sigma_min^2 >=
+    # det G / T^(n-1), since each other sigma^2 <= T.  The stacked SVD returns
+    # the singular values of X + dX with |dX| <= p eps sigma_max <= p eps sqrt(T),
+    # p a modest function of m <= 64 and n <= 8 (backward stability), so
+    # sigma_min >= TOL + c eps sqrt(T) with c = 64 >= p makes it say
+    # "independent"; squared, that asks at most 2 TOL^2 + 2 c^2 eps^2 T.  The
+    # screen's own rounding adds to sigma^2, not to sigma: forming G
+    # (length-m dot products) moves it by at most m eps T in 2-norm, det_small
+    # by at most n^2 (n+1) 2^(n-2) eps T more (LU with partial pivoting:
+    # growth <= 2^(n-1), entries <= T; the cofactors for n <= 3 do far
+    # better), and a matrix moved by delta has its determinant moved by at most
+    # (T + delta)^n - T^n ~ n delta T^(n-1) (Ipsen and Rehman, SIAM J. Matrix
+    # Anal. Appl. 30, 762 (2008)), so the computed det G / T^(n-1) exceeds the
+    # exact one by at most n delta.  Rounding T and the products compared is a
+    # relative error under (n - 1)(m + n + 2) eps.  At n = 8, m = 64 all of it
+    # is below 3e5 eps T, inside K eps T with K = 2^19, which holds
+    # 2 c^2 eps^2 T many times over.  The margin of 1e3 on TOL leaves room for
+    # a p far above c wherever 2 (margin TOL)^2 dominates the edge.  An
+    # overflowed determinant clears nothing, nor does a zero trace (0 > 0).
+    g = x @ x.swapaxes(-1, -2)
+    trace = g.diagonal(0, -2, -1).sum(-1)
+    det = det_small(g)
+    edge = 2 * (_SCREEN_MARGIN * DEPENDENCE_SV_TOL) ** 2 + 2**19 * np.finfo(np.float64).eps * trace
+    rest = ~((det > edge * trace ** (n - 1)) & np.isfinite(det))
+    if rest.any():
+        rest[rest] = np.linalg.svd(x[rest], compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
+    return rest
 
 
 def batched_grams(eigenvalues, frames, tables):
@@ -245,7 +291,8 @@ def observables_dependent(state: DensityMatrix, observables) -> bool:
     Thresholds the smallest singular value of their real coordinates (see
     matrices.real_coordinates) at DEPENDENCE_SV_TOL; self-adjoint matrices
     form a real vector space, so dependence is over real coefficients.  This
-    is the kernel's own verdict on a batch of one.
+    is the kernel's own verdict on a batch of one: a Gram-determinant screen
+    decides most inputs and the SVD the rest, with the SVD's own flag.
     """
     obs = observable_stack(state.dim, observables)
     return bool(evaluate_one(state, obs, ()).dependent[0])

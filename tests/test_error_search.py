@@ -1,7 +1,8 @@
 """Targeted searches for numerical error: hypothesis steers its examples
-toward the largest relative error against an mpmath reference and the test
-bounds the worst one it finds.  Examples are derandomized, so the search and
-its verdict are the same on every run."""
+toward where a result is most likely wrong (the largest relative error
+against an mpmath reference, a certificate's edge) and the test bounds the
+worst one it finds.  Examples are derandomized, so the search and its verdict
+are the same on every run."""
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings, target
 from hypothesis import strategies as st
 
-from qfivol import DensityMatrix, GramSpec, builtin
+from qfivol import DensityMatrix, GramSpec, builtin, volumes
 from qfivol.matrices import pair_indices, real_coordinates, to_eigenframe
 from qfivol.oracles import gap_from_decomposition
 
@@ -107,3 +108,36 @@ def test_decomposition_oracle_error_search(spec):
     error = decomposition_error(spec)
     target(float(np.log10(max(error, 1e-300))), label="log10 relative error")
     assert error <= 1e-13
+
+
+@st.composite
+def coordinate_stacks(draw):
+    """One sample's (n, d^2) real coordinates, n < d^2, with singular values
+    from sigma_max = 10^a down to sigma_min = sigma_max 10^-b, log-spaced, on
+    seeded random singular vectors."""
+    dim = draw(st.integers(2, 8), label="dim")
+    n = draw(st.integers(1, min(8, dim * dim - 1)), label="n")
+    top = draw(st.floats(-9.0, 9.0), label="log10 sigma_max")
+    spread = draw(st.floats(0.0, 20.0), label="log10 sigma_max / sigma_min")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    u, _, vt = np.linalg.svd(rng.standard_normal((n, dim * dim)), full_matrices=False)
+    sigma = 10.0 ** np.linspace(top, top - spread, n)
+    return ((u * sigma) @ vt)[None]
+
+
+@settings(SEARCH, max_examples=400)
+@given(coordinate_stacks())
+def test_the_dependence_screen_clears_only_what_the_svd_calls_independent(x):
+    """A sample the Gram screen clears, sending it to no SVD, has an SVD
+    sigma_min of at least DEPENDENCE_SV_TOL; the search steers toward the
+    smallest sigma_min cleared and toward large sigma_max."""
+    svd, calls = np.linalg.svd, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a) or svd(a, *args, **kw))
+        flag = volumes._dependent(x)[0]
+    sv = svd(x, compute_uv=False)[0]
+    assert flag == (sv[-1] < volumes.DEPENDENCE_SV_TOL)
+    target(float(np.log10(sv[0])), label="log10 sigma_max")
+    if not calls:
+        target(-float(np.log10(sv[-1] / volumes.DEPENDENCE_SV_TOL)), label="log10 TOL / cleared sigma_min")
+        assert sv[-1] >= volumes.DEPENDENCE_SV_TOL

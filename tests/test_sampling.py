@@ -328,6 +328,17 @@ def test_normals_match_philox_blocks(indices):
             assert stack.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("ensemble, n", [("density", 2), ("real-density", 4), ("pauli-like-structured", 3)])
+def test_an_empty_batch_draws_empty_stacks_on_both_streams(ensemble, n):
+    """No index gives (0, ...) stacks, with the shapes and dtypes of a
+    one-sample draw, on either stream."""
+    one = sampling.draw_samples(RandomSpec(5, 3, ensemble), [0], n)
+    for stream in (1, 2):
+        (rho, lam, vectors), obs = sampling.draw_samples(RandomSpec(5, 3, ensemble, stream), [], n)
+        for empty, single in zip((rho, lam, vectors, obs), (*one[0], one[1])):
+            assert empty.shape == (0, *single.shape[1:]) and empty.dtype == single.dtype
+
+
 def test_pure_state_matches_two_oracle_calls():
     """The pure channel's one call of 2 dim normals per sample gives the
     values of two calls of dim normals at the sample's row of its block."""

@@ -27,7 +27,7 @@ from qfivol import (
     wyd,
     RandomSpec,
 )
-from qfivol import matrices, metrics, oracles, volumes
+from qfivol import matrices, metrics, oracles, sweep, volumes
 from qfivol.matrices import EIGENVALUE_FLOOR, as_hermitian
 from qfivol.monotone import tilde_order
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
@@ -514,6 +514,74 @@ def test_dependence_ladder_matches_the_original_basis_svd(real):
                 assert observables_dependent(state, obs) == expected, (dim, t, sv)
                 checked[expected] += 1
     assert min(checked.values()) >= 50
+
+
+def _svd_flags(rho, vectors, observables):
+    """The dependence flag of a direct SVD of the frames' real coordinates."""
+    frames = matrices.frame_stack(vectors, observables, matrices.expectation_stack(rho, observables))
+    sv = np.linalg.svd(matrices.real_coordinates(frames), compute_uv=False)
+    return sv[:, -1] < volumes.DEPENDENCE_SV_TOL
+
+
+def _near_dependence_ladder(real, dim, seed):
+    """For three states, every rung of A_3 = A_1 + delta A_2 in two sets,
+    (A_1, A_2, A_3), dependent in exact arithmetic, and (A_1, B, A_3), whose
+    smallest singular value falls with delta, each set scaled by s; as the
+    (rho, eigenvalues, eigenvectors, observables) stacks evaluate_batch takes."""
+    rng = np.random.default_rng(seed)
+    states, observables = [], []
+    for _ in range(3):
+        state = _random_density(rng, dim, real)
+        a1, a2, b = (_random_hermitian(rng, dim, real) for _ in range(3))
+        for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for s in (1e-9, 1e-4, 1.0, 1e4, 1e7):
+                for second in (a2, b):
+                    states.append(state)
+                    observables.append(s * np.stack([a1, second, a1 + delta * a2]))
+    stacks = (np.stack([getattr(x, name) for x in states]) for name in ("matrix", "eigenvalues", "eigenvectors"))
+    return (*stacks, np.stack(observables))
+
+
+@pytest.mark.parametrize("real, dim", [(False, 3), (True, 4)])
+def test_dependence_flags_equal_the_svd_on_a_near_dependence_ladder(real, dim):
+    """The screened kernel flags each rung as a direct SVD does, at every
+    scale, and a mixed batch gives each sample its batch-of-one flag."""
+    rho, lam, vectors, obs = _near_dependence_ladder(real, dim, 29 + dim)
+    expected = _svd_flags(rho, vectors, obs)
+    assert 0 < expected.sum() < len(expected)
+    together = volumes.evaluate_batch(rho, lam, vectors, obs, ()).dependent
+    assert together.tolist() == expected.tolist()
+    for b in range(len(obs)):
+        alone = volumes.evaluate_batch(rho[b:b + 1], lam[b:b + 1], vectors[b:b + 1], obs[b:b + 1], ())
+        assert alone.dependent[0] == together[b], b
+
+
+@pytest.fixture
+def svd_rows(monkeypatch):
+    """The row counts of every np.linalg.svd call, which still runs."""
+    rows, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return rows
+
+
+@pytest.mark.parametrize("ensemble, n", [("complex", 4), ("complex", 5), ("real", 4)])
+def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, n):
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(9, 2, ensemble), range(16), n)
+    assert volumes.evaluate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
+    assert observables_dependent(DensityMatrix(rho[0]), obs[0])
+    assert svd_rows == []
+
+
+def test_a_shipped_config_chunk_sends_no_sample_to_the_svd(svd_rows):
+    config = sweep.SweepConfig(3, 3, 256, ("sld", "wy", "wyd:0.25"), "complex", 0)
+    lines = sweep._chunk_worker((config, 0, 256))[0].split("\n")
+    assert len(lines) == 3 * 256
+    assert sum(svd_rows) == 0
 
 
 def test_check_inequalities_dependent_equality():
