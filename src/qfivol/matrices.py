@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,25 @@ MAX_OBSERVABLES = 8
 
 class DecompositionError(RuntimeError):
     """Eigendecomposition failed to converge or violated its guarantees."""
+
+
+def as_integer(name: str, value, low=None, high=None) -> int:
+    """``value`` as an int (numpy integer scalars included), at least ``low``
+    and at most ``high`` where given (``high`` only with ``low``); a bool,
+    which a record would print as JSON's true or false, a non-integral value
+    or one out of range raises ValueError naming the field.  The package's
+    one integer check: seeds, dims, counts, indices and line numbers all
+    pass it."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and number < low) or (high is not None and number > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {number}")
+    return number
 
 
 def _require(ok, error, message, *values):
@@ -163,9 +183,14 @@ def frame_stack(eigenvectors, observables, means) -> np.ndarray:
     return frame - means * np.eye(frame.shape[-1])
 
 
-def observable_stack(dim: int, observables) -> np.ndarray:
-    """Validate 1..MAX_OBSERVABLES near-self-adjoint (dim, dim) observables
-    and return them as one exactly self-adjoint (n, dim, dim) stack."""
+def observable_stack(state: DensityMatrix, observables) -> np.ndarray:
+    """Validate 1..MAX_OBSERVABLES near-self-adjoint (d, d) observables of a
+    d-level ``state`` and return them as one exactly self-adjoint (n, d, d)
+    stack.  The one check of a single-spec state too: anything but a
+    DensityMatrix raises ValueError naming its type."""
+    if not isinstance(state, DensityMatrix):
+        raise ValueError(f"state must be a DensityMatrix, got {type(state).__name__}")
+    dim = state.dim
     obs = [np.asarray(o) for o in observables]
     if not 1 <= len(obs) <= MAX_OBSERVABLES:
         raise ValueError(f"need 1..{MAX_OBSERVABLES} observables, got {len(obs)}")
@@ -181,14 +206,14 @@ def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
     The result is self-adjoint and satisfies the weighted centering identity
     sum_h eigenvalues[h] * a[h, h] = 0 (within roundoff).
     """
-    a = observable_stack(state.dim, [observable])[None]
+    a = observable_stack(state, [observable])[None]
     means = expectation_stack(state.matrix[None], a)
     return frame_stack(state.eigenvectors[None], a, means)[0, 0]
 
 
 def icommutator(state: DensityMatrix, observable) -> np.ndarray:
     """i[rho, A] = i(rho A - A rho); self-adjoint for self-adjoint A."""
-    a = observable_stack(state.dim, [observable])[0]
+    a = observable_stack(state, [observable])[0]
     c = 1j * (state.matrix @ a - a @ state.matrix)
     return (c + c.conj().T) / 2
 

@@ -46,7 +46,7 @@ def metric_context(state: DensityMatrix, function: MonotoneFunction) -> MetricCo
 
 def covariance(state: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho A0 B0); centers both arguments."""
-    return float(evaluate_one(state, observable_stack(state.dim, (a, b)), ()).cov_gram[0, 0, 1])
+    return float(evaluate_one(state, observable_stack(state, (a, b)), ()).cov_gram[0, 0, 1])
 
 
 def f_correlation(ctx: MetricContext, a, b) -> float:
@@ -59,5 +59,5 @@ def f_correlation(ctx: MetricContext, a, b) -> float:
     and the correlation equals the covariance.
     """
     function = require_regular(ctx.function, "f-correlation function")
-    obs = observable_stack(ctx.state.dim, (a, b))
+    obs = observable_stack(ctx.state, (a, b))
     return float(evaluate_one(ctx.state, obs, (function,)).qfi_gram[0, 0, 0, 1])

@@ -288,10 +288,6 @@ class TildeOrder:
     first_le_second: bool
     second_le_first: bool
 
-    @property
-    def equal(self) -> bool:
-        return self.first_le_second and self.second_le_first
-
 
 @lru_cache(maxsize=None)
 def tilde_order(f: MonotoneFunction, g: MonotoneFunction) -> TildeOrder:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .matrices import as_hermitian, icommutator, pair_indices, real_coordinates, to_eigenframe
+from .matrices import (
+    as_integer, icommutator, observable_stack, pair_indices, real_coordinates, to_eigenframe,
+)
 from .metrics import MetricContext, MetricUndefinedError, f_correlation
 from .monotone import MonotoneFunction, mean_table, require_function, require_regular, tilde
 
@@ -88,11 +89,9 @@ def k_coefficient(frames, indices) -> float:
         raise ValueError(f"need square frames of one shape, got {[m.shape for m in mats]}")
     if len(indices) != 2 * len(mats):
         raise ValueError("need two indices per frame")
-    for i in indices:
-        if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < shape[0]):
-            raise ValueError(f"index {i!r} is not an integer in [0, {shape[0]})")
+    indices = [as_integer("entry index", i, 0, shape[0] - 1) for i in indices]
     n = len(mats)
-    values = np.stack(mats)[:, list(indices[0::2]), list(indices[1::2])]
+    values = np.stack(mats)[:, indices[0::2], indices[1::2]]
     parts = np.concatenate([values.real, values.imag], axis=1)
     columns = np.array(list(itertools.product((0, n), repeat=n))) + np.arange(n)
     return float(np.sum(_squared_minors(parts, columns)))
@@ -138,11 +137,11 @@ def qfi_inner(ctx: MetricContext, x, y) -> float:
     table has zero entries and the sum is undefined.
     """
     function = require_function(ctx.function, "qfi_inner function")
+    vectors = observable_stack(ctx.state, (x, y))
     if not ctx.state.faithful:
         raise MetricUndefinedError("qfi inner product requires a faithful state")
     u = ctx.state.eigenvectors
-    fx = u.conj().T @ as_hermitian(x) @ u
-    fy = u.conj().T @ as_hermitian(y) @ u
+    fx, fy = (u.conj().T @ v @ u for v in vectors)
     table = mean_table((function,), ctx.state.eigenvalues)[0]
     return float(np.sum(np.real(np.conj(fx) * fy) / table))
 

@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from .matrices import DensityMatrix, observable_stack
+from .matrices import DensityMatrix, as_integer, observable_stack
 from .monotone import builtin
-from .sampling import RandomSpec, as_integer, sample_observables, sample_pure_state
+from .sampling import RandomSpec, sample_observables, sample_pure_state
 from .volumes import evaluate_one
 
 MIXTURE_STATE = np.diag([0.5, 0.0, 0.0, 0.5])
@@ -65,8 +65,8 @@ def entanglement_rows() -> list[dict]:
     """Covariance and f-correlation of (A, B) on both states, per function,
     from one kernel call per state."""
     functions = tuple(builtin(fid) for fid in EXAMPLE_FUNCTIONS)
-    obs = observable_stack(4, (OBSERVABLE_A, OBSERVABLE_B))
     states = DensityMatrix(MIXTURE_STATE), DensityMatrix(ENTANGLED_STATE)
+    obs = observable_stack(states[0], (OBSERVABLE_A, OBSERVABLE_B))
     mixture, entangled = (evaluate_one(state, obs, functions) for state in states)
     return [
         {
@@ -144,18 +144,18 @@ def hessian_example() -> dict:
 
 def pure_volume_rows(dim, n, seed, draws=3) -> list[dict]:
     """Volume pairs for random pure states and random complex observables,
-    from one kernel call per draw."""
+    from one kernel call per draw; the drawn observables are exactly
+    self-adjoint already, so they go to the kernel as drawn."""
     draws = as_integer("draws", draws, 1)
     spec = RandomSpec(seed=seed, dim=dim, ensemble="density")
     functions = tuple(builtin(fid) for fid in EXAMPLE_FUNCTIONS)
     rows = []
     for draw in range(draws):
         state = sample_pure_state(seed, dim, draw)
-        obs = observable_stack(state.dim, sample_observables(spec, draw, n))
-        out = evaluate_one(state, obs, functions)
+        out = evaluate_one(state, np.stack(sample_observables(spec, draw, n)), functions)
         vol_cov = math.sqrt(max(0.0, float(out.cov_det[0])))
         for k, fid in enumerate(EXAMPLE_FUNCTIONS):
-            vol_qfi = math.sqrt(max(0.0, float(out.qfi_det[k, 0])))
+            vol_qfi = float(out.volume_qfi[k, 0])
             rows.append(
                 {
                     "draw": draw,

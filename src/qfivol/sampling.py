@@ -23,29 +23,25 @@ replay through a stream-1 spec.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import MAX_OBSERVABLES, DecompositionError, DensityMatrix, density_stack
+from .matrices import MAX_OBSERVABLES, DecompositionError, DensityMatrix, as_integer, density_stack
 
 # base tags, the names records carry
 ENSEMBLES = ("density", "real-density", "pauli-like-structured")
 
-# CLI names, STATE+OBSERVABLE compounds and the retired complex-hermitian and
-# real-symmetric tags, which drew exactly the streams of their base tags, so
-# records that carry them still replay
+# CLI names and the retired complex-hermitian and real-symmetric tags, which
+# drew exactly the streams of their base tags, so records that carry them
+# still replay
 _ALIASES = {
     "complex": "density",
     "complex-hermitian": "density",
-    "density+complex-hermitian": "density",
     "real": "real-density",
     "real-symmetric": "real-density",
-    "real-density+real-symmetric": "real-density",
     "structured": "pauli-like-structured",
-    "pauli-like-structured+pauli-like-structured": "pauli-like-structured",
 }
 
 # the stream new draws come from (sweep.RECORD_VERSION names the record
@@ -64,26 +60,9 @@ MAX_DIM = 8
 STRUCTURED_SPECTRUM_FLOOR = 0.05
 
 
-def as_integer(name: str, value, low=None, high=None) -> int:
-    """``value`` as an int (numpy integer scalars included), at least ``low``
-    and at most ``high`` where given (``high`` only with ``low``); a bool,
-    which a record would print as JSON's true or false, a non-integral value
-    or one out of range raises ValueError naming the field."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if (low is not None and number < low) or (high is not None and number > high):
-        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bounds}, got {number}")
-    return number
-
-
 def resolve_ensemble(tag: str) -> str:
-    """Map an ensemble tag (base tag, alias or STATE+OBSERVABLE pair) to its
-    base tag."""
+    """Map an ensemble tag (base tag, CLI alias or retired tag) to its base
+    tag."""
     if not isinstance(tag, str):
         raise ValueError(f"ensemble must be a string, got {tag!r}")
     key = tag.strip().lower()

@@ -63,7 +63,7 @@ class GramSpec:
     function: MonotoneFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "observables", observable_stack(self.state.dim, self.observables))
+        object.__setattr__(self, "observables", observable_stack(self.state, self.observables))
         require_regular(self.function, "GramSpec function")
 
 
@@ -132,16 +132,16 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
     bit-identical whatever the batch it came in.
     """
     n, dim = observables.shape[1], eigenvalues.shape[-1]
+    real = not (np.iscomplexobj(rho) or np.iscomplexobj(observables))
     means = expectation_stack(rho, observables)
     frames = frame_stack(eigenvectors, observables, means)
-    dependent = _dependent(real_coordinates(frames))
+    dependent = _dependent(real_coordinates(frames), commutator_rank(dim, real) + dim)
     tildes = tuple(tilde(f) for f in functions)
     grams = batched_grams(eigenvalues, frames, mean_table(tildes, eigenvalues) if tildes else ())
     dets = det_small(grams)
     cov_det, qfi_det = dets[0], dets[1:]
     gap = cov_det - qfi_det
     scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
-    real = not (np.iscomplexobj(rho) or np.iscomplexobj(observables))
     return BatchReport(
         cov_gram=grams[0],
         qfi_gram=grams[1:],
@@ -158,21 +158,22 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
     )
 
 
-def _dependent(x) -> np.ndarray:
+def _dependent(x, span: int) -> np.ndarray:
     """Per sample, whether the smallest singular value of its (n, m) real
     coordinates, as the stacked SVD computes it, is below DEPENDENCE_SV_TOL.
 
     The real coordinates are a Frobenius isometry of the centered observables,
-    which centering leaves rank <= d^2 - 1, so n >= m = d^2 is dependent with
-    no SVD (there the SVD's own value, about eps * sigma_max, would pass the
-    threshold, and the SVD alone say "independent", once sigma_max exceeds
-    ~1e8).  Otherwise a Gram screen
+    which lie in a ``span`` of d^2 dimensions, or d(d+1)/2 when the state and
+    every observable are real symmetric, and centering leaves them rank
+    <= span - 1.  So n >= span is dependent with no SVD (there the SVD's own
+    value, about eps * sigma_max, would pass the threshold, and the SVD alone
+    say "independent", once sigma_max exceeds ~1e8).  Otherwise a Gram screen
     clears the samples whose SVD verdict is certainly "independent" and the
     SVD decides the rest, which gives each sample its SVD flag whatever the
     batch.
     """
-    n, m = x.shape[1:]
-    if n >= m:
+    n = x.shape[1]
+    if n >= span:
         return np.ones(len(x), dtype=bool)
     # With G = X X^T (eigenvalues sigma^2, trace T), sigma_min^2 >=
     # det G / T^(n-1), since each other sigma^2 <= T.  The stacked SVD returns
@@ -264,7 +265,7 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
     so the determinant vanishes identically for odd N and gives the classical
     lower bound for even N.  This is the kernel's own value on a batch of one.
     """
-    obs = observable_stack(state.dim, observables)
+    obs = observable_stack(state, observables)
     det = evaluate_one(state, obs, ()).robertson_det
     return 0.0 if det is None else float(det[0])
 
@@ -294,7 +295,7 @@ def observables_dependent(state: DensityMatrix, observables) -> bool:
     is the kernel's own verdict on a batch of one: a Gram-determinant screen
     decides most inputs and the SVD the rest, with the SVD's own flag.
     """
-    obs = observable_stack(state.dim, observables)
+    obs = observable_stack(state, observables)
     return bool(evaluate_one(state, obs, ()).dependent[0])
 
 

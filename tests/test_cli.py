@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -52,6 +53,25 @@ def test_repro_pure_volume(capsys):
     assert "PASS" in out
     assert "seed=5" in out
 
+
+# sha256 of the whole stdout of each reproduction, with no QFIVOL_SEED set.
+# Like test_sweep.SWEEP_DIGESTS these belong to one numpy/LAPACK build
+# (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64); another build may round
+# the printed digits differently, and then this guard fails by design.
+REPRO_DIGESTS = {
+    "entanglement": "99b30b818465ce40563ffdb00162af3a38f693d3afdb3436e5eace3dcc9437db",
+    "hessian": "3179975b9d8f2f79e67a32af41e2312ff852bc2abfaf9a81928fee9472be714e",
+    "pure-volume": "51cc0df2463cf87bd81d10d698be3a34f5403ca0dc88498ef002eded0d641d45",
+    "pure-volume --dim 4 --n 3 --seed 7 --draws 5":
+        "14e69b07e4534e6faf6088184dd0b2c2df25f4a610d22123bcf430e8e3bf6f75",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPRO_DIGESTS))
+def test_repro_output_bytes(capsys, monkeypatch, args):
+    monkeypatch.delenv("QFIVOL_SEED", raising=False)
+    assert main(["repro", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPRO_DIGESTS[args]
 
 @pytest.mark.parametrize("draws", ["0", "-2"])
 def test_pure_volume_rejects_a_draw_count_below_one(capsys, draws):

@@ -134,7 +134,7 @@ def test_the_dependence_screen_clears_only_what_the_svd_calls_independent(x):
     svd, calls = np.linalg.svd, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a) or svd(a, *args, **kw))
-        flag = volumes._dependent(x)[0]
+        flag = volumes._dependent(x, x.shape[-1])[0]
     sv = svd(x, compute_uv=False)[0]
     assert flag == (sv[-1] < volumes.DEPENDENCE_SV_TOL)
     target(float(np.log10(sv[0])), label="log10 sigma_max")

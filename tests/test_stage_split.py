@@ -1,0 +1,49 @@
+"""The per-stage kernel timer in tools/: every stage of a tiny kernel call
+is timed and called, nothing is left unaccounted below zero, and the module
+functions it wraps are put back."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_split.py"
+_spec = importlib.util.spec_from_file_location("stage_split", TOOL)
+stage_split = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stage_split)
+
+
+def _bindings():
+    return {
+        (module, name): getattr(importlib.import_module(f"qfivol.{module}"), name)
+        for _, module, names in stage_split.STAGES for name in names
+    }
+
+
+def test_every_stage_of_a_tiny_call_is_timed_and_restored():
+    before = _bindings()
+    # even n, so the Robertson stage runs too
+    split = stage_split.stage_split("complex", 2, 2, ["sld", "wy"], batch=8)
+    assert _bindings() == before
+    stages = [stage for stage, _, _ in stage_split.STAGES]
+    assert list(split) == [*stages, "rest", "whole"]
+    assert all(split[stage][1] >= 1 for stage in stages)
+    # the rest too: each stage's best is at most its time in the best whole call
+    assert all(us >= 0.0 for us, _ in split.values())
+
+
+def test_a_renamed_stage_fails_and_leaves_nothing_wrapped(monkeypatch):
+    before = _bindings()
+    stages = (*stage_split.STAGES[:2], ("frames", "volumes", ("frame_stack", "no_such_stage")))
+    monkeypatch.setattr(stage_split, "STAGES", stages)
+    with pytest.raises(AttributeError, match="no_such_stage"):
+        stage_split.stage_split("complex", 2, 2, ["sld"], batch=4)
+    monkeypatch.undo()
+    assert _bindings() == before
+
+
+def test_prints_one_row_per_stage(capsys):
+    assert stage_split.main(["--dim", "2", "--n", "1", "--functions", "wy", "--batch", "4"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [stage for stage, _, _ in stage_split.STAGES] + ["rest", "whole"]

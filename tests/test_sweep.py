@@ -72,8 +72,9 @@ def test_resolve_ensemble_aliases():
     assert resolve_ensemble("real") == "real-density"
     assert resolve_ensemble("structured") == "pauli-like-structured"
     assert resolve_ensemble("density") == "density"
-    assert resolve_ensemble("density+complex-hermitian") == "density"
     assert resolve_ensemble(" Real ") == "real-density"
+    with pytest.raises(ValueError, match="unknown ensemble 'density\\+complex-hermitian'"):
+        resolve_ensemble("density+complex-hermitian")
     with pytest.raises(ValueError, match="ensemble"):
         resolve_ensemble("bogus")
 

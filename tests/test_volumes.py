@@ -257,7 +257,7 @@ def test_k_coefficient_validates_indices_and_frames():
     rng = np.random.default_rng(33)
     a, b = (_random_hermitian(rng, 3) for _ in range(2))
     for indices in ((-1, 0, 0, 1), (1.7, 0, 0, 1), (0, 1, 3, 0), (0, 1, 1, 2.0), (True, 0, 0, 1)):
-        with pytest.raises(ValueError, match="not an integer in"):
+        with pytest.raises(ValueError, match="entry index must be"):
             k_coefficient((a, b), indices)
     for frames in ((a, b[:2, :2]), (a[:2], b[:2]), (a[0], b[0]), ()):
         with pytest.raises(ValueError, match="square frames of one shape"):
@@ -569,12 +569,20 @@ def svd_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("ensemble, n", [("complex", 4), ("complex", 5), ("real", 4)])
-def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, n):
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(9, 2, ensemble), range(16), n)
+@pytest.mark.parametrize(
+    "ensemble, dim, n",
+    [("complex", 2, 4), ("complex", 2, 5), ("real", 2, 4), ("real", 2, 3), ("real", 3, 6)],
+    ids=["complex-4", "complex-5", "real-4", "real-3", "real-d3-6"],
+)
+def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, dim, n):
+    """n observables at or above their span, d^2 or, real symmetric,
+    d(d+1)/2, are dependent with no SVD; the SVD, run here afterwards, calls
+    every such sample dependent too."""
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(9, dim, ensemble), range(16), n)
     assert volumes.evaluate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
     assert observables_dependent(DensityMatrix(rho[0]), obs[0])
     assert svd_rows == []
+    assert _svd_flags(rho, vectors, obs).all()
 
 
 def test_a_shipped_config_chunk_sends_no_sample_to_the_svd(svd_rows):
@@ -699,6 +707,30 @@ def test_function_arguments_without_a_regularity_need_pass_the_type_gate(role, c
     assert type(info.value) is ValueError
     assert str(info.value) == f"{role} must be a MonotoneFunction, got 'wy'"
     call(RLD)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: GramSpec(s, (SIGMA_X, SIGMA_Y), WY),
+     lambda s: robertson_bound(s, (SIGMA_X, SIGMA_Y)),
+     lambda s: observables_dependent(s, (SIGMA_X, SIGMA_Y)),
+     lambda s: metrics.covariance(s, SIGMA_X, SIGMA_Y),
+     lambda s: metrics.f_correlation(metrics.metric_context(s, WY), SIGMA_X, SIGMA_Y),
+     lambda s: to_eigenframe(s, SIGMA_X),
+     lambda s: matrices.icommutator(s, SIGMA_X),
+     lambda s: oracles.qfi_inner(metrics.metric_context(s, WY), SIGMA_X, SIGMA_Y),
+     lambda s: oracles.identity_residual(metrics.metric_context(s, WY), SIGMA_X, SIGMA_Y)],
+    ids=["GramSpec", "robertson_bound", "observables_dependent", "covariance", "f_correlation",
+         "to_eigenframe", "icommutator", "qfi_inner", "identity_residual"],
+)
+@pytest.mark.parametrize("state", [np.eye(2) / 2, "x"], ids=["ndarray", "str"])
+def test_every_state_argument_passes_the_one_check(call, state):
+    """A matrix or a name where a DensityMatrix belongs is refused by
+    matrices.observable_stack with an error naming the argument, never an
+    AttributeError."""
+    with pytest.raises(ValueError) as info:
+        call(state)
+    assert str(info.value) == f"state must be a DensityMatrix, got {type(state).__name__}"
 
 
 CALL_MATES = (SLD, WY, wyd(0.05), wyd(0.25))
