@@ -4,12 +4,13 @@ One record is emitted per (sample, function) to a line-delimited file with a
 fixed field order and floats printed with 17 significant digits, so records
 round-trip bit-exactly and a file is byte-identical across runs and worker
 counts.  Work is split into fixed-size chunks (independent of parallelism);
-each chunk returns its formatted lines as one text block with its gap and
-main-flag arrays, and the parent writes the text and folds the arrays into
-the summary in chunk order, which keeps even the floating-point summary
-stable when the worker count changes.  At parallelism P the parent also
-evaluates every P-th chunk itself, beside at most P - 1 worker processes
-that evaluate the rest, so P counts every process that evaluates chunks.
+each chunk returns its records as one bytes block per kernel call with its
+gap and main-flag arrays, and the parent writes the blocks and folds the
+arrays into the summary in chunk order, which keeps even the floating-point
+summary stable when the worker count changes.  At parallelism P the parent
+also evaluates every P-th chunk itself, beside at most P - 1 worker
+processes that evaluate the rest, so P counts every process that evaluates
+chunks.
 The file is written next to its target and renamed onto it once complete.
 Wall time is reported on the returned summary object only, never written to
 the file.
@@ -18,13 +19,16 @@ Worker processes are kept from one sweep to the next; ``run_sweep`` says
 when they are forked, reused and shut down.
 
 Every record starts with ``"version": 3`` (``RECORD_VERSION``), its format.
-Each chunk formats its lines from one template per function with the
-sweep's shared fields baked in, and each sample's ``cov_det``,
-``robertson_det`` and ``dependent`` once for all its functions.  Replay reads
-older files too: version 2 and unversioned records also carry
-``volume_cov`` and ``volume_qfi``, and unversioned ones were drawn from
-stream v1 rather than stream 2 (see ``sampling``), so they replay bit for bit
-through a stream-1 RandomSpec.
+Records are bytes from a table of whole-line templates, one per function and
+flag code, with the sweep's shared fields, the JSON words and the newline
+baked in (``_templates``); a kernel call joins the templates its flags pick
+and fills every line with one ``%``, formatting each sample's ``cov_det``
+and ``robertson_det`` once for all its functions.  Replay and
+``format_record`` read the same table.  Replay reads older files too:
+version 2 and unversioned records also carry ``volume_cov`` and
+``volume_qfi``, and unversioned ones were drawn from stream v1 rather than
+stream 2 (see ``sampling``), so they replay bit for bit through a stream-1
+RandomSpec.
 The first replay of a file reads it once to index where each line starts;
 later replays of the same unchanged file seek straight to their line.
 
@@ -34,6 +38,7 @@ the base tags, and records with retired tags replay unchanged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -135,58 +140,57 @@ class SweepSummary:
     elapsed: float
 
 
-_JSON_WORDS = {True: "true", False: "false"}
-
-
-def _templates(seed: int, ensemble: str, dim: int, n: int, fids) -> list:
-    """One %-template per function: the record version and the fields every
-    line of a sweep shares baked in, then index, cov_det, qfi_det, gap,
-    robertson_det and the four JSON words.  cov_det and robertson_det are
-    %s, formatted once per sample; floats print with 17 significant digits so
-    they round-trip."""
-    return [
-        f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
-        f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
-        '"gap": %.17g, "robertson_det": %s, "main_holds": %s, "dependent": %s, '
-        '"equality_consistent": %s, "candidate": %s}'
-        for fid in fids
-    ]
-
-
-def _format_batch(templates, indices, out: BatchReport) -> list:
-    """The record lines of a kernel report, sample-major, then function."""
-    words = _JSON_WORDS.__getitem__
-    cov = ["%.17g" % x for x in out.cov_det.tolist()]
-    rob = (
-        ["null"] * len(cov) if out.robertson_det is None
-        else ["%.17g" % x for x in out.robertson_det.tolist()]
-    )
-    dependent = list(map(words, out.dependent.tolist()))
-    columns = [
-        map(template.__mod__, zip(
-            indices, cov, qfi_det, gap, rob, map(words, main), dependent, map(words, equal),
-            [words(not m) for m in main],
-        ))
-        for template, qfi_det, gap, main, equal in zip(
-            templates, out.qfi_det.tolist(), out.gap.tolist(),
-            out.main_holds.tolist(), out.equality_consistent.tolist(),
+@functools.lru_cache(typed=True)
+def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> tuple:
+    """Per function, 8 bytes %-templates of a whole line, indexed by the flag
+    code 4 main_holds + 2 dependent + equality_consistent.  Each bakes in the
+    record version, the fields every line of a sweep shares, the four JSON
+    words (candidate is not main_holds), robertson_det's null for odd n and
+    the trailing newline.  It leaves index, cov_det, qfi_det, gap and, for
+    even n, robertson_det; cov_det and robertson_det are %s, formatted once
+    per sample.  Floats print with 17 significant digits so they round-trip.
+    Typed, so that seeds 7 and 7.0 each get their own table."""
+    words, rob = ("false", "true"), "%s" if n % 2 == 0 else "null"
+    return tuple(
+        tuple(
+            f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+            f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
+            f'"gap": %.17g, "robertson_det": {rob}, "main_holds": {words[main]}, "dependent": '
+            f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
+            .encode()
+            for main, dependent, equal in itertools.product((False, True), repeat=3)
         )
-    ]
-    return [line for sample in zip(*columns) for line in sample]
+        for fid in fids
+    )
+
+
+def _format_batch(templates, indices, out: BatchReport) -> bytes:
+    """The record lines of a kernel report as one bytes block, sample-major,
+    then function: the templates its flags pick, joined, then one % over
+    every line's values."""
+    cov = [b"%.17g" % x for x in out.cov_det.tolist()]
+    qfi, gap, functions = out.qfi_det.T.tolist(), out.gap.T.tolist(), range(len(templates))
+    flags = zip(out.main_holds.T.tolist(), out.dependent.tolist(), out.equality_consistent.T.tolist())
+    block = b"".join([templates[k][4 * m[k] + 2 * d + e[k]] for m, d, e in flags for k in functions])
+    if out.robertson_det is None:
+        rows = zip(indices, cov, qfi, gap)
+        values = [x for i, c, q, g in rows for k in functions for x in (i, c, q[k], g[k])]
+    else:
+        rows = zip(indices, cov, qfi, gap, [b"%.17g" % x for x in out.robertson_det.tolist()])
+        values = [x for i, c, q, g, r in rows for k in functions for x in (i, c, q[k], g[k], r)]
+    return block % tuple(values)
 
 
 def format_record(record: dict) -> str:
     """One version-RECORD_VERSION record as the JSON object line a sweep
-    writes for it."""
-    rob = record["robertson_det"]
-    (template,) = _templates(
-        record["seed"], record["ensemble"], record["dim"], record["n"], [record["function"]]
-    )
-    return template % (
-        record["index"], "%.17g" % record["cov_det"], record["qfi_det"], record["gap"],
-        "null" if rob is None else "%.17g" % rob,
-        *(_JSON_WORDS[record[key]] for key in RECORD_FIELDS[-4:]),
-    )
+    writes for it; candidate is written as not main_holds."""
+    n, rob = record["n"], record["robertson_det"]
+    (table,) = _templates(record["seed"], record["ensemble"], record["dim"], n, (record["function"],))
+    code = 4 * record["main_holds"] + 2 * record["dependent"] + record["equality_consistent"]
+    values = (record["index"], b"%.17g" % record["cov_det"], record["qfi_det"], record["gap"])
+    if n % 2 == 0:
+        values += (b"null" if rob is None else b"%.17g" % rob,)
+    return (table[code] % values)[:-1].decode()
 
 
 def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
@@ -199,8 +203,8 @@ def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pair
     spec's stream, one per function, plus its monotonicity violations.  The
     draw checks the index and n before it draws anything."""
     out = _evaluate(rspec, [index], n, functions)
-    templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, [f.fid for f in functions])
-    lines = _format_batch(templates, [index], out)
+    templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, tuple(f.fid for f in functions))
+    lines = _format_batch(templates, [index], out).splitlines()
     return [json.loads(line) for line in lines], int(out.violations(order_pairs)[0])
 
 
@@ -214,24 +218,24 @@ def _call_bounds(config: SweepConfig, start: int, stop: int) -> list:
 
 
 def _chunk_worker(args):
-    """Record lines as one text block, (F, B) gap and main-flag arrays and the
-    monotonicity violation count of samples start..stop."""
+    """The record lines of samples start..stop as one bytes block per kernel
+    call, their (F, B) gap and main-flag arrays and their monotonicity
+    violation count."""
     config, start, stop = args
     functions = tuple(builtin(fid) for fid in config.functions)
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
     templates = _templates(config.seed, config.ensemble, config.dim, config.n, config.functions)
     pairs = order_pairs(functions)
-    lines, gap, main, violations = [], [], [], 0
+    blocks, gap, main, violations = [], [], [], 0
     bounds = _call_bounds(config, start, stop)
     for lo, hi in zip(bounds, bounds[1:]):
         indices = range(lo, hi)
         out = _evaluate(rspec, indices, config.n, functions)
-        lines += _format_batch(templates, indices, out)
+        blocks.append(_format_batch(templates, indices, out))
         gap.append(out.gap)
         main.append(out.main_holds)
         violations += int(out.violations(pairs).sum())
-    # one string pickles and unpickles far faster than a list of its lines
-    return "\n".join(lines), np.concatenate(gap, axis=1), np.concatenate(main, axis=1), violations
+    return blocks, np.concatenate(gap, axis=1), np.concatenate(main, axis=1), violations
 
 
 _SUMMARY_TEMPLATE = (
@@ -258,16 +262,15 @@ def format_summary(config: SweepConfig, summary: SweepSummary) -> str:
 
 
 def _fold(config: SweepConfig, parts, fh, start_time) -> SweepSummary:
-    """Write each chunk's lines and fold its arrays into the summary, in chunk
+    """Write each chunk's blocks and fold its arrays into the summary, in chunk
     order: per-function gap sums add each chunk's in-order sum, and the
     argmin keeps the first record holding the minimum gap."""
     fids = config.functions
     min_gap, sum_gap = [math.inf] * len(fids), [0.0] * len(fids)
     candidates, violations, done = np.zeros(len(fids), dtype=int), 0, 0
     best, argmin_index, argmin_function = math.inf, -1, ""
-    for text, gap, main, count in parts:
-        fh.write(text)
-        fh.write("\n")
+    for blocks, gap, main, count in parts:
+        fh.writelines(blocks)
         for k, g in enumerate(gap.tolist()):
             min_gap[k] = min(min_gap[k], min(g))
             sum_gap[k] += sum(g, 0.0)
@@ -358,7 +361,7 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
     theirs = [chunk for k, chunk in enumerate(chunks) if k % step]
     tmp_path = f"{os.fspath(out_path)}.tmp"
     try:
-        with open(tmp_path, "w") as fh:
+        with open(tmp_path, "wb") as fh:
             results = iter(())
             if theirs:
                 # a fork-started pool forks all its workers at its first submit
@@ -374,7 +377,7 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
                 for k, chunk in enumerate(chunks)
             )
             summary = _fold(config, parts, fh, start_time)
-            fh.write(format_summary(config, summary) + "\n")
+            fh.write(f"{format_summary(config, summary)}\n".encode())
         os.replace(tmp_path, out_path)
     except BaseException:
         # a failed pool may be broken or still busy: the next sweep forks anew

@@ -47,3 +47,20 @@ def test_prints_one_row_per_stage(capsys):
     assert stage_split.main(["--dim", "2", "--n", "1", "--functions", "wy", "--batch", "4"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == [stage for stage, _, _ in stage_split.STAGES] + ["rest", "whole"]
+
+
+@pytest.mark.parametrize("n, functions, floats", [(1, ["wy"], 3), (2, ["sld", "wy"], 6), (3, ["sld"] * 6, 13)])
+def test_floats_per_sample_counts_what_a_record_prints(n, functions, floats):
+    assert stage_split.floats_per_sample(n, functions) == floats
+
+
+def test_prints_the_formatting_stage_per_float(capsys):
+    """Only the _format_batch row has a µs/float cell: its µs/sample over the
+    (1 + 2F + [n even]) floats a sample prints, here 1 + 4 + 1."""
+    assert stage_split.main(["--dim", "2", "--n", "2", "--functions", "sld,wy", "--batch", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-1] == "us/float"
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    us, per_float = float(rows["_format_batch"][1]), float(rows["_format_batch"][4])
+    assert per_float == pytest.approx(us / 6, abs=1e-3)
+    assert all(len(row) == 4 for stage, row in rows.items() if stage not in ("_format_batch", "rest", "whole"))

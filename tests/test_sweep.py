@@ -34,7 +34,7 @@ from qfivol import (
 )
 from qfivol.sampling import resolve_ensemble, sample_observables, sample_state
 from qfivol.sweep import evaluate_sample, format_record
-from qfivol.volumes import order_pairs
+from qfivol.volumes import BatchReport, order_pairs
 
 # sha256 of 300-sample, seed-7 sweep files of record version 3 on stream
 # v2, as the batched kernel writes them.  The digests belong to one
@@ -181,6 +181,141 @@ def test_format_record_matches_sweep_lines(tmp_path, ensemble, dim, n, functions
         records, _ = evaluate_sample(rspec, index, n, tuple(map(builtin, config.functions)))
         for k, record in enumerate(records):
             assert format_record(record) == lines[index * len(records) + k]
+
+
+# The str formatter that wrote version-3 records before they were written as
+# bytes, kept as the oracle the bytes formatter must match line for line.
+_ORACLE_WORDS = {True: "true", False: "false"}
+
+
+def _oracle_templates(seed, ensemble, dim, n, fids):
+    return [
+        f'{{"version": 3, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+        f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
+        '"gap": %.17g, "robertson_det": %s, "main_holds": %s, "dependent": %s, '
+        '"equality_consistent": %s, "candidate": %s}'
+        for fid in fids
+    ]
+
+
+def _oracle_format_batch(templates, indices, out):
+    words = _ORACLE_WORDS.__getitem__
+    cov = ["%.17g" % x for x in out.cov_det.tolist()]
+    rob = (
+        ["null"] * len(cov) if out.robertson_det is None
+        else ["%.17g" % x for x in out.robertson_det.tolist()]
+    )
+    dependent = list(map(words, out.dependent.tolist()))
+    columns = [
+        map(template.__mod__, zip(
+            indices, cov, qfi_det, gap, rob, map(words, main), dependent, map(words, equal),
+            [words(not m) for m in main],
+        ))
+        for template, qfi_det, gap, main, equal in zip(
+            templates, out.qfi_det.tolist(), out.gap.tolist(),
+            out.main_holds.tolist(), out.equality_consistent.tolist(),
+        )
+    ]
+    return [line for sample in zip(*columns) for line in sample]
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 2.0, -2.5e-17, -3.0)
+
+
+def _synthetic_report(n, count, batch, shift):
+    """A report of ``batch`` samples and ``count`` functions whose flag code
+    4 main_holds + 2 dependent + equality_consistent is ``shift`` at sample
+    0, function 0, so the 8 shifts cover all 8 codes even at one sample and
+    one function; every float is drawn from the edge values or a random
+    pool, negative gaps included."""
+    rng = np.random.default_rng(shift)
+    pool = np.concatenate([_EDGE_FLOATS, rng.standard_normal(9) * 10.0 ** rng.integers(-200, 200, 9)])
+    s, k = np.arange(batch), np.arange(count)[:, None]
+    code = (s + k + shift) % 8
+    return BatchReport(
+        cov_gram=None, qfi_gram=None,
+        cov_det=pool[(s + shift) % len(pool)],
+        qfi_det=pool[(3 * s + k + shift + 1) % len(pool)],
+        gap=pool[(5 * s + 2 * k + shift + 2) % len(pool)],
+        scale=None, volume_qfi=None,
+        robertson_det=None if n % 2 else pool[(7 * s + shift + 3) % len(pool)],
+        dependent=((s + shift) % 8 & 2).astype(bool),
+        main_holds=(code & 4).astype(bool),
+        equality_consistent=(code & 1).astype(bool),
+        rank_deficient=False,
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["odd-n", "even-n"])
+@pytest.mark.parametrize("count", [1, 6])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_format_batch_matches_the_str_oracle(n, count, batch):
+    """Every bytes line equals the oracle's line plus its newline and parses
+    back to the report's values, over all 8 flag codes, extreme floats and
+    numpy-integer indices up to 2^64 - 1."""
+    fids = ("sld", "wy", "wyd:0.05", "wyd:0.1", "wyd:0.25", "wyd:0.4")[:count]
+    templates = sweep._templates(7, "complex", 3, n, fids)
+    oracle = _oracle_templates(7, "complex", 3, n, fids)
+    indices = np.uint64(2**64 - 1) - np.arange(batch, dtype=np.uint64)
+    codes = set()
+    for shift in range(8):
+        out = _synthetic_report(n, count, batch, shift)
+        lines = sweep._format_batch(templates, indices, out).splitlines(keepends=True)
+        expected = _oracle_format_batch(oracle, indices, out)
+        assert len(lines) == batch * count
+        for line, old in zip(lines, expected):
+            assert line == f"{old}\n".encode()
+        for j, line in enumerate(lines):
+            s, k = divmod(j, count)
+            record = json.loads(line)
+            main, dependent = bool(out.main_holds[k, s]), bool(out.dependent[s])
+            equal = bool(out.equality_consistent[k, s])
+            codes.add(4 * main + 2 * dependent + equal)
+            rob = None if n % 2 else out.robertson_det[s]
+            assert (record["index"], record["function"]) == (int(indices[s]), fids[k])
+            assert record["cov_det"] == out.cov_det[s] and record["robertson_det"] == rob
+            assert (record["qfi_det"], record["gap"]) == (out.qfi_det[k, s], out.gap[k, s])
+            assert (record["main_holds"], record["dependent"]) == (main, dependent)
+            assert (record["equality_consistent"], record["candidate"]) == (equal, not main)
+    assert codes == set(range(8))
+
+
+def test_template_tables_do_not_leak_between_configs(tmp_path):
+    """Sweeps, evaluate_sample and format_record on configs that differ from
+    one base config in exactly one shared field, interleaved in one process,
+    each write their own config's fields on every line."""
+    base = dict(seed=5, ensemble="complex", dim=3, n=2, functions=("sld", "wy"))
+    variants = [
+        base, dict(base, seed=6), dict(base, ensemble="real"), dict(base, dim=4),
+        dict(base, n=3), dict(base, functions=("sld", "wyd:0.25")), dict(base, functions=("wy", "sld")),
+    ]
+    configs = [_config(samples=4, **variant) for variant in variants]
+    files = []
+    for k, config in enumerate(configs):
+        run_sweep(config, tmp_path / f"{k}.jsonl")
+        files.append((tmp_path / f"{k}.jsonl").read_text().splitlines()[:-1])
+
+    def check(config, record):
+        shared = {key: getattr(config, key) for key in ("seed", "ensemble", "dim", "n")}
+        assert {key: record[key] for key in shared} == shared
+        assert (record["robertson_det"] is None) == (config.n % 2 == 1)
+
+    for config, lines in zip(configs, files):
+        records = [json.loads(line) for line in lines]
+        assert [r["function"] for r in records] == list(config.functions) * config.samples
+        for record in records:
+            check(config, record)
+    for config, lines in zip(configs, files):
+        rspec = RandomSpec(config.seed, config.dim, config.ensemble)
+        records, _ = evaluate_sample(rspec, 3, config.n, tuple(map(builtin, config.functions)))
+        assert [r["function"] for r in records] == list(config.functions)
+        for k, record in enumerate(records):
+            check(config, record)
+            assert format_record(record) == lines[3 * len(config.functions) + k]
+    # seeds 5 and 5.0 hash alike, yet each prints as given
+    record = json.loads(files[0][0])
+    assert '"seed": 5.0,' in format_record(dict(record, seed=5.0))
+    assert format_record(record) == files[0][0]
 
 
 def test_order_pairs_covers_the_chain():

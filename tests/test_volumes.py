@@ -587,7 +587,7 @@ def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, di
 
 def test_a_shipped_config_chunk_sends_no_sample_to_the_svd(svd_rows):
     config = sweep.SweepConfig(3, 3, 256, ("sld", "wy", "wyd:0.25"), "complex", 0)
-    lines = sweep._chunk_worker((config, 0, 256))[0].split("\n")
+    lines = b"".join(sweep._chunk_worker((config, 0, 256))[0]).splitlines()
     assert len(lines) == 3 * 256
     assert sum(svd_rows) == 0
 

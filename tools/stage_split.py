@@ -17,6 +17,9 @@ AttributeError, and one that is no longer called reads 0 calls.
 
 It also prints the whole call, best of N with the timers in place, and the
 unattributed rest: the best whole call minus the sum of the stage bests.
+The ``_format_batch`` row also gives its µs per printed float: a call of
+B samples and F functions prints B (1 + 2F + [n even]) floats
+(``floats_per_sample``); every other byte of a line comes from a template.
 Each stage's best is at most its time in the best whole call, so the rest
 is never below that call's own unattributed time; it holds the state and
 observable build, the kernel's glue and the timers' overhead.
@@ -144,6 +147,12 @@ def stage_split(ensemble, dim, n, functions, batch) -> dict:
     return split
 
 
+def floats_per_sample(n, functions) -> int:
+    """The floats one sample's records print: cov_det once, qfi_det and gap
+    once per function, and robertson_det once when n is even."""
+    return 1 + 2 * len(functions) + (n % 2 == 0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ensemble", default="complex")
@@ -157,10 +166,12 @@ def main(argv=None) -> int:
     whole = split["whole"][0]
     print(f"{args.ensemble} dim {args.dim} n {args.n}, {','.join(functions)}, "
           f"B {args.batch}, best of {REPEATS}, µs/sample (exclusive)")
-    print(f"{'stage':<16} {'us/sample':>10} {'share':>7} {'calls':>6}")
+    floats = floats_per_sample(args.n, functions)
+    print(f"{'stage':<16} {'us/sample':>10} {'share':>7} {'calls':>6} {'us/float':>9}")
     for stage, (us, calls) in split.items():
         count = "" if calls is None else calls
-        print(f"{stage:<16} {us:>10.3f} {100 * us / whole:6.1f}% {count:>6}")
+        per_float = f"{us / floats:9.3f}" if stage == "_format_batch" else ""
+        print(f"{stage:<16} {us:>10.3f} {100 * us / whole:6.1f}% {count:>6} {per_float}".rstrip())
     return 0
 
 
