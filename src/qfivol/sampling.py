@@ -1,24 +1,18 @@
 """Deterministic random ensembles for states and observables.
 
-Stream v2 defines every draw: the normals of sample ``i`` on ``channel`` are
-row ``i % BLOCK`` of ``Generator(Philox(key=seed, counter=[0, 0, i // BLOCK,
-channel])).standard_normal((BLOCK, *shape))``, with BLOCK = 8 and ``channel``
-separating the state, observable and pure-state streams.  The same (seed,
-dim, ensemble, index) therefore always yields bit-identical output,
-independent of call order, batch, process, thread, or worker count.  Philox
-is counter-based, so a block's draw starts from a state assignment: one
-generator per thread is set to each block's (key, counter) in turn and draws
-the whole block in one call.
+One stream defines every draw: the normals of sample ``i`` on ``channel``
+are row ``i % BLOCK`` of ``Generator(Philox(key=seed, counter=[0, 0, i //
+BLOCK, channel])).standard_normal((BLOCK, *shape))``, with BLOCK = 8 and
+``channel`` separating the state, observable and pure-state streams.  The
+same (seed, dim, ensemble, index) therefore always yields bit-identical
+output, independent of call order, batch, process, thread, or worker count.
+Philox is counter-based, so a block's draw starts from a state assignment:
+one generator per thread is set to each block's (key, counter) in turn and
+draws the whole block in one call.
 
-Stream v1, which records without a ``version`` field were drawn from, is
-kept only so those records replay: there the normals of sample ``i`` are one
-``standard_normal(shape)`` call of ``default_rng(SeedSequence(seed,
-spawn_key=(i, channel)))``.
-
-A ``RandomSpec`` names its stream (``stream``, STREAM_VERSION unless
-given), so every draw of a spec comes from that one stream and no draw
-function takes a stream argument; records without a ``version`` field
-replay through a stream-1 spec.
+A ``RandomSpec`` is (seed, dim, ensemble), so no draw function takes a
+stream argument.  Replayable records (version 3, ``sweep.RECORD_VERSION``)
+are drawn from this stream.
 """
 
 from __future__ import annotations
@@ -34,8 +28,8 @@ from .matrices import MAX_OBSERVABLES, DecompositionError, DensityMatrix, as_int
 ENSEMBLES = ("density", "real-density", "pauli-like-structured")
 
 # CLI names and the retired complex-hermitian and real-symmetric tags, which
-# drew exactly the streams of their base tags, so records that carry them
-# still replay
+# draw exactly the streams of their base tags and stay accepted names
+# (acceptance criterion 8 draws complex-hermitian)
 _ALIASES = {
     "complex": "density",
     "complex-hermitian": "density",
@@ -43,10 +37,6 @@ _ALIASES = {
     "real-symmetric": "real-density",
     "structured": "pauli-like-structured",
 }
-
-# the stream new draws come from (sweep.RECORD_VERSION names the record
-# format); records without a version field are stream 1
-STREAM_VERSION = 2
 
 STATE_CHANNEL = 0
 OBSERVABLE_CHANNEL = 1
@@ -74,25 +64,21 @@ def resolve_ensemble(tag: str) -> str:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Identifies a reproducible stream of random draws: every draw of a
-    spec comes from stream ``stream`` (1 or 2, see the module docstring;
-    records without a version field replay through a stream-1 spec), and
-    ``ensemble`` is resolved to its base tag.  The one check of these four
-    fields: sweeps and replay pass theirs here."""
+    """Identifies a reproducible stream of random draws (see the module
+    docstring); ``ensemble`` is resolved to its base tag.  The one check of
+    these three fields: sweeps and replay pass theirs here."""
 
     seed: int
     dim: int
     ensemble: str
-    stream: int = STREAM_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", resolve_ensemble(self.ensemble))
         object.__setattr__(self, "dim", as_integer("dim", self.dim, MIN_DIM, MAX_DIM))
         object.__setattr__(self, "seed", as_integer("seed", self.seed, 0, 2**64 - 1))
-        object.__setattr__(self, "stream", as_integer("stream", self.stream, 1, STREAM_VERSION))
 
 
-# stream v2's block size: sample i draws row i % BLOCK of its block's call;
+# the stream's block size: sample i draws row i % BLOCK of its block's call;
 # part of the stream's definition, so changing it changes every record
 BLOCK = 8
 
@@ -102,19 +88,12 @@ _thread = threading.local()
 def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
     """For each (channel, shape) of ``draws`` a (B, *shape) stack whose row b
     holds the normals of sample indices[b] on that channel, from the spec's
-    seed and stream (see the module docstring).  The one check of a sample
-    index: every index of every draw passes as_integer as ``index``, in
-    0..2**64 - 1, before any normal is drawn."""
+    seed (see the module docstring).  The one check of a sample index: every
+    index of every draw passes as_integer as ``index``, in 0..2**64 - 1,
+    before any normal is drawn."""
     for index in indices:
         as_integer("index", index, 0, 2**64 - 1)
     seed = spec.seed
-    if spec.stream == 1:
-        stacks = [np.empty((len(indices), *shape)) for _, shape in draws]
-        for (channel, _), stack in zip(draws, stacks):
-            for index, row in zip(indices, stack):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
-                rng.standard_normal(out=row)
-        return stacks
     blocks = sorted({index // BLOCK for index in indices})
     first_row = {block: k * BLOCK for k, block in enumerate(blocks)}
     rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]
@@ -209,7 +188,7 @@ def _observables(spec: RandomSpec, z) -> np.ndarray:
 
 
 def draw_samples(spec: RandomSpec, indices, count: int):
-    """The samples at ``indices`` on the spec's stream: validated (matrix,
+    """The samples at ``indices`` of the spec: validated (matrix,
     eigenvalues, eigenvectors) state stacks, as matrices.density_stack
     returns them, and a (B, count, d, d) observable stack (see
     _observables).  A failed state check names the sample index."""

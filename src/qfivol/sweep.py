@@ -24,11 +24,9 @@ flag code, with the sweep's shared fields, the JSON words and the newline
 baked in (``_templates``); a kernel call joins the templates its flags pick
 and fills every line with one ``%``, formatting each sample's ``cov_det``
 and ``robertson_det`` once for all its functions.  Replay and
-``format_record`` read the same table.  Replay reads older files too:
-version 2 and unversioned records also carry ``volume_cov`` and
-``volume_qfi``, and unversioned ones were drawn from stream v1 rather than
-stream 2 (see ``sampling``), so they replay bit for bit through a stream-1
-RandomSpec.
+``format_record`` read the same table.  Replay reads version 3 only: older
+records (version 2, and unversioned ones drawn from an earlier stream) are
+retired, and their lines exit with an error that names their version.
 The first replay of a file reads it once to index where each line starts;
 later replays of the same unchanged file seek straight to their line.
 
@@ -56,7 +54,7 @@ import numpy as np
 
 from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .sampling import STREAM_VERSION, RandomSpec, as_integer, draw_samples, observable_draw
+from .sampling import RandomSpec, as_integer, draw_samples, observable_draw, resolve_ensemble
 from .volumes import BatchReport, evaluate_batch, order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -70,8 +68,8 @@ CHUNK_SIZE = 256
 KERNEL_BATCH = 64
 KERNEL_FLOATS = 2**14
 
-# the format of the records a sweep writes, the "version" each starts with;
-# sampling.STREAM_VERSION names the stream their inputs are drawn from
+# the format of the records a sweep writes, the "version" each starts with,
+# and the only one replay reads
 RECORD_VERSION = 3
 
 RECORD_FIELDS = (
@@ -183,7 +181,12 @@ def _format_batch(templates, indices, out: BatchReport) -> bytes:
 
 def format_record(record: dict) -> str:
     """One version-RECORD_VERSION record as the JSON object line a sweep
-    writes for it; candidate is written as not main_holds."""
+    writes for it; candidate is written as not main_holds.  The line prints
+    the record's own ensemble and function strings unescaped, so it refuses
+    any that sampling.resolve_ensemble or monotone.builtin refuses, as a
+    sweep does."""
+    resolve_ensemble(record["ensemble"])
+    builtin(record["function"])
     n, rob = record["n"], record["robertson_det"]
     (table,) = _templates(record["seed"], record["ensemble"], record["dim"], n, (record["function"],))
     code = 4 * record["main_holds"] + 2 * record["dependent"] + record["equality_consistent"]
@@ -389,17 +392,6 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
     return summary
 
 
-# the fields of record versions before 3: volume_cov and volume_qfi after gap
-_OLD_FIELDS = (*RECORD_FIELDS[:9], "volume_cov", "volume_qfi", *RECORD_FIELDS[9:])
-# record version (None when absent) -> (stream its inputs were drawn from, fields);
-# the only map from a record to its stream: replay builds its RandomSpec from it
-_RECORD_FORMATS = {
-    None: (1, _OLD_FIELDS),
-    2: (2, _OLD_FIELDS),
-    RECORD_VERSION: (STREAM_VERSION, RECORD_FIELDS),
-}
-
-
 # (fstat key, line starts) of the file replay_record read last, or None; see
 # _read_line
 _line_index = None
@@ -481,13 +473,12 @@ def replay_record(path, line_number: int) -> dict:
 
     Floats are printed with 17 significant digits, so parsing and equality
     comparison are exact; any mismatch means the stream is not reproducible
-    on this build.  The record's ``version`` names its stream and fields (see
-    ``_RECORD_FORMATS``); the volumes of versions before 3 are recomputed as
-    sqrt(max(0, det)) from the fresh determinants.  The record's seed, dim,
-    ensemble and stream build one RandomSpec, its function passes
-    monotone.builtin and require_regular, and its n and index the draw's own
-    checks, so a bad field fails as ``line N: <field> must be ...`` before
-    any normal is drawn.
+    on this build.  The record must carry every RECORD_FIELDS key and
+    ``"version": 3``; older records are retired.  The record's seed, dim and
+    ensemble build one RandomSpec, its function passes monotone.builtin and
+    require_regular, and its n and index the draw's own checks, so a bad
+    field or version fails as ``line N: <field> must be ...`` before any
+    normal is drawn.
 
     The first call on a file reads it once to index its line starts; later
     calls on the same unchanged file seek straight to their line (see
@@ -505,29 +496,26 @@ def replay_record(path, line_number: int) -> dict:
     stored = stored if isinstance(stored, dict) else {}
     if stored.get("summary"):
         raise ValueError("the summary line cannot be replayed")
-    version = stored.get("version")
-    # exact type: JSON gives bool for true and float for 2.0, which hash like ints
-    if "version" in stored and (type(version) is not int or version not in _RECORD_FORMATS):
-        known = ", ".join(str(key) for key in _RECORD_FORMATS if key is not None)
-        raise ValueError(f"line {line_number}: version must be {known} or absent, got {version!r}")
-    stream, fields = _RECORD_FORMATS[version]
-    missing = [key for key in fields if key not in stored]
+    missing = [key for key in RECORD_FIELDS if key not in stored]
     if missing:
         raise ValueError(f"line {line_number} is not a sweep record: missing {', '.join(missing)}")
+    version = stored.get("version")
+    # exact type: JSON gives bool for true and float for 3.0, which equal ints
+    if type(version) is not int or version != RECORD_VERSION:
+        found = repr(version) if "version" in stored else "no version field"
+        raise ValueError(f"line {line_number}: version must be {RECORD_VERSION}, got {found} "
+                         f"(records before version {RECORD_VERSION} are retired)")
     try:
         # each check refuses JSON's true, false and 3.0 as integers; the draw
         # checks n and the index before it draws anything
-        rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"], stream)
+        rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"])
         function = require_regular(builtin(stored["function"]), "sweep function")
         records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
     fresh = records[0]
-    if fields is _OLD_FIELDS:
-        fresh["volume_cov"] = math.sqrt(max(0.0, fresh["cov_det"]))
-        fresh["volume_qfi"] = math.sqrt(max(0.0, fresh["qfi_det"]))
     # JSON gives back exactly the printed floats, ints for integral ones; a
     # retired ensemble tag names the stream of the base tag fresh records carry
     expected = dict(stored, ensemble=rspec.ensemble)
-    mismatches = {key: (stored[key], fresh[key]) for key in fields if expected[key] != fresh[key]}
+    mismatches = {k: (stored[k], fresh[k]) for k in RECORD_FIELDS if expected[k] != fresh[k]}
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

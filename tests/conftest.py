@@ -30,6 +30,6 @@ class _NoNormals:
 
 @pytest.fixture
 def no_normals(monkeypatch):
-    """Any stream-2 normal drawn in this thread raises AssertionError, so a
-    test can show that a check fails before anything is drawn."""
+    """Any normal drawn in this thread raises AssertionError, so a test can
+    show that a check fails before anything is drawn."""
     monkeypatch.setattr(sampling._thread, "generator", _NoNormals(), raising=False)

@@ -12,15 +12,14 @@ from qfivol import RandomSpec, sweep
 from qfivol.sampling import sample_state
 from qfivol.cli import main
 
-# records written before stream v2 (no version field): complex d3 n3, real
-# d8 n2 and structured d4 n3 seed-7 sweep lines, and one line whose ensemble
-# tag was rewritten to the retired complex-hermitian
+# retired records, which replay refuses: unversioned lines drawn from an
+# earlier stream (complex d3 n3, real d8 n2 and structured d4 n3 seed-7 sweep
+# lines, and one whose ensemble tag was rewritten to complex-hermitian) and
+# version-2 lines (seed-7 sweep lines of the three digest-guarded configs and
+# one complex d4 n2 line); both carry volume_cov and volume_qfi after gap
 RECORDS_V1 = Path(__file__).parent / "data" / "records_v1.jsonl"
-# version-2 records (stream v2, with volume_cov and volume_qfi): seed-7 sweep
-# lines of the three digest-guarded configs across kernel batches, and one
-# complex d4 n2 line with a nonzero robertson_det
 RECORDS_V2 = Path(__file__).parent / "data" / "records_v2.jsonl"
-# version-3 records (stream v2, no volumes): seed-7 lines of four sweeps,
+# version-3 records, the format sweeps write: seed-7 lines of four sweeps,
 # see test_record_v3_lines_replay
 RECORDS_V3 = Path(__file__).parent / "data" / "records_v3.jsonl"
 
@@ -274,40 +273,34 @@ def test_replay_checks_the_record_before_drawing(tmp_path, capsys, fields, messa
     assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
+def _retired(line_number, found):
+    return (f"error: line {line_number}: version must be 3, got {found} "
+            "(records before version 3 are retired)\n")
+
+
 @pytest.mark.parametrize("value", [4, "2", True, None, 1, 2.0])
-def test_replay_rejects_unknown_version_before_drawing(tmp_path, capsys, monkeypatch, value):
+def test_replay_rejects_unknown_version_before_drawing(tmp_path, capsys, value, request):
     out = _edited_record(tmp_path, version=value)
     capsys.readouterr()
-
-    def no_draw(*args):
-        raise AssertionError("replay drew a sample before checking its version")
-
-    monkeypatch.setattr("qfivol.sweep.draw_samples", no_draw)
+    request.getfixturevalue("no_normals")
     assert main(["replay", "--record", f"{out}:1"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: line 1: version must be 2, 3 or absent, got {value!r}\n"
-    )
+    assert capsys.readouterr() == ("", _retired(1, repr(value)))
 
 
-def test_stream_v1_records_replay(tmp_path, capsys):
+def test_stream_v1_records_are_retired(capsys, no_normals):
     lines = RECORDS_V1.read_text().splitlines()
     assert len(lines) == 13 and not any('"version"' in line for line in lines)
     for line_number in range(1, len(lines) + 1):
-        assert main(["replay", "--record", f"{RECORDS_V1}:{line_number}"]) == 0
-    assert "MISMATCH" not in capsys.readouterr().out
-    # the same line claiming stream v2 draws other inputs
-    out = tmp_path / "records.jsonl"
-    out.write_text(json.dumps({"version": 2, **json.loads(lines[0])}) + "\n")
-    assert main(["replay", "--record", f"{out}:1"]) == 2
-    assert "MISMATCH" in capsys.readouterr().out
+        assert main(["replay", "--record", f"{RECORDS_V1}:{line_number}"]) == 2
+        assert capsys.readouterr() == ("", _retired(line_number, "no version field"))
 
 
-def test_record_v2_lines_replay(capsys):
+def test_record_v2_lines_are_retired(capsys, no_normals):
     lines = RECORDS_V2.read_text().splitlines()
     assert len(lines) == 13 and all(line.startswith('{"version": 2, ') for line in lines)
     for line_number in range(1, len(lines) + 1):
-        assert main(["replay", "--record", f"{RECORDS_V2}:{line_number}"]) == 0
-    assert "MISMATCH" not in capsys.readouterr().out
+        assert main(["replay", "--record", f"{RECORDS_V2}:{line_number}"]) == 2
+        assert capsys.readouterr() == ("", _retired(line_number, "2"))
 
 
 def test_record_v3_lines_replay(capsys):
@@ -332,13 +325,12 @@ def test_record_v3_lines_replay(capsys):
     assert "MISMATCH" not in capsys.readouterr().out
 
 
-def test_record_v3_line_relabelled_v2_exits_two(tmp_path, capsys):
+def test_record_v3_line_relabelled_v2_exits_two(tmp_path, capsys, request):
     out = _edited_record(tmp_path, version=2)
     capsys.readouterr()
+    request.getfixturevalue("no_normals")
     assert main(["replay", "--record", f"{out}:1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: line 1 is not a sweep record: missing volume_cov, volume_qfi\n"
-    )
+    assert capsys.readouterr() == ("", _retired(1, "2"))
 
 
 @pytest.mark.parametrize("text,line_number", [("not json", 2), ("", 3)])

@@ -1,0 +1,108 @@
+"""Invariances and exact zeros the math guarantees, checked on seeded sweep
+batches through the evaluation kernel.
+
+Reversing the observable order, shifting each A_h by c_h I and conjugating
+the state and every observable by one unitary leave both Gram determinants
+and every verdict unchanged; A -> sA scales both determinants by s^(2n).
+Real ensembles give a Robertson determinant of exactly 0.0, and the
+structured ensemble a metric determinant of exactly 0.0 (see each test).
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from qfivol import RandomSpec
+from qfivol.matrices import as_hermitian, density_stack
+from qfivol.monotone import builtin
+from qfivol.sampling import draw_samples
+from qfivol.volumes import evaluate_batch
+
+FUNCTIONS = tuple(map(builtin, ("sld", "wy", "wyd:0.25")))
+FLAGS = ("main_holds", "dependent", "equality_consistent")
+CONFIGS = [("density", 3, 3), ("real-density", 4, 2), ("density", 4, 2)]
+
+
+def _batch(ensemble, dim, n):
+    """256 samples of a seeded sweep draw: state matrices and observables."""
+    (rho, _, _), obs = draw_samples(RandomSpec(5, dim, ensemble), range(256), n)
+    return rho, obs
+
+
+def _evaluate(rho, obs):
+    return evaluate_batch(*density_stack(rho), obs, FUNCTIONS)
+
+
+def _unitaries(rng, count, dim, real):
+    """``count`` Haar-random unitaries (orthogonal matrices when ``real``)."""
+    z = rng.standard_normal((count, dim, dim))
+    if not real:
+        z = z + 1j * rng.standard_normal((count, dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _moves(rho, obs, real):
+    """(name, state matrices, observables) of each invariance move."""
+    n, dim = obs.shape[1], obs.shape[-1]
+    shifts = np.array([0.7, -1.3, 2.1])[:n, None, None] * np.eye(dim)
+    u = _unitaries(np.random.default_rng(5), len(rho), dim, real)
+    uh = u.conj().swapaxes(-1, -2)
+    conjugated = as_hermitian(u[:, None] @ obs @ uh[:, None])
+    return [
+        ("reversed", rho, obs[:, ::-1]),
+        ("shifted", rho, obs + shifts),
+        ("conjugated", u @ rho @ uh, conjugated),
+    ]
+
+
+@pytest.mark.parametrize("ensemble, dim, n", CONFIGS)
+def test_reorder_shift_and_conjugation_leave_every_verdict(ensemble, dim, n):
+    rho, obs = _batch(ensemble, dim, n)
+    base = _evaluate(rho, obs)
+    bound = 1e-10 * np.abs(base.cov_det)
+    for name, moved_rho, moved_obs in _moves(rho, obs, ensemble == "real-density"):
+        moved = _evaluate(moved_rho, moved_obs)
+        for flag in FLAGS:
+            assert np.array_equal(getattr(moved, flag), getattr(base, flag)), (name, flag)
+        for field in ("cov_det", "qfi_det", "gap"):
+            shift = np.abs(getattr(moved, field) - getattr(base, field))
+            assert np.all(shift <= bound), (name, field, (shift / bound).max())
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("ensemble, dim, n", CONFIGS)
+def test_scaling_the_observables_scales_both_determinants(ensemble, dim, n, scale):
+    """det(s^2 G) = s^(2n) det G for the covariance and every metric Gram.
+    Scales far enough to flip ``dependent`` (1e-9) wait for scale-free
+    verdicts."""
+    rho, obs = _batch(ensemble, dim, n)
+    base, moved = _evaluate(rho, obs), _evaluate(rho, scale * obs)
+    for flag in FLAGS:
+        assert np.array_equal(getattr(moved, flag), getattr(base, flag)), flag
+    factor = scale ** (2 * n)
+    assert_allclose(moved.cov_det, factor * base.cov_det, rtol=1e-12, atol=0)
+    assert_allclose(moved.qfi_det, factor * base.qfi_det, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 2), (4, 2), (5, 4), (8, 2), (3, 8)])
+def test_real_ensembles_give_an_exactly_zero_robertson_determinant(dim, n):
+    """For real symmetric rho, A and B, Tr(rho [A, B]) is real while the
+    Robertson entries are its imaginary part, so every entry and the
+    determinant are exactly 0.0 at every even n."""
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, "real-density"), range(256), n)
+    out = evaluate_batch(rho, lam, vectors, obs, FUNCTIONS[:1])
+    assert np.all(out.robertson_det == 0.0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_structured_ensemble_gives_an_exactly_zero_metric_determinant(dim):
+    """The structured triple's C is real diagonal, like the state, so
+    i[rho, C] = 0 and the metric Gram is singular: qfi_det is exactly 0.0
+    and the gap is cov_det on every sample.  Structured sweeps therefore
+    check only det Cov >= 0, never the bound itself."""
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, "structured"), range(512), 3)
+    out = evaluate_batch(rho, lam, vectors, obs, FUNCTIONS)
+    assert np.all(out.qfi_det == 0.0)
+    assert np.array_equal(out.gap, np.broadcast_to(out.cov_det, out.gap.shape))

@@ -3,6 +3,7 @@ names are exactly its exports and each resolves, and the test oracles stay
 out of the kernel's import graph."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -129,9 +130,17 @@ def _parameters(module):
     return found
 
 
+def test_a_randomspec_is_seed_dim_and_ensemble():
+    """There is one draw stream, so a spec has no stream field to name."""
+    fields = [field.name for field in dataclasses.fields(qfivol.RandomSpec)]
+    assert fields == ["seed", "dim", "ensemble"]
+    with pytest.raises(TypeError):
+        qfivol.RandomSpec(7, 3, "density", 2)
+
+
 def test_no_function_takes_a_stream_or_version():
-    """A RandomSpec names its stream and replay's version table picks it, so
-    no draw or evaluation function takes either as an argument to thread."""
+    """There is one draw stream and replay reads one record version, so no
+    draw or evaluation function takes either as an argument to thread."""
     threaded = {
         module: [(name, param) for name, param in _parameters(module)
                  if param in ("stream", "version")]

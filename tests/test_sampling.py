@@ -14,23 +14,16 @@ from qfivol import (
 from qfivol.sampling import sample_observables, sample_pure_state, sample_state
 from qfivol import repro
 
-# stream v1 at its word boundaries: one- and two-word seeds
-STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 # (channel, shape) of one sample's draws on the state, observable and pure channels
 DRAWS = ((0, (2, 3, 3)), (1, (5,)), (2, (1, 4)))
 
 
-def _oracle(seed, index, channel):
-    """Stream v1 as defined: numpy's own SeedSequence and default_rng."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, channel)))
-
-
 def _block_oracle(seed, block, channel):
-    """Stream v2 as defined: a freshly built Philox at the block's counter."""
+    """The stream as defined: a freshly built Philox at the block's counter."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, channel]))
 
 
-def _v2_row(seed, index, channel, shape):
+def _row(seed, index, channel, shape):
     block = _block_oracle(seed, index // 8, channel).standard_normal((8, *shape))
     return block[index % 8]
 
@@ -116,34 +109,17 @@ def test_single_draws_check_index_range_as_evaluate_sample_does(draw, index):
 
 
 def test_a_spec_names_the_stream_of_every_draw():
-    """draw_samples, sample_state and sample_observables all draw the
-    spec's stream: one stream-1 spec gives each of them the same bytes per
-    index, and a stream-2 spec other bytes."""
+    """draw_samples, sample_state and sample_observables all draw the one
+    stream a spec names: the same bytes per index."""
     for ensemble in ("density", "real-density", "pauli-like-structured"):
-        streams = []
-        for stream in (1, 2):
-            spec = RandomSpec(7, 3, ensemble, stream)
-            (rho, _, _), obs = sampling.draw_samples(spec, [2, 9], 3)
-            for row, index in enumerate((2, 9)):
-                assert rho[row].tobytes() == sample_state(spec, index).matrix.tobytes()
-                singles = sample_observables(spec, index, 3)
-                if ensemble == "pauli-like-structured":  # C comes back real
-                    singles = (*singles[:2], singles[2].astype(complex))
-                assert obs[row].tobytes() == np.stack(singles).tobytes()
-            streams.append(rho.tobytes() + obs.tobytes())
-        assert streams[0] != streams[1]
-    assert RandomSpec(7, 3, "density") == RandomSpec(7, 3, "density", sampling.STREAM_VERSION)
-
-
-@pytest.mark.parametrize(
-    "stream,message",
-    [(0, "stream must be in 1..2, got 0"), (3, "stream must be in 1..2, got 3"),
-     (True, "stream must be an integer, got True"), (2.0, "stream must be an integer, got 2.0")],
-)
-def test_randomspec_refuses_unknown_streams(stream, message):
-    with pytest.raises(ValueError) as info:
-        RandomSpec(7, 3, "density", stream)
-    assert str(info.value) == message
+        spec = RandomSpec(7, 3, ensemble)
+        (rho, _, _), obs = sampling.draw_samples(spec, [2, 9], 3)
+        for row, index in enumerate((2, 9)):
+            assert rho[row].tobytes() == sample_state(spec, index).matrix.tobytes()
+            singles = sample_observables(spec, index, 3)
+            if ensemble == "pauli-like-structured":  # C comes back real
+                singles = (*singles[:2], singles[2].astype(complex))
+            assert obs[row].tobytes() == np.stack(singles).tobytes()
 
 
 def test_draw_samples_refuses_a_bool_index():
@@ -292,23 +268,6 @@ def test_pure_state_stream_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "start,size",
-    # the 7-sample batch mixes one-word and two-word indices
-    [(2**64 - 1, 1), (2**32 - 3, 7), (0, 64), (2**40, 257)],
-)
-def test_normals_match_seedsequence_bytes(start, size):
-    """Stream v1, kept for replaying records without a version field."""
-    indices = range(start, start + size)
-    for seed in STREAM_SEEDS:
-        stacks = sampling._normals(RandomSpec(seed, 2, "density", 1), indices, DRAWS)
-        for (channel, shape), stack in zip(DRAWS, stacks):
-            expected = np.stack(
-                [_oracle(seed, index, channel).standard_normal(shape) for index in indices]
-            )
-            assert stack.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize(
     "indices",
     [
         # block edges, one sample each
@@ -324,19 +283,18 @@ def test_normals_match_philox_blocks(indices):
     for seed in (0, 1, 2**32, 2**64 - 1):
         stacks = sampling._normals(RandomSpec(seed, 2, "density"), indices, DRAWS)
         for (channel, shape), stack in zip(DRAWS, stacks):
-            expected = np.stack([_v2_row(seed, index, channel, shape) for index in indices])
+            expected = np.stack([_row(seed, index, channel, shape) for index in indices])
             assert stack.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("ensemble, n", [("density", 2), ("real-density", 4), ("pauli-like-structured", 3)])
 def test_an_empty_batch_draws_empty_stacks_on_both_streams(ensemble, n):
-    """No index gives (0, ...) stacks, with the shapes and dtypes of a
-    one-sample draw, on either stream."""
+    """No index gives (0, ...) stacks on both the state and the observable
+    stream, with the shapes and dtypes of a one-sample draw."""
     one = sampling.draw_samples(RandomSpec(5, 3, ensemble), [0], n)
-    for stream in (1, 2):
-        (rho, lam, vectors), obs = sampling.draw_samples(RandomSpec(5, 3, ensemble, stream), [], n)
-        for empty, single in zip((rho, lam, vectors, obs), (*one[0], one[1])):
-            assert empty.shape == (0, *single.shape[1:]) and empty.dtype == single.dtype
+    (rho, lam, vectors), obs = sampling.draw_samples(RandomSpec(5, 3, ensemble), [], n)
+    for empty, single in zip((rho, lam, vectors, obs), (*one[0], one[1])):
+        assert empty.shape == (0, *single.shape[1:]) and empty.dtype == single.dtype
 
 
 def test_pure_state_matches_two_oracle_calls():

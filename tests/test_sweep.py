@@ -158,6 +158,19 @@ def test_format_record_round_trips_as_json():
 
 
 @pytest.mark.parametrize(
+    "field,value,message",
+    [("ensemble", 'a"b', "unknown ensemble 'a\"b'"), ("function", "w%y", "unknown function 'w%y'")],
+)
+def test_format_record_refuses_strings_its_template_cannot_write(field, value, message):
+    """The template prints ensemble and function unescaped: a quote would end
+    the JSON string early and a % would be read as a conversion."""
+    records, _ = evaluate_sample(RandomSpec(123, 3, "density"), 7, 2, (builtin("wy"),))
+    with pytest.raises(ValueError) as info:
+        format_record(dict(records[0], **{field: value}))
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
     "ensemble,dim,n,functions",
     [
         ("complex", 3, 3, "sld,wy,wyd:0.25"),
