@@ -185,13 +185,14 @@ def wyd(beta: float) -> MonotoneFunction:
 
 
 def builtin(name: str) -> MonotoneFunction:
-    """Look up a builtin by identifier: sld, wy, rld, or wyd:BETA."""
+    """Look up a builtin by identifier: sld, wy, rld, or wyd:BETA, with no
+    whitespace between the colon and BETA or inside it."""
     if not isinstance(name, str):
         raise ValueError(f"function must be a string, got {name!r}")
     key = name.strip().lower()
     if key in _BASE_BUILTINS:
         return _BASE_BUILTINS[key]
-    if key.startswith("wyd:"):
+    if key.startswith("wyd:") and key[4:] == key[4:].strip():
         try:
             beta = float(key[4:])
         except ValueError as exc:

@@ -184,9 +184,11 @@ def format_record(record: dict) -> str:
     writes for it; candidate is written as not main_holds.  The line prints
     the record's own ensemble and function strings unescaped, so it refuses
     any that sampling.resolve_ensemble or monotone.builtin refuses, as a
-    sweep does."""
-    resolve_ensemble(record["ensemble"])
-    builtin(record["function"])
+    sweep does, and any with whitespace around it, which those two strip."""
+    for field, check in (("ensemble", resolve_ensemble), ("function", builtin)):
+        check(record[field])
+        if record[field] != record[field].strip():
+            raise ValueError(f"{field} {record[field]!r} has whitespace around it")
     n, rob = record["n"], record["robertson_det"]
     (table,) = _templates(record["seed"], record["ensemble"], record["dim"], n, (record["function"],))
     code = 4 * record["main_holds"] + 2 * record["dependent"] + record["equality_consistent"]

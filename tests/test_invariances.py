@@ -6,6 +6,8 @@ the state and every observable by one unitary leave both Gram determinants
 and every verdict unchanged; A -> sA scales both determinants by s^(2n).
 Real ensembles give a Robertson determinant of exactly 0.0, and the
 structured ensemble a metric determinant of exactly 0.0 (see each test).
+For a qubit pair the metric determinant is Robertson's times a ratio that
+depends on the spectrum only and is at most 1.
 """
 
 import numpy as np
@@ -86,6 +88,21 @@ def test_scaling_the_observables_scales_both_determinants(ensemble, dim, n, scal
     assert_allclose(moved.qfi_det, factor * base.qfi_det, rtol=1e-12, atol=0)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: dependent thresholds the smallest singular value at an "
+    "absolute 1e-8, so A -> 1e-9 A flags every sample of seed 5 as dependent",
+)
+@pytest.mark.parametrize("ensemble, dim, n", CONFIGS)
+def test_scaling_the_observables_by_1e_9_leaves_every_flag(ensemble, dim, n):
+    """Flags are scale-free quantities of the state and the observables'
+    span, so A -> 1e-9 A must leave each one as it is."""
+    rho, obs = _batch(ensemble, dim, n)
+    base, moved = _evaluate(rho, obs), _evaluate(rho, 1e-9 * obs)
+    for flag in FLAGS:
+        assert np.array_equal(getattr(moved, flag), getattr(base, flag)), flag
+
+
 @pytest.mark.parametrize("dim, n", [(2, 2), (4, 2), (5, 4), (8, 2), (3, 8)])
 def test_real_ensembles_give_an_exactly_zero_robertson_determinant(dim, n):
     """For real symmetric rho, A and B, Tr(rho [A, B]) is real while the
@@ -106,3 +123,43 @@ def test_structured_ensemble_gives_an_exactly_zero_metric_determinant(dim):
     out = evaluate_batch(rho, lam, vectors, obs, FUNCTIONS)
     assert np.all(out.qfi_det == 0.0)
     assert np.array_equal(out.gap, np.broadcast_to(out.cov_det, out.gap.shape))
+
+
+QUBIT_FUNCTIONS = tuple(map(builtin, ("sld", "wy", "wyd:0.25", "wyd:0.05")))
+
+
+def _near_pure_qubits():
+    """1024 complex qubit states U diag(1 - p, p) U^dagger, p log-spaced from
+    1e-11 (ten times the eigenvalue floor, so no eigenvalue is clamped) to
+    1e-2 and exactly 0, each with a random observable pair."""
+    rng = np.random.default_rng(3)
+    p = np.tile(np.append(np.geomspace(1e-11, 1e-2, 255), 0.0), 4)
+    u = _unitaries(rng, len(p), 2, real=False)
+    spectra = np.zeros((len(p), 2, 2))
+    spectra[:, 0, 0], spectra[:, 1, 1] = 1 - p, p
+    a = rng.standard_normal((len(p), 2, 2, 2)) + 1j * rng.standard_normal((len(p), 2, 2, 2))
+    return density_stack(u @ spectra @ u.conj().swapaxes(-1, -2)), a + a.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11, None], ids=["seed5", "seed7", "seed11", "near-pure"])
+def test_a_qubit_pairs_metric_determinant_is_at_most_robertsons(seed):
+    """In rho's eigenbasis only x_h = (a_h)_12 of a centered qubit pair is
+    left, so det Q_f = 4 q_12^2 Im(x_1 conj(x_2))^2 with q_12 =
+    f(0)(l1 - l2)^2 / (2 m_f(l1, l2)), and det R = (l1 - l2)^2 Im(x_1
+    conj(x_2))^2.  Hence det Q_f = (f(0)(1 - t)/f(t))^2 det R with t = l2/l1,
+    and as f increases, f(0)(1 - t) <= f(0) <= f(t): Robertson's bound is at
+    least as sharp for every qubit pair and every regular f, equal iff the
+    state is pure or det R = 0."""
+    if seed is None:
+        states, obs = _near_pure_qubits()
+    else:
+        states, obs = draw_samples(RandomSpec(seed, 2, "density"), range(4096), 2)
+    out = evaluate_batch(*states, obs, QUBIT_FUNCTIONS)
+    lam = states[1]
+    t = lam[:, 1] / lam[:, 0]
+    tol = 1e-13 * out.cov_gram[:, 0, 0] * out.cov_gram[:, 1, 1]
+    for f, qfi_det in zip(QUBIT_FUNCTIONS, out.qfi_det):
+        ratio = (f.value_at_zero * (1 - t) / f(t)) ** 2
+        assert np.all(ratio <= 1.0), f.fid
+        assert np.all(np.abs(qfi_det - ratio * out.robertson_det) <= tol), f.fid
+        assert np.all(qfi_det <= out.robertson_det + tol), f.fid

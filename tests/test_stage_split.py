@@ -1,7 +1,8 @@
 """The per-stage kernel timer in tools/: every stage of a tiny kernel call
 is timed and called, nothing is left unaccounted below zero, and the module
-functions it wraps are put back."""
+functions it wraps are put back.  It times with the bench's tracer."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -64,3 +65,42 @@ def test_prints_the_formatting_stage_per_float(capsys):
     us, per_float = float(rows["_format_batch"][1]), float(rows["_format_batch"][4])
     assert per_float == pytest.approx(us / 6, abs=1e-3)
     assert all(len(row) == 4 for stage, row in rows.items() if stage not in ("_format_batch", "rest", "whole"))
+
+
+def test_a_stage_raising_under_the_tracer_propagates_and_leaves_nothing_wrapped(monkeypatch):
+    """The warm-up call runs untraced; the first timed call raises inside a
+    stage, and the tracer puts every binding back on the way out."""
+    sweep = importlib.import_module("qfivol.sweep")
+    original = sweep._format_batch
+
+    def failing(*args):
+        if stage_split.tracing.installed_wrappers():
+            raise RuntimeError("stage failed under the tracer")
+        return original(*args)
+
+    monkeypatch.setattr(sweep, "_format_batch", failing)
+    before = _bindings()
+    with pytest.raises(RuntimeError, match="stage failed under the tracer"):
+        stage_split.stage_split("complex", 2, 2, ["sld"], batch=4)
+    assert _bindings() == before
+    assert stage_split.tracing.installed_wrappers() == []
+
+
+def test_times_with_the_bench_tracer_and_wraps_nothing_itself(monkeypatch):
+    bench = TOOL.parent.parent / "bench"
+    assert Path(stage_split.tracing.__file__).resolve() == bench / "tracing.py"
+    entered = []
+
+    class Counting(stage_split.tracing.Tracer):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(stage_split.tracing, "Tracer", Counting)
+    stage_split.stage_split("complex", 2, 1, ["wy"], batch=4)
+    assert len(entered) == stage_split.REPEATS
+    # no timer class, and no rebinding or wrapping of its own
+    nodes = list(ast.walk(ast.parse(TOOL.read_text())))
+    assert not [node for node in nodes if isinstance(node, ast.ClassDef)]
+    assert "setattr" not in {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert "functools" not in {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}

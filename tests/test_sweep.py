@@ -159,11 +159,19 @@ def test_format_record_round_trips_as_json():
 
 @pytest.mark.parametrize(
     "field,value,message",
-    [("ensemble", 'a"b', "unknown ensemble 'a\"b'"), ("function", "w%y", "unknown function 'w%y'")],
+    [
+        ("ensemble", 'a"b', "unknown ensemble 'a\"b'"),
+        ("function", "w%y", "unknown function 'w%y'"),
+        ("function", "sld\n", "function 'sld\\n' has whitespace around it"),
+        ("function", "wy\t", "function 'wy\\t' has whitespace around it"),
+        ("ensemble", "density\n", "ensemble 'density\\n' has whitespace around it"),
+        ("function", "wyd:\t0.25", "unknown function 'wyd:\\t0.25'"),
+    ],
 )
 def test_format_record_refuses_strings_its_template_cannot_write(field, value, message):
     """The template prints ensemble and function unescaped: a quote would end
-    the JSON string early and a % would be read as a conversion."""
+    the JSON string early, a % would be read as a conversion and a newline
+    or tab is a control character JSON strings may not hold."""
     records, _ = evaluate_sample(RandomSpec(123, 3, "density"), 7, 2, (builtin("wy"),))
     with pytest.raises(ValueError) as info:
         format_record(dict(records[0], **{field: value}))

@@ -10,39 +10,49 @@ Runs what a sweep chunk runs for one kernel call of ``--batch`` samples,
 spent inside the stage's functions minus the time of the timed stages they
 call (so ``det_small`` holds every determinant, the dependence screen's and
 Robertson's included, and ``_dependent`` only the rest of the screen and its
-SVD).  The stages are module functions, each wrapped with a timer in the
-namespace its caller looks it up in (``STAGES``); nothing of the kernel is
+SVD).  The stages are module functions (``STAGES``); each repeat runs under
+the bench's ``Tracer`` (``bench/tracing.py``), which wraps every binding of
+them in the package and puts the originals back, and ``tracing.self_times``
+gives each call its exclusive time.  Nothing of the kernel is
 re-implemented here, so a renamed stage function fails with an
-AttributeError, and one that is no longer called reads 0 calls.
+AttributeError before anything is wrapped, and one that is no longer called
+reads 0 calls.
 
-It also prints the whole call, best of N with the timers in place, and the
+It also prints the whole call, best of N with the tracer in place, and the
 unattributed rest: the best whole call minus the sum of the stage bests.
 The ``_format_batch`` row also gives its µs per printed float: a call of
 B samples and F functions prints B (1 + 2F + [n even]) floats
 (``floats_per_sample``); every other byte of a line comes from a template.
 Each stage's best is at most its time in the best whole call, so the rest
 is never below that call's own unattributed time; it holds the state and
-observable build, the kernel's glue and the timers' overhead.
+observable build, the kernel's glue and the tracer's overhead.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import math
 import sys
 import time
+from pathlib import Path
 
 from qfivol import sweep
 from qfivol.monotone import builtin
 from qfivol.sampling import RandomSpec
 
+# bench/tracing.py, from the checkout's bench/ as its own tests find it
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+import tracing  # noqa: E402
+
 SEED = 7
 REPEATS = 30  # runs to take the best of
 
-# (stage, module, functions): each function is wrapped where the kernel,
-# the draw or this script looks it up
+# (stage, module, functions): each function is looked up in the module the
+# kernel, the draw or this script calls it through; the tracer wraps it there
+# and wherever else the package binds it
 STAGES = (
     ("_normals", "sampling", ("_normals",)),
     ("density_stack", "sampling", ("density_stack",)),
@@ -56,61 +66,6 @@ STAGES = (
 )
 
 
-class _Timers:
-    """Exclusive nanoseconds and call counts per stage, since the last reset."""
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.exclusive = {stage: 0 for stage, _, _ in STAGES}
-        self.calls = dict.fromkeys(self.exclusive, 0)
-        # the time of the timed calls made inside each open timed call
-        self._inner = [0]
-
-    def wrap(self, stage, func):
-        @functools.wraps(func)
-        def timed(*args, **kwargs):
-            self._inner.append(0)
-            start = time.perf_counter_ns()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter_ns() - start
-                self.exclusive[stage] += elapsed - self._inner.pop()
-                self.calls[stage] += 1
-                self._inner[-1] += elapsed
-
-        return timed
-
-
-def _install(timers) -> list:
-    """Wrap every stage function; returns (module, name, original) to restore."""
-    saved = []
-    try:
-        for stage, module_name, names in STAGES:
-            module = importlib.import_module(f"qfivol.{module_name}")
-            for name in names:
-                original = getattr(module, name)
-                saved.append((module, name, original))
-                setattr(module, name, timers.wrap(stage, original))
-    except BaseException:
-        _restore(saved)
-        raise
-    return saved
-
-
-def _restore(saved):
-    for module, name, original in reversed(saved):
-        setattr(module, name, original)
-
-
-def _elapsed_ns(call) -> int:
-    start = time.perf_counter_ns()
-    call()
-    return time.perf_counter_ns() - start
-
-
 def stage_split(ensemble, dim, n, functions, batch) -> dict:
     """Best-of-``REPEATS`` µs/sample of each stage of one kernel call of
     ``batch`` samples (see the module docstring), as {stage: (µs, calls per
@@ -121,25 +76,29 @@ def stage_split(ensemble, dim, n, functions, batch) -> dict:
     fs = tuple(builtin(fid) for fid in config.functions)
     templates = sweep._templates(spec.seed, spec.ensemble, spec.dim, config.n, config.functions)
     indices = range(config.samples)
+    targets = {
+        f"{stage}:{name}": getattr(importlib.import_module(f"qfivol.{module}"), name)
+        for stage, module, names in STAGES for name in names
+    }
 
     def call():
-        # module attribute lookups, so that the installed timers see them
+        # module attribute lookups, so that the tracer's wrappers see them
         out = sweep._evaluate(spec, indices, config.n, fs)
         sweep._format_batch(templates, indices, out)
 
     call()  # warm the per-size caches and the thread's generator
-    timers = _Timers()
-    best, whole = dict.fromkeys(timers.exclusive, math.inf), math.inf
-    saved = _install(timers)
-    try:
-        for _ in range(REPEATS):
-            timers.reset()
-            whole = min(whole, _elapsed_ns(call))
-            for stage, spent in timers.exclusive.items():
-                best[stage] = min(best[stage], spent)
-    finally:
-        _restore(saved)
-    calls = timers.calls
+    best, whole = {stage: math.inf for stage, _, _ in STAGES}, math.inf
+    for _ in range(REPEATS):
+        with tracing.Tracer(targets, clock=time.perf_counter_ns) as tracer:
+            start = time.perf_counter_ns()
+            call()
+            whole = min(whole, time.perf_counter_ns() - start)
+        spent, calls = dict.fromkeys(best, 0), dict.fromkeys(best, 0)
+        for span, own in zip(tracer.spans, tracing.self_times(tracer.spans)):
+            stage = span[0].partition(":")[0]
+            spent[stage] += own
+            calls[stage] += 1
+        best = {stage: min(best[stage], spent[stage]) for stage in best}
     per_sample = 1e-3 / config.samples
     split = {stage: (best[stage] * per_sample, calls[stage]) for stage in best}
     split["rest"] = ((whole - sum(best.values())) * per_sample, None)
