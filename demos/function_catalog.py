@@ -25,7 +25,7 @@ print()
 print("tilde transforms of the regular builtins (rld has none: f(0) = 0)")
 for f in regular_builtins():
     ft = tilde(f)
-    print(f"  {f.fid:<10} f(0) = {f.value_at_zero:<6.4g} tilde: {f.tilde_formula}")
+    print(f"  {f.fid:<10} f(0) = {f.value_at_zero:<6.4g} tilde: {f.tilde_closed_form.formula}")
     # the transform is non-regular by construction
     assert ft.value_at_zero == 0.0
 

@@ -55,7 +55,7 @@ def cmd_list_functions(_args) -> int:
     print("-" * len(header))
     for fid in CATALOG_IDS:
         f = builtin(fid)
-        tilde_desc = f.tilde_formula if f.regular else "(undefined)"
+        tilde_desc = f.tilde_closed_form.formula if f.regular else "(undefined)"
         print(
             f"{f.fid:<10} {('yes' if f.regular else 'no'):<8} "
             f"{f.value_at_zero:<8g} {f.formula:<42} {tilde_desc}"

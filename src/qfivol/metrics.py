@@ -10,7 +10,7 @@ observables in the eigenbasis) the three central quantities are
 and the two-route identity (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B)
 connects them for regular f on faithful states.  The covariance and the
 correlation are single-pair reads of the evaluation kernel's Grams
-(qfivol.volumes.evaluate_batch, the only code that forms a Gram matrix); the
+(qfivol.record_v3.evaluate_batch, the only code that forms a Gram matrix); the
 inner product and the identity residual are test oracles and live in
 qfivol.oracles.
 """

@@ -4,7 +4,9 @@ A function f on (0, inf) enters the metric machinery through three facts:
 f(1) = 1, the symmetry f(x) = x f(1/x), and the sandwich
 2x/(1+x) <= f(x) <= (1+x)/2.  Registration enforces all three numerically.
 f is called regular when f(0+) > 0; only regular functions admit the tilde
-transform  tilde_f(x) = [(x+1) - (x-1)^2 f(0)/f(x)] / 2.
+transform  tilde_f(x) = [(x+1) - (x-1)^2 f(0)/f(x)] / 2.  Its two terms
+cancel as x -> 0, so each regular builtin also carries its tilde in closed
+form (MonotoneFunction.tilde_closed_form).
 """
 
 from __future__ import annotations
@@ -61,13 +63,19 @@ def _registration_errors(fid, evaluate, value_at_zero):
 
 @dataclass(frozen=True)
 class MonotoneFunction:
-    """A registered function; ``evaluate`` accepts scalars and arrays."""
+    """A registered function; ``evaluate`` accepts scalars and arrays.
+
+    ``tilde_closed_form``, where one is known, is the tilde transform in
+    closed form, itself registered.  It does not cancel at small ratios as
+    ``tilde``'s generic formula does; the oracles read it, while the
+    version-3 kernel keeps reading ``tilde``.
+    """
 
     fid: str
     evaluate: Callable
     value_at_zero: float
     formula: str
-    tilde_formula: str | None = None
+    tilde_closed_form: MonotoneFunction | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.value_at_zero <= 0.5:
@@ -141,9 +149,11 @@ def _rld_eval(x):
     return 2.0 * x / (1.0 + x)
 
 
-SLD = MonotoneFunction("sld", _sld_eval, 0.5, "(1+x)/2", "2x/(x+1)")
-WY = MonotoneFunction("wy", _wy_eval, 0.25, "((1+sqrt(x))/2)^2", "sqrt(x)")
-RLD = MonotoneFunction("rld", _rld_eval, 0.0, "2x/(1+x)", None)
+# closed-form tildes: tilde(sld)(x) = 2x/(1+x) is rld, tilde(wy)(x) = sqrt(x)
+RLD = MonotoneFunction("rld", _rld_eval, 0.0, "2x/(1+x)")
+SLD = MonotoneFunction("sld", _sld_eval, 0.5, "(1+x)/2", RLD)
+WY = MonotoneFunction("wy", _wy_eval, 0.25, "((1+sqrt(x))/2)^2",
+                      MonotoneFunction("tilde(wy)", np.sqrt, 0.0, "sqrt(x)"))
 
 _BASE_BUILTINS = {"sld": SLD, "wy": WY, "rld": RLD}
 
@@ -156,7 +166,8 @@ def wyd(beta: float) -> MonotoneFunction:
     evaluator switches to the Taylor expansion
     1 + t/2 + (f0-1)t^2/12 + (1-f0)t^3/24 (t = x-1), whose truncation error
     is O(t^4) ~ 1e-17 at the window edge.  Arguments above 1 are reflected
-    through the symmetry to keep powers of large x out of the formula.
+    through the symmetry to keep powers of large x out of the formula.  Its
+    tilde in closed form is (x^beta + x^(1-beta))/2.
     """
     beta = float(beta)
     if not 0.0 < beta < 0.5:
@@ -180,7 +191,8 @@ def wyd(beta: float) -> MonotoneFunction:
         _reflected(core),
         f0,
         "b(1-b)(x-1)^2 / ((x^b - 1)(x^(1-b) - 1))",
-        "(x^b + x^(1-b))/2",
+        MonotoneFunction(f"tilde(wyd:{beta:g})", lambda y: (y**beta + y ** (1.0 - beta)) / 2.0, 0.0,
+                         "(x^b + x^(1-b))/2"),
     )
 
 

@@ -11,7 +11,7 @@ one generator per thread is set to each block's (key, counter) in turn and
 draws the whole block in one call.
 
 A ``RandomSpec`` is (seed, dim, ensemble), so no draw function takes a
-stream argument.  Replayable records (version 3, ``sweep.RECORD_VERSION``)
+stream argument.  Replayable records (version 3, ``record_v3.RECORD_VERSION``)
 are drawn from this stream.
 """
 

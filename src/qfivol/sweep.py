@@ -18,10 +18,12 @@ the file.
 Worker processes are kept from one sweep to the next; ``run_sweep`` says
 when they are forked, reused and shut down.
 
-Every record starts with ``"version": 3`` (``RECORD_VERSION``), its format.
-Records are bytes from a table of whole-line templates, one per function and
-flag code, with the sweep's shared fields, the JSON words and the newline
-baked in (``_templates``); a kernel call joins the templates its flags pick
+Every record starts with ``"version": 3`` (``record_v3.RECORD_VERSION``),
+its format, and qfivol.record_v3 owns all of it: the kernel that computes a
+record, its thresholds, and its line format.  Records are bytes from a table
+of whole-line templates, one per function and flag code, with the sweep's
+shared fields, the JSON words and the newline baked in
+(``record_v3._templates``); a kernel call joins the templates its flags pick
 and fills every line with one ``%``, formatting each sample's ``cov_det``
 and ``robertson_det`` once for all its functions.  Replay and
 ``format_record`` read the same table.  Replay reads version 3 only: older
@@ -31,12 +33,13 @@ The first replay of a file reads it once to index where each line starts;
 later replays of the same unchanged file seek straight to their line.
 
 Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
-the base tags, and records with retired tags replay unchanged.
+the base tags, and replay compares a record's tag as it is, so a line whose
+tag is a retired or alias one, which no version-3 sweep writes, reports an
+``ensemble`` mismatch.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -54,40 +57,20 @@ import numpy as np
 
 from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
+from .record_v3 import RECORD_FIELDS, RECORD_VERSION, BatchReport, _format_batch, _templates, evaluate_batch
 from .sampling import RandomSpec, as_integer, draw_samples, observable_draw, resolve_ensemble
-from .volumes import BatchReport, evaluate_batch, order_pairs
+from .volumes import order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
 CHUNK_SIZE = 256
 # a chunk's kernel calls take up to KERNEL_BATCH samples each, more while the
 # kernel's largest temporary, the (B, n(n+1)/2, d, d) overlap stack of
-# volumes.batched_grams, stays within KERNEL_FLOATS float64s (128 KiB) (see
+# record_v3.batched_grams, stays within KERNEL_FLOATS float64s (128 KiB) (see
 # _call_bounds): each call pays the kernel's fixed numpy overhead, while one
 # 256-sample call at real dim 8 raised a P = 2 sweep's peak RSS by ~2 MB
 # (4.4 %); records depend on neither
 KERNEL_BATCH = 64
 KERNEL_FLOATS = 2**14
-
-# the format of the records a sweep writes, the "version" each starts with,
-# and the only one replay reads
-RECORD_VERSION = 3
-
-RECORD_FIELDS = (
-    "index",
-    "seed",
-    "ensemble",
-    "dim",
-    "n",
-    "function",
-    "cov_det",
-    "qfi_det",
-    "gap",
-    "robertson_det",
-    "main_holds",
-    "dependent",
-    "equality_consistent",
-    "candidate",
-)
 
 
 @dataclass(frozen=True)
@@ -136,47 +119,6 @@ class SweepSummary:
     monotonicity_violations: int
     per_function: dict
     elapsed: float
-
-
-@functools.lru_cache(typed=True)
-def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> tuple:
-    """Per function, 8 bytes %-templates of a whole line, indexed by the flag
-    code 4 main_holds + 2 dependent + equality_consistent.  Each bakes in the
-    record version, the fields every line of a sweep shares, the four JSON
-    words (candidate is not main_holds), robertson_det's null for odd n and
-    the trailing newline.  It leaves index, cov_det, qfi_det, gap and, for
-    even n, robertson_det; cov_det and robertson_det are %s, formatted once
-    per sample.  Floats print with 17 significant digits so they round-trip.
-    Typed, so that seeds 7 and 7.0 each get their own table."""
-    words, rob = ("false", "true"), "%s" if n % 2 == 0 else "null"
-    return tuple(
-        tuple(
-            f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
-            f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
-            f'"gap": %.17g, "robertson_det": {rob}, "main_holds": {words[main]}, "dependent": '
-            f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
-            .encode()
-            for main, dependent, equal in itertools.product((False, True), repeat=3)
-        )
-        for fid in fids
-    )
-
-
-def _format_batch(templates, indices, out: BatchReport) -> bytes:
-    """The record lines of a kernel report as one bytes block, sample-major,
-    then function: the templates its flags pick, joined, then one % over
-    every line's values."""
-    cov = [b"%.17g" % x for x in out.cov_det.tolist()]
-    qfi, gap, functions = out.qfi_det.T.tolist(), out.gap.T.tolist(), range(len(templates))
-    flags = zip(out.main_holds.T.tolist(), out.dependent.tolist(), out.equality_consistent.T.tolist())
-    block = b"".join([templates[k][4 * m[k] + 2 * d + e[k]] for m, d, e in flags for k in functions])
-    if out.robertson_det is None:
-        rows = zip(indices, cov, qfi, gap)
-        values = [x for i, c, q, g in rows for k in functions for x in (i, c, q[k], g[k])]
-    else:
-        rows = zip(indices, cov, qfi, gap, [b"%.17g" % x for x in out.robertson_det.tolist()])
-        values = [x for i, c, q, g, r in rows for k in functions for x in (i, c, q[k], g[k], r)]
-    return block % tuple(values)
 
 
 def format_record(record: dict) -> str:
@@ -480,7 +422,8 @@ def replay_record(path, line_number: int) -> dict:
     ensemble build one RandomSpec, its function passes monotone.builtin and
     require_regular, and its n and index the draw's own checks, so a bad
     field or version fails as ``line N: <field> must be ...`` before any
-    normal is drawn.
+    normal is drawn.  Fields are compared as stored, so a tag that the
+    RandomSpec resolves to another base tag is an ``ensemble`` mismatch.
 
     The first call on a file reads it once to index its line starts; later
     calls on the same unchanged file seek straight to their line (see
@@ -516,8 +459,6 @@ def replay_record(path, line_number: int) -> dict:
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
     fresh = records[0]
-    # JSON gives back exactly the printed floats, ints for integral ones; a
-    # retired ensemble tag names the stream of the base tag fresh records carry
-    expected = dict(stored, ensemble=rspec.ensemble)
-    mismatches = {k: (stored[k], fresh[k]) for k in RECORD_FIELDS if expected[k] != fresh[k]}
+    # JSON gives back exactly the printed floats, ints for integral ones
+    mismatches = {k: (stored[k], fresh[k]) for k in RECORD_FIELDS if stored[k] != fresh[k]}
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

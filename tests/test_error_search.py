@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings, target
 from hypothesis import strategies as st
 
-from qfivol import DensityMatrix, GramSpec, builtin, volumes
+from qfivol import DensityMatrix, GramSpec, builtin, record_v3
 from qfivol.matrices import pair_indices, real_coordinates, to_eigenframe
 from qfivol.oracles import gap_from_decomposition
 
@@ -23,7 +23,7 @@ SEARCH = settings(
 
 
 def _mp_function(fid):
-    """f on (0, 1] at mpmath precision."""
+    """f on (0, inf) at mpmath precision (wyd's away from x = 1)."""
     if fid == "sld":
         return lambda x: (1 + x) / 2
     if fid == "wy":
@@ -94,12 +94,24 @@ def decomposition_error(spec) -> float:
     return float(abs(mpmath.mpf(gap_from_decomposition(spec)) - reference) / abs(reference))
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="oracles._weights takes m_tilde from tilde's generic formula, which cancels "
-    "at small eigenvalue ratios: this search with no bound finds 4.6e-6 relative "
-    "(d 2, n 1, sld, ratio 2.6e-12); with closed-form tilde means it finds 3.8e-15",
-)
+@pytest.mark.parametrize("fid", ["sld", "wy", "wyd:0.25", "wyd:0.05", "wyd:0.4"])
+def test_closed_form_tildes_match_mpmath(fid):
+    """Each builtin's closed-form tilde equals ((y+1) - (y-1)^2 f(0)/f(y))/2
+    at 60 digits within 1e-14 relative, down to the ratios where that formula
+    cancels in float64 (monotone.tilde's sld is off by 3.3e-5 at y = 1e-12)."""
+    mpmath.mp.dps = 60
+    f, mp_f = builtin(fid), _mp_function(fid)
+    # f(0) of the reference's own f: float64's f(0) is off it by up to an ulp,
+    # which the formula's cancellation would amplify past the bound
+    f0 = mp_f(mpmath.mpf(0))
+    for y in (1e-14, 1e-12, 1e-8, 0.5, 1.0, 2.0, 1e8):
+        ym = mpmath.mpf(y)
+        # at y = 1 the (y-1)^2 term is 0, and wyd's defining ratio is 0/0
+        exact = (ym + 1) / 2 if y == 1.0 else ((ym + 1) - (ym - 1) ** 2 * f0 / mp_f(ym)) / 2
+        closed = f.tilde_closed_form(y)
+        assert abs(closed - exact) <= 1e-14 * exact, (y, float(abs(closed - exact) / exact))
+
+
 @SEARCH
 @given(decomposable_specs())
 def test_decomposition_oracle_error_search(spec):
@@ -134,10 +146,10 @@ def test_the_dependence_screen_clears_only_what_the_svd_calls_independent(x):
     svd, calls = np.linalg.svd, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a) or svd(a, *args, **kw))
-        flag = volumes._dependent(x, x.shape[-1])[0]
+        flag = record_v3._dependent(x, x.shape[-1])[0]
     sv = svd(x, compute_uv=False)[0]
-    assert flag == (sv[-1] < volumes.DEPENDENCE_SV_TOL)
+    assert flag == (sv[-1] < record_v3.DEPENDENCE_SV_TOL)
     target(float(np.log10(sv[0])), label="log10 sigma_max")
     if not calls:
-        target(-float(np.log10(sv[-1] / volumes.DEPENDENCE_SV_TOL)), label="log10 TOL / cleared sigma_min")
-        assert sv[-1] >= volumes.DEPENDENCE_SV_TOL
+        target(-float(np.log10(sv[-1] / record_v3.DEPENDENCE_SV_TOL)), label="log10 TOL / cleared sigma_min")
+        assert sv[-1] >= record_v3.DEPENDENCE_SV_TOL

@@ -1,14 +1,17 @@
-"""Golden digests of every evaluation-kernel output array.
+"""Golden digests of every output array of the version-3 kernel.
 
-For each (ensemble, dim, n) of the grid below the kernel evaluates the
-samples at indices 0..B-1 (seed 11) for B in KERNEL_BATCHES and the first F
-functions of FUNCTIONS for F in FUNCTION_COUNTS.  Each BatchReport field is
-hashed (dtype, shape and bytes) over all six (B, F) calls, so a kernel change
-that moves any bit of any field is caught and named field by field, not only
-through the record files.
+For each (ensemble, dim, n) of the grid below, record_v3.evaluate_batch
+evaluates the draw_samples output at indices 0..B-1 (seed 11) for B in
+KERNEL_BATCHES and the first F functions of FUNCTIONS for F in
+FUNCTION_COUNTS.  Each BatchReport field is hashed (dtype, shape and bytes)
+over all six (B, F) calls, so a change that moves any bit of any field is
+caught and named field by field, not only through the record files.
 
-The digests belong to one numpy/BLAS build, as the sweep digests do.  After a
-deliberate change of kernel output, regenerate them with
+The digests pin the frozen version-3 kernel, which every version-3 record
+must replay through bit for bit, so a record version bump adds a new kernel
+and never regenerates tests/data/kernel_digests.json.  They belong to one
+numpy/BLAS build, as the sweep digests do; only on another build are they
+regenerated, with
 
     PYTHONPATH=src python tests/test_kernel_digests.py
 """
@@ -21,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfivol import RandomSpec, builtin, sweep
-from qfivol.volumes import BatchReport
+from qfivol import RandomSpec, builtin
+from qfivol.record_v3 import BatchReport, evaluate_batch
+from qfivol.sampling import draw_samples
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "kernel_digests.json"
 
@@ -53,7 +57,8 @@ def kernel_digests(ensemble, dim, n) -> dict:
     for batch in KERNEL_BATCHES:
         for count in FUNCTION_COUNTS:
             functions = tuple(builtin(fid) for fid in FUNCTIONS[:count])
-            out = sweep._evaluate(rspec, range(batch), n, functions)
+            (rho, lam, vectors), observables = draw_samples(rspec, range(batch), n)
+            out = evaluate_batch(rho, lam, vectors, observables, functions)
             for name in FIELDS:
                 value = getattr(out, name)
                 if isinstance(value, np.ndarray):

@@ -113,7 +113,7 @@ def test_f_correlation_builds_only_the_tilde_table(monkeypatch):
         calls.append([f.fid for f in functions])
         return mean_table(functions, eigenvalues)
 
-    monkeypatch.setattr("qfivol.volumes.mean_table", counting)
+    monkeypatch.setattr("qfivol.record_v3.mean_table", counting)
     state = DensityMatrix(np.diag([0.6, 0.3, 0.1]))
     ctx = metric_context(state, WY)
     assert calls == []

@@ -86,9 +86,43 @@ def test_only_the_gate_oracles_are_exported():
 
 def test_oracles_stay_out_of_the_kernel_imports():
     assert _package_imports("oracles") <= {"matrices", "monotone", "metrics"}
-    assert _package_imports("volumes") <= {"matrices", "monotone"}
+    assert _package_imports("volumes") <= {"matrices", "monotone", "record_v3"}
     importers = {module for module in MODULES if "oracles" in _package_imports(module)}
     assert importers == {"__init__"}
+
+
+# what qfivol.record_v3 owns: the version-3 kernel, thresholds and line format
+RECORD_V3_NAMES = {
+    "evaluate_batch", "BatchReport", "commutator_rank", "_volume", "_dependent", "batched_grams",
+    "_entry_sums", "_robertson", "MAIN_INEQUALITY_SLACK", "EQUALITY_RTOL", "DEPENDENCE_SV_TOL",
+    "_SCREEN_MARGIN", "MONOTONICITY_SLACK", "RECORD_VERSION", "RECORD_FIELDS", "_templates",
+    "_format_batch",
+}
+
+
+def _defined_names(module):
+    """Names that ``module`` defines at its top level: functions, classes and
+    assignment targets (imports bind, they do not define)."""
+    found = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name))
+    return found
+
+
+def test_record_v3_alone_defines_the_version_3_record():
+    """One module owns the version-3 record, and it reads only the matrix
+    helpers and the monotone functions."""
+    assert _package_imports("record_v3") == {"matrices", "monotone"}
+    assert RECORD_V3_NAMES <= _defined_names("record_v3")
+    elsewhere = {
+        module: sorted(RECORD_V3_NAMES & _defined_names(module))
+        for module in MODULES if module != "record_v3"
+    }
+    assert {module: names for module, names in elsewhere.items() if names} == {}
 
 
 def _regularity_gates(module):

@@ -36,7 +36,7 @@ def test_every_stage_of_a_tiny_call_is_timed_and_restored():
 
 def test_a_renamed_stage_fails_and_leaves_nothing_wrapped(monkeypatch):
     before = _bindings()
-    stages = (*stage_split.STAGES[:2], ("frames", "volumes", ("frame_stack", "no_such_stage")))
+    stages = (*stage_split.STAGES[:2], ("frames", "record_v3", ("frame_stack", "no_such_stage")))
     monkeypatch.setattr(stage_split, "STAGES", stages)
     with pytest.raises(AttributeError, match="no_such_stage"):
         stage_split.stage_split("complex", 2, 2, ["sld"], batch=4)

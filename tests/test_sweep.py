@@ -24,6 +24,7 @@ from qfivol import (
     SweepConfig,
     builtin,
     check_inequalities,
+    cli,
     observables_dependent,
     regular_builtins,
     replay_record,
@@ -695,24 +696,29 @@ def test_summary_folds_functions_across_chunks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "base,retired", [("density", "complex-hermitian"), ("real-density", "real-symmetric")]
+    "base,tag",
+    [("density", "complex-hermitian"), ("real-density", "real-symmetric"), ("density", "complex"),
+     ("real-density", "real")],
 )
-def test_records_with_retired_ensemble_tags_replay(tmp_path, base, retired):
-    """The retired tags drew exactly the streams of their base tags; a record
-    written under one, byte for byte as such a sweep wrote it, replays."""
-    config = _config(samples=6, n=2, dim=3, functions=("sld", "wy"), ensemble=retired)
+def test_records_relabelled_with_another_tag_report_an_ensemble_mismatch(tmp_path, capsys, base, tag):
+    """A version-3 sweep writes only base tags, so a line relabelled with a
+    retired tag or a CLI alias was written by none: it replays the stream of
+    its base tag, matches in every other field and reports its ensemble as a
+    mismatch, which the command line exits 2 for."""
+    config = _config(samples=6, n=2, dim=3, functions=("sld", "wy"), ensemble=tag)
     assert config.ensemble == base
     out = tmp_path / "sweep.jsonl"
     run_sweep(config, out)
     lines = out.read_text().splitlines()
-    tag = f'"ensemble": "{base}"'
-    assert all(tag in line for line in lines[:-1])
-    lines[:-1] = [line.replace(tag, f'"ensemble": "{retired}"') for line in lines[:-1]]
+    written = f'"ensemble": "{base}"'
+    assert all(written in line for line in lines[:-1])
+    lines[:-1] = [line.replace(written, f'"ensemble": "{tag}"') for line in lines[:-1]]
     out.write_text("\n".join(lines) + "\n")
     for line_number in (1, 4, len(lines) - 1):
         result = replay_record(str(out), line_number)
-        assert result["stored"]["ensemble"] == retired
-        assert result["mismatches"] == {}
+        assert result["mismatches"] == {"ensemble": (tag, base)}
+    assert cli.main(["replay", "--record", f"{out}:1"]) == 2
+    assert f"ensemble: {tag!r} != {base!r}" in capsys.readouterr().out
 
 
 def test_replay_round_trip(tmp_path):

@@ -27,7 +27,7 @@ from qfivol import (
     wyd,
     RandomSpec,
 )
-from qfivol import matrices, metrics, oracles, sweep, volumes
+from qfivol import matrices, metrics, oracles, record_v3, sweep, volumes
 from qfivol.matrices import EIGENVALUE_FLOOR, as_hermitian
 from qfivol.monotone import tilde_order
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
@@ -407,7 +407,7 @@ def test_decomposition_never_calls_the_kernel(monkeypatch):
         raise AssertionError("the decomposition called into the kernel")
 
     for name in ("evaluate_batch", "batched_grams", "det_small"):
-        for module in (matrices, metrics, volumes, oracles):
+        for module in (matrices, metrics, record_v3, volumes, oracles):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError, match="kernel"):
@@ -508,9 +508,9 @@ def test_dependence_ladder_matches_the_original_basis_svd(real):
             for t in np.logspace(-4, -12, 17):
                 obs = (a, b, a + b + t * c)
                 sv = _reference_smallest_singular_value(state, obs)
-                if volumes.DEPENDENCE_SV_TOL / 10 <= sv <= 10 * volumes.DEPENDENCE_SV_TOL:
+                if record_v3.DEPENDENCE_SV_TOL / 10 <= sv <= 10 * record_v3.DEPENDENCE_SV_TOL:
                     continue
-                expected = bool(sv < volumes.DEPENDENCE_SV_TOL)
+                expected = bool(sv < record_v3.DEPENDENCE_SV_TOL)
                 assert observables_dependent(state, obs) == expected, (dim, t, sv)
                 checked[expected] += 1
     assert min(checked.values()) >= 50
@@ -520,7 +520,7 @@ def _svd_flags(rho, vectors, observables):
     """The dependence flag of a direct SVD of the frames' real coordinates."""
     frames = matrices.frame_stack(vectors, observables, matrices.expectation_stack(rho, observables))
     sv = np.linalg.svd(matrices.real_coordinates(frames), compute_uv=False)
-    return sv[:, -1] < volumes.DEPENDENCE_SV_TOL
+    return sv[:, -1] < record_v3.DEPENDENCE_SV_TOL
 
 
 def _near_dependence_ladder(real, dim, seed):
@@ -758,7 +758,7 @@ def test_kernel_without_functions_builds_no_table(monkeypatch):
     def table(*args):
         raise AssertionError("a mean table was built")
 
-    monkeypatch.setattr(volumes, "mean_table", table)
+    monkeypatch.setattr(record_v3, "mean_table", table)
     (rho, lam, vectors), obs = draw_samples(RandomSpec(5, 3, "complex"), range(4), 2)
     out = volumes.evaluate_batch(rho, lam, vectors, obs, ())
     assert out.qfi_gram.shape == (0, 4, 2, 2)

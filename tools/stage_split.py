@@ -10,10 +10,11 @@ Runs what a sweep chunk runs for one kernel call of ``--batch`` samples,
 spent inside the stage's functions minus the time of the timed stages they
 call (so ``det_small`` holds every determinant, the dependence screen's and
 Robertson's included, and ``_dependent`` only the rest of the screen and its
-SVD).  The stages are module functions (``STAGES``); each repeat runs under
-the bench's ``Tracer`` (``bench/tracing.py``), which wraps every binding of
-them in the package and puts the originals back, and ``tracing.self_times``
-gives each call its exclusive time.  Nothing of the kernel is
+SVD).  The stages are functions of ``sampling`` and ``record_v3``
+(``STAGES``); each repeat runs under the bench's ``Tracer``
+(``bench/tracing.py``), which wraps every binding of them in the package
+and puts the originals back, and ``tracing.self_times`` gives each call its
+exclusive time.  Nothing of the kernel is
 re-implemented here, so a renamed stage function fails with an
 AttributeError before anything is wrapped, and one that is no longer called
 reads 0 calls.
@@ -50,19 +51,19 @@ import tracing  # noqa: E402
 SEED = 7
 REPEATS = 30  # runs to take the best of
 
-# (stage, module, functions): each function is looked up in the module the
-# kernel, the draw or this script calls it through; the tracer wraps it there
-# and wherever else the package binds it
+# (stage, module, functions): each function is looked up where the draw
+# (sampling) or the version-3 kernel and line format (record_v3) calls it;
+# the tracer wraps it there and wherever else the package binds it
 STAGES = (
     ("_normals", "sampling", ("_normals",)),
     ("density_stack", "sampling", ("density_stack",)),
-    ("frames", "volumes", ("expectation_stack", "frame_stack", "real_coordinates")),
-    ("_dependent", "volumes", ("_dependent",)),
-    ("mean_table", "volumes", ("mean_table",)),
-    ("batched_grams", "volumes", ("batched_grams",)),
-    ("det_small", "volumes", ("det_small",)),
-    ("_robertson", "volumes", ("_robertson",)),
-    ("_format_batch", "sweep", ("_format_batch",)),
+    ("frames", "record_v3", ("expectation_stack", "frame_stack", "real_coordinates")),
+    ("_dependent", "record_v3", ("_dependent",)),
+    ("mean_table", "record_v3", ("mean_table",)),
+    ("batched_grams", "record_v3", ("batched_grams",)),
+    ("det_small", "record_v3", ("det_small",)),
+    ("_robertson", "record_v3", ("_robertson",)),
+    ("_format_batch", "record_v3", ("_format_batch",)),
 )
 
 
