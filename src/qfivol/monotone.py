@@ -167,7 +167,9 @@ def wyd(beta: float) -> MonotoneFunction:
     1 + t/2 + (f0-1)t^2/12 + (1-f0)t^3/24 (t = x-1), whose truncation error
     is O(t^4) ~ 1e-17 at the window edge.  Arguments above 1 are reflected
     through the symmetry to keep powers of large x out of the formula.  Its
-    tilde in closed form is (x^beta + x^(1-beta))/2.
+    tilde in closed form is (x^beta + x^(1-beta))/2.  The id is ``wyd:``
+    then repr(beta), the shortest string that reads back as beta, so each
+    beta has its own id and ``builtin(f.fid)`` is f.
     """
     beta = float(beta)
     if not 0.0 < beta < 0.5:
@@ -187,11 +189,11 @@ def wyd(beta: float) -> MonotoneFunction:
         return out
 
     return MonotoneFunction(
-        f"wyd:{beta:g}",
+        f"wyd:{beta!r}",
         _reflected(core),
         f0,
         "b(1-b)(x-1)^2 / ((x^b - 1)(x^(1-b) - 1))",
-        MonotoneFunction(f"tilde(wyd:{beta:g})", lambda y: (y**beta + y ** (1.0 - beta)) / 2.0, 0.0,
+        MonotoneFunction(f"tilde(wyd:{beta!r})", lambda y: (y**beta + y ** (1.0 - beta)) / 2.0, 0.0,
                          "(x^b + x^(1-b))/2"),
     )
 

@@ -27,14 +27,10 @@ from .matrices import MAX_OBSERVABLES, DecompositionError, DensityMatrix, as_int
 # base tags, the names records carry
 ENSEMBLES = ("density", "real-density", "pauli-like-structured")
 
-# CLI names and the retired complex-hermitian and real-symmetric tags, which
-# draw exactly the streams of their base tags and stay accepted names
-# (acceptance criterion 8 draws complex-hermitian)
+# CLI names, which draw exactly the streams of their base tags
 _ALIASES = {
     "complex": "density",
-    "complex-hermitian": "density",
     "real": "real-density",
-    "real-symmetric": "real-density",
     "structured": "pauli-like-structured",
 }
 
@@ -51,8 +47,7 @@ STRUCTURED_SPECTRUM_FLOOR = 0.05
 
 
 def resolve_ensemble(tag: str) -> str:
-    """Map an ensemble tag (base tag, CLI alias or retired tag) to its base
-    tag."""
+    """Map an ensemble tag (base tag or CLI alias) to its base tag."""
     if not isinstance(tag, str):
         raise ValueError(f"ensemble must be a string, got {tag!r}")
     key = tag.strip().lower()

@@ -25,17 +25,26 @@ of whole-line templates, one per function and flag code, with the sweep's
 shared fields, the JSON words and the newline baked in
 (``record_v3._templates``); a kernel call joins the templates its flags pick
 and fills every line with one ``%``, formatting each sample's ``cov_det``
-and ``robertson_det`` once for all its functions.  Replay and
-``format_record`` read the same table.  Replay reads version 3 only: older
-records (version 2, and unversioned ones drawn from an earlier stream) are
-retired, and their lines exit with an error that names their version.
-The first replay of a file reads it once to index where each line starts;
-later replays of the same unchanged file seek straight to their line.
+and ``robertson_det`` once for all its functions.  ``format_record`` reads
+the same table.
+
+One function, ``_lines``, is the route from a draw to record bytes: it draws
+the samples at some indices, runs the kernel on them and prints their lines
+from the table.  A sweep chunk calls it once per kernel call,
+``evaluate_sample`` parses its lines, and replay recomputes a record as the
+one line ``_lines`` prints for the record's index and function, without
+going through ``evaluate_sample``.
+
+Replay reads version 3 only: older records (version 2, and unversioned ones
+drawn from an earlier stream) are retired, and their lines exit with an
+error that names their version.  The first replay of a file reads it once
+to index where each line starts; later replays of the same unchanged file
+seek straight to their line.
 
 Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
 the base tags, and replay compares a record's tag as it is, so a line whose
-tag is a retired or alias one, which no version-3 sweep writes, reports an
-``ensemble`` mismatch.
+tag is a CLI alias, which no version-3 sweep writes, reports an ``ensemble``
+mismatch, and one whose tag resolves to no base tag fails on it.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ import numpy as np
 from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
 from .record_v3 import RECORD_FIELDS, RECORD_VERSION, BatchReport, _format_batch, _templates, evaluate_batch
-from .sampling import RandomSpec, as_integer, draw_samples, observable_draw, resolve_ensemble
+from .sampling import ENSEMBLES, RandomSpec, as_integer, draw_samples, observable_draw
 from .volumes import order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -124,15 +133,16 @@ class SweepSummary:
 def format_record(record: dict) -> str:
     """One version-RECORD_VERSION record as the JSON object line a sweep
     writes for it; candidate is written as not main_holds.  The line prints
-    the record's own ensemble and function strings unescaped, so it refuses
-    any that sampling.resolve_ensemble or monotone.builtin refuses, as a
-    sweep does, and any with whitespace around it, which those two strip."""
-    for field, check in (("ensemble", resolve_ensemble), ("function", builtin)):
-        check(record[field])
-        if record[field] != record[field].strip():
-            raise ValueError(f"{field} {record[field]!r} has whitespace around it")
+    the record's own ensemble and function strings unescaped, so it takes
+    exactly the names a sweep writes: a base tag of sampling.ENSEMBLES and
+    a function's own ``builtin(function).fid``."""
+    ensemble, function = record["ensemble"], record["function"]
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"ensemble {ensemble!r} is not a base tag; records carry one of {ENSEMBLES}")
+    if function != builtin(function).fid:
+        raise ValueError(f"function {function!r} is not an id; a sweep writes {builtin(function).fid!r}")
     n, rob = record["n"], record["robertson_det"]
-    (table,) = _templates(record["seed"], record["ensemble"], record["dim"], n, (record["function"],))
+    (table,) = _templates(record["seed"], ensemble, record["dim"], n, (function,))
     code = 4 * record["main_holds"] + 2 * record["dependent"] + record["equality_consistent"]
     values = (record["index"], b"%.17g" % record["cov_det"], record["qfi_det"], record["gap"])
     if n % 2 == 0:
@@ -140,19 +150,23 @@ def format_record(record: dict) -> str:
     return (table[code] % values)[:-1].decode()
 
 
-def _evaluate(rspec: RandomSpec, indices, n: int, functions) -> BatchReport:
+def _lines(rspec: RandomSpec, indices, n: int, functions) -> tuple[bytes, BatchReport]:
+    """The record lines of the samples at ``indices`` of the spec's stream,
+    sample-major, then function, as one bytes block, and the kernel's report
+    on them.  The one route from a draw to record bytes: sweep chunks,
+    evaluate_sample and replay_record all call it.  The draw checks the
+    indices and n before it draws anything."""
     (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
-    return evaluate_batch(rho, lam, vectors, observables, functions)
+    out = evaluate_batch(rho, lam, vectors, observables, functions)
+    templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, tuple(f.fid for f in functions))
+    return _format_batch(templates, indices, out), out
 
 
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
     """The records (parsed from their lines) of one sample drawn from the
-    spec's stream, one per function, plus its monotonicity violations.  The
-    draw checks the index and n before it draws anything."""
-    out = _evaluate(rspec, [index], n, functions)
-    templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, tuple(f.fid for f in functions))
-    lines = _format_batch(templates, [index], out).splitlines()
-    return [json.loads(line) for line in lines], int(out.violations(order_pairs)[0])
+    spec's stream, one per function, plus its monotonicity violations."""
+    block, out = _lines(rspec, [index], n, functions)
+    return [json.loads(line) for line in block.splitlines()], int(out.violations(order_pairs)[0])
 
 
 def _call_bounds(config: SweepConfig, start: int, stop: int) -> list:
@@ -171,14 +185,12 @@ def _chunk_worker(args):
     config, start, stop = args
     functions = tuple(builtin(fid) for fid in config.functions)
     rspec = RandomSpec(config.seed, config.dim, config.ensemble)
-    templates = _templates(config.seed, config.ensemble, config.dim, config.n, config.functions)
     pairs = order_pairs(functions)
     blocks, gap, main, violations = [], [], [], 0
     bounds = _call_bounds(config, start, stop)
     for lo, hi in zip(bounds, bounds[1:]):
-        indices = range(lo, hi)
-        out = _evaluate(rspec, indices, config.n, functions)
-        blocks.append(_format_batch(templates, indices, out))
+        block, out = _lines(rspec, range(lo, hi), config.n, functions)
+        blocks.append(block)
         gap.append(out.gap)
         main.append(out.main_holds)
         violations += int(out.violations(pairs).sum())
@@ -455,10 +467,10 @@ def replay_record(path, line_number: int) -> dict:
         # checks n and the index before it draws anything
         rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"])
         function = require_regular(builtin(stored["function"]), "sweep function")
-        records, _ = evaluate_sample(rspec, stored["index"], stored["n"], (function,))
+        block, _ = _lines(rspec, [stored["index"]], stored["n"], (function,))
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
-    fresh = records[0]
+    fresh = json.loads(block)
     # JSON gives back exactly the printed floats, ints for integral ones
     mismatches = {k: (stored[k], fresh[k]) for k in RECORD_FIELDS if stored[k] != fresh[k]}
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

@@ -164,7 +164,7 @@ def test_criterion_8_pure_state_volume_equality():
             for index in range(100):
                 dim = 2 + index % 5
                 state = sample_pure_state(801, dim, index)
-                ospec = RandomSpec(801, dim, "complex-hermitian")
+                ospec = RandomSpec(801, dim, "density")
                 observables = sample_observables(ospec, index, n)
                 for f in regular_builtins():
                     report = volume_gap(GramSpec(state, observables, f))

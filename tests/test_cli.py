@@ -168,6 +168,16 @@ def test_sweep_rejects_non_regular_function(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", ["complex-hermitian", "real-symmetric"])
+def test_sweep_refuses_the_retired_ensemble_tags(tmp_path, capsys, tag):
+    out = tmp_path / "records.jsonl"
+    code = main(["sweep", "--n", "1", "--dim", "2", "--samples", "5", "--ensemble", tag,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown ensemble {tag!r}")
+    assert not out.exists()
+
+
 def test_replay_missing_file_exits_two(capsys, tmp_path):
     assert main(["replay", "--record", f"{tmp_path}/absent.jsonl:1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -220,6 +220,21 @@ def test_wyd_family_registers_for_any_beta(beta):
     assert_allclose(f.value_at_zero, beta * (1.0 - beta), rtol=1e-15)
 
 
+@pytest.mark.parametrize("beta", [0.1234567, 0.4999999, 1e-7, 0.25])
+def test_a_wyd_id_names_its_own_beta(beta):
+    """The id reads back as exactly beta, so the lookup by id is the same
+    function, and the closed-form tilde carries the same spelling."""
+    f = wyd(beta)
+    assert float(f.fid.partition(":")[2]) == beta
+    assert builtin(f.fid) is f
+    assert f.tilde_closed_form.fid == f"tilde({f.fid})"
+
+
+def test_distinct_betas_get_distinct_wyd_ids():
+    betas = (0.1234567, 0.123457, 0.4999999, 0.25, 0.25000000000000006, 1e-7, 1.0000001e-7)
+    assert len({wyd(beta).fid for beta in betas}) == len(betas)
+
+
 UNIT_GRID = np.concatenate([
     [0.0, 5e-324, 1e-300, 1e-12],
     np.geomspace(1e-9, 1.0, 97),

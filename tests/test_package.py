@@ -214,3 +214,17 @@ def test_replay_builds_no_sweep_config():
     )
     assert _calls(replay, "SweepConfig") == []
     assert len(_calls(replay, "RandomSpec")) == 1
+
+
+def test_one_route_from_a_draw_to_record_bytes():
+    """In sweep only _lines draws samples, runs the version-3 kernel and
+    formats record lines; replay calls it directly, not through
+    evaluate_sample, and the old draw-and-kernel helper _evaluate is gone."""
+    tree = ast.parse((PACKAGE / "sweep.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for callee in ("draw_samples", "evaluate_batch", "_format_batch"):
+        assert len(_calls(functions["_lines"], callee)) == len(_calls(tree, callee)) == 1, callee
+    assert _calls(functions["replay_record"], "_lines") != []
+    for callee in ("evaluate_sample", "_evaluate"):
+        assert _calls(functions["replay_record"], callee) == [], callee
+    assert "_evaluate" not in _defined_names("sweep")

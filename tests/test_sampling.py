@@ -161,22 +161,25 @@ def _observable(spec, index):
 
 
 def test_same_index_is_bit_identical():
-    spec = RandomSpec(1, 4, "complex-hermitian")
+    spec = RandomSpec(1, 4, "density")
     assert np.array_equal(_observable(spec, 0), _observable(spec, 0))
     dspec = RandomSpec(1, 4, "density")
     assert np.array_equal(sample_state(dspec, 5).matrix, sample_state(dspec, 5).matrix)
 
 
 def test_distinct_indices_and_seeds_differ():
-    spec = RandomSpec(1, 3, "complex-hermitian")
-    other_seed = RandomSpec(2, 3, "complex-hermitian")
+    spec = RandomSpec(1, 3, "density")
+    other_seed = RandomSpec(2, 3, "density")
     assert not np.array_equal(_observable(spec, 0), _observable(spec, 1))
     assert not np.array_equal(_observable(spec, 0), _observable(other_seed, 0))
 
 
 def test_retired_tags_resolve_to_their_base_streams():
-    assert RandomSpec(1, 3, "complex-hermitian") == RandomSpec(1, 3, "density")
-    assert RandomSpec(1, 3, "real-symmetric").ensemble == "real-density"
+    """The retired complex-hermitian and real-symmetric tags resolve to no
+    stream any more: a spec refuses them.  The CLI names still resolve."""
+    for tag in ("complex-hermitian", "real-symmetric"):
+        with pytest.raises(ValueError, match=f"unknown ensemble '{tag}'"):
+            RandomSpec(1, 3, tag)
     assert RandomSpec(1, 3, "Structured").ensemble == "pauli-like-structured"
 
 
@@ -190,11 +193,11 @@ def test_state_stream_independent_of_observable_count():
 
 
 def test_hermitian_ensembles_shapes_and_symmetry():
-    spec = RandomSpec(4, 5, "complex-hermitian")
+    spec = RandomSpec(4, 5, "density")
     a = _observable(spec, 0)
     assert a.shape == (5, 5)
     assert np.array_equal(a, a.conj().T)
-    rspec = RandomSpec(4, 5, "real-symmetric")
+    rspec = RandomSpec(4, 5, "real-density")
     b = _observable(rspec, 0)
     assert not np.iscomplexobj(b)
     assert np.array_equal(b, b.T)

@@ -141,7 +141,8 @@ def test_config_canonicalizes_tags():
     config = _config(functions=("SLD", "Wy"), ensemble="real")
     assert config.functions == ("sld", "wy")
     assert config.ensemble == "real-density"
-    assert _config(ensemble="complex-hermitian").ensemble == "density"
+    with pytest.raises(ValueError, match="unknown ensemble 'complex-hermitian'"):
+        _config(ensemble="complex-hermitian")
 
 
 def test_format_record_round_trips_as_json():
@@ -161,18 +162,22 @@ def test_format_record_round_trips_as_json():
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("ensemble", 'a"b', "unknown ensemble 'a\"b'"),
+        ("ensemble", 'a"b', "ensemble 'a\"b' is not a base tag"),
         ("function", "w%y", "unknown function 'w%y'"),
-        ("function", "sld\n", "function 'sld\\n' has whitespace around it"),
-        ("function", "wy\t", "function 'wy\\t' has whitespace around it"),
-        ("ensemble", "density\n", "ensemble 'density\\n' has whitespace around it"),
+        ("function", "sld\n", "function 'sld\\n' is not an id; a sweep writes 'sld'"),
+        ("function", "wy\t", "function 'wy\\t' is not an id; a sweep writes 'wy'"),
+        ("ensemble", "density\n", "ensemble 'density\\n' is not a base tag"),
         ("function", "wyd:\t0.25", "unknown function 'wyd:\\t0.25'"),
+        ("ensemble", "complex", "ensemble 'complex' is not a base tag"),
+        ("function", "SLD", "function 'SLD' is not an id; a sweep writes 'sld'"),
     ],
 )
 def test_format_record_refuses_strings_its_template_cannot_write(field, value, message):
     """The template prints ensemble and function unescaped: a quote would end
     the JSON string early, a % would be read as a conversion and a newline
-    or tab is a control character JSON strings may not hold."""
+    or tab is a control character JSON strings may not hold.  It takes only
+    the names a sweep writes, so an alias or another spelling of a function,
+    which replay would report as a mismatch, is refused too."""
     records, _ = evaluate_sample(RandomSpec(123, 3, "density"), 7, 2, (builtin("wy"),))
     with pytest.raises(ValueError) as info:
         format_record(dict(records[0], **{field: value}))
@@ -702,10 +707,16 @@ def test_summary_folds_functions_across_chunks(tmp_path, monkeypatch):
 )
 def test_records_relabelled_with_another_tag_report_an_ensemble_mismatch(tmp_path, capsys, base, tag):
     """A version-3 sweep writes only base tags, so a line relabelled with a
-    retired tag or a CLI alias was written by none: it replays the stream of
-    its base tag, matches in every other field and reports its ensemble as a
-    mismatch, which the command line exits 2 for."""
-    config = _config(samples=6, n=2, dim=3, functions=("sld", "wy"), ensemble=tag)
+    CLI alias was written by none: it replays the stream of its base tag,
+    matches in every other field and reports its ensemble as a mismatch,
+    which the command line exits 2 for.  A line relabelled with a retired
+    tag, which no spec resolves any more, is refused on its ensemble before
+    anything is drawn, and the command line exits 2 for that too."""
+    retired = tag in ("complex-hermitian", "real-symmetric")
+    if retired:
+        with pytest.raises(ValueError, match=f"unknown ensemble '{tag}'"):
+            _config(ensemble=tag)
+    config = _config(samples=6, n=2, dim=3, functions=("sld", "wy"), ensemble=base if retired else tag)
     assert config.ensemble == base
     out = tmp_path / "sweep.jsonl"
     run_sweep(config, out)
@@ -715,10 +726,18 @@ def test_records_relabelled_with_another_tag_report_an_ensemble_mismatch(tmp_pat
     lines[:-1] = [line.replace(written, f'"ensemble": "{tag}"') for line in lines[:-1]]
     out.write_text("\n".join(lines) + "\n")
     for line_number in (1, 4, len(lines) - 1):
-        result = replay_record(str(out), line_number)
-        assert result["mismatches"] == {"ensemble": (tag, base)}
+        if retired:
+            with pytest.raises(ValueError, match=f"^line {line_number}: unknown ensemble '{tag}'"):
+                replay_record(str(out), line_number)
+        else:
+            result = replay_record(str(out), line_number)
+            assert result["mismatches"] == {"ensemble": (tag, base)}
     assert cli.main(["replay", "--record", f"{out}:1"]) == 2
-    assert f"ensemble: {tag!r} != {base!r}" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    if retired:
+        assert f"error: line 1: unknown ensemble {tag!r}" in captured.err
+    else:
+        assert f"ensemble: {tag!r} != {base!r}" in captured.out
 
 
 def test_replay_round_trip(tmp_path):
@@ -729,6 +748,20 @@ def test_replay_round_trip(tmp_path):
     for line_number in (1, 7, len(lines) - 1):
         result = replay_record(str(out), line_number)
         assert result["mismatches"] == {}
+
+
+def test_a_wyd_beta_with_more_than_six_digits_sweeps_and_replays(tmp_path):
+    """The config keeps the beta it was given, so the sweep runs that beta,
+    not one rounded to six digits (0.5 here, outside the family), and its
+    records name it and replay."""
+    config = _config(samples=4, n=2, dim=3, functions=("wyd:0.4999999", "wyd:0.1234567"))
+    assert config.functions == ("wyd:0.4999999", "wyd:0.1234567")
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(config, out)
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["function"] for line in lines[:2]] == list(config.functions)
+    for line_number in range(1, len(lines)):
+        assert replay_record(str(out), line_number)["mismatches"] == {}
 
 
 def test_replay_detects_tampering(tmp_path):
@@ -1001,13 +1034,13 @@ def test_kernel_calls_are_sized_from_the_overlap_stack(
     """A chunk makes the fewest near-equal kernel calls of at most
     max(KERNEL_BATCH, KERNEL_FLOATS // (n(n+1)/2 d^2)) samples each."""
     sizes = []
-    evaluate = sweep._evaluate
+    lines = sweep._lines
 
     def recording(rspec, indices, *args, **kwargs):
         sizes.append(len(indices))
-        return evaluate(rspec, indices, *args, **kwargs)
+        return lines(rspec, indices, *args, **kwargs)
 
-    monkeypatch.setattr(sweep, "_evaluate", recording)
+    monkeypatch.setattr(sweep, "_lines", recording)
     run_sweep(_config(ensemble=ensemble, dim=dim, n=n, samples=samples), tmp_path / "out.jsonl")
     assert sizes == calls
 

@@ -4,13 +4,12 @@ Usage: PYTHONPATH=src python tools/stage_split.py [--ensemble complex]
        [--dim 3] [--n 3] [--functions sld,wy,wyd:0.25] [--batch 256]
 
 Runs what a sweep chunk runs for one kernel call of ``--batch`` samples,
-``sweep._evaluate`` (the draw and the kernel) and then
-``sweep._format_batch``, ``REPEATS`` times in this process with seed
-``SEED``, and prints for each stage its best-of-N exclusive time: the time
-spent inside the stage's functions minus the time of the timed stages they
-call (so ``det_small`` holds every determinant, the dependence screen's and
-Robertson's included, and ``_dependent`` only the rest of the screen and its
-SVD).  The stages are functions of ``sampling`` and ``record_v3``
+one ``sweep._lines`` call (the draw, the kernel and the line format),
+``REPEATS`` times in this process with seed ``SEED``, and prints for each
+stage its best-of-N exclusive time: the time spent inside the stage's
+functions minus the time of the timed stages they call (so ``det_small``
+holds every determinant, the dependence screen's and Robertson's included,
+and ``_dependent`` only the rest of the screen and its SVD).  The stages are functions of ``sampling`` and ``record_v3``
 (``STAGES``); each repeat runs under the bench's ``Tracer``
 (``bench/tracing.py``), which wraps every binding of them in the package
 and puts the originals back, and ``tracing.self_times`` gives each call its
@@ -75,7 +74,6 @@ def stage_split(ensemble, dim, n, functions, batch) -> dict:
     config = sweep.SweepConfig(n, dim, batch, tuple(functions), ensemble, SEED)
     spec = RandomSpec(config.seed, config.dim, config.ensemble)
     fs = tuple(builtin(fid) for fid in config.functions)
-    templates = sweep._templates(spec.seed, spec.ensemble, spec.dim, config.n, config.functions)
     indices = range(config.samples)
     targets = {
         f"{stage}:{name}": getattr(importlib.import_module(f"qfivol.{module}"), name)
@@ -83,9 +81,7 @@ def stage_split(ensemble, dim, n, functions, batch) -> dict:
     }
 
     def call():
-        # module attribute lookups, so that the tracer's wrappers see them
-        out = sweep._evaluate(spec, indices, config.n, fs)
-        sweep._format_batch(templates, indices, out)
+        sweep._lines(spec, indices, config.n, fs)
 
     call()  # warm the per-size caches and the thread's generator
     best, whole = {stage: math.inf for stage, _, _ in STAGES}, math.inf
