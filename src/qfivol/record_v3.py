@@ -245,7 +245,7 @@ def _robertson(rho, observables) -> np.ndarray:
     return det_small(r)
 
 
-@functools.lru_cache(typed=True)
+@functools.lru_cache
 def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> tuple:
     """Per function, 8 bytes %-templates of a whole line, indexed by the flag
     code 4 main_holds + 2 dependent + equality_consistent.  Each bakes in the
@@ -253,8 +253,7 @@ def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> tuple
     words (candidate is not main_holds), robertson_det's null for odd n and
     the trailing newline.  It leaves index, cov_det, qfi_det, gap and, for
     even n, robertson_det; cov_det and robertson_det are %s, formatted once
-    per sample.  Floats print with 17 significant digits so they round-trip.
-    Typed, so that seeds 7 and 7.0 each get their own table."""
+    per sample.  Floats print with 17 significant digits so they round-trip."""
     words, rob = ("false", "true"), "%s" if n % 2 == 0 else "null"
     return tuple(
         tuple(

@@ -28,15 +28,14 @@ of whole-line templates, one per function and flag code, with the sweep's
 shared fields, the JSON words and the newline baked in
 (``record_v3._templates``); a kernel call joins the templates its flags pick
 and fills every line with one ``%``, formatting each sample's ``cov_det``
-and ``robertson_det`` once for all its functions.  ``format_record`` reads
-the same table.
+and ``robertson_det`` once for all its functions.
 
-One function, ``_lines``, is the route from a draw to record bytes: it draws
-the samples at some indices, runs the kernel on them and prints their lines
-from the table.  A sweep chunk calls it once per kernel call,
-``evaluate_sample`` parses its lines, and replay recomputes a record as the
-one line ``_lines`` prints for the record's index and function, without
-going through ``evaluate_sample``.
+One function, ``_lines``, is the route from a draw to record bytes and the
+only caller of that table: it draws the samples at some indices, runs the
+kernel on them and prints their lines.  A sweep chunk calls it once per
+kernel call, ``evaluate_sample`` parses its lines, and ``format_record``
+prints the one line it gives for a record's index and function, which is
+how replay recomputes a record.
 
 Replay reads version 3 only: older records (version 2, and unversioned ones
 drawn from an earlier stream) are retired, and their lines exit with an
@@ -69,7 +68,7 @@ import numpy as np
 from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
 from .record_v3 import RECORD_FIELDS, RECORD_VERSION, BatchReport, _format_batch, _templates, evaluate_batch
-from .sampling import ENSEMBLES, RandomSpec, as_integer, draw_samples, observable_draw
+from .sampling import RandomSpec, as_integer, draw_samples, observable_draw
 from .volumes import order_pairs
 
 # fixed regardless of parallelism so record and aggregation order are stable
@@ -133,30 +132,27 @@ class SweepSummary:
 
 
 def format_record(record: dict) -> str:
-    """One version-RECORD_VERSION record as the JSON object line a sweep
-    writes for it; candidate is written as not main_holds.  The line prints
-    the record's own ensemble and function strings unescaped, so it takes
-    exactly the names a sweep writes: a base tag of sampling.ENSEMBLES and
-    a function's own ``builtin(function).fid``."""
-    ensemble, function = record["ensemble"], record["function"]
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"ensemble {ensemble!r} is not a base tag; records carry one of {ENSEMBLES}")
-    if function != builtin(function).fid:
-        raise ValueError(f"function {function!r} is not an id; a sweep writes {builtin(function).fid!r}")
-    n, rob = record["n"], record["robertson_det"]
-    (table,) = _templates(record["seed"], ensemble, record["dim"], n, (function,))
-    code = 4 * record["main_holds"] + 2 * record["dependent"] + record["equality_consistent"]
-    values = (record["index"], b"%.17g" % record["cov_det"], record["qfi_det"], record["gap"])
-    if n % 2 == 0:
-        values += (b"null" if rob is None else b"%.17g" % rob,)
-    return (table[code] % values)[:-1].decode()
+    """The line a sweep writes for ``record``'s sample and function, without
+    its newline: the one line ``_lines`` prints for the record's own seed,
+    ensemble, dim, n, index and function, checked as a sweep checks them.
+    The record's seed, dim and ensemble build one RandomSpec, its function
+    passes monotone.builtin and require_regular, and its n and index the
+    draw's own checks, so a bad field fails as ``<field> must be ...``
+    before any normal is drawn.  Aliases and other spellings print the
+    canonical names a sweep writes; the record's other fields are
+    recomputed, not read."""
+    rspec = RandomSpec(record["seed"], record["dim"], record["ensemble"])
+    function = require_regular(builtin(record["function"]), "sweep function")
+    block, _ = _lines(rspec, [record["index"]], record["n"], (function,))
+    return block[:-1].decode()
 
 
 def _lines(rspec: RandomSpec, indices, n: int, functions) -> tuple[bytes, BatchReport]:
     """The record lines of the samples at ``indices`` of the spec's stream,
     sample-major, then function, as one bytes block, and the kernel's report
     on them.  The one route from a draw to record bytes: sweep chunks,
-    evaluate_sample and replay_record all call it.  The draw checks the
+    evaluate_sample and format_record (and so replay_record) all call it,
+    and it alone calls _templates and _format_batch.  The draw checks the
     indices and n before it draws anything."""
     (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
     out = evaluate_batch(rho, lam, vectors, observables, functions)
@@ -432,12 +428,11 @@ def replay_record(path, line_number: int) -> dict:
     Floats are printed with 17 significant digits, so parsing and equality
     comparison are exact; any mismatch means the stream is not reproducible
     on this build.  The record must carry every RECORD_FIELDS key and
-    ``"version": 3``; older records are retired.  The record's seed, dim and
-    ensemble build one RandomSpec, its function passes monotone.builtin and
-    require_regular, and its n and index the draw's own checks, so a bad
-    field or version fails as ``line N: <field> must be ...`` before any
-    normal is drawn.  Fields are compared as stored, so a tag that the
-    RandomSpec resolves to another base tag is an ``ensemble`` mismatch.
+    ``"version": 3``; older records are retired.  The record is recomputed
+    as the line format_record prints for it, whose checks make a bad field
+    fail as ``line N: <field> must be ...`` before any normal is drawn.
+    Fields are compared as stored, so a tag that the RandomSpec
+    resolves to another base tag is an ``ensemble`` mismatch.
 
     The first call on a file reads it once to index its line starts; later
     calls on the same unchanged file seek straight to their line (see
@@ -465,14 +460,11 @@ def replay_record(path, line_number: int) -> dict:
         raise ValueError(f"line {line_number}: version must be {RECORD_VERSION}, got {found} "
                          f"(records before version {RECORD_VERSION} are retired)")
     try:
-        # each check refuses JSON's true, false and 3.0 as integers; the draw
-        # checks n and the index before it draws anything
-        rspec = RandomSpec(stored["seed"], stored["dim"], stored["ensemble"])
-        function = require_regular(builtin(stored["function"]), "sweep function")
-        block, _ = _lines(rspec, [stored["index"]], stored["n"], (function,))
+        # each check refuses JSON's true, false and 3.0 as integers, before
+        # any normal is drawn
+        fresh = json.loads(format_record(stored))
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
-    fresh = json.loads(block)
     # JSON gives back exactly the printed floats, ints for integral ones
     mismatches = {k: (stored[k], fresh[k]) for k in RECORD_FIELDS if stored[k] != fresh[k]}
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

@@ -207,24 +207,28 @@ def test_index_and_count_are_checked_only_by_the_draw():
 
 
 def test_replay_builds_no_sweep_config():
+    """Replay recomputes a record through format_record, which builds the
+    record's one RandomSpec; neither builds a SweepConfig."""
     tree = ast.parse((PACKAGE / "sweep.py").read_text())
-    (replay,) = (
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "replay_record"
-    )
-    assert _calls(replay, "SweepConfig") == []
-    assert len(_calls(replay, "RandomSpec")) == 1
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("replay_record", "format_record"):
+        assert _calls(functions[name], "SweepConfig") == [], name
+    assert _calls(functions["replay_record"], "RandomSpec") == []
+    assert len(_calls(functions["format_record"], "RandomSpec")) == 1
 
 
 def test_one_route_from_a_draw_to_record_bytes():
     """In sweep only _lines draws samples, runs the version-3 kernel and
-    formats record lines; replay calls it directly, not through
-    evaluate_sample, and the old draw-and-kernel helper _evaluate is gone."""
+    prints record lines from the template table; replay recomputes a record
+    through format_record, which calls _lines, and neither goes through
+    evaluate_sample."""
     tree = ast.parse((PACKAGE / "sweep.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for callee in ("draw_samples", "evaluate_batch", "_format_batch"):
+    for callee in ("draw_samples", "evaluate_batch", "_templates", "_format_batch"):
         assert len(_calls(functions["_lines"], callee)) == len(_calls(tree, callee)) == 1, callee
-    assert _calls(functions["replay_record"], "_lines") != []
-    for callee in ("evaluate_sample", "_evaluate"):
-        assert _calls(functions["replay_record"], callee) == [], callee
+    assert _calls(functions["replay_record"], "format_record") != []
+    assert _calls(functions["format_record"], "_lines") != []
+    for name in ("replay_record", "format_record"):
+        assert _calls(functions[name], "evaluate_sample") == [], name
+    assert _calls(functions["replay_record"], "_lines") == []
     assert "_evaluate" not in _defined_names("sweep")

@@ -163,26 +163,77 @@ def test_format_record_round_trips_as_json():
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("ensemble", 'a"b', "ensemble 'a\"b' is not a base tag"),
+        pytest.param(
+            "ensemble", 'a"b', "unknown ensemble 'a\"b'", id='ensemble-a"b-ensemble unknown'
+        ),
         ("function", "w%y", "unknown function 'w%y'"),
-        ("function", "sld\n", "function 'sld\\n' is not an id; a sweep writes 'sld'"),
-        ("function", "wy\t", "function 'wy\\t' is not an id; a sweep writes 'wy'"),
-        ("ensemble", "density\n", "ensemble 'density\\n' is not a base tag"),
         ("function", "wyd:\t0.25", "unknown function 'wyd:\\t0.25'"),
-        ("ensemble", "complex", "ensemble 'complex' is not a base tag"),
-        ("function", "SLD", "function 'SLD' is not an id; a sweep writes 'sld'"),
     ],
 )
 def test_format_record_refuses_strings_its_template_cannot_write(field, value, message):
-    """The template prints ensemble and function unescaped: a quote would end
-    the JSON string early, a % would be read as a conversion and a newline
-    or tab is a control character JSON strings may not hold.  It takes only
-    the names a sweep writes, so an alias or another spelling of a function,
-    which replay would report as a mismatch, is refused too."""
+    """A name that RandomSpec or monotone.builtin rejects is refused with
+    their message, so no printed line holds a quote, a % or a control
+    character."""
     records, _ = evaluate_sample(RandomSpec(123, 3, "density"), 7, 2, (builtin("wy"),))
     with pytest.raises(ValueError) as info:
         format_record(dict(records[0], **{field: value}))
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "field,value,canonical",
+    [
+        ("ensemble", "complex", "density"),
+        ("ensemble", "density\n", "density"),
+        ("function", "SLD", "sld"),
+        ("function", "sld\n", "sld"),
+        ("function", "wy\t", "wy"),
+    ],
+)
+def test_format_record_prints_canonical_names(field, value, canonical):
+    """An alias or another spelling of a name prints the line of its
+    canonical name, as ``qfivol sweep --ensemble complex`` writes it."""
+    rspec = RandomSpec(123, 3, "density")
+    function = builtin(canonical if field == "function" else "wy")
+    records, _ = evaluate_sample(rspec, 7, 2, (function,))
+    line = format_record(dict(records[0], **{field: value}))
+    assert json.loads(line)[field] == canonical
+    assert line == format_record(records[0])
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("seed", 5.0, "seed must be an integer, got 5.0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("dim", True, "dim must be an integer, got True"),
+        ("n", True, "n must be an integer, got True"),
+        ("function", "rld", "sweep function must be regular (f(0) > 0), got rld"),
+    ],
+)
+def test_format_record_refuses_what_replay_refuses(field, value, message):
+    """The record's fields pass RandomSpec, observable_draw and
+    require_regular, so format_record never prints a line that replay would
+    refuse or that is not JSON."""
+    records, _ = evaluate_sample(RandomSpec(123, 3, "density"), 7, 2, (builtin("wy"),))
+    with pytest.raises(ValueError) as info:
+        format_record(dict(records[0], **{field: value}))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("n", [3, 4], ids=["odd-n", "even-n"])
+def test_format_record_prints_every_sweep_line(tmp_path, n, parallelism):
+    """Every record of a sweep formats back to its own line, and replay of
+    those lines, written by format_record, reports no mismatch."""
+    config = _config(n=n, dim=3, samples=300, functions=("sld", "wy"), parallelism=parallelism)
+    run_sweep(config, tmp_path / "sweep.jsonl")
+    lines = (tmp_path / "sweep.jsonl").read_text().splitlines()[:-1]
+    printed = [format_record(json.loads(line)) for line in lines]
+    assert printed == lines
+    (tmp_path / "printed.jsonl").write_text("".join(f"{line}\n" for line in printed))
+    for number in range(1, len(printed) + 1):
+        assert replay_record(tmp_path / "printed.jsonl", number)["mismatches"] == {}
 
 
 @pytest.mark.parametrize(
@@ -340,9 +391,10 @@ def test_template_tables_do_not_leak_between_configs(tmp_path):
         for k, record in enumerate(records):
             check(config, record)
             assert format_record(record) == lines[3 * len(config.functions) + k]
-    # seeds 5 and 5.0 hash alike, yet each prints as given
+    # seeds 5 and 5.0 hash alike, and 5.0 is refused as replay refuses it
     record = json.loads(files[0][0])
-    assert '"seed": 5.0,' in format_record(dict(record, seed=5.0))
+    with pytest.raises(ValueError, match="seed must be an integer, got 5.0"):
+        format_record(dict(record, seed=5.0))
     assert format_record(record) == files[0][0]
 
 
