@@ -233,15 +233,16 @@ def pair_slots(n: int) -> np.ndarray:
     return slots.reshape(-1)
 
 
-def real_coordinates(frames) -> np.ndarray:
+def real_coordinates(frames, scale=math.sqrt(2.0)) -> np.ndarray:
     """Real coordinates of a ``(..., n, d, d)`` stack of self-adjoint matrices,
-    shaped ``(..., n, d^2)``: the d diagonal entries, then sqrt(2) Re and
-    sqrt(2) Im of the upper ones.  The map is a Frobenius isometry, so
-    X X^T = Re Tr(a_h a_j) for each stacked n-tuple of matrices a."""
+    shaped ``(..., n, d^2)``: the d diagonal entries, then ``scale`` Re and
+    ``scale`` Im of the upper ones.  At the default scale sqrt(2) the map is a
+    Frobenius isometry, so X X^T = Re Tr(a_h a_j) for each stacked n-tuple of
+    matrices a; at scale 1 each coordinate is an entry's part, unrounded."""
     dim = frames.shape[-1]
     diag = np.arange(dim)
     rows, cols = pair_indices(dim, 1)
-    upper = math.sqrt(2.0) * frames[..., rows, cols]
+    upper = scale * frames[..., rows, cols]
     return np.concatenate([frames[..., diag, diag].real, upper.real, upper.imag], axis=-1)
 
 

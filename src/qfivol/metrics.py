@@ -9,9 +9,10 @@ observables in the eigenbasis) the three central quantities are
 
 and the two-route identity (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B)
 connects them for regular f on faithful states.  The covariance and the
-correlation are single-pair reads of the evaluation kernel's Grams
-(qfivol.record_v3.evaluate_batch, the only code that forms a Gram matrix); the
-inner product and the identity residual are test oracles and live in
+correlation are single-pair reads of the live kernel's Grams
+(qfivol.volumes.coordinate_grams, which forms the correlation with pair
+weights f(0)(lam_u - lam_v)^2 / (2 m_f(lam_u, lam_v)) and no subtraction);
+the inner product and the identity residual are test oracles and live in
 qfivol.oracles.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .matrices import DensityMatrix, observable_stack
 from .monotone import MonotoneFunction, require_regular
-from .volumes import evaluate_one
+from .volumes import coordinate_grams
 
 
 class MetricUndefinedError(ValueError):
@@ -44,20 +45,29 @@ def metric_context(state: DensityMatrix, function: MonotoneFunction) -> MetricCo
     return MetricContext(state, function)
 
 
+def _pair_grams(state: DensityMatrix, a, b, functions):
+    """The (1 + F, 1, 2, 2) Grams of (a, b) on ``state``: the live kernel's
+    weighted product alone, with no determinant, Robertson matrix or flag."""
+    obs = observable_stack(state, (a, b))
+    return coordinate_grams(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
+                            obs[None], functions)[1]
+
+
 def covariance(state: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho A0 B0); centers both arguments."""
-    return float(evaluate_one(state, observable_stack(state, (a, b)), ()).cov_gram[0, 0, 1])
+    return float(_pair_grams(state, a, b, ())[0, 0, 0, 1])
 
 
 def f_correlation(ctx: MetricContext, a, b) -> float:
-    """Covariance minus the tilde-mean weighted frame overlap.
+    """Covariance minus the tilde-mean weighted frame overlap, read as the
+    metric Gram entry sum_{u<v} q_f(lam_u, lam_v) 2 Re(a_uv conj(b_uv)).
 
-    Defined for any state but only for regular functions.  Zero eigenvalues
-    contribute exact zeros through the tilde table when f's evaluator
-    returns exactly ``value_at_zero`` at 0, as every builtin's does (see
-    monotone.mean_table); then for pure states the subtracted sum vanishes
-    and the correlation equals the covariance.
+    Defined for any state but only for regular functions.  A pair of one
+    zero and one nonzero eigenvalue weighs exactly what the covariance gives
+    it when f's evaluator returns exactly ``value_at_zero`` at 0, as every
+    builtin's does (see volumes.coordinate_grams); then for pure states the
+    correlation differs from the covariance only by the centered diagonal
+    term lam_1 a_11 b_11, which vanishes up to rounding.
     """
     function = require_regular(ctx.function, "f-correlation function")
-    obs = observable_stack(ctx.state, (a, b))
-    return float(evaluate_one(ctx.state, obs, (function,)).qfi_gram[0, 0, 0, 1])
+    return float(_pair_grams(ctx.state, a, b, (function,))[1, 0, 0, 1])

@@ -2,32 +2,51 @@
 covariance-metric gap, and its verdicts.
 
 For observables A_1..A_N and a regular function f, two Gram matrices are
-compared: the covariance Gram {Cov(A_h, A_j)} and the metric-bound Gram
-{Cov(A_h, A_j) - sum m_tilde(lam_u, lam_v) Re{a_uv b_vu}}, whose determinant
-equals that of the scaled commutator inner products.  The gap between the
-two determinants is nonnegative for every N, so the covariance ellipsoid
-volume dominates the metric one: proved by A. Andai, J. Math. Phys. 49,
-012106 (2008), and by P. Gibilisco, F. Hiai and D. Petz, IEEE Trans. Inf.
-Theory 55, 439 (2009).
+compared: the covariance Gram {Cov(A_h, A_j)} and the metric Gram {(f(0)/2)
+<i[rho,A_h], i[rho,A_j]>_f} = {Cov(A_h, A_j) - sum m_tilde(lam_u, lam_v)
+Re{a_uv b_vu}}.  The gap between the two determinants is nonnegative for
+every N, so the covariance ellipsoid volume dominates the metric one: proved
+by A. Andai, J. Math. Phys. 49, 012106 (2008), and by P. Gibilisco, F. Hiai
+and D. Petz, IEEE Trans. Inf. Theory 55, 439 (2009).
 
-Every entry point (sweeps, replay, volume_gap, check_inequalities,
-robertson_bound, observables_dependent, and the covariance and correlation
-of qfivol.metrics) computes its Grams, determinants and verdicts through one
-kernel, record_v3.evaluate_batch, over a stack of samples; no other module
-forms a Gram matrix.  This module calls it on a batch of one.  The
-independent H * K decomposition of the gap lives with the other test oracles
-in qfivol.oracles, which the kernel never imports."""
+Two kernels form these Grams, and no other module forms one.
+record_v3.evaluate_batch writes and replays the version-3 records, bit for
+bit, and forms the metric Gram by that subtraction.  coordinate_batch here,
+the live kernel, serves every single-spec call (volume_gap,
+check_inequalities, robertson_bound, observables_dependent, the covariance
+and correlation of qfivol.metrics, and the repro rows) on a batch of one:
+in the real coordinates Y of the centered eigenframes each Gram is
+Y diag(w) Y^T with weights w >= 0, with no subtraction to lose digits where
+the metric Gram is far smaller than the covariance, as near the maximally
+mixed state.  The independent H * K decomposition of the gap lives with the
+other test oracles in qfivol.oracles, which neither kernel imports."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DensityMatrix, observable_stack
+from .matrices import (
+    DensityMatrix,
+    det_small,
+    expectation_stack,
+    frame_stack,
+    observable_stack,
+    pair_indices,
+    real_coordinates,
+)
 from .monotone import MonotoneFunction, require_regular, tilde_order
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .record_v3 import BatchReport, evaluate_batch
+from .record_v3 import (
+    DEPENDENCE_SV_TOL,
+    EQUALITY_RTOL,
+    MAIN_INEQUALITY_SLACK,
+    BatchReport,
+    _volume,
+    commutator_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -59,10 +78,111 @@ class VolumeReport:
     robertson_det: float | None
 
 
+def coordinate_grams(rho, eigenvalues, eigenvectors, observables, functions):
+    """The coordinates Y of a stack's centered eigenframes, shaped (B, n,
+    d^2), and its (1 + F, B, n, n) Grams from one stacked product: the
+    covariance Gram Y diag(c) Y^T, then per function the metric Gram
+    Y diag(q_f) Y^T.
+
+    Y is matrices.real_coordinates at scale 1: each diagonal entry, then Re
+    and Im of each entry above it, so no coordinate is rounded and the pair
+    weights carry the factor 2 of a_uv conj(b_uv) + a_vu conj(b_vu).  Inputs
+    are as record_v3.evaluate_batch takes them; each Gram has the same bits
+    whatever the batch and the functions beside it.
+    """
+    means = expectation_stack(rho, observables)
+    y = real_coordinates(frame_stack(eigenvectors, observables, means), 1.0)
+    return y, (y * _weights(eigenvalues, functions)) @ y.swapaxes(-1, -2)
+
+
+def _weights(eigenvalues, functions) -> np.ndarray:
+    """(1 + F, B, 1, d^2) weights of the coordinates, whose d diagonal entries
+    come first, then the pairs u < v twice (Re, then Im).  The covariance's
+    c is lam on the diagonal and lam_u + lam_v on a pair; a function's q_f is
+    0 on the diagonal and f(0) (lam_u - lam_v)^2 / (lam_u f(lam_v / lam_u))
+    on a pair, 0 where lam_u = 0, and exactly c = lam_u where lam_v = 0 alone
+    if f's evaluator returns exactly ``value_at_zero`` at 0, as every
+    builtin's does.  The spectrum is descending, so each ratio lies in [0, 1]
+    and f is read through its unit_evaluate; every weight is >= 0 and none is
+    a difference of two."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    dim = lam.shape[-1]
+    rows, cols = pair_indices(dim, 1)
+    hi, lo = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
+    weights = np.zeros((1 + len(functions), len(lam), 1, dim * dim))
+    weights[0, :, 0, :dim] = lam
+    pairs = weights[:, :, 0, dim:dim + len(rows)]
+    np.add(hi, lo, out=pairs[0])
+    if functions:
+        # lam_v = lam_u = 0 where lam_u = 0, so dividing by 1 there gives q = 0
+        safe = np.where(hi > 0.0, hi, 1.0)
+        ratio, gap = lo / safe, hi - lo
+        square = gap * (gap / safe)
+        for k, f in enumerate(functions, 1):
+            unit = np.asarray(f.unit_evaluate(ratio), dtype=np.float64)
+            np.multiply(square, f.value_at_zero / unit, out=pairs[k])
+    weights[:, :, 0, dim + len(rows):] = pairs
+    return weights
+
+
+def _commutator_gram(y, eigenvalues) -> np.ndarray:
+    """Robertson matrices -(i/2) Tr(rho [A_h, A_j]) from the coordinates Y
+    and the spectrum: the sum over pairs u < v of (lam_u - lam_v) Im(a_uv
+    conj(b_uv)), which is Y_im D Y_re^T - Y_re D Y_im^T with D = diag(lam_u -
+    lam_v); exactly antisymmetric, and exactly 0 where Y_im is."""
+    dim = eigenvalues.shape[-1]
+    rows, cols = pair_indices(dim, 1)
+    gaps = eigenvalues.take(rows, axis=-1) - eigenvalues.take(cols, axis=-1)
+    re, im = y[..., dim:dim + len(rows)], y[..., dim + len(rows):]
+    half = (im * gaps[:, None]) @ re.swapaxes(-1, -2)
+    return half - half.swapaxes(-1, -2)
+
+
+def coordinate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> BatchReport:
+    """The live kernel: the report of record_v3.evaluate_batch, with its
+    inputs, thresholds and verdicts, from the coordinates of coordinate_grams.
+
+    No Gram is a difference: each metric Gram takes its own weights q_f, and
+    the Robertson matrix reads the clamped spectrum, as the Grams do.  One
+    det_small call covers the covariance, metric and (for even n) Robertson
+    matrices.  The dependence flag is the SVD's on record_v3's coordinates,
+    the isometric sqrt(2) Y, with record_v3's rule that n at or above the
+    observables' span is dependent without one.
+    """
+    n, dim = observables.shape[1], eigenvalues.shape[-1]
+    rank = commutator_rank(dim, not (np.iscomplexobj(rho) or np.iscomplexobj(observables)))
+    y, grams = coordinate_grams(rho, eigenvalues, eigenvectors, observables, functions)
+    if n % 2 == 0:
+        grams = np.concatenate([grams, _commutator_gram(y, eigenvalues)[None]])
+    dets = det_small(grams)
+    cov_det, qfi_det = dets[0], dets[1:1 + len(functions)]
+    if n >= rank + dim:
+        dependent = np.ones(len(y), dtype=bool)
+    else:
+        y[..., dim:] *= math.sqrt(2.0)  # record_v3's isometric coordinates, for its threshold
+        dependent = np.linalg.svd(y, compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
+    gap = cov_det - qfi_det
+    scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
+    return BatchReport(
+        cov_gram=grams[0],
+        qfi_gram=grams[1:1 + len(functions)],
+        cov_det=cov_det,
+        qfi_det=qfi_det,
+        gap=gap,
+        scale=scale,
+        volume_qfi=_volume(qfi_det),
+        robertson_det=dets[-1] if n % 2 == 0 else None,
+        dependent=dependent,
+        main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
+        equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
+        rank_deficient=n > rank,
+    )
+
+
 def evaluate_one(state: DensityMatrix, observables, functions) -> BatchReport:
-    """Batch-of-one kernel call on a validated (n, d, d) observable stack."""
-    return evaluate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
-                          observables[None], functions)
+    """Batch-of-one live-kernel call on a validated (n, d, d) observable stack."""
+    return coordinate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
+                            observables[None], functions)
 
 
 def _volume_report(out: BatchReport) -> VolumeReport:
@@ -86,7 +206,8 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 
     The matrix entries are -(i/2) Tr(rho [A_h, A_j]), real and antisymmetric,
     so the determinant vanishes identically for odd N and gives the classical
-    lower bound for even N.  This is the kernel's own value on a batch of one.
+    lower bound for even N.  This is the live kernel's value on a batch of
+    one, read from the clamped spectrum as the Grams are.
     """
     obs = observable_stack(state, observables)
     det = evaluate_one(state, obs, ()).robertson_det
@@ -99,8 +220,8 @@ def observables_dependent(state: DensityMatrix, observables) -> bool:
     Thresholds the smallest singular value of their real coordinates (see
     matrices.real_coordinates) at record_v3.DEPENDENCE_SV_TOL; self-adjoint matrices
     form a real vector space, so dependence is over real coefficients.  This
-    is the kernel's own verdict on a batch of one: a Gram-determinant screen
-    decides most inputs and the SVD the rest, with the SVD's own flag.
+    is the live kernel's verdict on a batch of one: the SVD's flag, or
+    dependent with no SVD where n reaches the observables' span.
     """
     obs = observable_stack(state, observables)
     return bool(evaluate_one(state, obs, ()).dependent[0])

@@ -10,6 +10,7 @@ from qfivol import (
     DensityMatrix,
     GramSpec,
     MetricUndefinedError,
+    MonotoneFunction,
     RLD,
     SLD,
     TildeUndefinedError,
@@ -18,14 +19,13 @@ from qfivol import (
     covariance,
     f_correlation,
     icommutator,
-    mean_table,
     metric_context,
     RandomSpec,
     regular_builtins,
     volume_gap,
 )
 from qfivol.sampling import sample_observables, sample_pure_state
-from qfivol import repro
+from qfivol import matrices, record_v3, repro, volumes
 from qfivol.oracles import identity_residual, qfi_inner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -104,23 +104,47 @@ def test_four_level_example_values():
         assert abs(f_correlation(ctx_ent, FOUR_LEVEL_A, FOUR_LEVEL_B) - 1.0) <= 1e-12
 
 
-def test_f_correlation_builds_only_the_tilde_table(monkeypatch):
-    """metric_context and covariance build no table; the correlation, a
-    kernel read, makes one table call for the tilde table alone."""
+def test_f_correlation_evaluates_f_once_and_builds_no_table(monkeypatch):
+    """metric_context and covariance evaluate no function; the correlation, a
+    read of the live kernel's metric Gram, evaluates f once, on the ratios of
+    the spectrum's pairs, and builds no mean or tilde table."""
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("monotone.mean_table", "record_v3.mean_table", "volumes.mean_table", "record_v3.tilde"):
+        monkeypatch.setattr(f"qfivol.{name}", no_table)
     calls = []
-
-    def counting(functions, eigenvalues):
-        calls.append([f.fid for f in functions])
-        return mean_table(functions, eigenvalues)
-
-    monkeypatch.setattr("qfivol.record_v3.mean_table", counting)
+    counted = MonotoneFunction("counted", lambda y: calls.append(np.shape(y)) or WY.evaluate(y), 0.25,
+                               WY.formula)
+    calls.clear()
     state = DensityMatrix(np.diag([0.6, 0.3, 0.1]))
-    ctx = metric_context(state, WY)
-    assert calls == []
+    ctx = metric_context(state, counted)
     covariance(state, np.eye(3), np.ones((3, 3)))
     assert calls == []
-    f_correlation(ctx, np.eye(3), np.ones((3, 3)))
-    assert calls == [["tilde(wy)"]]
+    value = f_correlation(ctx, np.eye(3), np.ones((3, 3)))
+    assert calls == [(1, 3)]
+    assert value == f_correlation(metric_context(state, WY), np.eye(3), np.ones((3, 3)))
+
+
+def test_covariance_and_f_correlation_build_only_their_grams(monkeypatch):
+    """Neither runs an SVD, a determinant or a Robertson matrix: both read
+    the live kernel's weighted Gram product alone, while volume_gap, which
+    reads determinants, trips the same spies."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spied call")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    for module in (matrices, record_v3, volumes):
+        monkeypatch.setattr(module, "det_small", forbidden)
+    monkeypatch.setattr(volumes, "_commutator_gram", forbidden)
+    state = DensityMatrix(np.diag([0.6, 0.3, 0.1]))
+    a, b = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [0.0, 2.0, 0.5]]), np.ones((3, 3))
+    assert covariance(state, a, b) != 0.0
+    assert f_correlation(metric_context(state, WY), a, b) != 0.0
+    with pytest.raises(AssertionError, match="spied"):
+        volume_gap(GramSpec(state, (a, b), WY))
 
 
 def test_qfi_inner_zero_vector():

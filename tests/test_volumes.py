@@ -542,17 +542,29 @@ def _near_dependence_ladder(real, dim, seed):
     return (*stacks, np.stack(observables))
 
 
-@pytest.mark.parametrize("real, dim", [(False, 3), (True, 4)])
-def test_dependence_flags_equal_the_svd_on_a_near_dependence_ladder(real, dim):
-    """The screened kernel flags each rung as a direct SVD does, at every
-    scale, and a mixed batch gives each sample its batch-of-one flag."""
+# the version-3 kernel's cases keep their plain ids, the live kernel's twins are prefixed
+KERNELS = (("", record_v3.evaluate_batch), ("live-", volumes.coordinate_batch))
+
+
+def _on_both_kernels(names, cases):
+    return pytest.mark.parametrize(f"kernel, {names}", [
+        pytest.param(kernel, *case, id=prefix + "-".join(map(str, case)))
+        for case in cases for prefix, kernel in KERNELS
+    ])
+
+
+@_on_both_kernels("real, dim", [(False, 3), (True, 4)])
+def test_dependence_flags_equal_the_svd_on_a_near_dependence_ladder(kernel, real, dim):
+    """Each kernel (the version-3 one screened) flags each rung as a direct
+    SVD does, at every scale, and a mixed batch gives each sample its
+    batch-of-one flag."""
     rho, lam, vectors, obs = _near_dependence_ladder(real, dim, 29 + dim)
     expected = _svd_flags(rho, vectors, obs)
     assert 0 < expected.sum() < len(expected)
-    together = volumes.evaluate_batch(rho, lam, vectors, obs, ()).dependent
+    together = kernel(rho, lam, vectors, obs, ()).dependent
     assert together.tolist() == expected.tolist()
     for b in range(len(obs)):
-        alone = volumes.evaluate_batch(rho[b:b + 1], lam[b:b + 1], vectors[b:b + 1], obs[b:b + 1], ())
+        alone = kernel(rho[b:b + 1], lam[b:b + 1], vectors[b:b + 1], obs[b:b + 1], ())
         assert alone.dependent[0] == together[b], b
 
 
@@ -579,7 +591,7 @@ def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, di
     d(d+1)/2, are dependent with no SVD; the SVD, run here afterwards, calls
     every such sample dependent too."""
     (rho, lam, vectors), obs = draw_samples(RandomSpec(9, dim, ensemble), range(16), n)
-    assert volumes.evaluate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
+    assert record_v3.evaluate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
     assert observables_dependent(DensityMatrix(rho[0]), obs[0])
     assert svd_rows == []
     assert _svd_flags(rho, vectors, obs).all()
@@ -737,17 +749,14 @@ CALL_MATES = (SLD, WY, wyd(0.05), wyd(0.25))
 SLICED_FIELDS = ("qfi_gram", "qfi_det", "gap", "main_holds", "equality_consistent")
 
 
-@pytest.mark.parametrize(
-    "ensemble, dim, n",
-    [("complex", 3, 3), ("real", 8, 2), ("complex", 4, 4), ("structured", 4, 3)],
-)
-def test_call_mates_leave_each_functions_bits_alone(ensemble, dim, n):
+@_on_both_kernels("ensemble, dim, n", [("complex", 3, 3), ("real", 8, 2), ("complex", 4, 4), ("structured", 4, 3)])
+def test_call_mates_leave_each_functions_bits_alone(kernel, ensemble, dim, n):
     """Each function's slices of a four-function kernel call are byte-equal to
     a call of that function alone (complex d4 n4 takes the LU determinant)."""
     (rho, lam, vectors), obs = draw_samples(RandomSpec(5, dim, ensemble), range(16), n)
-    together = volumes.evaluate_batch(rho, lam, vectors, obs, CALL_MATES)
+    together = kernel(rho, lam, vectors, obs, CALL_MATES)
     for k, f in enumerate(CALL_MATES):
-        alone = volumes.evaluate_batch(rho, lam, vectors, obs, (f,))
+        alone = kernel(rho, lam, vectors, obs, (f,))
         for name in SLICED_FIELDS:
             mine, solo = getattr(together, name)[k], getattr(alone, name)[0]
             assert mine.dtype == solo.dtype and mine.tobytes() == solo.tobytes(), (f.fid, name)
@@ -760,7 +769,7 @@ def test_kernel_without_functions_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(record_v3, "mean_table", table)
     (rho, lam, vectors), obs = draw_samples(RandomSpec(5, 3, "complex"), range(4), 2)
-    out = volumes.evaluate_batch(rho, lam, vectors, obs, ())
+    out = record_v3.evaluate_batch(rho, lam, vectors, obs, ())
     assert out.qfi_gram.shape == (0, 4, 2, 2)
     assert out.cov_gram.shape == (4, 2, 2)
     assert out.qfi_det.shape == out.gap.shape == (0, 4)
