@@ -175,11 +175,16 @@ def expectation_stack(rho, observables) -> np.ndarray:
     return trace_product(states, observables).real[..., None, None]
 
 
-def frame_stack(eigenvectors, observables, means) -> np.ndarray:
-    """U^dagger A U - Tr(rho A) I for (B, d, d) eigenvectors and (B, n, d, d) observables."""
+def eigenframes(eigenvectors, observables) -> np.ndarray:
+    """U^dagger A U, uncentered, for (B, d, d) eigenvectors and (B, n, d, d) observables."""
     left = eigenvectors[:, None].conj().swapaxes(-1, -2) @ observables
     # one (n d, d) @ (d, d) product per sample has the bits of n (d, d) ones (numpy 2.4.6)
-    frame = (left.reshape(len(left), -1, left.shape[-1]) @ eigenvectors).reshape(left.shape)
+    return (left.reshape(len(left), -1, left.shape[-1]) @ eigenvectors).reshape(left.shape)
+
+
+def frame_stack(eigenvectors, observables, means) -> np.ndarray:
+    """U^dagger A U - Tr(rho A) I for (B, d, d) eigenvectors and (B, n, d, d) observables."""
+    frame = eigenframes(eigenvectors, observables)
     return frame - means * np.eye(frame.shape[-1])
 
 
@@ -233,16 +238,15 @@ def pair_slots(n: int) -> np.ndarray:
     return slots.reshape(-1)
 
 
-def real_coordinates(frames, scale=math.sqrt(2.0)) -> np.ndarray:
+def real_coordinates(frames) -> np.ndarray:
     """Real coordinates of a ``(..., n, d, d)`` stack of self-adjoint matrices,
-    shaped ``(..., n, d^2)``: the d diagonal entries, then ``scale`` Re and
-    ``scale`` Im of the upper ones.  At the default scale sqrt(2) the map is a
-    Frobenius isometry, so X X^T = Re Tr(a_h a_j) for each stacked n-tuple of
-    matrices a; at scale 1 each coordinate is an entry's part, unrounded."""
+    shaped ``(..., n, d^2)``: the d diagonal entries, then sqrt(2) Re and
+    sqrt(2) Im of the upper ones.  The map is a Frobenius isometry, so
+    X X^T = Re Tr(a_h a_j) for each stacked n-tuple of matrices a."""
     dim = frames.shape[-1]
     diag = np.arange(dim)
     rows, cols = pair_indices(dim, 1)
-    upper = scale * frames[..., rows, cols]
+    upper = math.sqrt(2.0) * frames[..., rows, cols]
     return np.concatenate([frames[..., diag, diag].real, upper.real, upper.imag], axis=-1)
 
 

@@ -49,8 +49,7 @@ def _pair_grams(state: DensityMatrix, a, b, functions):
     """The (1 + F, 1, 2, 2) Grams of (a, b) on ``state``: the live kernel's
     weighted product alone, with no determinant, Robertson matrix or flag."""
     obs = observable_stack(state, (a, b))
-    return coordinate_grams(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
-                            obs[None], functions)[1]
+    return coordinate_grams(state.eigenvalues[None], state.eigenvectors[None], obs[None], functions)[1]
 
 
 def covariance(state: DensityMatrix, a, b) -> float:

@@ -18,32 +18,29 @@ and correlation of qfivol.metrics, and the repro rows) on a batch of one:
 in the real coordinates Y of the centered eigenframes each Gram is
 Y diag(w) Y^T with weights w >= 0, with no subtraction to lose digits where
 the metric Gram is far smaller than the covariance, as near the maximally
-mixed state.  The independent H * K decomposition of the gap lives with the
-other test oracles in qfivol.oracles, which neither kernel imports."""
+mixed state.  Y is one gather from the uncentered eigenframes U^dagger A U,
+whose d diagonal entries alone are then centered, by the mean the
+eigenframe itself gives; the dependence flag is record_v3's Gram screen on
+Y, with an SVD only for a sample the screen cannot clear.  The independent
+H * K decomposition of the gap lives with the other test oracles in
+qfivol.oracles, which neither kernel imports."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (
-    DensityMatrix,
-    det_small,
-    expectation_stack,
-    frame_stack,
-    observable_stack,
-    pair_indices,
-    real_coordinates,
-)
+from .matrices import DensityMatrix, det_small, eigenframes, observable_stack, pair_indices
 from .monotone import MonotoneFunction, require_regular, tilde_order
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
 from .record_v3 import (
-    DEPENDENCE_SV_TOL,
     EQUALITY_RTOL,
     MAIN_INEQUALITY_SLACK,
     BatchReport,
+    _dependent,
     _volume,
     commutator_rank,
 )
@@ -78,21 +75,66 @@ class VolumeReport:
     robertson_det: float | None
 
 
-def coordinate_grams(rho, eigenvalues, eigenvectors, observables, functions):
+def coordinate_grams(eigenvalues, eigenvectors, observables, functions):
     """The coordinates Y of a stack's centered eigenframes, shaped (B, n,
     d^2), and its (1 + F, B, n, n) Grams from one stacked product: the
     covariance Gram Y diag(c) Y^T, then per function the metric Gram
     Y diag(q_f) Y^T.
 
-    Y is matrices.real_coordinates at scale 1: each diagonal entry, then Re
-    and Im of each entry above it, so no coordinate is rounded and the pair
-    weights carry the factor 2 of a_uv conj(b_uv) + a_vu conj(b_vu).  Inputs
-    are as record_v3.evaluate_batch takes them; each Gram has the same bits
-    whatever the batch and the functions beside it.
+    Y holds each diagonal entry, then Re and Im of each entry above it, so
+    no coordinate is rounded and the pair weights carry the factor 2 of
+    a_uv conj(b_uv) + a_vu conj(b_vu).  It is one gather from the
+    uncentered eigenframes U^dagger A U (_coordinates), and only its d
+    diagonal entries are then centered, by the mean the eigenframe itself
+    gives on the clamped spectrum the weights read.  Inputs are as
+    record_v3.evaluate_batch takes them, less the state, which no product
+    here reads; each Gram has the same bits whatever the batch and the
+    functions beside it.
     """
-    means = expectation_stack(rho, observables)
-    y = real_coordinates(frame_stack(eigenvectors, observables, means), 1.0)
+    y = _coordinates(eigenvalues, eigenvectors, observables)
     return y, (y * _weights(eigenvalues, functions)) @ y.swapaxes(-1, -2)
+
+
+@functools.lru_cache
+def _gather(dim: int) -> np.ndarray:
+    """Where Y's coordinates sit in a (d, d) complex frame read as 2 d^2
+    floats: the real part of each diagonal entry, then Re, then Im, of each
+    entry above it (pair_indices order)."""
+    rows, cols = pair_indices(dim, 1)
+    upper = 2 * (rows * dim + cols)
+    return np.concatenate([2 * (dim + 1) * np.arange(dim), upper, upper + 1])
+
+
+def _coordinates(eigenvalues, eigenvectors, observables) -> np.ndarray:
+    """(B, n, d^2) coordinates Y of the centered eigenframes: one take from
+    the uncentered frames, promoted once to complex128 (real, float32 and
+    complex64 inputs alike) and read as floats; then each diagonal block
+    minus its mean sum_u lam_u a_uu / sum_u lam_u.  A pair entry of a frame
+    does not move when A moves by a multiple k I, so only the diagonal needs
+    the mean; dividing by the clamped trace, which falls short of 1 by any
+    eigenvalue clamped to 0, keeps the diagonal's shift exactly k, so a
+    dependent set stays dependent after any such move."""
+    frames = eigenframes(eigenvectors, observables).astype(np.complex128, copy=False)
+    dim = frames.shape[-1]
+    y = frames.view(np.float64).reshape(*frames.shape[:-2], -1).take(_gather(dim), axis=-1)
+    y[..., :dim] -= (y[..., :dim] @ eigenvalues[:, :, None]) / eigenvalues.sum(-1)[:, None, None]
+    return y
+
+
+def _rank(rho, observables) -> int:
+    """commutator_rank of a stack's state and observables: real when the
+    state and every observable are."""
+    return commutator_rank(rho.shape[-1], not (np.iscomplexobj(rho) or np.iscomplexobj(observables)))
+
+
+def _dependence(y, dim: int, rank: int) -> np.ndarray:
+    """record_v3's dependence flags, by its own _dependent on its
+    coordinates: Y with each pair coordinate scaled, in place, by sqrt(2),
+    the Frobenius isometry its threshold reads.  A Gram screen comes first,
+    an SVD runs only on the samples it leaves, and n at or above the span
+    (rank + d) is dependent with neither."""
+    y[..., dim:] *= math.sqrt(2.0)
+    return _dependent(y, rank + dim)
 
 
 def _weights(eigenvalues, functions) -> np.ndarray:
@@ -145,22 +187,18 @@ def coordinate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> 
     No Gram is a difference: each metric Gram takes its own weights q_f, and
     the Robertson matrix reads the clamped spectrum, as the Grams do.  One
     det_small call covers the covariance, metric and (for even n) Robertson
-    matrices.  The dependence flag is the SVD's on record_v3's coordinates,
-    the isometric sqrt(2) Y, with record_v3's rule that n at or above the
-    observables' span is dependent without one.
+    matrices.  The dependence flag is record_v3's on the same coordinates
+    (see _dependence): its Gram screen clears most samples, and any SVD runs
+    only on those it leaves, so each flag is the SVD's.
     """
     n, dim = observables.shape[1], eigenvalues.shape[-1]
-    rank = commutator_rank(dim, not (np.iscomplexobj(rho) or np.iscomplexobj(observables)))
-    y, grams = coordinate_grams(rho, eigenvalues, eigenvectors, observables, functions)
+    rank = _rank(rho, observables)
+    y, grams = coordinate_grams(eigenvalues, eigenvectors, observables, functions)
     if n % 2 == 0:
         grams = np.concatenate([grams, _commutator_gram(y, eigenvalues)[None]])
     dets = det_small(grams)
     cov_det, qfi_det = dets[0], dets[1:1 + len(functions)]
-    if n >= rank + dim:
-        dependent = np.ones(len(y), dtype=bool)
-    else:
-        y[..., dim:] *= math.sqrt(2.0)  # record_v3's isometric coordinates, for its threshold
-        dependent = np.linalg.svd(y, compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
+    dependent = _dependence(y, dim, rank)
     gap = cov_det - qfi_det
     scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
     return BatchReport(
@@ -206,25 +244,30 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 
     The matrix entries are -(i/2) Tr(rho [A_h, A_j]), real and antisymmetric,
     so the determinant vanishes identically for odd N and gives the classical
-    lower bound for even N.  This is the live kernel's value on a batch of
-    one, read from the clamped spectrum as the Grams are.
+    lower bound for even N.  This is the live kernel's matrix, read from the
+    coordinates and the clamped spectrum as the Grams are, with no Gram and
+    no dependence test.
     """
     obs = observable_stack(state, observables)
-    det = evaluate_one(state, obs, ()).robertson_det
-    return 0.0 if det is None else float(det[0])
+    if len(obs) % 2:
+        return 0.0
+    lam = state.eigenvalues[None]
+    return float(det_small(_commutator_gram(_coordinates(lam, state.eigenvectors[None], obs[None]), lam))[0])
 
 
 def observables_dependent(state: DensityMatrix, observables) -> bool:
-    """Real-linear dependence of the centered observables.
+    """Real-linear dependence of the observables, each less its mean.
 
-    Thresholds the smallest singular value of their real coordinates (see
-    matrices.real_coordinates) at record_v3.DEPENDENCE_SV_TOL; self-adjoint matrices
-    form a real vector space, so dependence is over real coefficients.  This
-    is the live kernel's verdict on a batch of one: the SVD's flag, or
-    dependent with no SVD where n reaches the observables' span.
+    The live kernel's verdict on its coordinates (see _coordinates and
+    _dependence), with no Gram of its own: record_v3's screen, then the
+    smallest singular value against record_v3.DEPENDENCE_SV_TOL only where
+    the screen cannot clear the sample, or dependent with neither where n
+    reaches the observables' span.  Self-adjoint matrices form a real vector
+    space, so dependence is over real coefficients.
     """
-    obs = observable_stack(state, observables)
-    return bool(evaluate_one(state, obs, ()).dependent[0])
+    obs = observable_stack(state, observables)[None]
+    y = _coordinates(state.eigenvalues[None], state.eigenvectors[None], obs)
+    return bool(_dependence(y, state.dim, _rank(state.matrix, obs))[0])
 
 
 def order_pairs(functions) -> tuple:

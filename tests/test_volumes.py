@@ -604,6 +604,142 @@ def test_a_shipped_config_chunk_sends_no_sample_to_the_svd(svd_rows):
     assert sum(svd_rows) == 0
 
 
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
+def _seed_7_complex_d4_n2(count=8):
+    """Single-spec states and observable stacks of seed 7's first complex d4 n2
+    draws, every one of which record_v3's Gram screen clears."""
+    (rho, _, _), obs = draw_samples(RandomSpec(7, 4, "complex"), range(count), 2)
+    return [(DensityMatrix(r), o) for r, o in zip(rho, obs)]
+
+
+def _verdict_values(verdict):
+    report = verdict.report
+    return (verdict.main_holds, verdict.dependent, verdict.equality_consistent, verdict.monotonicity_holds,
+            report.cov_det, report.qfi_det, report.gap, report.robertson_det)
+
+
+def test_check_and_volume_gap_run_no_svd_where_the_screen_clears(monkeypatch):
+    specs = [GramSpec(state, obs, WY) for state, obs in _seed_7_complex_d4_n2()]
+    expected = [_verdict_values(check_inequalities(spec, partner=SLD)) for spec in specs]
+    _forbid(monkeypatch, np.linalg, "svd")
+    for spec, before in zip(specs, expected):
+        verdict = check_inequalities(spec, partner=SLD)
+        assert not verdict.dependent
+        assert _verdict_values(verdict) == before
+        assert volume_gap(spec).gap == verdict.report.gap
+
+
+def test_robertson_bound_builds_no_gram_and_runs_no_dependence_test(monkeypatch):
+    expected = [volume_gap(GramSpec(s, o, WY)).robertson_det for s, o in _seed_7_complex_d4_n2()]
+    _forbid(monkeypatch, np.linalg, "svd")
+    _forbid(monkeypatch, volumes, "_weights")
+    _forbid(monkeypatch, volumes, "_dependent")
+    for (state, obs), det in zip(_seed_7_complex_d4_n2(), expected):
+        assert robertson_bound(state, obs) == det
+        assert robertson_bound(state, (*obs, obs[0])) == 0.0
+
+
+def test_observables_dependent_builds_no_gram_and_no_svd_where_the_screen_clears(monkeypatch):
+    _forbid(monkeypatch, volumes, "_weights")
+    _forbid(monkeypatch, volumes, "_commutator_gram")
+    _forbid(monkeypatch, np.linalg, "svd")
+    for state, obs in _seed_7_complex_d4_n2():
+        assert not observables_dependent(state, obs)
+
+
+def _dyadic_spec_pairs():
+    """(low-precision spec, the same values as a float64 spec) pairs on the
+    diagonal state (1/2, 1/4, 1/8, 1/8), whose float32 trace is exactly 1: a
+    complex64 state with complex64 observables, and a float32 state with
+    int64 observables."""
+    rng = np.random.default_rng(83)
+    spectrum = np.diag([0.5, 0.25, 0.125, 0.125])
+    pairs = []
+    for n in (2, 3):
+        z = rng.standard_normal((n, 2, 4, 4)).astype(np.float32)
+        low = (z[:, 0] + 1j * z[:, 1]).astype(np.complex64)
+        low = (low + low.conj().swapaxes(-1, -2)) / np.float32(2)
+        pairs.append(((spectrum.astype(np.complex64), low), (spectrum.astype(complex), low.astype(complex))))
+        ints = rng.integers(-5, 6, (n, 4, 4))
+        ints = ints + ints.swapaxes(-1, -2)
+        pairs.append(((spectrum.astype(np.float32), ints), (spectrum, ints.astype(float))))
+    return pairs
+
+
+@pytest.mark.parametrize("k", range(4), ids=["complex64-2", "int64-2", "complex64-3", "int64-3"])
+def test_low_precision_inputs_give_the_float64_verdicts(k):
+    """One promotion serves every input dtype: complex64 frames, and the
+    float64 frames of a float32 state with int64 observables, give the
+    verdicts and determinants of the same values in float64."""
+    (state, obs), (state64, obs64) = _dyadic_spec_pairs()[k]
+    verdict = check_inequalities(GramSpec(DensityMatrix(state), obs, WY), partner=SLD)
+    reference = check_inequalities(GramSpec(DensityMatrix(state64), obs64, WY), partner=SLD)
+    scale = max(1.0, abs(reference.report.cov_det))
+    for name in ("cov_det", "qfi_det", "gap"):
+        assert abs(getattr(verdict.report, name) - getattr(reference.report, name)) <= 1e-12 * scale
+    if len(obs) % 2 == 0:
+        assert abs(verdict.report.robertson_det - reference.report.robertson_det) <= 1e-12 * scale
+    flags = ("main_holds", "dependent", "equality_consistent", "monotonicity_holds")
+    assert [getattr(verdict, f) for f in flags] == [getattr(reference, f) for f in flags]
+    assert robertson_bound(DensityMatrix(state), obs) == (verdict.report.robertson_det or 0.0)
+    assert observables_dependent(DensityMatrix(state), obs) == reference.dependent
+
+
+@pytest.mark.parametrize("low", [0.0, 5e-13], ids=["faithful", "clamped"])
+def test_coordinates_are_centered_by_the_mean_of_the_clamped_state(low):
+    """The diagonal coordinates sum to 0 under the clamped spectrum, and the
+    mean they imply is Tr(rho A) within 1e-12 |A|, on a faithful state and on
+    one with an eigenvalue clamped at EIGENVALUE_FLOOR."""
+    rng = np.random.default_rng(89)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    spectrum = np.array([0.7 - low, 0.3, low]) if low else np.array([0.5, 0.3, 0.2])
+    state = DensityMatrix((u * spectrum) @ u.conj().T)
+    assert state.faithful == (not low)
+    obs = np.stack([50.0 * np.eye(3) + _random_hermitian(rng, 3) for _ in range(3)])
+    lam, vectors = state.eigenvalues, state.eigenvectors
+    y = volumes.coordinate_grams(lam[None], vectors[None], obs[None], ())[0][0]
+    for a, row in zip(obs, y):
+        norm = np.linalg.norm(a, 2)
+        assert abs(lam @ row[:3]) <= 1e-12 * norm
+        means = np.diag(vectors.conj().T @ a @ vectors).real - row[:3]
+        assert np.abs(means - np.trace(state.matrix @ a).real).max() <= 1e-12 * norm
+
+
+def _clamped_shifted_triple(shift):
+    """A state with an eigenvalue 5e-13 clamped to 0 at EIGENVALUE_FLOOR, so
+    its clamped spectrum sums to 1 - 5e-13, and the dependent triple
+    (a, b, a + b + shift I)."""
+    rng = np.random.default_rng(97)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    state = DensityMatrix((u * np.array([0.7 - 5e-13, 0.3, 5e-13])) @ u.conj().T)
+    assert state.eigenvalues[-1] == 0.0
+    a, b = _random_hermitian(rng, 3), _random_hermitian(rng, 3)
+    return state, np.stack([a, b, a + b + shift * np.eye(3)])
+
+
+@_on_both_kernels("shift", [(0.0,), (1e5,)])
+def test_a_shift_by_a_multiple_of_the_identity_keeps_a_clamped_set_dependent(kernel, shift):
+    """Centering cancels any k I, on a state whose clamped spectrum does not
+    sum to 1 too: the triple stays dependent, and its gap stays consistent
+    with equality."""
+    state, obs = _clamped_shifted_triple(shift)
+    out = kernel(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None], obs[None], (WY,))
+    assert out.dependent[0] and out.equality_consistent[0, 0]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e5])
+def test_single_spec_routes_flag_a_shifted_clamped_set_dependent(shift):
+    state, obs = _clamped_shifted_triple(shift)
+    assert observables_dependent(state, obs)
+    assert check_inequalities(GramSpec(state, obs, WY), partner=SLD).dependent
+
+
 def test_check_inequalities_dependent_equality():
     rng = np.random.default_rng(61)
     state = _random_density(rng, 3)
