@@ -26,6 +26,12 @@ RECONSTRUCTION_ATOL = 1e-10
 # the most observables N, and so the largest Gram size n that det_small takes
 MAX_OBSERVABLES = 8
 
+# np.eye(d) cached per d for the unitarity check and the frames; callers never write it
+_identity = lru_cache(maxsize=None)(np.eye)
+
+_SELF_ADJOINT_MESSAGE = "matrix is not self-adjoint: max deviation {:.3e} > " + f"{HERMITIAN_ATOL:.1e}"
+_TRACE_MESSAGE = f"trace must be 1 within {TRACE_ATOL:.1e}, got " + "{}"
+
 
 class DecompositionError(RuntimeError):
     """Eigendecomposition failed to converge or violated its guarantees."""
@@ -53,10 +59,12 @@ def as_integer(name: str, value, low=None, high=None) -> int:
 def _require(ok, error, message, *values):
     """Raise ``error`` for the first matrix k of a stack whose check in ``ok``
     is not True (NaN fails), with ``message`` formatted from the k-th entries
-    of ``values``; the exception's ``position`` attribute records k."""
-    if not np.all(ok):
+    of ``values``, arrays or callables that build them only on failure; the
+    exception's ``position`` attribute records k."""
+    if not ok.all():
         k = int(np.flatnonzero(~ok)[0])
-        exc = error(message.format(*(value.flat[k] for value in values)))
+        arrays = (value() if callable(value) else value for value in values)
+        exc = error(message.format(*(array.flat[k] for array in arrays)))
         exc.position = k
         raise exc
 
@@ -75,8 +83,7 @@ def as_hermitian(matrix) -> np.ndarray:
     adj = m.conj().swapaxes(-1, -2)
     if m.size:
         deviation = np.abs(m - adj).max(axis=(-2, -1))
-        message = "matrix is not self-adjoint: max deviation {:.3e} > " + f"{HERMITIAN_ATOL:.1e}"
-        _require(deviation <= HERMITIAN_ATOL, ValueError, message, deviation)
+        _require(deviation <= HERMITIAN_ATOL, ValueError, _SELF_ADJOINT_MESSAGE, deviation)
     return (m + adj) / 2
 
 
@@ -103,7 +110,7 @@ def _checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     v = np.ascontiguousarray(v[..., ::-1])
     if m.shape[-1]:
         vh = v.conj().swapaxes(-1, -2)
-        unit_err = np.abs(vh @ v - np.eye(m.shape[-1])).max(axis=(-2, -1))
+        unit_err = np.abs(vh @ v - _identity(m.shape[-1])).max(axis=(-2, -1))
         scale = np.maximum(1.0, np.abs(w).max(axis=-1))
         recon_err = np.abs((v * w[..., None, :]) @ vh - m).max(axis=(-2, -1))
         ok = (unit_err <= UNITARITY_ATOL) & (recon_err <= RECONSTRUCTION_ATOL * scale)
@@ -118,8 +125,7 @@ def density_stack(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``EIGENVALUE_FLOOR`` clamped to exact zeros) and eigenvectors."""
     m = as_hermitian(matrices)
     trace = np.trace(m, axis1=-2, axis2=-1)
-    message = f"trace must be 1 within {TRACE_ATOL:.1e}, got " + "{}"
-    _require(np.abs(trace - 1.0) <= TRACE_ATOL, ValueError, message, trace.astype(complex))
+    _require(np.abs(trace - 1.0) <= TRACE_ATOL, ValueError, _TRACE_MESSAGE, lambda: trace.astype(complex))
     w, v = _checked_eigh(m)
     lowest = w[..., -1]
     message = "negative eigenvalue {:.3e} beyond tolerance"
@@ -185,7 +191,7 @@ def eigenframes(eigenvectors, observables) -> np.ndarray:
 def frame_stack(eigenvectors, observables, means) -> np.ndarray:
     """U^dagger A U - Tr(rho A) I for (B, d, d) eigenvectors and (B, n, d, d) observables."""
     frame = eigenframes(eigenvectors, observables)
-    return frame - means * np.eye(frame.shape[-1])
+    return frame - means * _identity(frame.shape[-1])
 
 
 def observable_stack(state: DensityMatrix, observables) -> np.ndarray:

@@ -131,7 +131,16 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
     dependent = _dependent(real_coordinates(frames), commutator_rank(dim, real) + dim)
     tildes = tuple(tilde(f) for f in functions)
     grams = batched_grams(eigenvalues, frames, mean_table(tildes, eigenvalues) if tildes else ())
-    dets = det_small(grams)
+    robertson = _robertson(rho, observables) if n % 2 == 0 else None
+    return _batch_report(grams, det_small(grams), robertson, dependent, n > commutator_rank(dim, real))
+
+
+def _batch_report(grams, dets, robertson_det, dependent, rank_deficient) -> BatchReport:
+    """The report of both kernels from their (1 + F, B, n, n) Grams, the
+    covariance's first, and the determinants of those Grams: the gap, its
+    scale max(1, |cov_det|), the metric volumes and the verdicts at this
+    module's thresholds, beside the Robertson determinants (None for odd n)
+    and the dependence flags the kernel computed."""
     cov_det, qfi_det = dets[0], dets[1:]
     gap = cov_det - qfi_det
     scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
@@ -143,31 +152,47 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
         gap=gap,
         scale=scale,
         volume_qfi=_volume(qfi_det),
-        robertson_det=_robertson(rho, observables) if n % 2 == 0 else None,
+        robertson_det=robertson_det,
         dependent=dependent,
         main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
         equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
-        rank_deficient=n > commutator_rank(dim, real),
+        rank_deficient=rank_deficient,
     )
 
 
-def _dependent(x, span: int) -> np.ndarray:
+def _dependent(x, span: int, screen=None, scale=None) -> np.ndarray:
     """Per sample, whether the smallest singular value of its (n, m) real
-    coordinates, as the stacked SVD computes it, is below DEPENDENCE_SV_TOL.
+    coordinates X, as the stacked SVD computes it, is below DEPENDENCE_SV_TOL.
 
-    The real coordinates are a Frobenius isometry of the centered observables,
-    which lie in a ``span`` of d^2 dimensions, or d(d+1)/2 when the state and
-    every observable are real symmetric, and centering leaves them rank
-    <= span - 1.  So n >= span is dependent with no SVD (there the SVD's own
-    value, about eps * sigma_max, would pass the threshold, and the SVD alone
-    say "independent", once sigma_max exceeds ~1e8).  Otherwise a Gram screen
-    clears the samples whose SVD verdict is certainly "independent" and the
-    SVD decides the rest, which gives each sample its SVD flag whatever the
-    batch.
+    X is ``x``, or x times ``scale`` (one factor per coordinate) where that is
+    given.  The real coordinates are a Frobenius isometry of the centered
+    observables, which lie in a ``span`` of d^2 dimensions, or d(d+1)/2 when
+    the state and every observable are real symmetric, and centering leaves
+    them rank <= span - 1.  So n >= span is dependent with no SVD (there the
+    SVD's own value, about eps * sigma_max, would pass the threshold, and the
+    SVD alone say "independent", once sigma_max exceeds ~1e8).  Otherwise a
+    screen on the Gram G = X X^T clears the samples whose SVD verdict is
+    certainly "independent" and the SVD decides the rest, which gives each
+    sample its SVD flag whatever the batch.  ``screen`` is the (det G, trace
+    G) pair of a caller that formed G already; without it G is x x^T, formed
+    here.  The live kernel forms G as Y diag(w) Y^T, one weight row of its
+    own product, with Y its unscaled coordinates, w = 1 on the diagonal
+    coordinates and 2 on the pair ones, and scale = sqrt(w); only the
+    samples the screen leaves are scaled, for the SVD.  The screen's bound
+    (below) holds for that G as for x x^T: w is an exact power of two, so
+    each y w y' is one rounding as x x' is, each entry of G is again a
+    length-m dot product, and X = Y diag(sqrt(w)) is exact in the argument
+    though no float holds it; the SVD's input fl(Y scale) differs from X by
+    one rounding per entry, at most eps sqrt(T) in 2-norm, which adds 1 to
+    p below and stays inside c.
     """
     n = x.shape[1]
     if n >= span:
         return np.ones(len(x), dtype=bool)
+    if screen is None:
+        g = x @ x.swapaxes(-1, -2)
+        screen = det_small(g), g.diagonal(0, -2, -1).sum(-1)
+    det, trace = screen
     # With G = X X^T (eigenvalues sigma^2, trace T), sigma_min^2 >=
     # det G / T^(n-1), since each other sigma^2 <= T.  The stacked SVD returns
     # the singular values of X + dX with |dX| <= p eps sigma_max <= p eps sqrt(T),
@@ -187,13 +212,11 @@ def _dependent(x, span: int) -> np.ndarray:
     # 2 c^2 eps^2 T many times over.  The margin of 1e3 on TOL leaves room for
     # a p far above c wherever 2 (margin TOL)^2 dominates the edge.  An
     # overflowed determinant clears nothing, nor does a zero trace (0 > 0).
-    g = x @ x.swapaxes(-1, -2)
-    trace = g.diagonal(0, -2, -1).sum(-1)
-    det = det_small(g)
     edge = 2 * (_SCREEN_MARGIN * DEPENDENCE_SV_TOL) ** 2 + 2**19 * np.finfo(np.float64).eps * trace
     rest = ~((det > edge * trace ** (n - 1)) & np.isfinite(det))
     if rest.any():
-        rest[rest] = np.linalg.svd(x[rest], compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
+        rows = x[rest] if scale is None else x[rest] * scale
+        rest[rest] = np.linalg.svd(rows, compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
     return rest
 
 

@@ -20,15 +20,16 @@ Y diag(w) Y^T with weights w >= 0, with no subtraction to lose digits where
 the metric Gram is far smaller than the covariance, as near the maximally
 mixed state.  Y is one gather from the uncentered eigenframes U^dagger A U,
 whose d diagonal entries alone are then centered, by the mean the
-eigenframe itself gives; the dependence flag is record_v3's Gram screen on
-Y, with an SVD only for a sample the screen cannot clear.  The independent
-H * K decomposition of the gap lives with the other test oracles in
-qfivol.oracles, which neither kernel imports."""
+eigenframe itself gives.  The dependence screen's Gram is one more weight
+row of the same product, so a check makes one weighted product and one
+det_small call, and its flag is record_v3's _dependent from that Gram's
+determinant and trace, with an SVD only for a sample the screen cannot
+clear.  The independent H * K decomposition of the gap lives with the other
+test oracles in qfivol.oracles, which neither kernel imports."""
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,7 @@ import numpy as np
 from .matrices import DensityMatrix, det_small, eigenframes, observable_stack, pair_indices
 from .monotone import MonotoneFunction, require_regular, tilde_order
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .record_v3 import (
-    EQUALITY_RTOL,
-    MAIN_INEQUALITY_SLACK,
-    BatchReport,
-    _dependent,
-    _volume,
-    commutator_rank,
-)
+from .record_v3 import BatchReport, _batch_report, _dependent, commutator_rank
 
 
 @dataclass(frozen=True)
@@ -75,11 +69,13 @@ class VolumeReport:
     robertson_det: float | None
 
 
-def coordinate_grams(eigenvalues, eigenvectors, observables, functions):
+def coordinate_grams(eigenvalues, eigenvectors, observables, functions, screen=False, robertson=False):
     """The coordinates Y of a stack's centered eigenframes, shaped (B, n,
-    d^2), and its (1 + F, B, n, n) Grams from one stacked product: the
-    covariance Gram Y diag(c) Y^T, then per function the metric Gram
-    Y diag(q_f) Y^T.
+    d^2), and its Grams from one stacked product: the covariance Gram
+    Y diag(c) Y^T, then per function the metric Gram Y diag(q_f) Y^T, then,
+    with ``screen``, the dependence screen's Gram Y diag(w) Y^T (see
+    _weights); with ``robertson`` and n even, the Robertson matrix follows
+    them, so that one det_small call reads the whole (rows, B, n, n) stack.
 
     Y holds each diagonal entry, then Re and Im of each entry above it, so
     no coordinate is rounded and the pair weights carry the factor 2 of
@@ -89,10 +85,16 @@ def coordinate_grams(eigenvalues, eigenvectors, observables, functions):
     gives on the clamped spectrum the weights read.  Inputs are as
     record_v3.evaluate_batch takes them, less the state, which no product
     here reads; each Gram has the same bits whatever the batch and the
-    functions beside it.
+    rows beside it.
     """
     y = _coordinates(eigenvalues, eigenvectors, observables)
-    return y, (y * _weights(eigenvalues, functions)) @ y.swapaxes(-1, -2)
+    weights = _weights(eigenvalues, functions, screen)
+    n, rows = y.shape[-2], len(weights)
+    grams = np.empty((rows + (robertson and n % 2 == 0), *y.shape[:-1], n))
+    np.matmul(y * weights, y.swapaxes(-1, -2), out=grams[:rows])
+    if len(grams) > rows:
+        grams[rows] = _commutator_gram(y, eigenvalues)
+    return y, grams
 
 
 @functools.lru_cache
@@ -103,6 +105,19 @@ def _gather(dim: int) -> np.ndarray:
     rows, cols = pair_indices(dim, 1)
     upper = 2 * (rows * dim + cols)
     return np.concatenate([2 * (dim + 1) * np.arange(dim), upper, upper + 1])
+
+
+@functools.lru_cache
+def _layout(dim: int) -> tuple:
+    """How a row of d diagonal then d(d-1)/2 pair values weighs Y's d^2
+    coordinates: the index that takes each pair's value twice, for its Re
+    and its Im coordinate; the screen's row of values, 1 on the diagonal
+    and 2 on each pair; and the factor sqrt(w) that takes Y to record_v3's
+    coordinates, the SVD's input, per coordinate."""
+    pairs = dim * (dim - 1) // 2
+    index = np.concatenate([np.arange(dim + pairs), np.arange(dim, dim + pairs)])
+    unit = np.repeat([1.0, 2.0], [dim, pairs])
+    return index, unit, np.sqrt(unit.take(index))
 
 
 def _coordinates(eigenvalues, eigenvectors, observables) -> np.ndarray:
@@ -117,7 +132,8 @@ def _coordinates(eigenvalues, eigenvectors, observables) -> np.ndarray:
     frames = eigenframes(eigenvectors, observables).astype(np.complex128, copy=False)
     dim = frames.shape[-1]
     y = frames.view(np.float64).reshape(*frames.shape[:-2], -1).take(_gather(dim), axis=-1)
-    y[..., :dim] -= (y[..., :dim] @ eigenvalues[:, :, None]) / eigenvalues.sum(-1)[:, None, None]
+    diagonal = y[..., :dim]
+    diagonal -= (diagonal @ eigenvalues[:, :, None]) / eigenvalues.sum(-1)[:, None, None]
     return y
 
 
@@ -127,44 +143,38 @@ def _rank(rho, observables) -> int:
     return commutator_rank(rho.shape[-1], not (np.iscomplexobj(rho) or np.iscomplexobj(observables)))
 
 
-def _dependence(y, dim: int, rank: int) -> np.ndarray:
-    """record_v3's dependence flags, by its own _dependent on its
-    coordinates: Y with each pair coordinate scaled, in place, by sqrt(2),
-    the Frobenius isometry its threshold reads.  A Gram screen comes first,
-    an SVD runs only on the samples it leaves, and n at or above the span
-    (rank + d) is dependent with neither."""
-    y[..., dim:] *= math.sqrt(2.0)
-    return _dependent(y, rank + dim)
-
-
-def _weights(eigenvalues, functions) -> np.ndarray:
-    """(1 + F, B, 1, d^2) weights of the coordinates, whose d diagonal entries
-    come first, then the pairs u < v twice (Re, then Im).  The covariance's
-    c is lam on the diagonal and lam_u + lam_v on a pair; a function's q_f is
-    0 on the diagonal and f(0) (lam_u - lam_v)^2 / (lam_u f(lam_v / lam_u))
-    on a pair, 0 where lam_u = 0, and exactly c = lam_u where lam_v = 0 alone
-    if f's evaluator returns exactly ``value_at_zero`` at 0, as every
-    builtin's does.  The spectrum is descending, so each ratio lies in [0, 1]
-    and f is read through its unit_evaluate; every weight is >= 0 and none is
-    a difference of two."""
+def _weights(eigenvalues, functions, screen=False) -> np.ndarray:
+    """(1 + F (+ 1 with ``screen``), B, 1, d^2) weights of the coordinates,
+    whose d diagonal entries come first, then the pairs u < v twice (Re, then
+    Im), built as one array of diagonal and pair values that _layout's index
+    spreads.  The covariance's c is lam on the diagonal and lam_u + lam_v on
+    a pair; a function's q_f is 0 on the diagonal and f(0) (lam_u - lam_v)^2
+    / (lam_u f(lam_v / lam_u)) on a pair, 0 where lam_u = 0, and exactly c =
+    lam_u where lam_v = 0 alone if f's evaluator returns exactly
+    ``value_at_zero`` at 0, as every builtin's does.  The spectrum is
+    descending, so each ratio lies in [0, 1] and f is read through its
+    unit_evaluate; every weight is >= 0 and none is a difference of two.
+    The screen's w is 1 on the diagonal and 2 on a pair, so Y diag(w) Y^T is
+    X X^T for record_v3's coordinates X = Y diag(sqrt(w))."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     dim = lam.shape[-1]
     rows, cols = pair_indices(dim, 1)
+    index, unit, _ = _layout(dim)
+    values = np.zeros((1 + len(functions) + screen, len(lam), 1, len(unit)))
     hi, lo = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
-    weights = np.zeros((1 + len(functions), len(lam), 1, dim * dim))
-    weights[0, :, 0, :dim] = lam
-    pairs = weights[:, :, 0, dim:dim + len(rows)]
-    np.add(hi, lo, out=pairs[0])
+    values[0, :, 0, :dim] = lam
+    np.add(hi, lo, out=values[0, :, 0, dim:])
     if functions:
         # lam_v = lam_u = 0 where lam_u = 0, so dividing by 1 there gives q = 0
         safe = np.where(hi > 0.0, hi, 1.0)
         ratio, gap = lo / safe, hi - lo
         square = gap * (gap / safe)
         for k, f in enumerate(functions, 1):
-            unit = np.asarray(f.unit_evaluate(ratio), dtype=np.float64)
-            np.multiply(square, f.value_at_zero / unit, out=pairs[k])
-    weights[:, :, 0, dim + len(rows):] = pairs
-    return weights
+            evaluated = np.asarray(f.unit_evaluate(ratio), dtype=np.float64)
+            np.multiply(square, f.value_at_zero / evaluated, out=values[k, :, 0, dim:])
+    if screen:
+        values[-1] = unit
+    return values.take(index, axis=-1)
 
 
 def _commutator_gram(y, eigenvalues) -> np.ndarray:
@@ -186,35 +196,20 @@ def coordinate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> 
 
     No Gram is a difference: each metric Gram takes its own weights q_f, and
     the Robertson matrix reads the clamped spectrum, as the Grams do.  One
-    det_small call covers the covariance, metric and (for even n) Robertson
-    matrices.  The dependence flag is record_v3's on the same coordinates
-    (see _dependence): its Gram screen clears most samples, and any SVD runs
-    only on those it leaves, so each flag is the SVD's.
+    weighted product forms the covariance, metric and screen Grams, and one
+    det_small call covers them and (for even n) the Robertson matrix.  The
+    dependence flag is record_v3's on its coordinates, by its _dependent from
+    the screen's determinant and trace: the screen clears most samples, and
+    any SVD runs only on those it leaves, so each flag is the SVD's.
     """
-    n, dim = observables.shape[1], eigenvalues.shape[-1]
+    n, dim, screen_row = observables.shape[1], eigenvalues.shape[-1], 1 + len(functions)
     rank = _rank(rho, observables)
-    y, grams = coordinate_grams(eigenvalues, eigenvectors, observables, functions)
-    if n % 2 == 0:
-        grams = np.concatenate([grams, _commutator_gram(y, eigenvalues)[None]])
+    y, grams = coordinate_grams(eigenvalues, eigenvectors, observables, functions, screen=True, robertson=True)
     dets = det_small(grams)
-    cov_det, qfi_det = dets[0], dets[1:1 + len(functions)]
-    dependent = _dependence(y, dim, rank)
-    gap = cov_det - qfi_det
-    scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
-    return BatchReport(
-        cov_gram=grams[0],
-        qfi_gram=grams[1:1 + len(functions)],
-        cov_det=cov_det,
-        qfi_det=qfi_det,
-        gap=gap,
-        scale=scale,
-        volume_qfi=_volume(qfi_det),
-        robertson_det=dets[-1] if n % 2 == 0 else None,
-        dependent=dependent,
-        main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
-        equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
-        rank_deficient=n > rank,
-    )
+    trace = grams[screen_row].diagonal(0, -2, -1).sum(-1)
+    dependent = _dependent(y, rank + dim, (dets[screen_row], trace), _layout(dim)[2])
+    robertson = dets[-1] if n % 2 == 0 else None
+    return _batch_report(grams[:screen_row], dets[:screen_row], robertson, dependent, n > rank)
 
 
 def evaluate_one(state: DensityMatrix, observables, functions) -> BatchReport:
@@ -223,20 +218,20 @@ def evaluate_one(state: DensityMatrix, observables, functions) -> BatchReport:
                             observables[None], functions)
 
 
-def _volume_report(out: BatchReport) -> VolumeReport:
-    rob = None if out.robertson_det is None else float(out.robertson_det[0])
-    dets = (float(out.cov_det[0]), float(out.qfi_det[0, 0]), float(out.gap[0, 0]))
-    return VolumeReport(out.cov_gram[0], out.qfi_gram[0, 0], *dets, rob)
-
-
 def volume_gap(spec: GramSpec) -> VolumeReport:
     """Fill both Grams, both determinants, and the gap.
 
-    The Robertson determinant is included for even observable counts.  The
-    gap's independent route, the H*K decomposition, is the test oracle
-    oracles.gap_from_decomposition.
+    The Robertson determinant is included for even observable counts.  This
+    is the live kernel's product and determinant call alone, with no
+    dependence test.  The gap's independent route, the H*K decomposition, is
+    the test oracle oracles.gap_from_decomposition.
     """
-    return _volume_report(evaluate_one(spec.state, spec.observables, (spec.function,)))
+    state = spec.state
+    _, grams = coordinate_grams(state.eigenvalues[None], state.eigenvectors[None], spec.observables[None],
+                                (spec.function,), robertson=True)
+    cov_det, qfi_det, *robertson = det_small(grams)[:, 0].tolist()
+    return VolumeReport(grams[0, 0], grams[1, 0], cov_det, qfi_det, cov_det - qfi_det,
+                        robertson[0] if robertson else None)
 
 
 def robertson_bound(state: DensityMatrix, observables) -> float:
@@ -258,20 +253,23 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 def observables_dependent(state: DensityMatrix, observables) -> bool:
     """Real-linear dependence of the observables, each less its mean.
 
-    The live kernel's verdict on its coordinates (see _coordinates and
-    _dependence), with no Gram of its own: record_v3's screen, then the
-    smallest singular value against record_v3.DEPENDENCE_SV_TOL only where
-    the screen cannot clear the sample, or dependent with neither where n
-    reaches the observables' span.  Self-adjoint matrices form a real vector
-    space, so dependence is over real coefficients.
+    The live kernel's verdict on its coordinates (see _coordinates), with no
+    covariance or metric Gram: record_v3's _dependent on Y scaled to its
+    coordinates, whose screen forms their Gram, then the smallest singular
+    value against record_v3.DEPENDENCE_SV_TOL only where the screen cannot
+    clear the sample, or dependent with neither where n reaches the
+    observables' span.  Self-adjoint matrices form a real vector space, so
+    dependence is over real coefficients.
     """
     obs = observable_stack(state, observables)[None]
     y = _coordinates(state.eigenvalues[None], state.eigenvectors[None], obs)
-    return bool(_dependence(y, state.dim, _rank(state.matrix, obs))[0])
+    return bool(_dependent(y * _layout(state.dim)[2], _rank(state.matrix, obs) + state.dim)[0])
 
 
-def order_pairs(functions) -> tuple:
-    """Resolvable ordered pairs (i, j) meaning volume_i >= volume_j must hold."""
+@functools.lru_cache
+def order_pairs(functions: tuple) -> tuple:
+    """Resolvable ordered pairs (i, j) meaning volume_i >= volume_j must hold,
+    cached per tuple of functions as tilde_order is per pair."""
     pairs = []
     for i in range(len(functions)):
         for j in range(i + 1, len(functions)):
@@ -325,8 +323,10 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
     if pairs and not out.rank_deficient:
         mono = bool(out.violations(pairs)[0] == 0)
     main = bool(out.main_holds[0, 0])
+    rob = None if out.robertson_det is None else float(out.robertson_det[0])
+    dets = (float(out.cov_det[0]), float(out.qfi_det[0, 0]), float(out.gap[0, 0]))
     return InequalityVerdict(
-        report=_volume_report(out),
+        report=VolumeReport(out.cov_gram[0], out.qfi_gram[0, 0], *dets, rob),
         scale=float(out.scale[0]),
         main_holds=main,
         dependent=bool(out.dependent[0]),

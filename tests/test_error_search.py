@@ -4,14 +4,16 @@ against an mpmath reference, a certificate's edge) and the test bounds the
 worst one it finds.  Examples are derandomized, so the search and its verdict
 are the same on every run."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, target
 from hypothesis import strategies as st
 
-from qfivol import DensityMatrix, GramSpec, builtin, record_v3, volume_gap
-from qfivol.matrices import pair_indices, real_coordinates, to_eigenframe
+from qfivol import DensityMatrix, GramSpec, builtin, record_v3, volume_gap, volumes
+from qfivol.matrices import det_small, pair_indices, real_coordinates, to_eigenframe
 from qfivol.oracles import gap_from_decomposition
 
 FUNCTIONS = ("sld", "wy", "wyd:0.25")
@@ -173,19 +175,46 @@ def coordinate_stacks(draw):
     return ((u * sigma) @ vt)[None]
 
 
-@settings(SEARCH, max_examples=400)
-@given(coordinate_stacks())
-def test_the_dependence_screen_clears_only_what_the_svd_calls_independent(x):
-    """A sample the Gram screen clears, sending it to no SVD, has an SVD
-    sigma_min of at least DEPENDENCE_SV_TOL; the search steers toward the
-    smallest sigma_min cleared and toward large sigma_max."""
+def _search_the_screen(dependent, x):
+    """Run ``dependent()`` with np.linalg.svd counted, check its flag against
+    a direct SVD of its coordinates ``x`` and steer the search; a sample
+    sent to no SVD must have sigma_min >= DEPENDENCE_SV_TOL."""
     svd, calls = np.linalg.svd, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a) or svd(a, *args, **kw))
-        flag = record_v3._dependent(x, x.shape[-1])[0]
+        flag = dependent()[0]
     sv = svd(x, compute_uv=False)[0]
     assert flag == (sv[-1] < record_v3.DEPENDENCE_SV_TOL)
     target(float(np.log10(sv[0])), label="log10 sigma_max")
     if not calls:
         target(-float(np.log10(sv[-1] / record_v3.DEPENDENCE_SV_TOL)), label="log10 TOL / cleared sigma_min")
         assert sv[-1] >= record_v3.DEPENDENCE_SV_TOL
+
+
+@settings(SEARCH, max_examples=400)
+@given(coordinate_stacks())
+def test_the_dependence_screen_clears_only_what_the_svd_calls_independent(x):
+    """A sample the Gram screen clears, sending it to no SVD, has an SVD
+    sigma_min of at least DEPENDENCE_SV_TOL; the search steers toward the
+    smallest sigma_min cleared and toward large sigma_max."""
+    _search_the_screen(lambda: record_v3._dependent(x, x.shape[-1]), x)
+
+
+@settings(SEARCH, max_examples=400)
+@given(coordinate_stacks())
+def test_the_live_kernels_screen_clears_only_what_the_svd_calls_independent(y):
+    """The same search through the live kernel's screen: the drawn stack is
+    its unscaled coordinates Y, the screen reads the determinant and trace
+    of G = Y diag(w) Y^T formed with the kernel's own screen weights, and
+    only the samples it leaves reach the SVD.  G is X X^T to rounding and
+    the flag is the SVD's on X, record_v3's coordinates: Y with each pair
+    coordinate times sqrt(2), built here apart from the kernel's layout."""
+    dim = math.isqrt(y.shape[-1])
+    x = y.copy()
+    x[..., dim:] *= math.sqrt(2.0)
+    weights = volumes._weights(np.full((1, dim), 1.0 / dim), (), screen=True)[-1]
+    g, gram = (y * weights) @ y.swapaxes(-1, -2), x @ x.swapaxes(-1, -2)
+    trace = g.diagonal(0, -2, -1).sum(-1)
+    assert np.abs(g - gram).max() <= 1e-13 * trace.max()
+    screen = det_small(g), trace
+    _search_the_screen(lambda: record_v3._dependent(y, y.shape[-1], screen, volumes._layout(dim)[2]), x)

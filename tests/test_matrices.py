@@ -9,7 +9,7 @@ from qfivol import (
     icommutator,
     to_eigenframe,
 )
-from qfivol.matrices import as_hermitian, det_small, spectral_decompose
+from qfivol.matrices import as_hermitian, density_stack, det_small, spectral_decompose
 from qfivol.matrices import expectation_stack, frame_stack, real_coordinates, trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -99,6 +99,25 @@ def test_density_matrix_basic_properties():
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.diag([0.6, 0.6]))
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [(np.diag([0.75, 0.75]), "(1.5+0j)"), (np.diag([0.25 + 0j, 0.25 + 0j]), "(0.5+0j)")],
+    ids=["real", "complex"],
+)
+def test_a_trace_off_one_is_named_as_a_complex_number(state, message):
+    """The trace check's message prints the trace as a complex number for
+    real and complex states alike, and names the failing position of a stack."""
+    with pytest.raises(ValueError) as info:
+        DensityMatrix(state)
+    assert str(info.value) == f"trace must be 1 within 1.0e-12, got {message}"
+    stack = np.array([np.eye(2) / 2] * 3, dtype=state.dtype)
+    stack[1] = state
+    with pytest.raises(ValueError) as info:
+        density_stack(stack)
+    assert str(info.value) == f"trace must be 1 within 1.0e-12, got {message}"
+    assert info.value.position == 1
 
 
 def test_density_matrix_rejects_negative_eigenvalue():

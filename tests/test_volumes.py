@@ -653,6 +653,62 @@ def test_observables_dependent_builds_no_gram_and_no_svd_where_the_screen_clears
         assert not observables_dependent(state, obs)
 
 
+def test_volume_gap_runs_no_dependence_test(monkeypatch):
+    """volume_gap's report carries no dependence flag, so its one product
+    asks for no screen row and it runs neither the screen nor an SVD."""
+    specs = [GramSpec(state, obs, WY) for state, obs in _seed_7_complex_d4_n2()]
+    expected = [volume_gap(spec) for spec in specs]
+    rows, weights = [], volumes._weights
+
+    def spy(*args, **kwargs):
+        out = weights(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(volumes, "_weights", spy)
+    _forbid(monkeypatch, volumes, "_dependent")
+    _forbid(monkeypatch, record_v3, "_dependent")
+    _forbid(monkeypatch, np.linalg, "svd")
+    for spec, before in zip(specs, expected):
+        report = volume_gap(spec)
+        assert (report.cov_det, report.qfi_det, report.gap, report.robertson_det) == (
+            before.cov_det, before.qfi_det, before.gap, before.robertson_det)
+    assert rows == [2] * len(specs)
+
+
+def _counting(monkeypatch, module, name, calls):
+    function = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize(
+    "ensemble, dim, n",
+    [("complex", 4, 2), ("complex", 3, 3), ("real", 8, 2), ("complex", 3, 4), ("complex", 2, 5)],
+)
+def test_one_live_kernel_call_makes_one_product_and_one_determinant_call(monkeypatch, ensemble, dim, n):
+    """The covariance, metric and screen Grams come from one stacked weighted
+    product, and one det_small call covers them and, for even n alone, the
+    Robertson matrix; the screen forms no Gram of its own (complex d2 n5
+    reaches the span, so there the screen row goes unread)."""
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, ensemble), range(16), n)
+    functions = (WY, SLD)
+    expected = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
+    calls = []
+    for module, name in [(volumes, "coordinate_grams"), (volumes, "_weights"), (volumes, "_commutator_gram"),
+                         (volumes, "det_small"), (record_v3, "det_small")]:
+        _counting(monkeypatch, module, name, calls)
+    out = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
+    robertson = ["_commutator_gram"] if n % 2 == 0 else []
+    assert calls == ["coordinate_grams", "_weights", *robertson, "det_small"]
+    for name in ("cov_gram", "qfi_gram", "cov_det", "qfi_det", "robertson_det", "dependent", "main_holds"):
+        assert np.array_equal(getattr(out, name), getattr(expected, name)), name
+
+
 def _dyadic_spec_pairs():
     """(low-precision spec, the same values as a float64 spec) pairs on the
     diagonal state (1/2, 1/4, 1/8, 1/8), whose float32 trace is exactly 1: a
