@@ -147,11 +147,10 @@ def cmd_replay(args) -> int:
     if ":" not in target:
         raise ValueError("--record expects FILE:LINE")
     path, _, line_text = target.rpartition(":")
-    try:
-        line_number = int(line_text)
-    except ValueError:
+    # ASCII digits alone: int() would also take "1_0", " 7", "+7" and other scripts' digits
+    if not (line_text.isascii() and line_text.isdigit()):
         raise ValueError(f"invalid line number {line_text!r}")
-    result = replay_record(path, line_number)
+    result = replay_record(path, int(line_text))
     stored = result["stored"]
     print(f"replaying index {stored['index']} function {stored['function']} "
           f"({stored['ensemble']}, dim {stored['dim']}, n {stored['n']})")

@@ -31,6 +31,8 @@ _identity = lru_cache(maxsize=None)(np.eye)
 
 _SELF_ADJOINT_MESSAGE = "matrix is not self-adjoint: max deviation {:.3e} > " + f"{HERMITIAN_ATOL:.1e}"
 _TRACE_MESSAGE = f"trace must be 1 within {TRACE_ATOL:.1e}, got " + "{}"
+_DECOMPOSITION_MESSAGE = "decomposition checks failed: unitarity {:.3e}, reconstruction {:.3e}"
+_NEGATIVE_MESSAGE = "negative eigenvalue {:.3e} beyond tolerance"
 
 
 class DecompositionError(RuntimeError):
@@ -56,12 +58,18 @@ def as_integer(name: str, value, low=None, high=None) -> int:
     return number
 
 
-def _require(ok, error, message, *values):
+def _require(ok, error, message, *values, entrywise=False):
     """Raise ``error`` for the first matrix k of a stack whose check in ``ok``
     is not True (NaN fails), with ``message`` formatted from the k-th entries
     of ``values``, arrays or callables that build them only on failure; the
-    exception's ``position`` attribute records k."""
+    exception's ``position`` attribute records k.  ``ok`` holds one check per
+    matrix, or with ``entrywise`` one per entry, the matrices' (d, d) axes
+    last, and a matrix fails where any of its entries does.  A check that
+    passes costs one ``ok.all()``: the per-matrix checks, the position and
+    the message are built only on failure."""
     if not ok.all():
+        if entrywise:
+            ok = ok.all(axis=(-2, -1))
         k = int(np.flatnonzero(~ok)[0])
         arrays = (value() if callable(value) else value for value in values)
         exc = error(message.format(*(array.flat[k] for array in arrays)))
@@ -81,9 +89,9 @@ def as_hermitian(matrix) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     adj = m.conj().swapaxes(-1, -2)
-    if m.size:
-        deviation = np.abs(m - adj).max(axis=(-2, -1))
-        _require(deviation <= HERMITIAN_ATOL, ValueError, _SELF_ADJOINT_MESSAGE, deviation)
+    deviation = np.abs(m - adj)
+    _require(deviation <= HERMITIAN_ATOL, ValueError, _SELF_ADJOINT_MESSAGE,
+             lambda: deviation.max(axis=(-2, -1)), entrywise=True)
     return (m + adj) / 2
 
 
@@ -108,14 +116,14 @@ def _checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
     w = np.ascontiguousarray(w[..., ::-1])
     v = np.ascontiguousarray(v[..., ::-1])
-    if m.shape[-1]:
-        vh = v.conj().swapaxes(-1, -2)
-        unit_err = np.abs(vh @ v - _identity(m.shape[-1])).max(axis=(-2, -1))
-        scale = np.maximum(1.0, np.abs(w).max(axis=-1))
-        recon_err = np.abs((v * w[..., None, :]) @ vh - m).max(axis=(-2, -1))
-        ok = (unit_err <= UNITARITY_ATOL) & (recon_err <= RECONSTRUCTION_ATOL * scale)
-        message = "decomposition checks failed: unitarity {:.3e}, reconstruction {:.3e}"
-        _require(ok, DecompositionError, message, unit_err, recon_err)
+    vh = v.conj().swapaxes(-1, -2)
+    unit_err = np.abs(vh @ v - _identity(m.shape[-1]))
+    # each matrix's own tolerance, RECONSTRUCTION_ATOL max(1, max|w|)
+    tolerance = RECONSTRUCTION_ATOL * np.abs(w).max(axis=-1, initial=1.0)
+    recon_err = np.abs((v * w[..., None, :]) @ vh - m)
+    ok = (unit_err <= UNITARITY_ATOL) & (recon_err <= tolerance[..., None, None])
+    _require(ok, DecompositionError, _DECOMPOSITION_MESSAGE, lambda: unit_err.max(axis=(-2, -1)),
+             lambda: recon_err.max(axis=(-2, -1)), entrywise=True)
     return w, v
 
 
@@ -124,12 +132,11 @@ def density_stack(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the symmetrized matrices, descending eigenvalues (those below
     ``EIGENVALUE_FLOOR`` clamped to exact zeros) and eigenvectors."""
     m = as_hermitian(matrices)
-    trace = np.trace(m, axis1=-2, axis2=-1)
+    trace = m.trace(axis1=-2, axis2=-1)
     _require(np.abs(trace - 1.0) <= TRACE_ATOL, ValueError, _TRACE_MESSAGE, lambda: trace.astype(complex))
     w, v = _checked_eigh(m)
     lowest = w[..., -1]
-    message = "negative eigenvalue {:.3e} beyond tolerance"
-    _require(lowest >= -EIGENVALUE_FLOOR, ValueError, message, lowest)
+    _require(lowest >= -EIGENVALUE_FLOOR, ValueError, _NEGATIVE_MESSAGE, lowest)
     w[w < EIGENVALUE_FLOOR] = 0.0
     return m, w, v
 
@@ -244,16 +251,24 @@ def pair_slots(n: int) -> np.ndarray:
     return slots.reshape(-1)
 
 
+@lru_cache(maxsize=None)
+def _coordinate_index(dim: int) -> tuple:
+    """Where a (d, d) matrix read as d^2 entries holds its diagonal, and
+    its entries above the diagonal in pair_indices order."""
+    rows, cols = pair_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), rows * dim + cols
+
+
 def real_coordinates(frames) -> np.ndarray:
     """Real coordinates of a ``(..., n, d, d)`` stack of self-adjoint matrices,
     shaped ``(..., n, d^2)``: the d diagonal entries, then sqrt(2) Re and
     sqrt(2) Im of the upper ones.  The map is a Frobenius isometry, so
     X X^T = Re Tr(a_h a_j) for each stacked n-tuple of matrices a."""
     dim = frames.shape[-1]
-    diag = np.arange(dim)
-    rows, cols = pair_indices(dim, 1)
-    upper = math.sqrt(2.0) * frames[..., rows, cols]
-    return np.concatenate([frames[..., diag, diag].real, upper.real, upper.imag], axis=-1)
+    diag, upper = _coordinate_index(dim)
+    entries = frames.reshape(*frames.shape[:-2], dim * dim)
+    upper = math.sqrt(2.0) * entries.take(upper, axis=-1)
+    return np.concatenate([entries.take(diag, axis=-1).real, upper.real, upper.imag], axis=-1)
 
 
 def det_small(matrix):

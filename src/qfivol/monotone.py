@@ -291,7 +291,7 @@ def mean_table(functions, eigenvalues) -> np.ndarray:
     rows, cols = pair_indices(dim)
     x, y = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
     hi, lo = np.maximum(x, y), np.minimum(x, y)
-    ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    ratio = np.divide(lo, hi, out=np.zeros(hi.shape), where=hi > 0.0)
     slots = pair_slots(dim)
     tables = np.empty((len(functions), *lam.shape[:-1], dim * dim))
     for k, f in enumerate(functions):

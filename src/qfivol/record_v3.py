@@ -11,8 +11,9 @@ gap is nonnegative for every N).
 
 Its function-dependent work is one pass: one mean_table call for the tilde
 tables of all functions, read from monotone.tilde's generic formula (none
-without functions), and one (1 + F, B, n, n) Gram array that det_small reads
-as it is.  Its dependence flag thresholds the smallest singular value of the
+without functions), and one (1 + F, B, n, n) Gram array, whose determinants
+come from one det_small call beside those of the dependence screen's Gram
+and, for even n, Robertson's matrices.  Its dependence flag thresholds the smallest singular value of the
 observables' real coordinates: a Gram-determinant screen decides most
 samples and a stacked SVD the rest, with the flags the SVD alone would give
 (see _dependent).  Its verdicts use absolute thresholds.
@@ -49,6 +50,7 @@ DEPENDENCE_SV_TOL = 1e-8
 # safety factor on DEPENDENCE_SV_TOL before the Gram screen clears a sample
 _SCREEN_MARGIN = 1e3
 MONOTONICITY_SLACK = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 # the format of the records a sweep writes, the "version" each starts with,
 # and the only one replay reads
@@ -72,7 +74,7 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchReport:
     """Kernel output for B samples and F functions.
 
@@ -125,14 +127,19 @@ def evaluate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> Ba
     bit-identical whatever the batch it came in.
     """
     n, dim = observables.shape[1], eigenvalues.shape[-1]
-    real = not (np.iscomplexobj(rho) or np.iscomplexobj(observables))
+    rank = commutator_rank(dim, not (np.iscomplexobj(rho) or np.iscomplexobj(observables)))
     means = expectation_stack(rho, observables)
     frames = frame_stack(eigenvectors, observables, means)
-    dependent = _dependent(real_coordinates(frames), commutator_rank(dim, real) + dim)
+    x = real_coordinates(frames)
+    screen = x @ x.swapaxes(-1, -2)
     tildes = tuple(tilde(f) for f in functions)
     grams = batched_grams(eigenvalues, frames, mean_table(tildes, eigenvalues) if tildes else ())
-    robertson = _robertson(rho, observables) if n % 2 == 0 else None
-    return _batch_report(grams, det_small(grams), robertson, dependent, n > commutator_rank(dim, real))
+    # one det_small call: the Grams, the screen's G and, for even n, Robertson's matrices
+    stack = (grams, screen[None]) if n % 2 else (grams, screen[None], _robertson(rho, observables)[None])
+    dets = det_small(np.concatenate(stack))
+    dependent = _dependent(x, rank + dim, (dets[len(grams)], screen.diagonal(0, -2, -1).sum(-1)))
+    robertson = None if n % 2 else dets[-1]
+    return _batch_report(grams, dets[:len(grams)], robertson, dependent, n > rank)
 
 
 def _batch_report(grams, dets, robertson_det, dependent, rank_deficient) -> BatchReport:
@@ -143,7 +150,8 @@ def _batch_report(grams, dets, robertson_det, dependent, rank_deficient) -> Batc
     and the dependence flags the kernel computed."""
     cov_det, qfi_det = dets[0], dets[1:]
     gap = cov_det - qfi_det
-    scale = np.where(np.abs(cov_det) > 1.0, np.abs(cov_det), 1.0)
+    # fmax skips NaN: a NaN cov_det is scaled by 1
+    scale = np.fmax(np.abs(cov_det), 1.0)
     return BatchReport(
         cov_gram=grams[0],
         qfi_gram=grams[1:],
@@ -212,7 +220,7 @@ def _dependent(x, span: int, screen=None, scale=None) -> np.ndarray:
     # 2 c^2 eps^2 T many times over.  The margin of 1e3 on TOL leaves room for
     # a p far above c wherever 2 (margin TOL)^2 dominates the edge.  An
     # overflowed determinant clears nothing, nor does a zero trace (0 > 0).
-    edge = 2 * (_SCREEN_MARGIN * DEPENDENCE_SV_TOL) ** 2 + 2**19 * np.finfo(np.float64).eps * trace
+    edge = 2 * (_SCREEN_MARGIN * DEPENDENCE_SV_TOL) ** 2 + 2**19 * _EPS * trace
     rest = ~((det > edge * trace ** (n - 1)) & np.isfinite(det))
     if rest.any():
         rows = x[rest] if scale is None else x[rest] * scale
@@ -240,7 +248,7 @@ def batched_grams(eigenvalues, frames, tables):
     # offsets the (F, B, d, d) tables held meanwhile in the kernel's peak memory
     overlap = frames.take(rows, axis=1)
     overlap *= frames.take(cols, axis=1).swapaxes(-1, -2)
-    overlap = np.real(overlap)
+    overlap = overlap.real
     sums = np.empty((1 + len(tables), batch, len(rows)))
     sums[0] = c = _entry_sums(weights[:, None] * overlap)
     for k, table in enumerate(tables, 1):
@@ -253,7 +261,7 @@ def _entry_sums(x):
 
 
 def _robertson(rho, observables) -> np.ndarray:
-    """Robertson determinants of a (B, d, d) state stack and a (B, n, d, d)
+    """Robertson matrices of a (B, d, d) state stack and a (B, n, d, d)
     observable stack: entries -(i/2) Tr(rho [A_h, A_j]) = Im Tr(rho [A_h, A_j]) / 2,
     one stacked trace_product over the commutators of all pairs h < j."""
     n = observables.shape[1]
@@ -262,10 +270,11 @@ def _robertson(rho, observables) -> np.ndarray:
     a, b = observables.take(rows, axis=1), observables.take(cols, axis=1)
     commutators = a @ b - b @ a
     states = np.repeat(rho[:, None], len(rows), axis=1)
+    half = 0.5 * trace_product(states, commutators).imag
     r = np.zeros((len(rho), n, n))
-    r[:, rows, cols] = 0.5 * trace_product(states, commutators).imag
-    r[:, cols, rows] = -r[:, rows, cols]
-    return det_small(r)
+    r[:, rows, cols] = half
+    r[:, cols, rows] = -half
+    return r
 
 
 @functools.lru_cache

@@ -85,12 +85,16 @@ def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
     holds the normals of sample indices[b] on that channel, from the spec's
     seed (see the module docstring).  The one check of a sample index: every
     index of every draw passes as_integer as ``index``, in 0..2**64 - 1,
-    before any normal is drawn."""
+    before any normal is drawn.  A block's call fills its rows in order, so
+    each block is drawn only up to the last row the indices ask of it: a
+    replay of one record draws its own row and those before it, and the
+    rows drawn have the bits of the whole block's call."""
     for index in indices:
         as_integer("index", index, 0, 2**64 - 1)
     seed = spec.seed
-    blocks = sorted({index // BLOCK for index in indices})
-    first_row = {block: k * BLOCK for k, block in enumerate(blocks)}
+    # per block, ascending, how many of its rows to draw: up to the last asked for
+    depths = {index // BLOCK: index % BLOCK + 1 for index in sorted(indices)}
+    first_row = {block: k * BLOCK for k, block in enumerate(depths)}
     rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]
     if not hasattr(_thread, "generator"):
         # one per thread, whose state each block sets: building a Philox
@@ -99,16 +103,16 @@ def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
     gen = _thread.generator
     stacks = []
     for channel, shape in draws:
-        drawn = np.empty((len(blocks), BLOCK, *shape))
-        for block, out in zip(blocks, drawn):
+        drawn = np.empty((len(depths), BLOCK, *shape))
+        for (block, depth), out in zip(depths.items(), drawn):
             # the state of a fresh Philox(key=seed, counter=[0, 0, block, channel])
             gen.bit_generator.state = {
                 "bit_generator": "Philox",
                 "state": {"counter": [0, 0, block, channel], "key": [seed, 0]},
                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
-            gen.standard_normal(out=out)
-        stacks.append(drawn.reshape(-1, *shape)[rows])
+            gen.standard_normal(out=out[:depth])
+        stacks.append(drawn.reshape(-1, *shape).take(rows, axis=0))
     return stacks
 
 
@@ -146,7 +150,7 @@ def _state_matrices(spec: RandomSpec, z) -> np.ndarray:
         return m
     g = z[:, 0] if z.shape[1] == 1 else z[:, 0] + 1j * z[:, 1]
     m = g @ g.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def observable_draw(spec: RandomSpec, count) -> tuple:

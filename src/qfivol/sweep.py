@@ -431,7 +431,11 @@ def replay_record(path, line_number: int) -> dict:
     ``"version": 3``; older records are retired.  The record is recomputed
     as the line format_record prints for it, whose checks make a bad field
     fail as ``line N: <field> must be ...`` before any normal is drawn.
-    Fields are compared as stored, so a tag that the RandomSpec
+    The stored line's bytes are compared with the printed line's first:
+    equal bytes are a bit-for-bit replay, and only lines that differ, such
+    as one written with other spacing, key order or line ending, are
+    parsed again and compared field by field, which names every field that
+    differs.  Fields are compared as stored, so a tag that the RandomSpec
     resolves to another base tag is an ``ensemble`` mismatch.
 
     The first call on a file reads it once to index its line starts; later
@@ -462,9 +466,13 @@ def replay_record(path, line_number: int) -> dict:
     try:
         # each check refuses JSON's true, false and 3.0 as integers, before
         # any normal is drawn
-        fresh = json.loads(format_record(stored))
+        printed = format_record(stored)
     except ValueError as exc:
         raise ValueError(f"line {line_number}: {exc}") from exc
+    if line == f"{printed}\n".encode():
+        # the same bytes parse to the same values: nothing to compare
+        return {"stored": stored, "recomputed": dict(stored), "mismatches": {}}
     # JSON gives back exactly the printed floats, ints for integral ones
+    fresh = json.loads(printed)
     mismatches = {k: (stored[k], fresh[k]) for k in RECORD_FIELDS if stored[k] != fresh[k]}
     return {"stored": stored, "recomputed": fresh, "mismatches": mismatches}

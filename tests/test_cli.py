@@ -188,6 +188,10 @@ def test_replay_malformed_target_exits_two(capsys):
     assert "FILE:LINE" in capsys.readouterr().err
     assert main(["replay", "--record", "file:abc"]) == 2
     assert "invalid line number" in capsys.readouterr().err
+    # int() would read these as lines 10, 7, 7, 3 and -1; only ASCII digits are a line number
+    for text in ("1_0", " 7", "+7", "\u0663", "-1", ""):
+        assert main(["replay", "--record", f"file:{text}"]) == 2
+        assert f"invalid line number {text!r}" in capsys.readouterr().err
 
 
 def test_replay_detects_tampered_record(tmp_path, capsys):

@@ -9,7 +9,7 @@ from qfivol import (
     icommutator,
     to_eigenframe,
 )
-from qfivol.matrices import as_hermitian, density_stack, det_small, spectral_decompose
+from qfivol.matrices import DecompositionError, as_hermitian, density_stack, det_small, spectral_decompose
 from qfivol.matrices import expectation_stack, frame_stack, real_coordinates, trace_product
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -307,6 +307,38 @@ def test_stack_check_names_the_failing_position():
     with pytest.raises(ValueError, match="not self-adjoint") as info:
         as_hermitian(stack)
     assert info.value.position == 2
+
+
+def test_a_nan_in_one_matrix_fails_that_matrix_alone():
+    """The whole-stack check fails on NaN, and the failure names the
+    matrix that holds it, for the symmetrizer and the density checks."""
+    stack = np.array([np.eye(3) / 3] * 4)
+    stack[2, 1, 1] = np.nan
+    for check in (as_hermitian, density_stack):
+        with pytest.raises(ValueError, match="not self-adjoint") as info:
+            check(stack)
+        assert info.value.position == 2
+        assert "max deviation nan" in str(info.value)
+
+
+def test_the_reconstruction_tolerance_is_each_matrixs_own(monkeypatch):
+    """Matrix 1 comes back from eigh 1e-9 off its reconstruction, beyond its
+    own 1e-10 * max(1, max|w|); matrix 0's eigenvalues of ~1e6 would scale a
+    batch-wide tolerance to 1e-4 and let it pass."""
+    stack = np.array([np.diag([1e6, 2.0, 1.0]), np.diag([0.5, 0.3, 0.2])])
+    eigh = np.linalg.eigh
+    assert spectral_decompose(stack)[0][1].tolist() == [0.5, 0.3, 0.2]
+
+    def one_off(m):
+        w, v = eigh(m)
+        w[1:, 0] += 1e-9  # matrix 1's smallest eigenvalue, where the stack has one
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", one_off)
+    with pytest.raises(DecompositionError, match="reconstruction 1.000e-09") as info:
+        spectral_decompose(stack)
+    assert info.value.position == 1
+    spectral_decompose(stack[:1])
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

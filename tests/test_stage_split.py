@@ -34,6 +34,16 @@ def test_every_stage_of_a_tiny_call_is_timed_and_restored():
     assert all(us >= 0.0 for us, _ in split.values())
 
 
+def test_a_replay_sized_call_times_the_density_checks_apart():
+    """A batch of one, the call a replay makes, runs every stage too, and
+    density_stack's symmetrizer and checked eigh are stages of their own."""
+    split = stage_split.stage_split("complex", 4, 2, ["wy"], batch=1)
+    assert {"density_stack", "as_hermitian", "_checked_eigh"} <= set(split)
+    assert all(split[stage][1] == 1 for stage in ("density_stack", "as_hermitian", "_checked_eigh"))
+    assert all(calls is None or calls >= 1 for _, calls in split.values())
+    assert all(us >= 0.0 for us, _ in split.values())
+
+
 def test_a_renamed_stage_fails_and_leaves_nothing_wrapped(monkeypatch):
     before = _bindings()
     stages = (*stage_split.STAGES[:2], ("frames", "record_v3", ("frame_stack", "no_such_stage")))

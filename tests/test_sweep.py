@@ -838,6 +838,53 @@ def test_replay_detects_tampering(tmp_path):
     assert "gap" in result["mismatches"]
 
 
+def _rewritten(line: bytes, how: str) -> bytes:
+    """The record line written another way with the same values."""
+    if how == "reordered":
+        return json.dumps(dict(reversed(json.loads(line).items()))).encode() + b"\n"
+    if how == "spaced":
+        return line.replace(b", ", b" ,   ").replace(b": ", b"  :  ")
+    if how == "crlf":
+        return line[:-1] + b"\r\n"
+    return line[:-1]  # "no newline": the file's last line
+
+
+@pytest.mark.parametrize("how", ["reordered", "spaced", "crlf", "no newline"])
+def test_replay_parses_a_line_whose_bytes_differ_but_whose_values_are_equal(tmp_path, how):
+    """Replay compares the stored line's bytes with the printed line first;
+    a line written another way falls back to the field-by-field compare,
+    and equal values still reproduce."""
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5), out)
+    # the first three records, the third written another way and ending the file
+    lines = out.read_bytes().splitlines(keepends=True)[:3]
+    printed = lines[2]
+    lines[2] = _rewritten(printed, how)
+    assert lines[2] != printed
+    out.write_bytes(b"".join(lines))
+    for line_number in (1, 3):
+        result = replay_record(str(out), line_number)
+        assert result["mismatches"] == {}
+        assert result["recomputed"] == result["stored"]
+
+
+def test_replay_names_the_field_of_one_changed_digit(tmp_path):
+    """A stored line one digit off the printed one, its cov_det's leading
+    digit, fails the byte compare and names that field alone."""
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(_config(samples=5), out)
+    lines = out.read_bytes().splitlines(keepends=True)
+    start = lines[1].index(b'"cov_det": ') + len(b'"cov_det": ')
+    start += lines[1][start:start + 1] == b"-"
+    digit = b"1" if lines[1][start:start + 1] != b"1" else b"2"
+    lines[1] = lines[1][:start] + digit + lines[1][start + 1:]
+    out.write_bytes(b"".join(lines))
+    result = replay_record(str(out), 2)
+    assert set(result["mismatches"]) == {"cov_det"}
+    stored, recomputed = result["mismatches"]["cov_det"]
+    assert stored != recomputed and recomputed == result["recomputed"]["cov_det"]
+
+
 def test_replay_rejects_summary_line(tmp_path):
     config = _config(samples=5)
     out = tmp_path / "sweep.jsonl"

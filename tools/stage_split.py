@@ -3,14 +3,20 @@
 Usage: PYTHONPATH=src python tools/stage_split.py [--ensemble complex]
        [--dim 3] [--n 3] [--functions sld,wy,wyd:0.25] [--batch 256]
 
+``--batch 1`` splits the call a replay makes (``format_record`` runs
+``sweep._lines`` on one sample); the default is a sweep's call.
+
 Runs what a sweep chunk runs for one kernel call of ``--batch`` samples,
 one ``sweep._lines`` call (the draw, the kernel and the line format),
 ``REPEATS`` times in this process with seed ``SEED``, and prints for each
 stage its best-of-N exclusive time: the time spent inside the stage's
 functions minus the time of the timed stages they call (so ``det_small``
 holds every determinant, the dependence screen's and Robertson's included,
-and ``_dependent`` only the rest of the screen and its SVD).  The stages are functions of ``sampling`` and ``record_v3``
-(``STAGES``); each repeat runs under the bench's ``Tracer``
+``_dependent`` only the rest of the screen and its SVD, and
+``density_stack`` only what its ``as_hermitian`` and ``_checked_eigh``
+stages leave: the trace and eigenvalue checks and the clamp).  The stages
+are functions of ``sampling``, ``matrices`` and ``record_v3`` (``STAGES``);
+each repeat runs under the bench's ``Tracer``
 (``bench/tracing.py``), which wraps every binding of them in the package
 and puts the originals back, and ``tracing.self_times`` gives each call its
 exclusive time.  Nothing of the kernel is
@@ -51,11 +57,14 @@ SEED = 7
 REPEATS = 30  # runs to take the best of
 
 # (stage, module, functions): each function is looked up where the draw
-# (sampling) or the version-3 kernel and line format (record_v3) calls it;
-# the tracer wraps it there and wherever else the package binds it
+# (sampling, and matrices for density_stack's own calls) or the version-3
+# kernel and line format (record_v3) calls it; the tracer wraps it there and
+# wherever else the package binds it
 STAGES = (
     ("_normals", "sampling", ("_normals",)),
     ("density_stack", "sampling", ("density_stack",)),
+    ("as_hermitian", "matrices", ("as_hermitian",)),
+    ("_checked_eigh", "matrices", ("_checked_eigh",)),
     ("frames", "record_v3", ("expectation_stack", "frame_stack", "real_coordinates")),
     ("_dependent", "record_v3", ("_dependent",)),
     ("mean_table", "record_v3", ("mean_table",)),
