@@ -31,14 +31,24 @@ EXIT_RUNTIME_ERROR = 4
 CATALOG_IDS = ("sld", "wy", "rld", "wyd:0.25", "wyd:0.1")
 
 
+def _integer(text: str) -> int:
+    """An optional "-" then ASCII digits, as an int: the one parser of every
+    integer the command line reads.  int() alone would also take "1_0",
+    " 7", "+7" and other scripts' digits; range checks are the callee's."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name, "").strip()
     if not raw:
         return fallback
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
+        return _integer(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"environment variable {name}: {exc}") from None
 
 
 def _resolve_seed(value) -> int:
@@ -147,10 +157,7 @@ def cmd_replay(args) -> int:
     if ":" not in target:
         raise ValueError("--record expects FILE:LINE")
     path, _, line_text = target.rpartition(":")
-    # ASCII digits alone: int() would also take "1_0", " 7", "+7" and other scripts' digits
-    if not (line_text.isascii() and line_text.isdigit()):
-        raise ValueError(f"invalid line number {line_text!r}")
-    result = replay_record(path, int(line_text))
+    result = replay_record(path, _integer(line_text))
     stored = result["stored"]
     print(f"replaying index {stored['index']} function {stored['function']} "
           f"({stored['ensemble']}, dim {stored['dim']}, n {stored['n']})")
@@ -183,25 +190,25 @@ def build_parser() -> argparse.ArgumentParser:
     pure = repro_sub.add_parser(
         "pure-volume", help="pure states: covariance and metric volumes agree"
     )
-    pure.add_argument("--dim", type=int, default=3)
-    pure.add_argument("--n", type=int, default=2)
-    pure.add_argument("--seed", type=int, default=None,
+    pure.add_argument("--dim", type=_integer, default=3)
+    pure.add_argument("--n", type=_integer, default=2)
+    pure.add_argument("--seed", type=_integer, default=None,
                       help=f"default from ${ENV_SEED} or {DEFAULT_SEED}")
-    pure.add_argument("--draws", type=int, default=3)
+    pure.add_argument("--draws", type=_integer, default=3)
     pure.set_defaults(handler=cmd_repro_pure_volume)
 
     sweep_parser = sub.add_parser("sweep", help="random sweep writing replayable records")
-    sweep_parser.add_argument("--n", type=int, required=True, help="1..8 (3 for structured)")
-    sweep_parser.add_argument("--dim", type=int, required=True)
-    sweep_parser.add_argument("--samples", type=int, required=True)
+    sweep_parser.add_argument("--n", type=_integer, required=True, help="1..8 (3 for structured)")
+    sweep_parser.add_argument("--dim", type=_integer, required=True)
+    sweep_parser.add_argument("--samples", type=_integer, required=True)
     sweep_parser.add_argument("--functions", default="sld,wy,wyd:0.25",
                               help="comma-separated regular functions")
     sweep_parser.add_argument("--ensemble", default="complex",
                               help="complex | real | structured, or a base tag (density, "
                                    "real-density, pauli-like-structured)")
-    sweep_parser.add_argument("--seed", type=int, default=None,
+    sweep_parser.add_argument("--seed", type=_integer, default=None,
                               help=f"default from ${ENV_SEED} or {DEFAULT_SEED}")
-    sweep_parser.add_argument("--parallelism", type=int, default=None,
+    sweep_parser.add_argument("--parallelism", type=_integer, default=None,
                               help="processes that evaluate chunks, this one included; "
                                    f"default from ${ENV_PARALLELISM} or {DEFAULT_PARALLELISM}")
     sweep_parser.add_argument("--out", required=True, help="record file path")
@@ -223,7 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALUE_MISMATCH
     except DecompositionError as exc:

@@ -170,35 +170,11 @@ class DensityMatrix:
         )
 
 
-def trace_product(x, y):
-    """Tr(X Y) for two square matrices, or for each pair of two ``(..., d, d)``
-    stacks.
-
-    Each trace has the bits of ``np.einsum("ij,ji->", X, Y)`` on that pair
-    alone, whatever the stack size or dtype mix, if both are C-contiguous along
-    their stack axes (each matrix may be transposed); on numpy 2.4.6 a stride-0
-    broadcast or the permuted stack axes fancy indexing leaves change the bits.
-    """
-    return np.einsum("...ij,...ji->...", x, y)
-
-
-def expectation_stack(rho, observables) -> np.ndarray:
-    """Tr(rho A) for (B, d, d) states and (B, n, d, d) observables, shaped (B, n, 1, 1)."""
-    states = np.repeat(rho[:, None], observables.shape[1], axis=1)
-    return trace_product(states, observables).real[..., None, None]
-
-
 def eigenframes(eigenvectors, observables) -> np.ndarray:
     """U^dagger A U, uncentered, for (B, d, d) eigenvectors and (B, n, d, d) observables."""
     left = eigenvectors[:, None].conj().swapaxes(-1, -2) @ observables
     # one (n d, d) @ (d, d) product per sample has the bits of n (d, d) ones (numpy 2.4.6)
     return (left.reshape(len(left), -1, left.shape[-1]) @ eigenvectors).reshape(left.shape)
-
-
-def frame_stack(eigenvectors, observables, means) -> np.ndarray:
-    """U^dagger A U - Tr(rho A) I for (B, d, d) eigenvectors and (B, n, d, d) observables."""
-    frame = eigenframes(eigenvectors, observables)
-    return frame - means * _identity(frame.shape[-1])
 
 
 def observable_stack(state: DensityMatrix, observables) -> np.ndarray:
@@ -224,9 +200,10 @@ def to_eigenframe(state: DensityMatrix, observable) -> np.ndarray:
     The result is self-adjoint and satisfies the weighted centering identity
     sum_h eigenvalues[h] * a[h, h] = 0 (within roundoff).
     """
-    a = observable_stack(state, [observable])[None]
-    means = expectation_stack(state.matrix[None], a)
-    return frame_stack(state.eigenvectors[None], a, means)[0, 0]
+    a = observable_stack(state, [observable])[0]
+    u = state.eigenvectors
+    mean = np.einsum("ij,ji->", state.matrix, a).real
+    return (u.conj().T @ a) @ u - mean * _identity(state.dim)
 
 
 def icommutator(state: DensityMatrix, observable) -> np.ndarray:

@@ -9,7 +9,7 @@ observables in the eigenbasis) the three central quantities are
 
 and the two-route identity (f(0)/2) <i[rho,A], i[rho,B]>_f = Corr_f(A, B)
 connects them for regular f on faithful states.  The covariance and the
-correlation are single-pair reads of the live kernel's Grams
+correlation are single-pair reads of the evaluation kernel's Grams
 (qfivol.volumes.coordinate_grams, which forms the correlation with pair
 weights f(0)(lam_u - lam_v)^2 / (2 m_f(lam_u, lam_v)) and no subtraction);
 the inner product and the identity residual are test oracles and live in
@@ -46,7 +46,7 @@ def metric_context(state: DensityMatrix, function: MonotoneFunction) -> MetricCo
 
 
 def _pair_grams(state: DensityMatrix, a, b, functions):
-    """The (1 + F, 1, 2, 2) Grams of (a, b) on ``state``: the live kernel's
+    """The (1 + F, 1, 2, 2) Grams of (a, b) on ``state``: the kernel's
     weighted product alone, with no determinant, Robertson matrix or flag."""
     obs = observable_stack(state, (a, b))
     return coordinate_grams(state.eigenvalues[None], state.eigenvectors[None], obs[None], functions)[1]

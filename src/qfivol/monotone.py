@@ -67,8 +67,8 @@ class MonotoneFunction:
 
     ``tilde_closed_form``, where one is known, is the tilde transform in
     closed form, itself registered.  It does not cancel at small ratios as
-    ``tilde``'s generic formula does; the oracles read it, while the
-    version-3 kernel keeps reading ``tilde``.
+    ``tilde``'s generic formula does; the oracles read it, and the
+    evaluation kernel reads neither, only f.
     """
 
     fid: str

@@ -11,8 +11,9 @@ one generator per thread is set to each block's (key, counter) in turn and
 draws the whole block in one call.
 
 A ``RandomSpec`` is (seed, dim, ensemble), so no draw function takes a
-stream argument.  Replayable records (version 3, ``record_v3.RECORD_VERSION``)
-are drawn from this stream.
+stream argument.  Replayable records (version 4, ``sweep.RECORD_VERSION``)
+are drawn from this stream, as the retired version-3 records were: a
+version-4 sweep draws the samples a version-3 sweep of the same config drew.
 """
 
 from __future__ import annotations

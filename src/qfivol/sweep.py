@@ -21,14 +21,16 @@ the file.
 Worker processes are kept from one sweep to the next; ``run_sweep`` says
 when they are forked, reused and shut down.
 
-Every record starts with ``"version": 3`` (``record_v3.RECORD_VERSION``),
-its format, and qfivol.record_v3 owns all of it: the kernel that computes a
-record, its thresholds, and its line format.  Records are bytes from a table
-of whole-line templates, one per function and flag code, with the sweep's
-shared fields, the JSON words and the newline baked in
-(``record_v3._templates``); a kernel call joins the templates its flags pick
-and fills every line with one ``%``, formatting each sample's ``cov_det``
-and ``robertson_det`` once for all its functions.
+Every record starts with ``"version": 4`` (``RECORD_VERSION``), its format,
+whose fields, in ``RECORD_FIELDS`` order, this module prints from the report
+of ``volumes.coordinate_batch``, the one kernel, which also serves the
+single-spec API, so a record holds the bits ``check_inequalities`` gives
+for its draw.  Records are bytes from a table of whole-line templates, one per
+function and flag code, with the sweep's shared fields, the JSON words and
+the newline baked in (``_templates``); a kernel call joins the templates its
+flags pick and fills every line with one ``%`` (``_format_batch``),
+formatting each sample's ``cov_det`` and ``robertson_det`` once for all its
+functions.
 
 One function, ``_lines``, is the route from a draw to record bytes and the
 only caller of that table: it draws the samples at some indices, runs the
@@ -37,20 +39,21 @@ kernel call, ``evaluate_sample`` parses its lines, and ``format_record``
 prints the one line it gives for a record's index and function, which is
 how replay recomputes a record.
 
-Replay reads version 3 only: older records (version 2, and unversioned ones
-drawn from an earlier stream) are retired, and their lines exit with an
-error that names their version.  The first replay of a file reads it once
-to index where each line starts; later replays of the same unchanged file
-seek straight to their line.
+Replay reads version 4 only: older records (version 3, which an earlier
+kernel wrote, version 2, and unversioned ones drawn from an earlier stream)
+are retired, and their lines exit with an error that names their version.
+The first replay of a file reads it once to index where each line starts;
+later replays of the same unchanged file seek straight to their line.
 
 Ensemble tags are resolved by ``sampling.resolve_ensemble``; records carry
 the base tags, and replay compares a record's tag as it is, so a line whose
-tag is a CLI alias, which no version-3 sweep writes, reports an ``ensemble``
+tag is a CLI alias, which no sweep writes, reports an ``ensemble``
 mismatch, and one whose tag resolves to no base tag fails on it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing.connection
@@ -67,20 +70,41 @@ import numpy as np
 
 from .monotone import builtin, require_regular
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .record_v3 import RECORD_FIELDS, RECORD_VERSION, BatchReport, _format_batch, _templates, evaluate_batch
 from .sampling import RandomSpec, as_integer, draw_samples, observable_draw
-from .volumes import order_pairs
+from .volumes import BatchReport, coordinate_batch, order_pairs
+
+# the format of the records a sweep writes, the "version" each starts with,
+# and the only one replay reads
+RECORD_VERSION = 4
+
+RECORD_FIELDS = (
+    "index",
+    "seed",
+    "ensemble",
+    "dim",
+    "n",
+    "function",
+    "cov_det",
+    "qfi_det",
+    "gap",
+    "robertson_det",
+    "main_holds",
+    "dependent",
+    "equality_consistent",
+    "candidate",
+)
 
 # fixed regardless of parallelism so record and aggregation order are stable
 CHUNK_SIZE = 256
 # a chunk's kernel calls take up to KERNEL_BATCH samples each, more while the
-# kernel's largest temporary, the (B, n(n+1)/2, d, d) overlap stack of
-# record_v3.batched_grams, stays within KERNEL_FLOATS float64s (128 KiB) (see
+# kernel's largest temporary, the (F + 2, B, n, d^2) weighted coordinates of
+# volumes.coordinate_grams, stays within KERNEL_FLOATS float64s (512 KiB) (see
 # _call_bounds): each call pays the kernel's fixed numpy overhead, while one
-# 256-sample call at real dim 8 raised a P = 2 sweep's peak RSS by ~2 MB
-# (4.4 %); records depend on neither
+# 256-sample call at real d8 n2 with six functions would hold 2 MiB of them;
+# records depend on neither.  So a complex d3 n3 chunk with three functions is
+# one call, and a real d8 n2 chunk with six is four calls of 64
 KERNEL_BATCH = 64
-KERNEL_FLOATS = 2**14
+KERNEL_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -155,9 +179,49 @@ def _lines(rspec: RandomSpec, indices, n: int, functions) -> tuple[bytes, BatchR
     and it alone calls _templates and _format_batch.  The draw checks the
     indices and n before it draws anything."""
     (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
-    out = evaluate_batch(rho, lam, vectors, observables, functions)
+    out = coordinate_batch(rho, lam, vectors, observables, functions)
     templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, tuple(f.fid for f in functions))
     return _format_batch(templates, indices, out), out
+
+
+@functools.lru_cache
+def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> tuple:
+    """Per function, 8 bytes %-templates of a whole line, indexed by the flag
+    code 4 main_holds + 2 dependent + equality_consistent.  Each bakes in the
+    record version, the fields every line of a sweep shares, the four JSON
+    words (candidate is not main_holds), robertson_det's null for odd n and
+    the trailing newline.  It leaves index, cov_det, qfi_det, gap and, for
+    even n, robertson_det; cov_det and robertson_det are %s, formatted once
+    per sample.  Floats print with 17 significant digits so they round-trip."""
+    words, rob = ("false", "true"), "%s" if n % 2 == 0 else "null"
+    return tuple(
+        tuple(
+            f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+            f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
+            f'"gap": %.17g, "robertson_det": {rob}, "main_holds": {words[main]}, "dependent": '
+            f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
+            .encode()
+            for main, dependent, equal in itertools.product((False, True), repeat=3)
+        )
+        for fid in fids
+    )
+
+
+def _format_batch(templates, indices, out: BatchReport) -> bytes:
+    """The record lines of a kernel report as one bytes block, sample-major,
+    then function: the templates its flags pick, joined, then one % over
+    every line's values."""
+    cov = [b"%.17g" % x for x in out.cov_det.tolist()]
+    qfi, gap, functions = out.qfi_det.T.tolist(), out.gap.T.tolist(), range(len(templates))
+    flags = zip(out.main_holds.T.tolist(), out.dependent.tolist(), out.equality_consistent.T.tolist())
+    block = b"".join([templates[k][4 * m[k] + 2 * d + e[k]] for m, d, e in flags for k in functions])
+    if out.robertson_det is None:
+        rows = zip(indices, cov, qfi, gap)
+        values = [x for i, c, q, g in rows for k in functions for x in (i, c, q[k], g[k])]
+    else:
+        rows = zip(indices, cov, qfi, gap, [b"%.17g" % x for x in out.robertson_det.tolist()])
+        values = [x for i, c, q, g, r in rows for k in functions for x in (i, c, q[k], g[k], r)]
+    return block % tuple(values)
 
 
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
@@ -169,9 +233,10 @@ def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pair
 
 def _call_bounds(config: SweepConfig, start: int, stop: int) -> list:
     """The bounds of the fewest near-equal kernel calls that cover samples
-    start..stop with at most max(KERNEL_BATCH, KERNEL_FLOATS // (n(n+1)/2 d^2))
-    samples each."""
-    per_call = max(KERNEL_BATCH, KERNEL_FLOATS // (config.n * (config.n + 1) // 2 * config.dim**2))
+    start..stop with at most max(KERNEL_BATCH, KERNEL_FLOATS // ((F + 2) n d^2))
+    samples each, F the sweep's function count."""
+    floats = (len(config.functions) + 2) * config.n * config.dim**2
+    per_call = max(KERNEL_BATCH, KERNEL_FLOATS // floats)
     calls = -(-(stop - start) // per_call)
     return [start + (stop - start) * k // calls for k in range(calls + 1)]
 
@@ -428,7 +493,7 @@ def replay_record(path, line_number: int) -> dict:
     Floats are printed with 17 significant digits, so parsing and equality
     comparison are exact; any mismatch means the stream is not reproducible
     on this build.  The record must carry every RECORD_FIELDS key and
-    ``"version": 3``; older records are retired.  The record is recomputed
+    ``"version": 4``; older records are retired.  The record is recomputed
     as the line format_record prints for it, whose checks make a bad field
     fail as ``line N: <field> must be ...`` before any normal is drawn.
     The stored line's bytes are compared with the printed line's first:

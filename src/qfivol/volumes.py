@@ -1,5 +1,5 @@
-"""The public single-spec API: Gram determinant volumes, the
-covariance-metric gap, and its verdicts.
+"""The one evaluation kernel and the public single-spec API: Gram
+determinant volumes, the covariance-metric gap, and its verdicts.
 
 For observables A_1..A_N and a regular function f, two Gram matrices are
 compared: the covariance Gram {Cov(A_h, A_j)} and the metric Gram {(f(0)/2)
@@ -9,23 +9,24 @@ every N, so the covariance ellipsoid volume dominates the metric one: proved
 by A. Andai, J. Math. Phys. 49, 012106 (2008), and by P. Gibilisco, F. Hiai
 and D. Petz, IEEE Trans. Inf. Theory 55, 439 (2009).
 
-Two kernels form these Grams, and no other module forms one.
-record_v3.evaluate_batch writes and replays the version-3 records, bit for
-bit, and forms the metric Gram by that subtraction.  coordinate_batch here,
-the live kernel, serves every single-spec call (volume_gap,
+One kernel forms these Grams, and no other module forms one:
+coordinate_batch here serves every sweep record (qfivol.sweep prints its
+report), every replay, and every single-spec call (volume_gap,
 check_inequalities, robertson_bound, observables_dependent, the covariance
-and correlation of qfivol.metrics, and the repro rows) on a batch of one:
-in the real coordinates Y of the centered eigenframes each Gram is
+and correlation of qfivol.metrics, and the repro rows), the last on a batch
+of one, so a record and the single-spec API agree bit for bit on the same
+draw.  In the real coordinates Y of the centered eigenframes each Gram is
 Y diag(w) Y^T with weights w >= 0, with no subtraction to lose digits where
 the metric Gram is far smaller than the covariance, as near the maximally
 mixed state.  Y is one gather from the uncentered eigenframes U^dagger A U,
 whose d diagonal entries alone are then centered, by the mean the
 eigenframe itself gives.  The dependence screen's Gram is one more weight
 row of the same product, so a check makes one weighted product and one
-det_small call, and its flag is record_v3's _dependent from that Gram's
-determinant and trace, with an SVD only for a sample the screen cannot
-clear.  The independent H * K decomposition of the gap lives with the other
-test oracles in qfivol.oracles, which neither kernel imports."""
+det_small call, and its flag is _dependent's from that Gram's determinant
+and trace, with an SVD only for a sample the screen cannot clear.  The
+verdicts use this module's absolute thresholds.  The independent H * K
+decomposition of the gap lives with the other test oracles in
+qfivol.oracles, which the kernel does not import."""
 
 from __future__ import annotations
 
@@ -37,7 +38,57 @@ import numpy as np
 from .matrices import DensityMatrix, det_small, eigenframes, observable_stack, pair_indices
 from .monotone import MonotoneFunction, require_regular, tilde_order
 from .monotone import mean_table  # noqa: F401  bench/tests traces it through this namespace
-from .record_v3 import BatchReport, _batch_report, _dependent, commutator_rank
+
+MAIN_INEQUALITY_SLACK = 1e-10
+EQUALITY_RTOL = 1e-8
+DEPENDENCE_SV_TOL = 1e-8
+# safety factor on DEPENDENCE_SV_TOL before the Gram screen clears a sample
+_SCREEN_MARGIN = 1e3
+MONOTONICITY_SLACK = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@dataclass(frozen=True, slots=True)
+class BatchReport:
+    """Kernel output for B samples and F functions.
+
+    Arrays indexed by function lead with F, then B.  ``rank_deficient`` says
+    that n exceeds commutator_rank, so every metric Gram in the batch is
+    singular by theory and its volume order carries no information.
+    """
+
+    cov_gram: np.ndarray
+    qfi_gram: np.ndarray
+    cov_det: np.ndarray
+    qfi_det: np.ndarray
+    gap: np.ndarray
+    scale: np.ndarray
+    volume_qfi: np.ndarray
+    robertson_det: np.ndarray | None
+    dependent: np.ndarray
+    main_holds: np.ndarray
+    equality_consistent: np.ndarray
+    rank_deficient: bool
+
+    def violations(self, pairs) -> np.ndarray:
+        """Per sample, how many (i, j) in ``pairs`` break volume_i >= volume_j."""
+        count = np.zeros(self.cov_det.shape, dtype=int)
+        if not self.rank_deficient:
+            for i, j in pairs:
+                count += self.volume_qfi[i] < self.volume_qfi[j] - MONOTONICITY_SLACK
+        return count
+
+
+def commutator_rank(dim: int, real: bool) -> int:
+    """Most linearly independent commutators i[rho, A] there can be: in rho's
+    eigenbasis their diagonal is zero, leaving d^2 - d real dimensions, or
+    d(d-1)/2 when rho and every A are real symmetric."""
+    return dim * (dim - 1) // 2 if real else dim * dim - dim
+
+
+def _volume(det):
+    # sqrt(max(0, det)) with Python's max semantics: -0.0 and NaN give 0.0
+    return np.sqrt(np.where(det > 0.0, det, 0.0))
 
 
 @dataclass(frozen=True)
@@ -83,8 +134,8 @@ def coordinate_grams(eigenvalues, eigenvectors, observables, functions, screen=F
     uncentered eigenframes U^dagger A U (_coordinates), and only its d
     diagonal entries are then centered, by the mean the eigenframe itself
     gives on the clamped spectrum the weights read.  Inputs are as
-    record_v3.evaluate_batch takes them, less the state, which no product
-    here reads; each Gram has the same bits whatever the batch and the
+    coordinate_batch takes them, less the state, which no product here
+    reads; each Gram has the same bits whatever the batch and the
     rows beside it.
     """
     y = _coordinates(eigenvalues, eigenvectors, observables)
@@ -112,8 +163,8 @@ def _layout(dim: int) -> tuple:
     """How a row of d diagonal then d(d-1)/2 pair values weighs Y's d^2
     coordinates: the index that takes each pair's value twice, for its Re
     and its Im coordinate; the screen's row of values, 1 on the diagonal
-    and 2 on each pair; and the factor sqrt(w) that takes Y to record_v3's
-    coordinates, the SVD's input, per coordinate."""
+    and 2 on each pair; and the factor sqrt(w) that takes Y to the
+    Frobenius-isometric coordinates X, the SVD's input, per coordinate."""
     pairs = dim * (dim - 1) // 2
     index = np.concatenate([np.arange(dim + pairs), np.arange(dim, dim + pairs)])
     unit = np.repeat([1.0, 2.0], [dim, pairs])
@@ -155,7 +206,7 @@ def _weights(eigenvalues, functions, screen=False) -> np.ndarray:
     descending, so each ratio lies in [0, 1] and f is read through its
     unit_evaluate; every weight is >= 0 and none is a difference of two.
     The screen's w is 1 on the diagonal and 2 on a pair, so Y diag(w) Y^T is
-    X X^T for record_v3's coordinates X = Y diag(sqrt(w))."""
+    X X^T for the Frobenius-isometric coordinates X = Y diag(sqrt(w))."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     dim = lam.shape[-1]
     rows, cols = pair_indices(dim, 1)
@@ -191,29 +242,111 @@ def _commutator_gram(y, eigenvalues) -> np.ndarray:
 
 
 def coordinate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> BatchReport:
-    """The live kernel: the report of record_v3.evaluate_batch, with its
-    inputs, thresholds and verdicts, from the coordinates of coordinate_grams.
+    """The kernel: Grams, determinants and verdicts for a stack of samples.
+
+    ``rho`` and ``eigenvectors`` are (B, d, d) stacks and ``eigenvalues`` a
+    (B, d) stack of validated states (see matrices.density_stack);
+    ``observables`` is a (B, n, d, d) stack of exactly self-adjoint
+    matrices; ``functions`` are regular.  Every per-sample result is
+    bit-identical whatever the batch it came in.
 
     No Gram is a difference: each metric Gram takes its own weights q_f, and
     the Robertson matrix reads the clamped spectrum, as the Grams do.  One
     weighted product forms the covariance, metric and screen Grams, and one
     det_small call covers them and (for even n) the Robertson matrix.  The
-    dependence flag is record_v3's on its coordinates, by its _dependent from
-    the screen's determinant and trace: the screen clears most samples, and
-    any SVD runs only on those it leaves, so each flag is the SVD's.
+    dependence flag is _dependent's from the screen's determinant and trace:
+    the screen clears most samples, and any SVD runs only on those it
+    leaves, so each flag is the SVD's.  The gap is scaled by max(1,
+    |cov_det|) for the verdicts at this module's thresholds.
     """
-    n, dim, screen_row = observables.shape[1], eigenvalues.shape[-1], 1 + len(functions)
+    n, dim, rows = observables.shape[1], eigenvalues.shape[-1], 1 + len(functions)
     rank = _rank(rho, observables)
     y, grams = coordinate_grams(eigenvalues, eigenvectors, observables, functions, screen=True, robertson=True)
     dets = det_small(grams)
-    trace = grams[screen_row].diagonal(0, -2, -1).sum(-1)
-    dependent = _dependent(y, rank + dim, (dets[screen_row], trace), _layout(dim)[2])
-    robertson = dets[-1] if n % 2 == 0 else None
-    return _batch_report(grams[:screen_row], dets[:screen_row], robertson, dependent, n > rank)
+    trace = grams[rows].diagonal(0, -2, -1).sum(-1)
+    dependent = _dependent(y, rank + dim, (dets[rows], trace), _layout(dim)[2])
+    cov_det, qfi_det = dets[0], dets[1:rows]
+    gap = cov_det - qfi_det
+    # fmax skips NaN: a NaN cov_det is scaled by 1
+    scale = np.fmax(np.abs(cov_det), 1.0)
+    return BatchReport(
+        cov_gram=grams[0],
+        qfi_gram=grams[1:rows],
+        cov_det=cov_det,
+        qfi_det=qfi_det,
+        gap=gap,
+        scale=scale,
+        volume_qfi=_volume(qfi_det),
+        robertson_det=dets[-1] if n % 2 == 0 else None,
+        dependent=dependent,
+        main_holds=gap >= -MAIN_INEQUALITY_SLACK * scale,
+        equality_consistent=~dependent | (np.abs(gap) <= EQUALITY_RTOL * scale),
+        rank_deficient=n > rank,
+    )
+
+
+def _dependent(x, span: int, screen=None, scale=None) -> np.ndarray:
+    """Per sample, whether the smallest singular value of its (n, m) real
+    coordinates X, as the stacked SVD computes it, is below DEPENDENCE_SV_TOL.
+
+    X is ``x``, or x times ``scale`` (one factor per coordinate) where that is
+    given.  The real coordinates are a Frobenius isometry of the centered
+    observables, which lie in a ``span`` of d^2 dimensions, or d(d+1)/2 when
+    the state and every observable are real symmetric, and centering leaves
+    them rank <= span - 1.  So n >= span is dependent with no SVD (there the
+    SVD's own value, about eps * sigma_max, would pass the threshold, and the
+    SVD alone say "independent", once sigma_max exceeds ~1e8).  Otherwise a
+    screen on the Gram G = X X^T clears the samples whose SVD verdict is
+    certainly "independent" and the SVD decides the rest, which gives each
+    sample its SVD flag whatever the batch.  ``screen`` is the (det G, trace
+    G) pair of a caller that formed G already; without it G is x x^T, formed
+    here.  coordinate_batch forms G as Y diag(w) Y^T, one weight row of its
+    own product, with Y its unscaled coordinates, w = 1 on the diagonal
+    coordinates and 2 on the pair ones, and scale = sqrt(w); only the
+    samples the screen leaves are scaled, for the SVD.  The screen's bound
+    (below) holds for that G as for x x^T: w is an exact power of two, so
+    each y w y' is one rounding as x x' is, each entry of G is again a
+    length-m dot product, and X = Y diag(sqrt(w)) is exact in the argument
+    though no float holds it; the SVD's input fl(Y scale) differs from X by
+    one rounding per entry, at most eps sqrt(T) in 2-norm, which adds 1 to
+    p below and stays inside c.
+    """
+    n = x.shape[1]
+    if n >= span:
+        return np.ones(len(x), dtype=bool)
+    if screen is None:
+        g = x @ x.swapaxes(-1, -2)
+        screen = det_small(g), g.diagonal(0, -2, -1).sum(-1)
+    det, trace = screen
+    # With G = X X^T (eigenvalues sigma^2, trace T), sigma_min^2 >=
+    # det G / T^(n-1), since each other sigma^2 <= T.  The stacked SVD returns
+    # the singular values of X + dX with |dX| <= p eps sigma_max <= p eps sqrt(T),
+    # p a modest function of m <= 64 and n <= 8 (backward stability), so
+    # sigma_min >= TOL + c eps sqrt(T) with c = 64 >= p makes it say
+    # "independent"; squared, that asks at most 2 TOL^2 + 2 c^2 eps^2 T.  The
+    # screen's own rounding adds to sigma^2, not to sigma: forming G
+    # (length-m dot products) moves it by at most m eps T in 2-norm, det_small
+    # by at most n^2 (n+1) 2^(n-2) eps T more (LU with partial pivoting:
+    # growth <= 2^(n-1), entries <= T; the cofactors for n <= 3 do far
+    # better), and a matrix moved by delta has its determinant moved by at most
+    # (T + delta)^n - T^n ~ n delta T^(n-1) (Ipsen and Rehman, SIAM J. Matrix
+    # Anal. Appl. 30, 762 (2008)), so the computed det G / T^(n-1) exceeds the
+    # exact one by at most n delta.  Rounding T and the products compared is a
+    # relative error under (n - 1)(m + n + 2) eps.  At n = 8, m = 64 all of it
+    # is below 3e5 eps T, inside K eps T with K = 2^19, which holds
+    # 2 c^2 eps^2 T many times over.  The margin of 1e3 on TOL leaves room for
+    # a p far above c wherever 2 (margin TOL)^2 dominates the edge.  An
+    # overflowed determinant clears nothing, nor does a zero trace (0 > 0).
+    edge = 2 * (_SCREEN_MARGIN * DEPENDENCE_SV_TOL) ** 2 + 2**19 * _EPS * trace
+    rest = ~((det > edge * trace ** (n - 1)) & np.isfinite(det))
+    if rest.any():
+        rows = x[rest] if scale is None else x[rest] * scale
+        rest[rest] = np.linalg.svd(rows, compute_uv=False)[:, -1] < DEPENDENCE_SV_TOL
+    return rest
 
 
 def evaluate_one(state: DensityMatrix, observables, functions) -> BatchReport:
-    """Batch-of-one live-kernel call on a validated (n, d, d) observable stack."""
+    """Batch-of-one kernel call on a validated (n, d, d) observable stack."""
     return coordinate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
                             observables[None], functions)
 
@@ -222,7 +355,7 @@ def volume_gap(spec: GramSpec) -> VolumeReport:
     """Fill both Grams, both determinants, and the gap.
 
     The Robertson determinant is included for even observable counts.  This
-    is the live kernel's product and determinant call alone, with no
+    is the kernel's product and determinant call alone, with no
     dependence test.  The gap's independent route, the H*K decomposition, is
     the test oracle oracles.gap_from_decomposition.
     """
@@ -239,7 +372,7 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 
     The matrix entries are -(i/2) Tr(rho [A_h, A_j]), real and antisymmetric,
     so the determinant vanishes identically for odd N and gives the classical
-    lower bound for even N.  This is the live kernel's matrix, read from the
+    lower bound for even N.  This is the kernel's matrix, read from the
     coordinates and the clamped spectrum as the Grams are, with no Gram and
     no dependence test.
     """
@@ -253,11 +386,11 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
 def observables_dependent(state: DensityMatrix, observables) -> bool:
     """Real-linear dependence of the observables, each less its mean.
 
-    The live kernel's verdict on its coordinates (see _coordinates), with no
-    covariance or metric Gram: record_v3's _dependent on Y scaled to its
-    coordinates, whose screen forms their Gram, then the smallest singular
-    value against record_v3.DEPENDENCE_SV_TOL only where the screen cannot
-    clear the sample, or dependent with neither where n reaches the
+    The kernel's verdict on its coordinates (see _coordinates), with no
+    covariance or metric Gram: _dependent on Y scaled to the
+    Frobenius-isometric coordinates, whose screen forms their Gram, then the
+    smallest singular value against DEPENDENCE_SV_TOL only where the screen
+    cannot clear the sample, or dependent with neither where n reaches the
     observables' span.  Self-adjoint matrices form a real vector space, so
     dependence is over real coefficients.
     """

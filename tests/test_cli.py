@@ -19,9 +19,12 @@ from qfivol.cli import main
 # one complex d4 n2 line); both carry volume_cov and volume_qfi after gap
 RECORDS_V1 = Path(__file__).parent / "data" / "records_v1.jsonl"
 RECORDS_V2 = Path(__file__).parent / "data" / "records_v2.jsonl"
-# version-3 records, the format sweeps write: seed-7 lines of four sweeps,
-# see test_record_v3_lines_replay
+# version-3 records, retired too: the lines of test_record_v4_lines_replay's
+# sweeps as the earlier, subtracting kernel wrote them
 RECORDS_V3 = Path(__file__).parent / "data" / "records_v3.jsonl"
+# version-4 records, the format sweeps write: seed-7 lines of four sweeps,
+# see test_record_v4_lines_replay
+RECORDS_V4 = Path(__file__).parent / "data" / "records_v4.jsonl"
 
 
 def test_list_functions(capsys):
@@ -91,6 +94,48 @@ def test_bad_environment_seed_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("QFIVOL_SEED", "not-a-number")
     assert main(["repro", "pure-volume"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# int() reads each of these as an integer: 10, 3 (Arabic-Indic three), 7, 7 and 7
+NOT_ASCII_INTEGERS = ["1_0", "\u0663", "+7", " 7", "7 ", "", "-"]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+def test_integer_flags_take_an_optional_minus_and_ascii_digits_alone(tmp_path, capsys, text):
+    out = tmp_path / "records.jsonl"
+    for args in (["repro", "pure-volume", "--seed", text],
+                 ["sweep", "--n", "1", "--dim", "2", "--samples", "3", "--seed", text, "--out", str(out)],
+                 ["sweep", "--n", "1", "--dim", "2", "--samples", text, "--out", str(out)]):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"invalid integer {text!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["QFIVOL_SEED", "QFIVOL_PARALLELISM"])
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS[:3])
+def test_environment_integers_take_an_optional_minus_and_ascii_digits_alone(tmp_path, capsys, monkeypatch,
+                                                                            name, text):
+    monkeypatch.setenv(name, text)
+    out = tmp_path / "records.jsonl"
+    assert main(["sweep", "--n", "1", "--dim", "2", "--samples", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: environment variable {name}: invalid integer {text!r}\n")
+    assert not out.exists()
+
+
+def test_negative_integers_reach_the_range_checks(tmp_path, capsys, monkeypatch):
+    assert main(["repro", "pure-volume", "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == "error: seed must be in 0..18446744073709551615, got -3\n"
+    out = tmp_path / "records.jsonl"
+    monkeypatch.setenv("QFIVOL_PARALLELISM", "-2")
+    assert main(["sweep", "--n", "1", "--dim", "2", "--samples", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: parallelism must be at least 1, got -2\n"
+    monkeypatch.delenv("QFIVOL_PARALLELISM")
+    assert main(["sweep", "--n", "1", "--dim", "2", "--samples", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--record", f"{out}:-1"]) == 2
+    assert capsys.readouterr().err == "error: line -1 out of range 1..10\n"
 
 
 def test_sweep_and_replay(tmp_path, capsys):
@@ -187,11 +232,11 @@ def test_replay_malformed_target_exits_two(capsys):
     assert main(["replay", "--record", "no-line-number"]) == 2
     assert "FILE:LINE" in capsys.readouterr().err
     assert main(["replay", "--record", "file:abc"]) == 2
-    assert "invalid line number" in capsys.readouterr().err
-    # int() would read these as lines 10, 7, 7, 3 and -1; only ASCII digits are a line number
-    for text in ("1_0", " 7", "+7", "\u0663", "-1", ""):
+    assert capsys.readouterr().err == "error: invalid integer 'abc'\n"
+    # int() would read these as lines 10, 7, 7 and 3; only ASCII digits are a line number
+    for text in ("1_0", " 7", "+7", "\u0663", "", "-", "--1"):
         assert main(["replay", "--record", f"file:{text}"]) == 2
-        assert f"invalid line number {text!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: invalid integer {text!r}\n"
 
 
 def test_replay_detects_tampered_record(tmp_path, capsys):
@@ -288,11 +333,11 @@ def test_replay_checks_the_record_before_drawing(tmp_path, capsys, fields, messa
 
 
 def _retired(line_number, found):
-    return (f"error: line {line_number}: version must be 3, got {found} "
-            "(records before version 3 are retired)\n")
+    return (f"error: line {line_number}: version must be 4, got {found} "
+            "(records before version 4 are retired)\n")
 
 
-@pytest.mark.parametrize("value", [4, "2", True, None, 1, 2.0])
+@pytest.mark.parametrize("value", [3, 5, "2", True, None, 1, 2.0])
 def test_replay_rejects_unknown_version_before_drawing(tmp_path, capsys, value, request):
     out = _edited_record(tmp_path, version=value)
     capsys.readouterr()
@@ -317,7 +362,15 @@ def test_record_v2_lines_are_retired(capsys, no_normals):
         assert capsys.readouterr() == ("", _retired(line_number, "2"))
 
 
-def test_record_v3_lines_replay(capsys):
+def test_record_v3_lines_are_retired(capsys, no_normals):
+    lines = RECORDS_V3.read_text().splitlines()
+    assert len(lines) == 12 and all(line.startswith('{"version": 3, ') for line in lines)
+    for line_number in range(1, len(lines) + 1):
+        assert main(["replay", "--record", f"{RECORDS_V3}:{line_number}"]) == 2
+        assert capsys.readouterr() == ("", _retired(line_number, "3"))
+
+
+def test_record_v4_lines_replay(capsys):
     """The fixture holds these lines of four 300-sample sweeps, across
     kernel calls and chunks, with nonzero, zero and null robertson_det:
 
@@ -330,21 +383,23 @@ def test_record_v3_lines_replay(capsys):
         qfivol sweep --ensemble complex --dim 4 --n 2 --samples 300 \\
             --functions wy,sld --seed 7 --out d4.jsonl
         { sed -n '1p;191p;195p;769p' d3.jsonl; sed -n '15p;258p;600p' r8.jsonl
-          sed -n '1p;384p;600p' s4.jsonl; sed -n '201p;516p' d4.jsonl; } > records_v3.jsonl
+          sed -n '1p;384p;600p' s4.jsonl; sed -n '201p;516p' d4.jsonl; } > records_v4.jsonl
     """
-    lines = RECORDS_V3.read_text().splitlines()
-    assert len(lines) == 12 and all(line.startswith('{"version": 3, ') for line in lines)
+    lines = RECORDS_V4.read_text().splitlines()
+    assert len(lines) == 12 and all(line.startswith('{"version": 4, ') for line in lines)
     for line_number in range(1, len(lines) + 1):
-        assert main(["replay", "--record", f"{RECORDS_V3}:{line_number}"]) == 0
+        assert main(["replay", "--record", f"{RECORDS_V4}:{line_number}"]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
 
 
-def test_record_v3_line_relabelled_v2_exits_two(tmp_path, capsys, request):
-    out = _edited_record(tmp_path, version=2)
+def test_record_v4_line_relabelled_v3_exits_two(tmp_path, capsys, request):
+    """A line the current kernel wrote, labelled with the retired version,
+    is refused before anything is drawn, as a version-3 line is."""
+    out = _edited_record(tmp_path, version=3)
     capsys.readouterr()
     request.getfixturevalue("no_normals")
     assert main(["replay", "--record", f"{out}:1"]) == 2
-    assert capsys.readouterr() == ("", _retired(1, "2"))
+    assert capsys.readouterr() == ("", _retired(1, "3"))
 
 
 @pytest.mark.parametrize("text,line_number", [("not json", 2), ("", 3)])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings, target
 from hypothesis import strategies as st
 
-from qfivol import DensityMatrix, GramSpec, builtin, record_v3, volume_gap, volumes
+from qfivol import DensityMatrix, GramSpec, builtin, volume_gap, volumes
 from qfivol.matrices import det_small, pair_indices, real_coordinates, to_eigenframe
 from qfivol.oracles import gap_from_decomposition
 
@@ -147,8 +147,8 @@ def _near_mixed_spec(spread, fid, seed):
 def test_the_metric_determinant_is_accurate_near_the_maximally_mixed_state(spread, fid):
     """Near I/d every metric weight q_f is of order spread^2 while c is of
     order 1/d, so a metric Gram formed as Cov - sum m_tilde Re{a b} loses
-    about log10(1/spread^2) digits (record_v3's qfi_det is 3.0e-2 off at
-    spread 1e-7); volume_gap's Y diag(q_f) Y^T stays within 1e-12 relative
+    about log10(1/spread^2) digits (the retired version-3 kernel's qfi_det
+    was 3.0e-2 off at spread 1e-7); volume_gap's Y diag(q_f) Y^T stays within 1e-12 relative
     of det Q at 80 digits on the same float coordinates and spectrum.  Its
     worst case here, 5.0e-13 for wyd:0.25 at spread 1e-4, is wyd's own
     evaluator, which is off by up to 1.4e-12 just outside its Taylor window
@@ -184,11 +184,11 @@ def _search_the_screen(dependent, x):
         patch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a) or svd(a, *args, **kw))
         flag = dependent()[0]
     sv = svd(x, compute_uv=False)[0]
-    assert flag == (sv[-1] < record_v3.DEPENDENCE_SV_TOL)
+    assert flag == (sv[-1] < volumes.DEPENDENCE_SV_TOL)
     target(float(np.log10(sv[0])), label="log10 sigma_max")
     if not calls:
-        target(-float(np.log10(sv[-1] / record_v3.DEPENDENCE_SV_TOL)), label="log10 TOL / cleared sigma_min")
-        assert sv[-1] >= record_v3.DEPENDENCE_SV_TOL
+        target(-float(np.log10(sv[-1] / volumes.DEPENDENCE_SV_TOL)), label="log10 TOL / cleared sigma_min")
+        assert sv[-1] >= volumes.DEPENDENCE_SV_TOL
 
 
 @settings(SEARCH, max_examples=400)
@@ -197,18 +197,19 @@ def test_the_dependence_screen_clears_only_what_the_svd_calls_independent(x):
     """A sample the Gram screen clears, sending it to no SVD, has an SVD
     sigma_min of at least DEPENDENCE_SV_TOL; the search steers toward the
     smallest sigma_min cleared and toward large sigma_max."""
-    _search_the_screen(lambda: record_v3._dependent(x, x.shape[-1]), x)
+    _search_the_screen(lambda: volumes._dependent(x, x.shape[-1]), x)
 
 
 @settings(SEARCH, max_examples=400)
 @given(coordinate_stacks())
 def test_the_live_kernels_screen_clears_only_what_the_svd_calls_independent(y):
-    """The same search through the live kernel's screen: the drawn stack is
+    """The same search through the kernel's screen: the drawn stack is
     its unscaled coordinates Y, the screen reads the determinant and trace
     of G = Y diag(w) Y^T formed with the kernel's own screen weights, and
     only the samples it leaves reach the SVD.  G is X X^T to rounding and
-    the flag is the SVD's on X, record_v3's coordinates: Y with each pair
-    coordinate times sqrt(2), built here apart from the kernel's layout."""
+    the flag is the SVD's on X, the Frobenius-isometric coordinates: Y with
+    each pair coordinate times sqrt(2), built here apart from the kernel's
+    layout."""
     dim = math.isqrt(y.shape[-1])
     x = y.copy()
     x[..., dim:] *= math.sqrt(2.0)
@@ -217,4 +218,4 @@ def test_the_live_kernels_screen_clears_only_what_the_svd_calls_independent(y):
     trace = g.diagonal(0, -2, -1).sum(-1)
     assert np.abs(g - gram).max() <= 1e-13 * trace.max()
     screen = det_small(g), trace
-    _search_the_screen(lambda: record_v3._dependent(y, y.shape[-1], screen, volumes._layout(dim)[2]), x)
+    _search_the_screen(lambda: volumes._dependent(y, y.shape[-1], screen, volumes._layout(dim)[2]), x)

@@ -1,16 +1,17 @@
-"""Golden digests of every output array of the version-3 kernel.
+"""Golden digests of every output array of the kernel.
 
-For each (ensemble, dim, n) of the grid below, record_v3.evaluate_batch
+For each (ensemble, dim, n) of the grid below, volumes.coordinate_batch
 evaluates the draw_samples output at indices 0..B-1 (seed 11) for B in
 KERNEL_BATCHES and the first F functions of FUNCTIONS for F in
 FUNCTION_COUNTS.  Each BatchReport field is hashed (dtype, shape and bytes)
 over all six (B, F) calls, so a change that moves any bit of any field is
 caught and named field by field, not only through the record files.
 
-The digests pin the frozen version-3 kernel, which every version-3 record
-must replay through bit for bit, so a record version bump adds a new kernel
-and never regenerates tests/data/kernel_digests.json.  They belong to one
-numpy/BLAS build, as the sweep digests do; only on another build are they
+The digests pin the one kernel that sweeps write records with and replay
+recomputes them through, bit for bit, so a change that moves its bits is a
+record-format change: it bumps the record version beside these digests and
+the sweep digests.  They belong to one numpy/BLAS build, as the sweep
+digests do; on another build, or with a new record version, they are
 regenerated, with
 
     PYTHONPATH=src python tests/test_kernel_digests.py
@@ -25,8 +26,8 @@ import numpy as np
 import pytest
 
 from qfivol import RandomSpec, builtin
-from qfivol.record_v3 import BatchReport, evaluate_batch
 from qfivol.sampling import draw_samples
+from qfivol.volumes import BatchReport, coordinate_batch
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "kernel_digests.json"
 
@@ -58,7 +59,7 @@ def kernel_digests(ensemble, dim, n) -> dict:
         for count in FUNCTION_COUNTS:
             functions = tuple(builtin(fid) for fid in FUNCTIONS[:count])
             (rho, lam, vectors), observables = draw_samples(rspec, range(batch), n)
-            out = evaluate_batch(rho, lam, vectors, observables, functions)
+            out = coordinate_batch(rho, lam, vectors, observables, functions)
             for name in FIELDS:
                 value = getattr(out, name)
                 if isinstance(value, np.ndarray):

@@ -10,7 +10,7 @@ from qfivol import (
     to_eigenframe,
 )
 from qfivol.matrices import DecompositionError, as_hermitian, density_stack, det_small, spectral_decompose
-from qfivol.matrices import expectation_stack, frame_stack, real_coordinates, trace_product
+from qfivol.matrices import eigenframes, real_coordinates
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -137,16 +137,17 @@ def test_density_matrix_clamps_tiny_eigenvalues():
 
 
 def _center(state, a):
-    """A - Tr(rho A) I through the kernel's expectation_stack."""
-    mean = expectation_stack(state.matrix[None], np.asarray(a)[None, None])[0, 0]
+    """A - Tr(rho A) I, with the trace to_eigenframe takes."""
+    mean = np.einsum("ij,ji->", state.matrix, a).real
     return a - mean * np.eye(state.dim)
 
 
 def test_density_expectation():
+    """to_eigenframe subtracts Tr(rho A) = 0.75 - 0.25 exactly."""
     state = DensityMatrix(np.diag([0.75, 0.25]))
-    mean = expectation_stack(state.matrix[None], np.diag([1.0, -1.0])[None, None])
-    assert mean.shape == (1, 1, 1, 1)
-    assert_allclose(mean[0, 0, 0, 0], 0.5, rtol=0, atol=0)
+    assert np.einsum("ij,ji->", state.matrix, np.diag([1.0, -1.0])) == 0.5
+    frame = to_eigenframe(state, np.diag([1.0, -1.0]))
+    assert_allclose(frame, np.diag([0.5, -1.5]), rtol=0, atol=0)
 
 
 def test_center_identity_gives_zero():
@@ -343,43 +344,12 @@ def test_the_reconstruction_tolerance_is_each_matrixs_own(monkeypatch):
 
 @pytest.mark.parametrize("dim", range(2, 9))
 @pytest.mark.parametrize(
-    "rho_complex,obs_complex", [(False, False), (False, True), (True, False), (True, True)]
-)
-def test_stacked_trace_matches_per_sample_loop_bit_for_bit(dim, rho_complex, obs_complex):
-    """The kernel's stacked trace gives each sample the bits of a per-sample
-    einsum, whatever the stack size or dtype mix, on (B, d, d) stacks (also
-    transposed) and on C-contiguous (B, n, d, d) stacks against a repeated
-    state stack, as the kernel passes them."""
-    rng = np.random.default_rng(dim)
-
-    def draw(shape, complex_):
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if complex_ else x
-
-    def check(x, y):
-        pairs = zip(x.reshape(-1, dim, dim), y.reshape(-1, dim, dim))
-        reference = np.array([np.einsum("ij,ji->", r, o) for r, o in pairs])
-        stacked = trace_product(x, y)
-        assert stacked.dtype == reference.dtype
-        assert stacked.tobytes() == reference.tobytes()
-
-    for batch in (1, 7, 257):
-        rho, a = draw((batch, dim, dim), rho_complex), draw((batch, dim, dim), obs_complex)
-        check(rho, a)
-        check(rho, a.swapaxes(-1, -2))
-    for n in range(1, 9):
-        for batch in (1, 7, 64):
-            rho = draw((batch, dim, dim), rho_complex)
-            check(np.repeat(rho[:, None], n, axis=1), draw((batch, n, dim, dim), obs_complex))
-
-
-@pytest.mark.parametrize("dim", range(2, 9))
-@pytest.mark.parametrize(
     "u_complex,obs_complex", [(False, False), (False, True), (True, False), (True, True)]
 )
 def test_frame_stack_matches_per_matrix_products_bit_for_bit(dim, u_complex, obs_complex):
-    """The stacked eigenframes, whose right-hand product runs once per sample
-    over all n observables, have the bits of U^dagger A U - m I per pair."""
+    """The stack of eigenframes the kernel gathers its coordinates from,
+    whose right-hand product runs once per sample over all n observables,
+    has the bits of U^dagger A U per pair, as to_eigenframe forms it."""
     rng = np.random.default_rng(100 + dim)
     for n in range(1, 9):
         z = rng.standard_normal((7, dim, dim))
@@ -387,11 +357,10 @@ def test_frame_stack_matches_per_matrix_products_bit_for_bit(dim, u_complex, obs
         a = rng.standard_normal((7, n, dim, dim))
         if obs_complex:
             a = a + 1j * rng.standard_normal(a.shape)
-        means = rng.standard_normal((7, n, 1, 1))
-        stacked = frame_stack(u, a, means)
+        stacked = eigenframes(u, a)
         for b in range(7):
             for k in range(n):
-                single = u[b].conj().T @ a[b, k] @ u[b] - means[b, k] * np.eye(dim)
+                single = (u[b].conj().T @ a[b, k]) @ u[b]
                 assert stacked[b, k].tobytes() == single.tobytes()
 
 

@@ -25,7 +25,7 @@ from qfivol import (
     volume_gap,
 )
 from qfivol.sampling import sample_observables, sample_pure_state
-from qfivol import matrices, record_v3, repro, volumes
+from qfivol import matrices, repro, volumes
 from qfivol.oracles import identity_residual, qfi_inner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -106,13 +106,13 @@ def test_four_level_example_values():
 
 def test_f_correlation_evaluates_f_once_and_builds_no_table(monkeypatch):
     """metric_context and covariance evaluate no function; the correlation, a
-    read of the live kernel's metric Gram, evaluates f once, on the ratios of
+    read of the kernel's metric Gram, evaluates f once, on the ratios of
     the spectrum's pairs, and builds no mean or tilde table."""
 
     def no_table(*args):
         raise AssertionError("a table was built")
 
-    for name in ("monotone.mean_table", "record_v3.mean_table", "volumes.mean_table", "record_v3.tilde"):
+    for name in ("monotone.mean_table", "sweep.mean_table", "volumes.mean_table", "monotone.tilde"):
         monkeypatch.setattr(f"qfivol.{name}", no_table)
     calls = []
     counted = MonotoneFunction("counted", lambda y: calls.append(np.shape(y)) or WY.evaluate(y), 0.25,
@@ -129,14 +129,14 @@ def test_f_correlation_evaluates_f_once_and_builds_no_table(monkeypatch):
 
 def test_covariance_and_f_correlation_build_only_their_grams(monkeypatch):
     """Neither runs an SVD, a determinant or a Robertson matrix: both read
-    the live kernel's weighted Gram product alone, while volume_gap, which
+    the kernel's weighted Gram product alone, while volume_gap, which
     reads determinants, trips the same spies."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("spied call")
 
     monkeypatch.setattr(np.linalg, "svd", forbidden)
-    for module in (matrices, record_v3, volumes):
+    for module in (matrices, volumes):
         monkeypatch.setattr(module, "det_small", forbidden)
     monkeypatch.setattr(volumes, "_commutator_gram", forbidden)
     state = DensityMatrix(np.diag([0.6, 0.3, 0.1]))

@@ -86,17 +86,19 @@ def test_only_the_gate_oracles_are_exported():
 
 def test_oracles_stay_out_of_the_kernel_imports():
     assert _package_imports("oracles") <= {"matrices", "monotone", "metrics"}
-    assert _package_imports("volumes") <= {"matrices", "monotone", "record_v3"}
+    assert _package_imports("volumes") <= {"matrices", "monotone"}
     importers = {module for module in MODULES if "oracles" in _package_imports(module)}
     assert importers == {"__init__"}
 
 
-# what qfivol.record_v3 owns: the version-3 kernel, thresholds and line format
-RECORD_V3_NAMES = {
-    "evaluate_batch", "BatchReport", "commutator_rank", "_volume", "_dependent", "batched_grams",
-    "_entry_sums", "_robertson", "MAIN_INEQUALITY_SLACK", "EQUALITY_RTOL", "DEPENDENCE_SV_TOL",
-    "_SCREEN_MARGIN", "MONOTONICITY_SLACK", "RECORD_VERSION", "RECORD_FIELDS", "_templates",
-    "_format_batch",
+# the kernel, its report and thresholds, which qfivol.volumes owns, and the
+# record format, which qfivol.sweep owns
+OWNED_NAMES = {
+    "volumes": {
+        "coordinate_batch", "coordinate_grams", "BatchReport", "commutator_rank", "_volume", "_dependent",
+        "MAIN_INEQUALITY_SLACK", "EQUALITY_RTOL", "DEPENDENCE_SV_TOL", "_SCREEN_MARGIN", "MONOTONICITY_SLACK",
+    },
+    "sweep": {"RECORD_VERSION", "RECORD_FIELDS", "_templates", "_format_batch", "_lines"},
 }
 
 
@@ -113,16 +115,23 @@ def _defined_names(module):
     return found
 
 
-def test_record_v3_alone_defines_the_version_3_record():
-    """One module owns the version-3 record, and it reads only the matrix
-    helpers and the monotone functions."""
-    assert _package_imports("record_v3") == {"matrices", "monotone"}
-    assert RECORD_V3_NAMES <= _defined_names("record_v3")
-    elsewhere = {
-        module: sorted(RECORD_V3_NAMES & _defined_names(module))
-        for module in MODULES if module != "record_v3"
-    }
-    assert {module: names for module, names in elsewhere.items() if names} == {}
+def test_the_kernel_and_the_record_format_each_have_one_home():
+    """volumes alone defines the kernel, its report and its thresholds, and
+    sweep alone the record format that prints the report; no other module
+    defines one of those names."""
+    for home, names in OWNED_NAMES.items():
+        assert names <= _defined_names(home), home
+        elsewhere = {module: sorted(names & _defined_names(module)) for module in MODULES if module != home}
+        assert {module: found for module, found in elsewhere.items() if found} == {}, home
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = []
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private += [f"{module}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def _regularity_gates(module):
@@ -218,13 +227,13 @@ def test_replay_builds_no_sweep_config():
 
 
 def test_one_route_from_a_draw_to_record_bytes():
-    """In sweep only _lines draws samples, runs the version-3 kernel and
+    """In sweep only _lines draws samples, runs the kernel and
     prints record lines from the template table; replay recomputes a record
     through format_record, which calls _lines, and neither goes through
     evaluate_sample."""
     tree = ast.parse((PACKAGE / "sweep.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for callee in ("draw_samples", "evaluate_batch", "_templates", "_format_batch"):
+    for callee in ("draw_samples", "coordinate_batch", "_templates", "_format_batch"):
         assert len(_calls(functions["_lines"], callee)) == len(_calls(tree, callee)) == 1, callee
     assert _calls(functions["replay_record"], "format_record") != []
     assert _calls(functions["format_record"], "_lines") != []

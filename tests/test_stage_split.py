@@ -24,7 +24,7 @@ def _bindings():
 
 def test_every_stage_of_a_tiny_call_is_timed_and_restored():
     before = _bindings()
-    # even n, so the Robertson stage runs too
+    # even n, so the _commutator_gram stage runs too
     split = stage_split.stage_split("complex", 2, 2, ["sld", "wy"], batch=8)
     assert _bindings() == before
     stages = [stage for stage, _, _ in stage_split.STAGES]
@@ -46,7 +46,7 @@ def test_a_replay_sized_call_times_the_density_checks_apart():
 
 def test_a_renamed_stage_fails_and_leaves_nothing_wrapped(monkeypatch):
     before = _bindings()
-    stages = (*stage_split.STAGES[:2], ("frames", "record_v3", ("frame_stack", "no_such_stage")))
+    stages = (*stage_split.STAGES[:2], ("_coordinates", "volumes", ("_coordinates", "no_such_stage")))
     monkeypatch.setattr(stage_split, "STAGES", stages)
     with pytest.raises(AttributeError, match="no_such_stage"):
         stage_split.stage_split("complex", 2, 2, ["sld"], batch=4)

@@ -38,20 +38,20 @@ from qfivol.sampling import resolve_ensemble, sample_observables, sample_state
 from qfivol.sweep import evaluate_sample, format_record
 from qfivol.volumes import BatchReport, order_pairs
 
-# sha256 of 300-sample, seed-7 sweep files of record version 3 on stream
+# sha256 of 300-sample, seed-7 sweep files of record version 4 on stream
 # v2, as the batched kernel writes them.  The digests belong to one
 # numpy/LAPACK build (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64);
 # another build may round differently, and then this guard fails by design.
 SWEEP_DIGESTS = {
     ("complex", 3, 3, "sld,wy,wyd:0.25"):
-        "8cda7f4846fe4a6cb45a2afb78f8f1f4b379e30717e744135361cfa536a90baa",
+        "62a90fa91f597fc59f9da8bf9b9119273c01178a0fec6d1638bae28ccc50d6ef",
     ("real", 8, 2, "sld,wy,wyd:0.05,wyd:0.1,wyd:0.25,wyd:0.4"):
-        "ea001abb350f6949d1c01e99734121e1f4dcbd452db3e6ae3583eeb4ed897b0d",
+        "b629ba3238befcb088d1c4d80bd9c2bc0f84962ce5edad4bf05cb6af17ebface",
     ("structured", 4, 3, "sld,wy"):
-        "c7ec59bc1ad9168ee24a746123124831741d9febe3aeffca696d54993e5f2e6a",
+        "376a61584315f620f8adc7292dbee7b3bd8b27fb0b63a41888b19eaeb34aeb8d",
     # the one config with even n and a nonzero Robertson determinant
     ("complex", 8, 4, "sld,wy"):
-        "9078b99396c3e1174af60261782a2b7ae25baf6f65499c498b73d456bca7d83b",
+        "a73d85ab1bd88bee621bb47e54153f5f9c9c0f63ffcedfbeab72963aee94a0bc",
 }
 
 
@@ -157,7 +157,7 @@ def test_format_record_round_trips_as_json():
     assert '"candidate": false' in line or '"candidate": true' in line
     assert '"candidate": 0' not in line
     assert line.index('"index"') < line.index('"gap"') < line.index('"candidate"')
-    assert line.startswith('{"version": 3, "index": 7, ')
+    assert line.startswith('{"version": 4, "index": 7, ')
 
 
 @pytest.mark.parametrize(
@@ -262,14 +262,14 @@ def test_format_record_matches_sweep_lines(tmp_path, ensemble, dim, n, functions
             assert format_record(record) == lines[index * len(records) + k]
 
 
-# The str formatter that wrote version-3 records before they were written as
-# bytes, kept as the oracle the bytes formatter must match line for line.
+# The str formatter that wrote records before they were written as bytes,
+# kept as the oracle the bytes formatter must match line for line.
 _ORACLE_WORDS = {True: "true", False: "false"}
 
 
 def _oracle_templates(seed, ensemble, dim, n, fids):
     return [
-        f'{{"version": 3, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+        f'{{"version": 4, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
         f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
         '"gap": %.17g, "robertson_det": %s, "main_holds": %s, "dependent": %s, '
         '"equality_consistent": %s, "candidate": %s}'
@@ -767,7 +767,7 @@ def test_summary_folds_functions_across_chunks(tmp_path, monkeypatch):
      ("real-density", "real")],
 )
 def test_records_relabelled_with_another_tag_report_an_ensemble_mismatch(tmp_path, capsys, base, tag):
-    """A version-3 sweep writes only base tags, so a line relabelled with a
+    """A sweep writes only base tags, so a line relabelled with a
     CLI alias was written by none: it replays the stream of its base tag,
     matches in every other field and reports its ensemble as a mismatch,
     which the command line exits 2 for.  A line relabelled with a retired
@@ -1066,8 +1066,8 @@ def test_a_stale_line_index_is_rebuilt(tmp_path, index_builds):
     assert replay_record(str(out), 2)["mismatches"] == {}
     lines = out.read_bytes().splitlines(keepends=True)
     # line 1 one byte shorter, line 2 one byte longer: JSON spacing only
-    lines[0] = lines[0].replace(b'"version": 3', b'"version":3', 1)
-    lines[1] = lines[1].replace(b'"version": 3', b'"version":  3', 1)
+    lines[0] = lines[0].replace(b'"version": 4', b'"version":4', 1)
+    lines[1] = lines[1].replace(b'"version": 4', b'"version":  4', 1)
     with open(out, "r+b") as fh:
         fh.write(b"".join(lines))
     _, starts = sweep._line_index
@@ -1154,17 +1154,18 @@ def test_record_bytes_independent_of_batching(tmp_path, monkeypatch, ensemble, d
     [
         ("complex", 3, 3, 256, [256]),
         ("complex", 4, 2, 256, [256]),
-        ("complex", 4, 3, 256, [128, 128]),
-        ("real", 8, 2, 256, [64] * 4),
+        ("complex", 4, 3, 256, [256]),
+        ("real", 8, 2, 256, [128, 128]),
         ("real", 8, 8, 256, [64] * 4),
         ("complex", 3, 3, 300, [256, 44]),
     ],
 )
-def test_kernel_calls_are_sized_from_the_overlap_stack(
+def test_kernel_calls_are_sized_from_the_weighted_coordinates(
     tmp_path, monkeypatch, ensemble, dim, n, samples, calls
 ):
-    """A chunk makes the fewest near-equal kernel calls of at most
-    max(KERNEL_BATCH, KERNEL_FLOATS // (n(n+1)/2 d^2)) samples each."""
+    """A chunk of one function makes the fewest near-equal kernel calls of at
+    most max(KERNEL_BATCH, KERNEL_FLOATS // (3 n d^2)) samples each: the
+    weighted coordinates of F = 1 function, the covariance and the screen."""
     sizes = []
     lines = sweep._lines
 
@@ -1177,14 +1178,27 @@ def test_kernel_calls_are_sized_from_the_overlap_stack(
     assert sizes == calls
 
 
+@pytest.mark.parametrize("ensemble,dim,n,functions,bounds", [
+    ("complex", 3, 3, ("sld", "wy", "wyd:0.25"), [0, 256]),
+    ("real", 8, 2, ("sld", "wy", "wyd:0.05", "wyd:0.1", "wyd:0.25", "wyd:0.4"), [0, 64, 128, 192, 256]),
+    ("complex", 4, 2, ("wy", "sld"), [0, 256]),
+])
+def test_the_bench_configs_keep_their_call_sizes(ensemble, dim, n, functions, bounds):
+    """A chunk of the complex d3 n3 bench config is one call of 256 samples,
+    one of the wide real d8 n2 config four calls of 64, and one of the
+    replay file's complex d4 n2 config one call of 256."""
+    config = _config(ensemble=ensemble, dim=dim, n=n, samples=256, functions=functions)
+    assert sweep._call_bounds(config, 0, 256) == bounds
+
+
 @pytest.mark.parametrize(
     "ensemble,dim,n",
     [("complex", 3, 3), ("complex", 4, 2), ("real", 3, 3), ("structured", 4, 3), ("complex", 3, 4)],
 )
 def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
-    """The single-spec API runs the live kernel, the records the version-3
-    one: every determinant agrees within 1e-12 max(1, |cov_det|) and every
-    flag is equal."""
+    """Records and the single-spec API run one kernel, so each record holds
+    exactly the determinants, gap and flags that check_inequalities and
+    volume_gap give for its draw."""
     config = _config(ensemble=ensemble, dim=dim, n=n, samples=75, functions=("sld", "wy", "wyd:0.25"))
     out = tmp_path / "sweep.jsonl"
     run_sweep(config, out)
@@ -1198,19 +1212,15 @@ def test_single_spec_routes_reproduce_sweep_records(tmp_path, ensemble, dim, n):
         )
         verdict = check_inequalities(spec, partner=SLD)
         gap_report = volume_gap(spec)
-        tol = 1e-12 * max(1.0, abs(record["cov_det"]))
         for report in (gap_report, verdict.report):
-            for name in ("cov_det", "qfi_det", "gap"):
-                assert abs(getattr(report, name) - record[name]) <= tol, name
-            if n % 2:
-                assert report.robertson_det is record["robertson_det"] is None
-            else:
-                assert abs(report.robertson_det - record["robertson_det"]) <= tol
+            for name in ("cov_det", "qfi_det", "gap", "robertson_det"):
+                assert getattr(report, name) == record[name], name
         # volume_gap and check_inequalities read their Grams from one kernel
         assert gap_report.cov_gram.tobytes() == verdict.report.cov_gram.tobytes()
         assert gap_report.qfi_gram.tobytes() == verdict.report.qfi_gram.tobytes()
-        assert verdict.main_holds == record["main_holds"]
-        assert verdict.dependent == record["dependent"]
+        for name in ("main_holds", "dependent", "equality_consistent"):
+            assert getattr(verdict, name) == record[name], name
+        assert verdict.candidate_counterexample == record["candidate"]
         assert observables_dependent(spec.state, spec.observables) == record["dependent"]
         if n % 2 == 0:
             assert robertson_bound(spec.state, spec.observables) == gap_report.robertson_det

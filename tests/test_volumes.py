@@ -27,7 +27,7 @@ from qfivol import (
     wyd,
     RandomSpec,
 )
-from qfivol import matrices, metrics, oracles, record_v3, sweep, volumes
+from qfivol import matrices, metrics, monotone, oracles, sweep, volumes
 from qfivol.matrices import EIGENVALUE_FLOOR, as_hermitian
 from qfivol.monotone import tilde_order
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
@@ -406,8 +406,8 @@ def test_decomposition_never_calls_the_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the decomposition called into the kernel")
 
-    for name in ("evaluate_batch", "batched_grams", "det_small"):
-        for module in (matrices, metrics, record_v3, volumes, oracles):
+    for name in ("coordinate_batch", "coordinate_grams", "det_small"):
+        for module in (matrices, metrics, volumes, oracles):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError, match="kernel"):
@@ -508,26 +508,31 @@ def test_dependence_ladder_matches_the_original_basis_svd(real):
             for t in np.logspace(-4, -12, 17):
                 obs = (a, b, a + b + t * c)
                 sv = _reference_smallest_singular_value(state, obs)
-                if record_v3.DEPENDENCE_SV_TOL / 10 <= sv <= 10 * record_v3.DEPENDENCE_SV_TOL:
+                if volumes.DEPENDENCE_SV_TOL / 10 <= sv <= 10 * volumes.DEPENDENCE_SV_TOL:
                     continue
-                expected = bool(sv < record_v3.DEPENDENCE_SV_TOL)
+                expected = bool(sv < volumes.DEPENDENCE_SV_TOL)
                 assert observables_dependent(state, obs) == expected, (dim, t, sv)
                 checked[expected] += 1
     assert min(checked.values()) >= 50
 
 
 def _svd_flags(rho, vectors, observables):
-    """The dependence flag of a direct SVD of the frames' real coordinates."""
-    frames = matrices.frame_stack(vectors, observables, matrices.expectation_stack(rho, observables))
+    """The dependence flag of a direct SVD of the real coordinates of the
+    frames U^dagger A U - Tr(rho A) I.  Rungs that are dependent in exact
+    arithmetic sit at the threshold by roundoff, so the frames are formed
+    with the products and traces to_eigenframe makes, per observable."""
+    states = np.repeat(rho[:, None], observables.shape[1], axis=1)
+    means = np.einsum("...ij,...ji->...", states, observables).real[..., None, None]
+    frames = matrices.eigenframes(vectors, observables) - means * np.eye(rho.shape[-1])
     sv = np.linalg.svd(matrices.real_coordinates(frames), compute_uv=False)
-    return sv[:, -1] < record_v3.DEPENDENCE_SV_TOL
+    return sv[:, -1] < volumes.DEPENDENCE_SV_TOL
 
 
 def _near_dependence_ladder(real, dim, seed):
     """For three states, every rung of A_3 = A_1 + delta A_2 in two sets,
     (A_1, A_2, A_3), dependent in exact arithmetic, and (A_1, B, A_3), whose
     smallest singular value falls with delta, each set scaled by s; as the
-    (rho, eigenvalues, eigenvectors, observables) stacks evaluate_batch takes."""
+    (rho, eigenvalues, eigenvectors, observables) stacks the kernel takes."""
     rng = np.random.default_rng(seed)
     states, observables = [], []
     for _ in range(3):
@@ -542,22 +547,19 @@ def _near_dependence_ladder(real, dim, seed):
     return (*stacks, np.stack(observables))
 
 
-# the version-3 kernel's cases keep their plain ids, the live kernel's twins are prefixed
-KERNELS = (("", record_v3.evaluate_batch), ("live-", volumes.coordinate_batch))
-
-
-def _on_both_kernels(names, cases):
-    return pytest.mark.parametrize(f"kernel, {names}", [
-        pytest.param(kernel, *case, id=prefix + "-".join(map(str, case)))
-        for case in cases for prefix, kernel in KERNELS
+def _live_cases(names, cases):
+    """Parametrize ``names`` over the cases, with the ``live-`` ids they had
+    while a second kernel wrote records."""
+    return pytest.mark.parametrize(names, [
+        pytest.param(*case, id="live-" + "-".join(map(str, case))) for case in cases
     ])
 
 
-@_on_both_kernels("real, dim", [(False, 3), (True, 4)])
-def test_dependence_flags_equal_the_svd_on_a_near_dependence_ladder(kernel, real, dim):
-    """Each kernel (the version-3 one screened) flags each rung as a direct
-    SVD does, at every scale, and a mixed batch gives each sample its
-    batch-of-one flag."""
+@_live_cases("real, dim", [(False, 3), (True, 4)])
+def test_dependence_flags_equal_the_svd_on_a_near_dependence_ladder(real, dim):
+    """The kernel, screened, flags each rung as a direct SVD does, at every
+    scale, and a mixed batch gives each sample its batch-of-one flag."""
+    kernel = volumes.coordinate_batch
     rho, lam, vectors, obs = _near_dependence_ladder(real, dim, 29 + dim)
     expected = _svd_flags(rho, vectors, obs)
     assert 0 < expected.sum() < len(expected)
@@ -591,7 +593,7 @@ def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, di
     d(d+1)/2, are dependent with no SVD; the SVD, run here afterwards, calls
     every such sample dependent too."""
     (rho, lam, vectors), obs = draw_samples(RandomSpec(9, dim, ensemble), range(16), n)
-    assert record_v3.evaluate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
+    assert volumes.coordinate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
     assert observables_dependent(DensityMatrix(rho[0]), obs[0])
     assert svd_rows == []
     assert _svd_flags(rho, vectors, obs).all()
@@ -613,7 +615,7 @@ def _forbid(monkeypatch, module, name):
 
 def _seed_7_complex_d4_n2(count=8):
     """Single-spec states and observable stacks of seed 7's first complex d4 n2
-    draws, every one of which record_v3's Gram screen clears."""
+    draws, every one of which the kernel's Gram screen clears."""
     (rho, _, _), obs = draw_samples(RandomSpec(7, 4, "complex"), range(count), 2)
     return [(DensityMatrix(r), o) for r, o in zip(rho, obs)]
 
@@ -667,7 +669,6 @@ def test_volume_gap_runs_no_dependence_test(monkeypatch):
 
     monkeypatch.setattr(volumes, "_weights", spy)
     _forbid(monkeypatch, volumes, "_dependent")
-    _forbid(monkeypatch, record_v3, "_dependent")
     _forbid(monkeypatch, np.linalg, "svd")
     for spec, before in zip(specs, expected):
         report = volume_gap(spec)
@@ -700,7 +701,7 @@ def test_one_live_kernel_call_makes_one_product_and_one_determinant_call(monkeyp
     expected = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
     calls = []
     for module, name in [(volumes, "coordinate_grams"), (volumes, "_weights"), (volumes, "_commutator_gram"),
-                         (volumes, "det_small"), (record_v3, "det_small")]:
+                         (volumes, "det_small")]:
         _counting(monkeypatch, module, name, calls)
     out = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
     robertson = ["_commutator_gram"] if n % 2 == 0 else []
@@ -779,13 +780,14 @@ def _clamped_shifted_triple(shift):
     return state, np.stack([a, b, a + b + shift * np.eye(3)])
 
 
-@_on_both_kernels("shift", [(0.0,), (1e5,)])
-def test_a_shift_by_a_multiple_of_the_identity_keeps_a_clamped_set_dependent(kernel, shift):
+@_live_cases("shift", [(0.0,), (1e5,)])
+def test_a_shift_by_a_multiple_of_the_identity_keeps_a_clamped_set_dependent(shift):
     """Centering cancels any k I, on a state whose clamped spectrum does not
     sum to 1 too: the triple stays dependent, and its gap stays consistent
     with equality."""
     state, obs = _clamped_shifted_triple(shift)
-    out = kernel(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None], obs[None], (WY,))
+    out = volumes.coordinate_batch(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None],
+                                   obs[None], (WY,))
     assert out.dependent[0] and out.equality_consistent[0, 0]
 
 
@@ -941,11 +943,12 @@ CALL_MATES = (SLD, WY, wyd(0.05), wyd(0.25))
 SLICED_FIELDS = ("qfi_gram", "qfi_det", "gap", "main_holds", "equality_consistent")
 
 
-@_on_both_kernels("ensemble, dim, n", [("complex", 3, 3), ("real", 8, 2), ("complex", 4, 4), ("structured", 4, 3)])
-def test_call_mates_leave_each_functions_bits_alone(kernel, ensemble, dim, n):
+@_live_cases("ensemble, dim, n", [("complex", 3, 3), ("real", 8, 2), ("complex", 4, 4), ("structured", 4, 3)])
+def test_call_mates_leave_each_functions_bits_alone(ensemble, dim, n):
     """Each function's slices of a four-function kernel call are byte-equal to
     a call of that function alone (complex d4 n4 takes the LU determinant)."""
     (rho, lam, vectors), obs = draw_samples(RandomSpec(5, dim, ensemble), range(16), n)
+    kernel = volumes.coordinate_batch
     together = kernel(rho, lam, vectors, obs, CALL_MATES)
     for k, f in enumerate(CALL_MATES):
         alone = kernel(rho, lam, vectors, obs, (f,))
@@ -959,9 +962,10 @@ def test_kernel_without_functions_builds_no_table(monkeypatch):
     def table(*args):
         raise AssertionError("a mean table was built")
 
-    monkeypatch.setattr(record_v3, "mean_table", table)
+    for module in (monotone, volumes):
+        monkeypatch.setattr(module, "mean_table", table)
     (rho, lam, vectors), obs = draw_samples(RandomSpec(5, 3, "complex"), range(4), 2)
-    out = record_v3.evaluate_batch(rho, lam, vectors, obs, ())
+    out = volumes.coordinate_batch(rho, lam, vectors, obs, ())
     assert out.qfi_gram.shape == (0, 4, 2, 2)
     assert out.cov_gram.shape == (4, 2, 2)
     assert out.qfi_det.shape == out.gap.shape == (0, 4)

@@ -14,15 +14,15 @@ functions minus the time of the timed stages they call (so ``det_small``
 holds every determinant, the dependence screen's and Robertson's included,
 ``_dependent`` only the rest of the screen and its SVD, and
 ``density_stack`` only what its ``as_hermitian`` and ``_checked_eigh``
-stages leave: the trace and eigenvalue checks and the clamp).  The stages
-are functions of ``sampling``, ``matrices`` and ``record_v3`` (``STAGES``);
-each repeat runs under the bench's ``Tracer``
+stages leave: the trace and eigenvalue checks and the clamp, and
+``product`` only what ``coordinate_grams`` leaves: the weighted product).
+The stages are functions of ``sampling``, ``matrices``, ``volumes`` and
+``sweep`` (``STAGES``); each repeat runs under the bench's ``Tracer``
 (``bench/tracing.py``), which wraps every binding of them in the package
 and puts the originals back, and ``tracing.self_times`` gives each call its
-exclusive time.  Nothing of the kernel is
-re-implemented here, so a renamed stage function fails with an
-AttributeError before anything is wrapped, and one that is no longer called
-reads 0 calls.
+exclusive time.  Nothing of the kernel is re-implemented here, so a renamed
+stage function fails with an AttributeError before anything is wrapped, and
+one that is no longer called reads 0 calls.
 
 It also prints the whole call, best of N with the tracer in place, and the
 unattributed rest: the best whole call minus the sum of the stage bests.
@@ -57,21 +57,22 @@ SEED = 7
 REPEATS = 30  # runs to take the best of
 
 # (stage, module, functions): each function is looked up where the draw
-# (sampling, and matrices for density_stack's own calls) or the version-3
-# kernel and line format (record_v3) calls it; the tracer wraps it there and
-# wherever else the package binds it
+# (sampling, and matrices for density_stack's own calls), the kernel
+# (volumes) or the line format (sweep) calls it; the tracer wraps it there and
+# wherever else the package binds it.  The product stage is what
+# coordinate_grams does itself: the weighted product Y diag(w) Y^T
 STAGES = (
     ("_normals", "sampling", ("_normals",)),
     ("density_stack", "sampling", ("density_stack",)),
     ("as_hermitian", "matrices", ("as_hermitian",)),
     ("_checked_eigh", "matrices", ("_checked_eigh",)),
-    ("frames", "record_v3", ("expectation_stack", "frame_stack", "real_coordinates")),
-    ("_dependent", "record_v3", ("_dependent",)),
-    ("mean_table", "record_v3", ("mean_table",)),
-    ("batched_grams", "record_v3", ("batched_grams",)),
-    ("det_small", "record_v3", ("det_small",)),
-    ("_robertson", "record_v3", ("_robertson",)),
-    ("_format_batch", "record_v3", ("_format_batch",)),
+    ("_coordinates", "volumes", ("_coordinates",)),
+    ("_weights", "volumes", ("_weights",)),
+    ("product", "volumes", ("coordinate_grams",)),
+    ("_commutator_gram", "volumes", ("_commutator_gram",)),
+    ("det_small", "volumes", ("det_small",)),
+    ("_dependent", "volumes", ("_dependent",)),
+    ("_format_batch", "sweep", ("_format_batch",)),
 )
 
 
