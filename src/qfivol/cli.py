@@ -42,7 +42,9 @@ def _integer(text: str) -> int:
 
 
 def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
+    """The variable read by ``_integer`` as it is, so " 7" is refused as the
+    flags refuse it; unset or empty, ``fallback``."""
+    raw = os.environ.get(name, "")
     if not raw:
         return fallback
     try:

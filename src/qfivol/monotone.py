@@ -164,8 +164,12 @@ def wyd(beta: float) -> MonotoneFunction:
     Near x = 1 the defining ratio is 0/0, so inside |x-1| < 1e-4 the
     evaluator switches to the Taylor expansion
     1 + t/2 + (f0-1)t^2/12 + (1-f0)t^3/24 (t = x-1), whose truncation error
-    is O(t^4) ~ 1e-17 at the window edge.  Arguments above 1 are reflected
-    through the symmetry to keep powers of large x out of the formula.  Its
+    is O(t^4) ~ 1e-17 at the window edge.  The evaluator runs the formula
+    once over the whole array, dividing only outside the window, and
+    evaluates the series only where an argument falls inside it, so a batch
+    with no ratio near 1 pays for no gather or scatter.  Arguments above 1
+    are reflected through the symmetry to keep powers of large x out of the
+    formula.  Its
     tilde in closed form is (x^beta + x^(1-beta))/2.  The id is ``wyd:``
     then repr(beta), the shortest string that reads back as beta, so each
     beta has its own id and ``builtin(f.fid)`` is f.  The object is cached
@@ -184,13 +188,11 @@ def _wyd(beta: float) -> MonotoneFunction:
     def core(y):
         t = y - 1.0
         near = np.abs(t) < WYD_SERIES_WINDOW
-        out = np.empty_like(y)
-        tn = t[near]
-        out[near] = 1.0 + tn * (0.5 + tn * ((f0 - 1.0) / 12.0 + tn * (1.0 - f0) / 24.0))
-        yf = y[~near]
-        out[~near] = (
-            f0 * (yf - 1.0) ** 2 / ((yf**beta - 1.0) * (yf ** (1.0 - beta) - 1.0))
-        )
+        out = np.divide(f0 * t**2, (y**beta - 1.0) * (y ** (1.0 - beta) - 1.0),
+                        out=np.empty_like(y), where=~near)
+        if near.any():
+            tn = t[near]
+            out[near] = 1.0 + tn * (0.5 + tn * ((f0 - 1.0) / 12.0 + tn * (1.0 - f0) / 24.0))
         return out
 
     return MonotoneFunction(

@@ -7,8 +7,14 @@ BLOCK, channel])).standard_normal((BLOCK, *shape))``, with BLOCK = 8 and
 same (seed, dim, ensemble, index) therefore always yields bit-identical
 output, independent of call order, batch, process, thread, or worker count.
 Philox is counter-based, so a block's draw starts from a state assignment:
-one generator per thread is set to each block's (key, counter) in turn and
-draws the whole block in one call.
+one generator per thread is set to each block's (key, counter) in turn, from
+one state dict per thread whose seed, block and channel are written in
+place, and draws the block in one call.  A step-1 ``range`` of indices,
+which every sweep kernel call passes, is checked at its two ends and its
+rows are one slice of the drawn blocks; a list (replay, single-sample
+draws) is checked index by index and its rows are gathered.  Complex
+matrices are built by filling their real and imaginary planes from the
+normals, never by multiplying a real array by 1j.
 
 A ``RandomSpec`` is (seed, dim, ensemble), so no draw function takes a
 stream argument.  Replayable records (version 4, ``sweep.RECORD_VERSION``)
@@ -86,40 +92,69 @@ def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
     holds the normals of sample indices[b] on that channel, from the spec's
     seed (see the module docstring).  The one check of a sample index: every
     index of every draw passes as_integer as ``index``, in 0..2**64 - 1,
-    before any normal is drawn.  A block's call fills its rows in order, so
-    each block is drawn only up to the last row the indices ask of it: a
-    replay of one record draws its own row and those before it, and the
-    rows drawn have the bits of the whole block's call."""
-    for index in indices:
+    before any normal is drawn.  A ``range`` of step 1, which every sweep
+    kernel call passes, holds ints from its first to its last index, so
+    those two ends are checked and its rows are one slice of the drawn
+    blocks; any other sequence (replay's and the single-sample draws' lists)
+    is checked index by index and its rows are gathered.  A block's call
+    fills its rows in order, so each block is drawn only up to the last row
+    the indices ask of it: a replay of one record draws its own row and
+    those before it, and the rows drawn have the bits of the whole block's
+    call."""
+    ranged = type(indices) is range and indices.step == 1 and bool(indices)
+    # once a range's first index passes, its first index out of range is
+    # 2**64, which an index-by-index check would report
+    for index in (indices[0], min(indices[-1], 2**64)) if ranged else indices:
         as_integer("index", index, 0, 2**64 - 1)
-    seed = spec.seed
-    # per block, ascending, how many of its rows to draw: up to the last asked for
-    depths = {index // BLOCK: index % BLOCK + 1 for index in sorted(indices)}
-    first_row = {block: k * BLOCK for k, block in enumerate(depths)}
-    rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]
+    if ranged:
+        first, last = indices[0], indices[-1]
+        blocks = range(first // BLOCK, last // BLOCK + 1)
+        depths = [BLOCK] * (len(blocks) - 1) + [last % BLOCK + 1]
+        rows = slice(first % BLOCK, first % BLOCK + len(indices))
+    else:
+        # per block, ascending, how many of its rows to draw: up to the last asked for
+        depth_of = {index // BLOCK: index % BLOCK + 1 for index in sorted(indices)}
+        first_row = {block: k * BLOCK for k, block in enumerate(depth_of)}
+        rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]
+        blocks, depths = depth_of.keys(), depth_of.values()
     if not hasattr(_thread, "generator"):
         # one per thread, whose state each block sets: building a Philox
         # costs ~20x as much as setting its state (numpy 2.4.6, x86-64)
         _thread.generator = np.random.Generator(np.random.Philox(key=0))
-    gen = _thread.generator
+    if not hasattr(_thread, "state"):
+        # the state of a fresh Philox(key=[seed, 0], counter=[0, 0, block,
+        # channel]), whose seed, block and channel each draw writes in place
+        _thread.state = {
+            "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    gen, state = _thread.generator, _thread.state
+    counter = state["state"]["counter"]
+    state["state"]["key"][0] = spec.seed
     stacks = []
     for channel, shape in draws:
-        drawn = np.empty((len(depths), BLOCK, *shape))
-        for (block, depth), out in zip(depths.items(), drawn):
-            # the state of a fresh Philox(key=seed, counter=[0, 0, block, channel])
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": [0, 0, block, channel], "key": [seed, 0]},
-                "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            }
+        counter[3] = channel
+        drawn = np.empty((len(blocks), BLOCK, *shape))
+        for block, depth, out in zip(blocks, depths, drawn):
+            counter[2] = block
+            gen.bit_generator.state = state
             gen.standard_normal(out=out[:depth])
-        stacks.append(drawn.reshape(-1, *shape).take(rows, axis=0))
+        drawn = drawn.reshape(-1, *shape)
+        stacks.append(drawn[rows] if type(rows) is slice else drawn.take(rows, axis=0))
     return stacks
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i im as a new complex array whose real and imaginary planes are
+    filled from the two real arrays, with no complex product of either."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _hermitian(z) -> np.ndarray:
     # z: (..., 1 | 2, d, d) normals, one plane for real draws, re/im for complex
-    m = z[..., 0, :, :] if z.shape[-3] == 1 else z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    m = z[..., 0, :, :] if z.shape[-3] == 1 else _complex(z[..., 0, :, :], z[..., 1, :, :])
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
@@ -149,8 +184,10 @@ def _state_matrices(spec: RandomSpec, z) -> np.ndarray:
         m = np.zeros((len(g), dim, dim))
         m[:, np.arange(dim), np.arange(dim)] = g / g.sum(axis=-1, keepdims=True)
         return m
-    g = z[:, 0] if z.shape[1] == 1 else z[:, 0] + 1j * z[:, 1]
+    g = z[:, 0] if z.shape[1] == 1 else _complex(z[:, 0], z[:, 1])
     m = g @ g.conj().swapaxes(-1, -2)
+    # a complex division even for real traces: numpy's complex-by-real path
+    # multiplies by 1/trace, whose bits a plane-by-plane a/trace would not keep
     return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
@@ -224,6 +261,6 @@ def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:
     a RandomSpec checks them."""
     spec, draw = RandomSpec(seed, dim, "density"), (PURE_CHANNEL, (2 * dim,))
     (z,) = _normals(spec, [index], (draw,))
-    v = z[0, :dim] + 1j * z[0, dim:]
+    v = _complex(z[0, :dim], z[0, dim:])
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))

@@ -27,17 +27,19 @@ of ``volumes.coordinate_batch``, the one kernel, which also serves the
 single-spec API, so a record holds the bits ``check_inequalities`` gives
 for its draw.  Records are bytes from a table of whole-line templates, one per
 function and flag code, with the sweep's shared fields, the JSON words and
-the newline baked in (``_templates``); a kernel call joins the templates its
-flags pick and fills every line with one ``%`` (``_format_batch``),
-formatting each sample's ``cov_det`` and ``robertson_det`` once for all its
-functions.
+the newline baked in (``_templates``); a kernel call joins the templates
+that one numpy array of flag codes picks and fills every line with one
+``%`` (``_format_batch``), over values laid out column by column, not record
+by record, formatting each sample's ``cov_det`` and ``robertson_det`` once
+for all its functions.
 
 One function, ``_lines``, is the route from a draw to record bytes and the
 only caller of that table: it draws the samples at some indices, runs the
 kernel on them and prints their lines.  A sweep chunk calls it once per
-kernel call, ``evaluate_sample`` parses its lines, and ``format_record``
-prints the one line it gives for a record's index and function, which is
-how replay recomputes a record.
+kernel call with a ``range`` of indices, whose draw checks its two ends and
+slices its rows (``sampling._normals``), ``evaluate_sample`` parses its
+lines, and ``format_record`` prints the one line it gives for a record's
+index and function, which is how replay recomputes a record.
 
 Replay reads version 4 only: older records (version 3, which an earlier
 kernel wrote, version 2, and unversioned ones drawn from an earlier stream)
@@ -185,42 +187,53 @@ def _lines(rspec: RandomSpec, indices, n: int, functions) -> tuple[bytes, BatchR
 
 
 @functools.lru_cache
-def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> tuple:
-    """Per function, 8 bytes %-templates of a whole line, indexed by the flag
-    code 4 main_holds + 2 dependent + equality_consistent.  Each bakes in the
-    record version, the fields every line of a sweep shares, the four JSON
-    words (candidate is not main_holds), robertson_det's null for odd n and
-    the trailing newline.  It leaves index, cov_det, qfi_det, gap and, for
-    even n, robertson_det; cov_det and robertson_det are %s, formatted once
-    per sample.  Floats print with 17 significant digits so they round-trip."""
+def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> np.ndarray:
+    """An (F, 2, 2, 2) object array of bytes %-templates of a whole line,
+    indexed by function, main_holds, dependent and equality_consistent.
+    Each bakes in the record version, the fields every line of a sweep
+    shares, the four JSON words (candidate is not main_holds),
+    robertson_det's null for odd n and the trailing newline.  It leaves
+    index, cov_det, qfi_det, gap and, for even n, robertson_det; cov_det and
+    robertson_det are %s, formatted once per sample.  Floats print with 17
+    significant digits so they round-trip."""
     words, rob = ("false", "true"), "%s" if n % 2 == 0 else "null"
-    return tuple(
-        tuple(
-            f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
-            f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
-            f'"gap": %.17g, "robertson_det": {rob}, "main_holds": {words[main]}, "dependent": '
-            f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
-            .encode()
-            for main, dependent, equal in itertools.product((False, True), repeat=3)
-        )
-        for fid in fids
-    )
+    table = np.empty((len(fids), 2, 2, 2), dtype=object)
+    for k, fid in enumerate(fids):
+        for main, dependent, equal in itertools.product((0, 1), repeat=3):
+            table[k, main, dependent, equal] = (
+                f'{{"version": {RECORD_VERSION}, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+                f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
+                f'"gap": %.17g, "robertson_det": {rob}, "main_holds": {words[main]}, "dependent": '
+                f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
+                .encode()
+            )
+    return table
 
 
 def _format_batch(templates, indices, out: BatchReport) -> bytes:
     """The record lines of a kernel report as one bytes block, sample-major,
-    then function: the templates its flags pick, joined, then one % over
-    every line's values."""
-    cov = [b"%.17g" % x for x in out.cov_det.tolist()]
-    qfi, gap, functions = out.qfi_det.T.tolist(), out.gap.T.tolist(), range(len(templates))
-    flags = zip(out.main_holds.T.tolist(), out.dependent.tolist(), out.equality_consistent.T.tolist())
-    block = b"".join([templates[k][4 * m[k] + 2 * d + e[k]] for m, d, e in flags for k in functions])
-    if out.robertson_det is None:
-        rows = zip(indices, cov, qfi, gap)
-        values = [x for i, c, q, g in rows for k in functions for x in (i, c, q[k], g[k])]
-    else:
-        rows = zip(indices, cov, qfi, gap, [b"%.17g" % x for x in out.robertson_det.tolist()])
-        values = [x for i, c, q, g, r in rows for k in functions for x in (i, c, q[k], g[k], r)]
+    then function: the templates picked by one array of flag codes, each a
+    record's flat position in the table, joined, then one % over every
+    line's values.  The values are filled column by column into one list of
+    B F lines of 4 (odd n) or 5 fields: qfi_det and gap in one strided
+    slice each, and the per-sample fields, index (as given, so Python ints
+    up to 2**64 - 1 stay exact), cov_det and, for even n, robertson_det
+    (both formatted once per sample), in one strided slice per function."""
+    count = len(templates)
+    flags = (np.arange(count)[:, None], out.main_holds, out.dependent, out.equality_consistent)
+    codes = np.ravel_multi_index(flags, templates.shape)
+    block = b"".join(templates.reshape(-1).take(codes.T).ravel().tolist())
+    fmt = b"%.17g".__mod__
+    width = 4 if out.robertson_det is None else 5
+    values = [None] * (width * codes.size)
+    values[2::width] = out.qfi_det.T.ravel().tolist()
+    values[3::width] = out.gap.T.ravel().tolist()
+    samples = [(0, indices), (1, list(map(fmt, out.cov_det.tolist())))]
+    if out.robertson_det is not None:
+        samples.append((4, list(map(fmt, out.robertson_det.tolist()))))
+    for field, column in samples:
+        for k in range(count):
+            values[field + width * k :: width * count] = column
     return block % tuple(values)
 
 
@@ -449,28 +462,36 @@ def _indexed_line(fd: int, starts, line_number: int, size: int):
     return line if whole else None
 
 
+def _reader(path, fd: int):
+    """A buffered binary reader of the open file ``fd``, named ``path``; it
+    reads and closes a duplicate of ``fd``, which shares its offset."""
+    return open(path, "rb", opener=lambda _path, _flags: os.dup(fd))
+
+
 def _read_line(path, line_number: int) -> bytes:
     """Line ``line_number`` (from 1) of the file at ``path``, as bytes.
 
-    The first call on a file indexes its line starts in one pass and keeps
-    the index, keyed by ``_file_key`` of the open file; later calls on the
-    same unchanged file are an fstat and one pread of the line.  A kept index
-    whose line fails ``_indexed_line``'s checks, or is out of its range, is
-    rebuilt once from the same open file.  ``run_sweep`` renames a new file
-    onto its path, so a re-swept path gets a new inode and a new index.  A
-    file that is not a regular one, such as a pipe, is read up to the line
-    on every call and never indexed.
+    The file is opened as a bare descriptor.  The first call on a file
+    indexes its line starts in one pass and keeps the index, keyed by
+    ``_file_key`` of the open file; later calls on the same unchanged file
+    are an fstat and one pread of the line, with no file object built.  A
+    kept index whose line fails ``_indexed_line``'s checks, or is out of its
+    range, is rebuilt once from the same open file.  ``run_sweep`` renames a
+    new file onto its path, so a re-swept path gets a new inode and a new
+    index.  A file that is not a regular one, such as a pipe, is read up to
+    the line on every call and never indexed.
     """
     global _line_index
-    with open(path, "rb") as fh:
-        fd = fh.fileno()
+    fd = os.open(path, os.O_RDONLY)
+    try:
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             # a pipe can neither seek nor keep an index: read to the line once
             count = 0
-            for count, line in enumerate(fh, 1):
-                if count == line_number:
-                    return line
+            with _reader(path, fd) as fh:
+                for count, line in enumerate(fh, 1):
+                    if count == line_number:
+                        return line
             raise ValueError(f"line {line_number} out of range 1..{count}")
         key = _file_key(st)
         # one read of the slot: another thread may replace it meanwhile
@@ -479,12 +500,16 @@ def _read_line(path, line_number: int) -> bytes:
             line = _indexed_line(fd, kept[1], line_number, st.st_size)
             if line is not None:
                 return line
-        starts = _line_starts(fh)
+        # preads leave the offset at 0, where the indexing pass starts
+        with _reader(path, fd) as fh:
+            starts = _line_starts(fh)
         _line_index = (key, starts)
         line = _indexed_line(fd, starts, line_number, st.st_size)
         if line is None:
             raise ValueError(f"line {line_number} out of range 1..{len(starts) - 1}")
         return line
+    finally:
+        os.close(fd)
 
 
 def replay_record(path, line_number: int) -> dict:

@@ -90,6 +90,12 @@ def test_pure_volume_seed_from_environment(capsys, monkeypatch):
     assert "seed=17" in capsys.readouterr().out
 
 
+def test_an_empty_environment_seed_falls_back_to_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("QFIVOL_SEED", "")
+    assert main(["repro", "pure-volume"]) == 0
+    assert "seed=42" in capsys.readouterr().out
+
+
 def test_bad_environment_seed_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("QFIVOL_SEED", "not-a-number")
     assert main(["repro", "pure-volume"]) == 2
@@ -114,7 +120,7 @@ def test_integer_flags_take_an_optional_minus_and_ascii_digits_alone(tmp_path, c
 
 
 @pytest.mark.parametrize("name", ["QFIVOL_SEED", "QFIVOL_PARALLELISM"])
-@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS[:3])
+@pytest.mark.parametrize("text", [*NOT_ASCII_INTEGERS[:5], "\t7"])
 def test_environment_integers_take_an_optional_minus_and_ascii_digits_alone(tmp_path, capsys, monkeypatch,
                                                                             name, text):
     monkeypatch.setenv(name, text)

@@ -22,6 +22,7 @@ from qfivol import (
     tilde_order,
     wyd,
 )
+from qfivol.monotone import WYD_SERIES_WINDOW
 
 ALL_BUILTINS = (SLD, WY, RLD, wyd(0.25), wyd(0.1))
 
@@ -169,6 +170,36 @@ def test_wyd_matches_high_precision_oracle():
             x = 1.0 + t
             want = float(oracle(beta, x))
             assert_allclose(f(x), want, rtol=1e-11)
+
+
+def _masked_wyd(beta, y):
+    """wyd's evaluator on [0, 1] as it was written before the whole-array
+    form: the series gathered into the window, the formula out of it."""
+    f0 = beta * (1.0 - beta)
+    t = y - 1.0
+    near = np.abs(t) < WYD_SERIES_WINDOW
+    out = np.empty_like(y)
+    tn = t[near]
+    out[near] = 1.0 + tn * (0.5 + tn * ((f0 - 1.0) / 12.0 + tn * (1.0 - f0) / 24.0))
+    yf = y[~near]
+    out[~near] = f0 * (yf - 1.0) ** 2 / ((yf**beta - 1.0) * (yf ** (1.0 - beta) - 1.0))
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.25, 0.4])
+def test_wyd_evaluator_has_the_bits_of_the_masked_form(beta):
+    """On a grid with exact 0 and 1, ratios inside and at the edge of the
+    series window and ratios outside it, the whole-array evaluator gives the
+    masked form's bits, also on batches with no ratio in the window, and
+    raises no RuntimeWarning (an error under this suite's settings)."""
+    edge = 1.0 - WYD_SERIES_WINDOW
+    grid = np.concatenate([
+        [0.0, 1.0, 5e-324, 1e-300, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)],
+        1.0 - np.logspace(-16, -4, 25), np.linspace(0.0, 1.0, 257), np.logspace(-300, 0, 61),
+    ])
+    core = wyd(beta).unit_evaluate
+    for y in (grid, grid.reshape(-1, 7)[1:], grid[np.abs(grid - 1.0) >= WYD_SERIES_WINDOW], grid[:2]):
+        assert core(y).tobytes() == _masked_wyd(beta, y).tobytes()
 
 
 def test_wyd_matches_wy_limit_shape():

@@ -313,6 +313,58 @@ def test_pure_state_matches_two_oracle_calls():
             assert sample_pure_state(seed, 4, index).matrix.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [
+        range(3, 10),  # starts mid-block
+        range(5, 6), range(0, 1), range(2**64 - 1, 2**64),  # one element
+        range(8, 16), range(3, 24),  # end on a block edge
+        range(2**63 - 2, 2**63 + 1),  # across 2**63
+        range(2**64 - 259, 2**64),  # up to 2**64 - 1
+    ],
+)
+def test_a_range_draws_the_bytes_of_its_list(indices):
+    """A range's two-end check and one slice give the stacks that the
+    index-by-index path gives the same indices as a list."""
+    for seed in (0, 2**64 - 1):
+        spec = RandomSpec(seed, 2, "density")
+        ranged = sampling._normals(spec, indices, DRAWS)
+        listed = sampling._normals(spec, list(indices), DRAWS)
+        for a, b in zip(ranged, listed):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "indices, bad",
+    [(range(2**64 - 3, 2**64 + 1), 2**64), (range(2**64 - 3, 2**64 + 9), 2**64),
+     (range(-1, 4), -1), (range(-9, -1), -9)],
+)
+def test_a_range_out_of_uint64_is_refused_before_drawing(no_normals, indices, bad):
+    """The message is the one the first bad index of the same list gives."""
+    spec = RandomSpec(3, 3, "density")
+    message = f"index must be in 0..18446744073709551615, got {bad}"
+    for batch in (indices, list(indices)):
+        with pytest.raises(ValueError) as info:
+            sampling.draw_samples(spec, batch, 2)
+        assert str(info.value) == message
+
+
+def test_a_range_too_long_to_list_is_refused_at_its_end(no_normals):
+    """Its first index out of range is 2**64, whatever its length."""
+    with pytest.raises(ValueError) as info:
+        sampling.draw_samples(RandomSpec(3, 3, "density"), range(5, 2**70), 2)
+    assert str(info.value) == "index must be in 0..18446744073709551615, got 18446744073709551616"
+
+
+def test_a_range_of_another_step_is_checked_index_by_index():
+    spec = RandomSpec(3, 2, "density")
+    for indices in (range(9, 2, -2), range(2**64 - 1, 2**64 - 20, -3)):
+        ranged = sampling._normals(spec, indices, DRAWS)
+        listed = sampling._normals(spec, list(indices), DRAWS)
+        assert [a.tobytes() for a in ranged] == [b.tobytes() for b in listed]
+
+
 @pytest.mark.parametrize("index", [-1, 2**64])
 def test_index_outside_uint64_raises(index):
     spec = RandomSpec(3, 3, "density")

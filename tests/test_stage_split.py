@@ -30,6 +30,8 @@ def test_every_stage_of_a_tiny_call_is_timed_and_restored():
     stages = [stage for stage, _, _ in stage_split.STAGES]
     assert list(split) == [*stages, "rest", "whole"]
     assert all(split[stage][1] >= 1 for stage in stages)
+    # the state and observable build from their normals are stages, not rest
+    assert split["_state_matrices"][1] == split["_observables"][1] == 1
     # the rest too: each stage's best is at most its time in the best whole call
     assert all(us >= 0.0 for us, _ in split.values())
 

@@ -359,6 +359,65 @@ def test_format_batch_matches_the_str_oracle(n, count, batch):
     assert codes == set(range(8))
 
 
+# The per-record printer that wrote every version-4 line before the flag codes
+# and values were built column by column: nested template tuples indexed by
+# function then flag code, and one comprehension over records.
+def _reference_templates(seed, ensemble, dim, n, fids):
+    words, rob = ("false", "true"), "%s" if n % 2 == 0 else "null"
+    return tuple(
+        tuple(
+            f'{{"version": 4, "index": %d, "seed": {seed}, "ensemble": "{ensemble}", '
+            f'"dim": {dim}, "n": {n}, "function": "{fid}", "cov_det": %s, "qfi_det": %.17g, '
+            f'"gap": %.17g, "robertson_det": {rob}, "main_holds": {words[main]}, "dependent": '
+            f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
+            .encode()
+            for main, dependent, equal in itertools.product((False, True), repeat=3)
+        )
+        for fid in fids
+    )
+
+
+def _reference_format_batch(templates, indices, out):
+    cov = [b"%.17g" % x for x in out.cov_det.tolist()]
+    qfi, gap, functions = out.qfi_det.T.tolist(), out.gap.T.tolist(), range(len(templates))
+    flags = zip(out.main_holds.T.tolist(), out.dependent.tolist(), out.equality_consistent.T.tolist())
+    block = b"".join([templates[k][4 * m[k] + 2 * d + e[k]] for m, d, e in flags for k in functions])
+    if out.robertson_det is None:
+        rows = zip(indices, cov, qfi, gap)
+        values = [x for i, c, q, g in rows for k in functions for x in (i, c, q[k], g[k])]
+    else:
+        rows = zip(indices, cov, qfi, gap, [b"%.17g" % x for x in out.robertson_det.tolist()])
+        values = [x for i, c, q, g, r in rows for k in functions for x in (i, c, q[k], g[k], r)]
+    return block % tuple(values)
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["odd-n", "even-n"])
+@pytest.mark.parametrize("count", [1, 3, 6])
+@pytest.mark.parametrize("batch", [1, 7, 64, 256])
+def test_format_batch_matches_the_per_record_printer(n, count, batch):
+    """The column-wise printer gives the per-record printer's bytes for every
+    flag code, at batch sizes a replay, a sweep tail and both sweep kernel
+    calls use, with Python-int indices on both sides of 2**63 and up to
+    2**64 - 1, as ranges and as lists.  numpy reads range(2**63 - 2,
+    2**63 + 1) as float64, so a printer that went through np.asarray would
+    print those indices wrong."""
+    fids = ("sld", "wy", "wyd:0.05", "wyd:0.1", "wyd:0.25", "wyd:0.4")[:count]
+    templates = sweep._templates(11, "real-density", 8, n, fids)
+    reference = _reference_templates(11, "real-density", 8, n, fids)
+    starts = (0, 2**63 - 1 - batch // 2, 2**64 - batch)
+    codes = set()
+    for shift in range(8):
+        out = _synthetic_report(n, count, batch, shift)
+        codes |= set((4 * out.main_holds + 2 * out.dependent + out.equality_consistent).ravel().tolist())
+        for start in starts:
+            for indices in (range(start, start + batch), list(range(start, start + batch))):
+                block = sweep._format_batch(templates, indices, out)
+                assert block == _reference_format_batch(reference, indices, out)
+        lines = block.splitlines()
+        assert [json.loads(line)["index"] for line in lines[::count]] == list(range(2**64 - batch, 2**64))
+    assert codes == set(range(8))
+
+
 def test_template_tables_do_not_leak_between_configs(tmp_path):
     """Sweeps, evaluate_sample and format_record on configs that differ from
     one base config in exactly one shared field, interleaved in one process,

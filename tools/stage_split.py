@@ -30,8 +30,10 @@ The ``_format_batch`` row also gives its µs per printed float: a call of
 B samples and F functions prints B (1 + 2F + [n even]) floats
 (``floats_per_sample``); every other byte of a line comes from a template.
 Each stage's best is at most its time in the best whole call, so the rest
-is never below that call's own unattributed time; it holds the state and
-observable build, the kernel's glue and the tracer's overhead.
+is never below that call's own unattributed time; it holds the glue of
+the draw and the kernel and the tracer's overhead.  The state and
+observable build from their normals are stages of their own
+(``_state_matrices``, and ``_observables`` with its ``_hermitian``).
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ REPEATS = 30  # runs to take the best of
 # coordinate_grams does itself: the weighted product Y diag(w) Y^T
 STAGES = (
     ("_normals", "sampling", ("_normals",)),
+    ("_state_matrices", "sampling", ("_state_matrices",)),
+    ("_observables", "sampling", ("_observables",)),
     ("density_stack", "sampling", ("density_stack",)),
     ("as_hermitian", "matrices", ("as_hermitian",)),
     ("_checked_eigh", "matrices", ("_checked_eigh",)),
