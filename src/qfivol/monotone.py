@@ -86,6 +86,11 @@ class MonotoneFunction:
         if errors:
             raise RegistrationError(f"{self.fid}: " + "; ".join(errors))
 
+    def __hash__(self):
+        # equal functions share these two fields; hashing the evaluator and
+        # the closed form too would cost every cache keyed by functions
+        return hash((self.fid, self.value_at_zero))
+
     @property
     def regular(self) -> bool:
         return self.value_at_zero > 0.0

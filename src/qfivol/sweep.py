@@ -19,7 +19,9 @@ Wall time is reported on the returned summary object only, never written to
 the file.
 
 Worker processes are kept from one sweep to the next; ``run_sweep`` says
-when they are forked, reused and shut down.
+when they are forked, reused and shut down.  The pool's modules
+(concurrent.futures, multiprocessing, threading) are imported by the first
+sweep that forks one, not with the package, since most processes never do.
 
 Every record starts with ``"version": 4`` (``RECORD_VERSION``), its format,
 whose fields, in ``RECORD_FIELDS`` order, this module prints from the report
@@ -58,14 +60,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import multiprocessing.connection
 import os
 import stat
-import threading
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,9 +186,11 @@ def _lines(rspec: RandomSpec, indices, n: int, functions) -> tuple[bytes, BatchR
 
 @functools.lru_cache
 def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> np.ndarray:
-    """An (F, 2, 2, 2) object array of bytes %-templates of a whole line,
-    indexed by function, main_holds, dependent and equality_consistent.
-    Each bakes in the record version, the fields every line of a sweep
+    """An 8 F object array of bytes %-templates of a whole line, the flat
+    (F, 2, 2, 2) table indexed by function, main_holds, dependent and
+    equality_consistent: function k's template for flag code c = 4
+    main_holds + 2 dependent + equality_consistent sits at 8 k + c.  Each
+    bakes in the record version, the fields every line of a sweep
     shares, the four JSON words (candidate is not main_holds),
     robertson_det's null for odd n and the trailing newline.  It leaves
     index, cov_det, qfi_det, gap and, for even n, robertson_det; cov_det and
@@ -207,34 +207,45 @@ def _templates(seed: int, ensemble: str, dim: int, n: int, fids: tuple) -> np.nd
                 f'{words[dependent]}, "equality_consistent": {words[equal]}, "candidate": {words[not main]}}}\n'
                 .encode()
             )
-    return table
+    return table.reshape(-1)
 
 
 def _format_batch(templates, indices, out: BatchReport) -> bytes:
     """The record lines of a kernel report as one bytes block, sample-major,
-    then function: the templates picked by one array of flag codes, each a
-    record's flat position in the table, joined, then one % over every
-    line's values.  The values are filled column by column into one list of
-    B F lines of 4 (odd n) or 5 fields: qfi_det and gap in one strided
-    slice each, and the per-sample fields, index (as given, so Python ints
-    up to 2**64 - 1 stay exact), cov_det and, for even n, robertson_det
-    (both formatted once per sample), in one strided slice per function."""
-    count = len(templates)
-    flags = (np.arange(count)[:, None], out.main_holds, out.dependent, out.equality_consistent)
-    codes = np.ravel_multi_index(flags, templates.shape)
-    block = b"".join(templates.reshape(-1).take(codes.T).ravel().tolist())
+    then function: the templates picked by each record's position in the
+    table, joined, then one % over every line's values.  A batch's
+    positions are one numpy array; a single sample's F positions, as replay
+    prints, are read from its flags in Python, which is cheaper than
+    numpy's fixed cost per call.  The values are filled column by column
+    into one list of B F lines of 4 (odd n) or 5 fields: qfi_det and gap in
+    one strided slice each, and the per-sample fields, index (as given, so
+    Python ints up to 2**64 - 1 stay exact), cov_det and, for even n,
+    robertson_det (both formatted once per sample), in one strided slice
+    per function."""
+    count = len(out.main_holds)
+    if len(indices) == 1:
+        dependent = 2 * out.dependent.item(0)
+        main, equal = out.main_holds.ravel().tolist(), out.equality_consistent.ravel().tolist()
+        starts = range(0, 8 * count, 8)
+        picked = [templates[at + 4 * m + dependent + e] for at, m, e in zip(starts, main, equal)]
+    else:
+        flags = (np.arange(count)[:, None], out.main_holds, out.dependent, out.equality_consistent)
+        picked = templates.take(np.ravel_multi_index(flags, (count, 2, 2, 2)).T).ravel().tolist()
     fmt = b"%.17g".__mod__
     width = 4 if out.robertson_det is None else 5
-    values = [None] * (width * codes.size)
-    values[2::width] = out.qfi_det.T.ravel().tolist()
-    values[3::width] = out.gap.T.ravel().tolist()
-    samples = [(0, indices), (1, list(map(fmt, out.cov_det.tolist())))]
-    if out.robertson_det is not None:
-        samples.append((4, list(map(fmt, out.robertson_det.tolist()))))
-    for field, column in samples:
-        for k in range(count):
-            values[field + width * k :: width * count] = column
-    return block % tuple(values)
+    step = width * count
+    values = [None] * (width * len(picked))
+    # ravel("F") of an (F, B) array is sample-major
+    values[2::width] = out.qfi_det.ravel("F").tolist()
+    values[3::width] = out.gap.ravel("F").tolist()
+    cov = list(map(fmt, out.cov_det.tolist()))
+    rob = None if out.robertson_det is None else list(map(fmt, out.robertson_det.tolist()))
+    for k in range(0, step, width):
+        values[k::step] = indices
+        values[k + 1::step] = cov
+        if rob is not None:
+            values[k + 4::step] = rob
+    return b"".join(picked) % tuple(values)
 
 
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
@@ -337,10 +348,15 @@ def _fold(config: SweepConfig, parts, fh, start_time) -> SweepSummary:
 # the kept worker pool as (pid of the process that built it, worker count,
 # executor), or None; see run_sweep
 _pool = None
+# the pool's executor class, concurrent.futures.ProcessPoolExecutor once the
+# first pool is built (_worker_pool); None until then
+ProcessPoolExecutor = None
 
 
 def _wait_for_parent(sentinel):
-    multiprocessing.connection.wait([sentinel])
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
     os._exit(1)
 
 
@@ -348,6 +364,9 @@ def _exit_with_parent():
     """Pool initializer: a daemon thread ends the worker once its parent is
     gone, since a worker holds its own ends of the pool's pipes and would
     never see them close."""
+    import multiprocessing
+    import threading
+
     sentinel = multiprocessing.parent_process().sentinel
     threading.Thread(target=_wait_for_parent, args=(sentinel,), daemon=True).start()
 
@@ -364,9 +383,11 @@ def _close_pool():
 def _worker_pool(workers):
     """The kept pool if this process built it with exactly ``workers``
     workers, else a new one built after the kept one is closed."""
-    global _pool
+    global _pool, ProcessPoolExecutor
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         _close_pool()
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
         _pool = (os.getpid(), workers, pool)
     return _pool[2]
@@ -399,6 +420,8 @@ def run_sweep(config: SweepConfig, out_path) -> SweepSummary:
         with open(tmp_path, "wb") as fh:
             results = iter(())
             if theirs:
+                from concurrent.futures.process import BrokenProcessPool
+
                 # a fork-started pool forks all its workers at its first submit
                 workers = min(step - 1, len(theirs))
                 try:

@@ -46,15 +46,19 @@ DEPENDENCE_SV_TOL = 1e-8
 _SCREEN_MARGIN = 1e3
 MONOTONICITY_SLACK = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BatchReport:
     """Kernel output for B samples and F functions.
 
     Arrays indexed by function lead with F, then B.  ``rank_deficient`` says
     that n exceeds commutator_rank, so every metric Gram in the batch is
-    singular by theory and its volume order carries no information.
+    singular by theory and its volume order carries no information.  Not
+    frozen: its arrays are writable anyway, and a frozen __init__ sets each
+    of the twelve fields through object.__setattr__, which a batch-of-one
+    call would pay on every check and replay.
     """
 
     cov_gram: np.ndarray
@@ -75,8 +79,14 @@ class BatchReport:
         count = np.zeros(self.cov_det.shape, dtype=int)
         if not self.rank_deficient:
             for i, j in pairs:
-                count += self.volume_qfi[i] < self.volume_qfi[j] - MONOTONICITY_SLACK
+                count += _breaks(self.volume_qfi[i], self.volume_qfi[j])
         return count
+
+
+def _breaks(first, second):
+    """The monotonicity rule: volume ``first`` falls short of volume
+    ``second`` by more than MONOTONICITY_SLACK (Python floats or arrays)."""
+    return first < second - MONOTONICITY_SLACK
 
 
 def commutator_rank(dim: int, real: bool) -> int:
@@ -139,12 +149,13 @@ def coordinate_grams(eigenvalues, eigenvectors, observables, functions, screen=F
     rows beside it.
     """
     y = _coordinates(eigenvalues, eigenvectors, observables)
-    weights = _weights(eigenvalues, functions, screen)
+    pairs = _pairs(eigenvalues)
+    weights = _weights(pairs, functions, screen)
     n, rows = y.shape[-2], len(weights)
     grams = np.empty((rows + (robertson and n % 2 == 0), *y.shape[:-1], n))
     np.matmul(y * weights, y.swapaxes(-1, -2), out=grams[:rows])
     if len(grams) > rows:
-        grams[rows] = _commutator_gram(y, eigenvalues)
+        _commutator_gram(y, pairs[-1], out=grams[rows])
     return y, grams
 
 
@@ -179,22 +190,34 @@ def _coordinates(eigenvalues, eigenvectors, observables) -> np.ndarray:
     does not move when A moves by a multiple k I, so only the diagonal needs
     the mean; dividing by the clamped trace, which falls short of 1 by any
     eigenvalue clamped to 0, keeps the diagonal's shift exactly k, so a
-    dependent set stays dependent after any such move."""
+    dependent set stays dependent after any such move.  The trace is
+    np.add.reduce, ndarray.sum's bits without its Python wrapper."""
     frames = eigenframes(eigenvectors, observables).astype(np.complex128, copy=False)
     dim = frames.shape[-1]
     y = frames.view(np.float64).reshape(*frames.shape[:-2], -1).take(_gather(dim), axis=-1)
     diagonal = y[..., :dim]
-    diagonal -= (diagonal @ eigenvalues[:, :, None]) / eigenvalues.sum(-1)[:, None, None]
+    diagonal -= (diagonal @ eigenvalues[:, :, None]) / np.add.reduce(eigenvalues, -1)[:, None, None]
     return y
 
 
 def _rank(rho, observables) -> int:
     """commutator_rank of a stack's state and observables: real when the
-    state and every observable are."""
-    return commutator_rank(rho.shape[-1], not (np.iscomplexobj(rho) or np.iscomplexobj(observables)))
+    state and every observable are (both are arrays)."""
+    return commutator_rank(rho.shape[-1], rho.dtype.kind != "c" and observables.dtype.kind != "c")
 
 
-def _weights(eigenvalues, functions, screen=False) -> np.ndarray:
+def _pairs(eigenvalues) -> tuple:
+    """A (B, d) spectrum stack promoted to float64 (float32 and integer
+    spectra too), then lam_u, lam_v and lam_u - lam_v over its pairs u < v
+    (pair_indices order): formed once per kernel call, for the weights and
+    the Robertson matrix alike."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    rows, cols = pair_indices(lam.shape[-1], 1)
+    hi, lo = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
+    return lam, hi, lo, hi - lo
+
+
+def _weights(pairs, functions, screen=False) -> np.ndarray:
     """(1 + F (+ 1 with ``screen``), B, 1, d^2) weights of the coordinates,
     whose d diagonal entries come first, then the pairs u < v twice (Re, then
     Im), built as one array of diagonal and pair values that _layout's index
@@ -206,19 +229,19 @@ def _weights(eigenvalues, functions, screen=False) -> np.ndarray:
     descending, so each ratio lies in [0, 1] and f is read through its
     unit_evaluate; every weight is >= 0 and none is a difference of two.
     The screen's w is 1 on the diagonal and 2 on a pair, so Y diag(w) Y^T is
-    X X^T for the Frobenius-isometric coordinates X = Y diag(sqrt(w))."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    X X^T for the Frobenius-isometric coordinates X = Y diag(sqrt(w)).
+    ``pairs`` is _pairs of the spectrum stack lam."""
+    lam, hi, lo, gap = pairs
     dim = lam.shape[-1]
-    rows, cols = pair_indices(dim, 1)
     index, unit, _ = _layout(dim)
     values = np.zeros((1 + len(functions) + screen, len(lam), 1, len(unit)))
-    hi, lo = lam.take(rows, axis=-1), lam.take(cols, axis=-1)
     values[0, :, 0, :dim] = lam
     np.add(hi, lo, out=values[0, :, 0, dim:])
     if functions:
-        # lam_v = lam_u = 0 where lam_u = 0, so dividing by 1 there gives q = 0
-        safe = np.where(hi > 0.0, hi, 1.0)
-        ratio, gap = lo / safe, hi - lo
+        # lam_v = lam_u = 0 where lam_u = 0, so dividing by _TINY there gives
+        # q = 0, as dividing by 1 would; a nonzero lam_u is >= EIGENVALUE_FLOOR
+        safe = np.maximum(hi, _TINY)
+        ratio = lo / safe
         square = gap * (gap / safe)
         for k, f in enumerate(functions, 1):
             evaluated = np.asarray(f.unit_evaluate(ratio), dtype=np.float64)
@@ -228,17 +251,18 @@ def _weights(eigenvalues, functions, screen=False) -> np.ndarray:
     return values.take(index, axis=-1)
 
 
-def _commutator_gram(y, eigenvalues) -> np.ndarray:
+def _commutator_gram(y, gaps, out=None) -> np.ndarray:
     """Robertson matrices -(i/2) Tr(rho [A_h, A_j]) from the coordinates Y
-    and the spectrum: the sum over pairs u < v of (lam_u - lam_v) Im(a_uv
-    conj(b_uv)), which is Y_im D Y_re^T - Y_re D Y_im^T with D = diag(lam_u -
-    lam_v); exactly antisymmetric, and exactly 0 where Y_im is."""
-    dim = eigenvalues.shape[-1]
-    rows, cols = pair_indices(dim, 1)
-    gaps = eigenvalues.take(rows, axis=-1) - eigenvalues.take(cols, axis=-1)
-    re, im = y[..., dim:dim + len(rows)], y[..., dim + len(rows):]
+    and the float64 pair gaps lam_u - lam_v of the spectrum (_pairs): the sum
+    over pairs u < v of (lam_u - lam_v) Im(a_uv conj(b_uv)), which is Y_im D
+    Y_re^T - Y_re D Y_im^T with D = diag(lam_u - lam_v); exactly
+    antisymmetric, and exactly 0 where Y_im is.  Written to ``out`` where
+    given."""
+    pairs = gaps.shape[-1]
+    start = y.shape[-1] - 2 * pairs
+    re, im = y[..., start:start + pairs], y[..., start + pairs:]
     half = (im * gaps[:, None]) @ re.swapaxes(-1, -2)
-    return half - half.swapaxes(-1, -2)
+    return np.subtract(half, half.swapaxes(-1, -2), out=out)
 
 
 def coordinate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> BatchReport:
@@ -263,7 +287,7 @@ def coordinate_batch(rho, eigenvalues, eigenvectors, observables, functions) -> 
     rank = _rank(rho, observables)
     y, grams = coordinate_grams(eigenvalues, eigenvectors, observables, functions, screen=True, robertson=True)
     dets = det_small(grams)
-    trace = grams[rows].diagonal(0, -2, -1).sum(-1)
+    trace = np.add.reduce(grams[rows].diagonal(0, -2, -1), -1)
     dependent = _dependent(y, rank + dim, (dets[rows], trace), _layout(dim)[2])
     cov_det, qfi_det = dets[0], dets[1:rows]
     gap = cov_det - qfi_det
@@ -316,7 +340,7 @@ def _dependent(x, span: int, screen=None, scale=None) -> np.ndarray:
         return np.ones(len(x), dtype=bool)
     if screen is None:
         g = x @ x.swapaxes(-1, -2)
-        screen = det_small(g), g.diagonal(0, -2, -1).sum(-1)
+        screen = det_small(g), np.add.reduce(g.diagonal(0, -2, -1), -1)
     det, trace = screen
     # With G = X X^T (eigenvalues sigma^2, trace T), sigma_min^2 >=
     # det G / T^(n-1), since each other sigma^2 <= T.  The stacked SVD returns
@@ -380,7 +404,8 @@ def robertson_bound(state: DensityMatrix, observables) -> float:
     if len(obs) % 2:
         return 0.0
     lam = state.eigenvalues[None]
-    return float(det_small(_commutator_gram(_coordinates(lam, state.eigenvectors[None], obs[None]), lam))[0])
+    y = _coordinates(lam, state.eigenvectors[None], obs[None])
+    return float(det_small(_commutator_gram(y, _pairs(lam)[-1]))[0])
 
 
 def observables_dependent(state: DensityMatrix, observables) -> bool:
@@ -454,16 +479,19 @@ def check_inequalities(spec: GramSpec, partner: MonotoneFunction | None = None) 
     pairs = order_pairs(functions)
     mono = None
     if pairs and not out.rank_deficient:
-        mono = bool(out.violations(pairs)[0] == 0)
-    main = bool(out.main_holds[0, 0])
-    rob = None if out.robertson_det is None else float(out.robertson_det[0])
-    dets = (float(out.cov_det[0]), float(out.qfi_det[0, 0]), float(out.gap[0, 0]))
+        # BatchReport.violations(pairs) == 0 for the one sample, on floats
+        volume = out.volume_qfi[:, 0].tolist()
+        mono = not any(_breaks(volume[i], volume[j]) for i, j in pairs)
+    # item(0) is the one sample's (first function's) entry as a Python scalar
+    main = out.main_holds.item(0)
+    rob = None if out.robertson_det is None else out.robertson_det.item(0)
+    dets = (out.cov_det.item(0), out.qfi_det.item(0), out.gap.item(0))
     return InequalityVerdict(
         report=VolumeReport(out.cov_gram[0], out.qfi_gram[0, 0], *dets, rob),
-        scale=float(out.scale[0]),
+        scale=out.scale.item(0),
         main_holds=main,
-        dependent=bool(out.dependent[0]),
-        equality_consistent=bool(out.equality_consistent[0, 0]),
+        dependent=out.dependent.item(0),
+        equality_consistent=out.equality_consistent.item(0),
         monotonicity_holds=mono,
         candidate_counterexample=not main,
     )

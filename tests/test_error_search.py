@@ -213,7 +213,7 @@ def test_the_live_kernels_screen_clears_only_what_the_svd_calls_independent(y):
     dim = math.isqrt(y.shape[-1])
     x = y.copy()
     x[..., dim:] *= math.sqrt(2.0)
-    weights = volumes._weights(np.full((1, dim), 1.0 / dim), (), screen=True)[-1]
+    weights = volumes._weights(volumes._pairs(np.full((1, dim), 1.0 / dim)), (), screen=True)[-1]
     g, gram = (y * weights) @ y.swapaxes(-1, -2), x @ x.swapaxes(-1, -2)
     trace = g.diagonal(0, -2, -1).sum(-1)
     assert np.abs(g - gram).max() <= 1e-13 * trace.max()

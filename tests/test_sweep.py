@@ -707,13 +707,17 @@ if then == "long":
 """
 
 
-def _sweeping_child(tmp_path, parallelism, then):
+def _child_env():
+    """This environment with the checkout's package first on PYTHONPATH."""
     pythonpath = os.environ.get("PYTHONPATH")
     src = str(Path(sweep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + pythonpath if pythonpath else src)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + pythonpath if pythonpath else src)
+
+
+def _sweeping_child(tmp_path, parallelism, then):
     return subprocess.Popen(
         [sys.executable, "-c", _SWEEPING_CHILD, str(tmp_path / "out.jsonl"), str(parallelism), then],
-        stdout=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.PIPE, text=True, env=_child_env(),
     )
 
 
@@ -758,6 +762,44 @@ def test_workers_exit_with_a_sweep_process_that_exits(tmp_path):
         child.stdout.close()
     assert len(pids) == 2
     assert [pid for pid in pids if not _gone(pid)] == []
+
+
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+# a child process that prints which of _POOL_MODULES it has loaded after
+# importing qfivol and running a serial sweep, a replay and a check, then
+# again after a two-chunk sweep at P = 2, whose second chunk a worker takes
+_LOADING_CHILD = f"""
+import json, sys
+from qfivol import SLD, WY, GramSpec, RandomSpec, SweepConfig, check_inequalities, replay_record, run_sweep, sweep
+from qfivol.sampling import sample_observables, sample_state
+serial, parallel = sys.argv[1:]
+loaded = lambda: [name for name in {_POOL_MODULES!r} if name in sys.modules]
+config = dict(n=2, dim=3, samples=300, functions=("sld", "wy"), ensemble="complex", seed=7)
+run_sweep(SweepConfig(**config), serial)
+replay_record(serial, 3)
+rspec = RandomSpec(7, 3, "complex")
+check_inequalities(GramSpec(sample_state(rspec, 0), sample_observables(rspec, 0, 2), WY), partner=SLD)
+before = loaded()
+run_sweep(SweepConfig(**config, parallelism=2), parallel)
+sweep._close_pool()
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_the_worker_pool_modules_load_with_the_first_sweep_that_forks(tmp_path):
+    """import qfivol, a serial sweep, a replay and a check leave
+    concurrent.futures and multiprocessing unloaded; the first sweep that
+    gives the pool a chunk loads them and writes the serial bytes.  A fresh
+    interpreter, since this one has loaded both already."""
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADING_CHILD, str(serial), str(parallel)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], list(_POOL_MODULES)]
+    assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_sweep_repeated_run_is_byte_identical(tmp_path):

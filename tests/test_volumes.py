@@ -33,6 +33,7 @@ from qfivol.monotone import tilde_order
 from qfivol.oracles import gap_from_decomposition, h_weight, k_coefficient
 from qfivol.repro import hessian_generalized_variance
 from qfivol.sampling import draw_samples, sample_observables, sample_pure_state, sample_state
+from qfivol.volumes import order_pairs
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -695,19 +696,68 @@ def test_one_live_kernel_call_makes_one_product_and_one_determinant_call(monkeyp
     """The covariance, metric and screen Grams come from one stacked weighted
     product, and one det_small call covers them and, for even n alone, the
     Robertson matrix; the screen forms no Gram of its own (complex d2 n5
-    reaches the span, so there the screen row goes unread)."""
+    reaches the span, so there the screen row goes unread).  The pair values
+    lam_u, lam_v and lam_u - lam_v are formed once, by the one _pairs call
+    and its one pair_indices lookup, for the weights and Robertson alike."""
     (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, ensemble), range(16), n)
     functions = (WY, SLD)
     expected = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
     calls = []
-    for module, name in [(volumes, "coordinate_grams"), (volumes, "_weights"), (volumes, "_commutator_gram"),
-                         (volumes, "det_small")]:
-        _counting(monkeypatch, module, name, calls)
+    for name in ("coordinate_grams", "_pairs", "pair_indices", "_weights", "_commutator_gram", "det_small"):
+        _counting(monkeypatch, volumes, name, calls)
     out = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
     robertson = ["_commutator_gram"] if n % 2 == 0 else []
-    assert calls == ["coordinate_grams", "_weights", *robertson, "det_small"]
+    assert calls == ["coordinate_grams", "_pairs", "pair_indices", "_weights", *robertson, "det_small"]
     for name in ("cov_gram", "qfi_gram", "cov_det", "qfi_det", "robertson_det", "dependent", "main_holds"):
         assert np.array_equal(getattr(out, name), getattr(expected, name)), name
+
+
+def _crossing_mean():
+    """(sld + wyd:0.05) / 2, a regular operator monotone function whose
+    tilde crosses wy's on the order grid, so (wy, it) resolves no pair."""
+    low = wyd(0.05)
+    mean = MonotoneFunction("sld-wyd-mean", lambda x: (SLD.evaluate(x) + low.evaluate(x)) / 2.0,
+                            (SLD.value_at_zero + low.value_at_zero) / 2.0, "(sld + wyd:0.05)/2")
+    order = tilde_order(WY, mean)
+    assert not (order.first_le_second or order.second_le_first)
+    return mean
+
+
+@pytest.mark.parametrize("slack", ["default", "splitting"])
+@pytest.mark.parametrize("case", ["one-way", "both-way", "incomparable", "rank-deficient"])
+def test_check_reads_the_pair_verdict_of_a_batch_call(monkeypatch, case, slack):
+    """check_inequalities' monotonicity_holds is violations(order_pairs(...))
+    == 0 of one batch kernel call on the same draws, for a pair resolved one
+    way (wy, sld) and both ways (wy with itself), and None for an
+    incomparable pair and a rank-deficient batch (real d2 n2, past
+    commutator_rank 1).  A negative slack of the median volume difference
+    (or of 1 where the volumes are equal) makes both verdicts occur."""
+    ensemble, dim, n = ("real", 2, 2) if case == "rank-deficient" else ("complex", 3, 2)
+    partner = {"one-way": SLD, "both-way": WY, "rank-deficient": SLD}.get(case) or _crossing_mean()
+    functions, count = (WY, partner), 12
+    rspec = RandomSpec(19, dim, ensemble)
+    (rho, lam, vectors), obs = draw_samples(rspec, range(count), n)
+    out = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
+    assert out.rank_deficient == (case == "rank-deficient")
+    if slack == "splitting":
+        median = float(np.median(np.abs(out.volume_qfi[0] - out.volume_qfi[1])))
+        monkeypatch.setattr(volumes, "MONOTONICITY_SLACK", -(median or 1.0))
+    pairs = order_pairs(functions)
+    assert bool(pairs) == (case != "incomparable")
+    expected = (out.violations(pairs) == 0).tolist()
+    verdicts = [
+        check_inequalities(GramSpec(sample_state(rspec, k), sample_observables(rspec, k, n), WY),
+                           partner=partner).monotonicity_holds
+        for k in range(count)
+    ]
+    if case in ("incomparable", "rank-deficient"):
+        assert verdicts == [None] * count
+        return
+    assert verdicts == expected and all(type(v) is bool for v in verdicts)
+    if slack == "default":
+        assert set(verdicts) == {True}
+    else:
+        assert set(verdicts) == ({True, False} if case == "one-way" else {False})
 
 
 def _dyadic_spec_pairs():
@@ -746,6 +796,25 @@ def test_low_precision_inputs_give_the_float64_verdicts(k):
     assert [getattr(verdict, f) for f in flags] == [getattr(reference, f) for f in flags]
     assert robertson_bound(DensityMatrix(state), obs) == (verdict.report.robertson_det or 0.0)
     assert observables_dependent(DensityMatrix(state), obs) == reference.dependent
+
+
+def test_robertson_of_a_float32_spectrum_reads_float64_gaps():
+    """The Robertson matrix weighs each pair by lam_u - lam_v taken in
+    float64, as the metric weights do, whatever the state's dtype: on the
+    diagonal complex64 state (1/2, 1/2 - 2^-10, 2^-10 - 2^-30, 2^-30), whose
+    float32 gaps such as 1/2 - 2^-30 would round, every route's Robertson
+    determinant has the bits of the same values in complex128."""
+    spectrum = np.array([0.5, 0.5 - 2.0**-10, 2.0**-10 - 2.0**-30, 2.0**-30])
+    rng = np.random.default_rng(101)
+    z = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
+    low = (z[:, 0] + 1j * z[:, 1]).astype(np.complex64)
+    low = (low + low.conj().swapaxes(-1, -2)) / np.float32(2)
+    state, state64 = DensityMatrix(np.diag(spectrum).astype(np.complex64)), DensityMatrix(np.diag(spectrum))
+    assert state.eigenvalues.dtype == np.float32 and state.eigenvalues.tolist() == state64.eigenvalues.tolist()
+    expected = robertson_bound(state64, low.astype(complex))
+    assert robertson_bound(state, low) == expected
+    assert volume_gap(GramSpec(state, low, WY)).robertson_det == expected
+    assert check_inequalities(GramSpec(state, low, WY), partner=SLD).report.robertson_det == expected
 
 
 @pytest.mark.parametrize("low", [0.0, 5e-13], ids=["faithful", "clamped"])
