@@ -45,6 +45,16 @@ def metric_context(state: DensityMatrix, function: MonotoneFunction) -> MetricCo
     return MetricContext(state, function)
 
 
+def require_context(ctx, role: str) -> MetricContext:
+    """``ctx`` itself if it is a MetricContext.  The one type check of a
+    context argument: every public function that takes a context passes it
+    here before it reads any of its fields, and ``role`` names that
+    argument in the error."""
+    if not isinstance(ctx, MetricContext):
+        raise ValueError(f"{role} must be a MetricContext, got {type(ctx).__name__}")
+    return ctx
+
+
 def _pair_grams(state: DensityMatrix, a, b, functions):
     """The (1 + F, 1, 2, 2) Grams of (a, b) on ``state``: the kernel's
     weighted product alone, with no determinant, Robertson matrix or flag."""
@@ -68,5 +78,5 @@ def f_correlation(ctx: MetricContext, a, b) -> float:
     correlation differs from the covariance only by the centered diagonal
     term lam_1 a_11 b_11, which vanishes up to rounding.
     """
-    function = require_regular(ctx.function, "f-correlation function")
+    function = require_regular(require_context(ctx, "f-correlation context").function, "f-correlation function")
     return float(_pair_grams(ctx.state, a, b, (function,))[1, 0, 0, 1])

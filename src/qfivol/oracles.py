@@ -22,7 +22,7 @@ import numpy as np
 from .matrices import (
     as_integer, icommutator, observable_stack, pair_indices, real_coordinates, to_eigenframe,
 )
-from .metrics import MetricContext, MetricUndefinedError, f_correlation
+from .metrics import MetricContext, MetricUndefinedError, f_correlation, require_context
 from .monotone import MonotoneFunction, mean_table, require_function, require_regular, tilde
 
 DECOMPOSITION_MAX_TERMS = 10**6
@@ -102,13 +102,15 @@ def gap_from_decomposition(spec) -> float:
     """The determinant gap of a volumes.GramSpec through the explicit H*K sums.
 
     The eigenframes become real coordinates x_k in R^N, the d diagonal
-    entries and sqrt(2) Re, sqrt(2) Im of the upper ones (the coordinates of
-    the kernel's dependence test, matrices.real_coordinates), with weights c,
-    q, m from the pair of eigenvalues each belongs to.  Then Cov = sum c_k x_k
-    x_k^T and the metric Gram is sum q_k x_k x_k^T, so by Cauchy-Binet the gap
-    is the sum over N-subsets S of H_S det(x_S)^2 with H_S = prod_S c -
-    prod_S q >= 0.  The subsets are enumerated in batches, which bounds the
-    work to C(d^2, N) <= DECOMPOSITION_MAX_TERMS terms.
+    entries and sqrt(2) Re, sqrt(2) Im of the upper ones
+    (matrices.real_coordinates, the oracle's own Frobenius-isometric map;
+    the kernel reads volumes._coordinates, scaled by _layout's sqrt(w) for
+    its dependence test, instead), with weights c, q, m from the pair of
+    eigenvalues each belongs to.  Then Cov = sum c_k x_k x_k^T and the
+    metric Gram is sum q_k x_k x_k^T, so by Cauchy-Binet the gap is the sum
+    over N-subsets S of H_S det(x_S)^2 with H_S = prod_S c - prod_S q >= 0.
+    The subsets are enumerated in batches, which bounds the work to C(d^2,
+    N) <= DECOMPOSITION_MAX_TERMS terms.
     """
     n, dim = len(spec.observables), spec.state.dim
     terms = math.comb(dim * dim, n)
@@ -137,7 +139,7 @@ def qfi_inner(ctx: MetricContext, x, y) -> float:
     commutators i[rho, A].  Requires a faithful state, otherwise the mean
     table has zero entries and the sum is undefined.
     """
-    function = require_function(ctx.function, "qfi_inner function")
+    function = require_function(require_context(ctx, "qfi_inner context").function, "qfi_inner function")
     vectors = observable_stack(ctx.state, (x, y))
     if not ctx.state.faithful:
         raise MetricUndefinedError("qfi inner product requires a faithful state")
@@ -154,7 +156,6 @@ def identity_residual(ctx: MetricContext, a, b) -> float:
     two is the tilde form computed by f_correlation.  Requires a faithful
     state and a regular function.
     """
-    direct = 0.5 * ctx.function.value_at_zero * qfi_inner(
-        ctx, icommutator(ctx.state, a), icommutator(ctx.state, b)
-    )
+    f0 = require_context(ctx, "identity_residual context").function.value_at_zero
+    direct = 0.5 * f0 * qfi_inner(ctx, icommutator(ctx.state, a), icommutator(ctx.state, b))
     return abs(direct - f_correlation(ctx, a, b))

@@ -9,10 +9,10 @@ output, independent of call order, batch, process, thread, or worker count.
 Philox is counter-based, so a block's draw starts from a state assignment:
 one generator per thread is set to each block's (key, counter) in turn, from
 one state dict per thread whose seed, block and channel are written in
-place, and draws the block in one call.  A step-1 ``range`` of indices,
-which every sweep kernel call passes, is checked at its two ends and its
-rows are one slice of the drawn blocks; a list (replay, single-sample
-draws) is checked index by index and its rows are gathered.  Complex
+place, and draws the block in one call.  Every draw is one run of
+consecutive indices, given as (start, size): a sweep kernel call's samples,
+or the one sample of a replay or a single-sample draw.  A run is checked at
+its two ends and its rows are one slice of the drawn blocks.  Complex
 matrices are built by filling their real and imaginary planes from the
 normals, never by multiplying a real array by 1j.
 
@@ -87,36 +87,27 @@ BLOCK = 8
 _thread = threading.local()
 
 
-def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
-    """For each (channel, shape) of ``draws`` a (B, *shape) stack whose row b
-    holds the normals of sample indices[b] on that channel, from the spec's
-    seed (see the module docstring).  The one check of a sample index: every
-    index of every draw passes as_integer as ``index``, in 0..2**64 - 1,
-    before any normal is drawn.  A ``range`` of step 1, which every sweep
-    kernel call passes, holds ints from its first to its last index, so
-    those two ends are checked and its rows are one slice of the drawn
-    blocks; any other sequence (replay's and the single-sample draws' lists)
-    is checked index by index and its rows are gathered.  A block's call
-    fills its rows in order, so each block is drawn only up to the last row
-    the indices ask of it: a replay of one record draws its own row and
-    those before it, and the rows drawn have the bits of the whole block's
-    call."""
-    ranged = type(indices) is range and indices.step == 1 and bool(indices)
-    # once a range's first index passes, its first index out of range is
-    # 2**64, which an index-by-index check would report
-    for index in (indices[0], min(indices[-1], 2**64)) if ranged else indices:
-        as_integer("index", index, 0, 2**64 - 1)
-    if ranged:
-        first, last = indices[0], indices[-1]
-        blocks = range(first // BLOCK, last // BLOCK + 1)
-        depths = [BLOCK] * (len(blocks) - 1) + [last % BLOCK + 1]
-        rows = slice(first % BLOCK, first % BLOCK + len(indices))
-    else:
-        # per block, ascending, how many of its rows to draw: up to the last asked for
-        depth_of = {index // BLOCK: index % BLOCK + 1 for index in sorted(indices)}
-        first_row = {block: k * BLOCK for k, block in enumerate(depth_of)}
-        rows = [first_row[index // BLOCK] + index % BLOCK for index in indices]
-        blocks, depths = depth_of.keys(), depth_of.values()
+def _index(value) -> int:
+    """The one check of a sample index: an integer (``as_integer``) in
+    0..2**64 - 1; both ends of every draw's run pass it."""
+    return as_integer("index", value, 0, 2**64 - 1)
+
+
+def _normals(spec: RandomSpec, start, size: int, draws) -> list[np.ndarray]:
+    """For each (channel, shape) of ``draws`` a (size, *shape) stack whose
+    row b holds the normals of sample start + b on that channel, from the
+    spec's seed (see the module docstring).  The run's first and last
+    index pass _index before any normal is drawn, ``start`` as the caller
+    gave it.  A block's call fills its rows in order, so the run's last
+    block is drawn only up to its last row: a replay of one record draws
+    its own row and those before it, and the rows drawn have the bits of
+    the whole block's call."""
+    first = _index(start)
+    # the run's first index out of range is 2**64, whatever its size
+    last = _index(min(first + size - 1, 2**64))
+    blocks = range(first // BLOCK, last // BLOCK + 1)
+    depths = [BLOCK] * (len(blocks) - 1) + [last % BLOCK + 1]
+    rows = slice(first % BLOCK, first % BLOCK + size)
     if not hasattr(_thread, "generator"):
         # one per thread, whose state each block sets: building a Philox
         # costs ~20x as much as setting its state (numpy 2.4.6, x86-64)
@@ -139,8 +130,7 @@ def _normals(spec: RandomSpec, indices, draws) -> list[np.ndarray]:
             counter[2] = block
             gen.bit_generator.state = state
             gen.standard_normal(out=out[:depth])
-        drawn = drawn.reshape(-1, *shape)
-        stacks.append(drawn[rows] if type(rows) is slice else drawn.take(rows, axis=0))
+        stacks.append(drawn.reshape(-1, *shape)[rows])
     return stacks
 
 
@@ -224,33 +214,34 @@ def _observables(spec: RandomSpec, z) -> np.ndarray:
     return _hermitian(z)
 
 
-def draw_samples(spec: RandomSpec, indices, count: int):
-    """The samples at ``indices`` of the spec: validated (matrix,
-    eigenvalues, eigenvectors) state stacks, as matrices.density_stack
-    returns them, and a (B, count, d, d) observable stack (see
-    _observables).  A failed state check names the sample index."""
+def draw_samples(spec: RandomSpec, start, size: int, count: int):
+    """The ``size`` samples of the spec from index ``start`` on: validated
+    (matrix, eigenvalues, eigenvectors) state stacks, as
+    matrices.density_stack returns them, and a (size, count, d, d)
+    observable stack (see _observables).  A failed state check names the
+    sample index."""
     draws = (_state_draw(spec), observable_draw(spec, count))
-    z_state, z_obs = _normals(spec, indices, draws)
+    z_state, z_obs = _normals(spec, start, size, draws)
     try:
         states = density_stack(_state_matrices(spec, z_state))
     except (ValueError, DecompositionError) as exc:
         position = getattr(exc, "position", None)
         if position is None:
             raise
-        raise type(exc)(f"sample {indices[position]}: {exc}") from exc
+        raise type(exc)(f"sample {start + position}: {exc}") from exc
     return states, _observables(spec, z_obs)
 
 
 def sample_state(spec: RandomSpec, index: int) -> DensityMatrix:
     """State draw for the ensemble's state stream (see _state_matrices)."""
-    (z,) = _normals(spec, [index], (_state_draw(spec),))
+    (z,) = _normals(spec, index, 1, (_state_draw(spec),))
     return DensityMatrix(_state_matrices(spec, z)[0])
 
 
 def sample_observables(spec: RandomSpec, index: int, count: int) -> tuple[np.ndarray, ...]:
     """One sample's observable draws (see _observables); a structured C stays a real array."""
     draw = observable_draw(spec, count)
-    (z,) = _normals(spec, [index], (draw,))
+    (z,) = _normals(spec, index, 1, (draw,))
     a = _observables(spec, z)[0]
     return (*a[:2], a[2].real.copy()) if spec.ensemble == "pauli-like-structured" else tuple(a)
 
@@ -260,7 +251,7 @@ def sample_pure_state(seed: int, dim: int, index: int) -> DensityMatrix:
     first, then imaginary parts, from one call); seed and dim are checked as
     a RandomSpec checks them."""
     spec, draw = RandomSpec(seed, dim, "density"), (PURE_CHANNEL, (2 * dim,))
-    (z,) = _normals(spec, [index], (draw,))
+    (z,) = _normals(spec, index, 1, (draw,))
     v = _complex(z[0, :dim], z[0, dim:])
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))

@@ -36,12 +36,13 @@ by record, formatting each sample's ``cov_det`` and ``robertson_det`` once
 for all its functions.
 
 One function, ``_lines``, is the route from a draw to record bytes and the
-only caller of that table: it draws the samples at some indices, runs the
-kernel on them and prints their lines.  A sweep chunk calls it once per
-kernel call with a ``range`` of indices, whose draw checks its two ends and
-slices its rows (``sampling._normals``), ``evaluate_sample`` parses its
-lines, and ``format_record`` prints the one line it gives for a record's
-index and function, which is how replay recomputes a record.
+only caller of that table: it draws one run of consecutive samples, given
+as (start, size), runs the kernel on them and prints their lines.  A sweep
+chunk calls it once per kernel call with that call's run, whose draw checks
+its two ends and slices its rows (``sampling._normals``);
+``evaluate_sample`` parses the lines of a run of one sample, and
+``format_record`` prints the one line it gives for a record's index and
+function, which is how replay recomputes a record.
 
 Replay reads version 4 only: older records (version 3, which an earlier
 kernel wrote, version 2, and unversioned ones drawn from an earlier stream)
@@ -167,21 +168,22 @@ def format_record(record: dict) -> str:
     recomputed, not read."""
     rspec = RandomSpec(record["seed"], record["dim"], record["ensemble"])
     function = require_regular(builtin(record["function"]), "sweep function")
-    block, _ = _lines(rspec, [record["index"]], record["n"], (function,))
+    block, _ = _lines(rspec, record["index"], 1, record["n"], (function,))
     return block[:-1].decode()
 
 
-def _lines(rspec: RandomSpec, indices, n: int, functions) -> tuple[bytes, BatchReport]:
-    """The record lines of the samples at ``indices`` of the spec's stream,
-    sample-major, then function, as one bytes block, and the kernel's report
-    on them.  The one route from a draw to record bytes: sweep chunks,
-    evaluate_sample and format_record (and so replay_record) all call it,
-    and it alone calls _templates and _format_batch.  The draw checks the
-    indices and n before it draws anything."""
-    (rho, lam, vectors), observables = draw_samples(rspec, indices, n)
+def _lines(rspec: RandomSpec, start, size: int, n: int, functions) -> tuple[bytes, BatchReport]:
+    """The record lines of the ``size`` samples of the spec's stream from
+    index ``start`` on, sample-major, then function, as one bytes block, and
+    the kernel's report on them.  The one route from a draw to record bytes:
+    sweep chunks, evaluate_sample and format_record (and so replay_record)
+    all call it, and it alone calls _templates and _format_batch.  The draw
+    checks n and the run's ends before it draws anything."""
+    (rho, lam, vectors), observables = draw_samples(rspec, start, size, n)
     out = coordinate_batch(rho, lam, vectors, observables, functions)
     templates = _templates(rspec.seed, rspec.ensemble, rspec.dim, n, tuple(f.fid for f in functions))
-    return _format_batch(templates, indices, out), out
+    # int(): the draw has checked start, and a numpy start + size could wrap
+    return _format_batch(templates, range(start, int(start) + size), out), out
 
 
 @functools.lru_cache
@@ -218,10 +220,10 @@ def _format_batch(templates, indices, out: BatchReport) -> bytes:
     prints, are read from its flags in Python, which is cheaper than
     numpy's fixed cost per call.  The values are filled column by column
     into one list of B F lines of 4 (odd n) or 5 fields: qfi_det and gap in
-    one strided slice each, and the per-sample fields, index (as given, so
-    Python ints up to 2**64 - 1 stay exact), cov_det and, for even n,
-    robertson_det (both formatted once per sample), in one strided slice
-    per function."""
+    one strided slice each, and the per-sample fields, index (from the
+    run's range, so Python ints up to 2**64 - 1 stay exact), cov_det and,
+    for even n, robertson_det (both formatted once per sample), in one
+    strided slice per function."""
     count = len(out.main_holds)
     if len(indices) == 1:
         dependent = 2 * out.dependent.item(0)
@@ -251,7 +253,7 @@ def _format_batch(templates, indices, out: BatchReport) -> bytes:
 def evaluate_sample(rspec: RandomSpec, index: int, n: int, functions, order_pairs=()):
     """The records (parsed from their lines) of one sample drawn from the
     spec's stream, one per function, plus its monotonicity violations."""
-    block, out = _lines(rspec, [index], n, functions)
+    block, out = _lines(rspec, index, 1, n, functions)
     return [json.loads(line) for line in block.splitlines()], int(out.violations(order_pairs)[0])
 
 
@@ -276,7 +278,7 @@ def _chunk_worker(args):
     blocks, gap, main, violations = [], [], [], 0
     bounds = _call_bounds(config, start, stop)
     for lo, hi in zip(bounds, bounds[1:]):
-        block, out = _lines(rspec, range(lo, hi), config.n, functions)
+        block, out = _lines(rspec, lo, hi - lo, config.n, functions)
         blocks.append(block)
         gap.append(out.gap)
         main.append(out.main_holds)

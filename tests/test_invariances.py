@@ -39,7 +39,7 @@ def on_the_kernel(names, cases):
 
 def _batch(ensemble, dim, n):
     """256 samples of a seeded sweep draw: state matrices and observables."""
-    (rho, _, _), obs = draw_samples(RandomSpec(5, dim, ensemble), range(256), n)
+    (rho, _, _), obs = draw_samples(RandomSpec(5, dim, ensemble), 0, 256, n)
     return rho, obs
 
 
@@ -121,7 +121,7 @@ def test_real_ensembles_give_an_exactly_zero_robertson_determinant(dim, n):
     Robertson entries are its imaginary part, so every entry and the
     determinant are exactly 0.0 at every even n.  The kernel reads the
     entries from the imaginary real coordinates, exact zeros here."""
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, "real-density"), range(256), n)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, "real-density"), 0, 256, n)
     out = coordinate_batch(rho, lam, vectors, obs, FUNCTIONS[:1])
     assert np.all(out.robertson_det == 0.0)
 
@@ -132,7 +132,7 @@ def test_structured_ensemble_gives_an_exactly_zero_metric_determinant(dim):
     i[rho, C] = 0 and the metric Gram is singular: qfi_det is exactly 0.0
     and the gap is cov_det on every sample.  Structured sweeps therefore
     check only det Cov >= 0, never the bound itself."""
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, "structured"), range(512), 3)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, "structured"), 0, 512, 3)
     out = coordinate_batch(rho, lam, vectors, obs, FUNCTIONS)
     assert np.all(out.qfi_det == 0.0)
     assert np.array_equal(out.gap, np.broadcast_to(out.cov_det, out.gap.shape))
@@ -170,7 +170,7 @@ def test_a_qubit_pairs_metric_determinant_is_at_most_robertsons(seed):
     if seed is None:
         states, obs = _near_pure_qubits()
     else:
-        states, obs = draw_samples(RandomSpec(seed, 2, "density"), range(4096), 2)
+        states, obs = draw_samples(RandomSpec(seed, 2, "density"), 0, 4096, 2)
     out = coordinate_batch(*states, obs, QUBIT_FUNCTIONS)
     lam = states[1]
     t = lam[:, 1] / lam[:, 0]

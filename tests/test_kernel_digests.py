@@ -58,7 +58,7 @@ def kernel_digests(ensemble, dim, n) -> dict:
     for batch in KERNEL_BATCHES:
         for count in FUNCTION_COUNTS:
             functions = tuple(builtin(fid) for fid in FUNCTIONS[:count])
-            (rho, lam, vectors), observables = draw_samples(rspec, range(batch), n)
+            (rho, lam, vectors), observables = draw_samples(rspec, 0, batch, n)
             out = coordinate_batch(rho, lam, vectors, observables, functions)
             for name in FIELDS:
                 value = getattr(out, name)

@@ -203,6 +203,21 @@ def test_f_correlation_requires_regular():
         f_correlation(ctx, SIGMA_X, SIGMA_X)
 
 
+@pytest.mark.parametrize(
+    "call, role",
+    [(f_correlation, "f-correlation context"), (identity_residual, "identity_residual context"),
+     (qfi_inner, "qfi_inner context")],
+    ids=["f-correlation", "identity-residual", "qfi-inner"],
+)
+@pytest.mark.parametrize("ctx", [DensityMatrix(np.diag([0.75, 0.25])), SLD, None], ids=["state", "function", "none"])
+def test_a_context_argument_must_be_a_metric_context(call, role, ctx):
+    """A state or a function where the context belongs is named, with its
+    type, before any of its fields is read."""
+    with pytest.raises(ValueError) as info:
+        call(ctx, SIGMA_X, SIGMA_X)
+    assert str(info.value) == f"{role} must be a MetricContext, got {type(ctx).__name__}"
+
+
 def test_f_correlation_nonnegative_on_diagonal():
     """Corr_f(A, A) is a skew-information-type quantity, hence nonnegative."""
     rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 """Determinism and structural guarantees of the random ensembles."""
 
+import json
 import sys
 import threading
 
@@ -9,7 +10,9 @@ import pytest
 from qfivol import (
     DensityMatrix,
     RandomSpec,
+    builtin,
     sampling,
+    sweep,
 )
 from qfivol.sampling import sample_observables, sample_pure_state, sample_state
 from qfivol import repro
@@ -113,8 +116,8 @@ def test_a_spec_names_the_stream_of_every_draw():
     stream a spec names: the same bytes per index."""
     for ensemble in ("density", "real-density", "pauli-like-structured"):
         spec = RandomSpec(7, 3, ensemble)
-        (rho, _, _), obs = sampling.draw_samples(spec, [2, 9], 3)
-        for row, index in enumerate((2, 9)):
+        (rho, _, _), obs = sampling.draw_samples(spec, 2, 8, 3)
+        for row, index in enumerate(range(2, 10)):
             assert rho[row].tobytes() == sample_state(spec, index).matrix.tobytes()
             singles = sample_observables(spec, index, 3)
             if ensemble == "pauli-like-structured":  # C comes back real
@@ -125,22 +128,22 @@ def test_a_spec_names_the_stream_of_every_draw():
 def test_draw_samples_refuses_a_bool_index():
     """True would draw sample 1."""
     with pytest.raises(ValueError) as info:
-        sampling.draw_samples(RandomSpec(3, 3, "density"), [True], 1)
+        sampling.draw_samples(RandomSpec(3, 3, "density"), True, 1, 1)
     assert str(info.value) == "index must be an integer, got True"
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, np.True_, "1"])
 def test_draw_samples_checks_every_index(no_normals, bad):
-    """An index strictly inside a batch's range is checked too: True would
-    draw sample 1, and 1.5 would escape as numpy's IndexError."""
+    """A run's start is checked as given, whatever its size: True would
+    draw from sample 1, and 1.5 names no sample."""
     with pytest.raises(ValueError) as info:
-        sampling.draw_samples(RandomSpec(3, 3, "density"), [0, bad, 2], 2)
+        sampling.draw_samples(RandomSpec(3, 3, "density"), bad, 3, 2)
     assert str(info.value) == f"index must be an integer, got {bad!r}"
 
 
 @pytest.mark.parametrize(
     "draw",
-    [lambda spec: sampling.draw_samples(spec, [0], 9),
+    [lambda spec: sampling.draw_samples(spec, 0, 1, 9),
      lambda spec: sample_observables(spec, 0, 9)],
     ids=["draw-samples", "observables"],
 )
@@ -153,7 +156,7 @@ def test_observable_count_above_eight_is_refused_before_drawing(no_normals, draw
 def test_no_normals_fixture_catches_a_draw(no_normals):
     """The fixture the before-drawing tests lean on does catch a draw."""
     with pytest.raises(AssertionError, match="normal was drawn"):
-        sampling.draw_samples(RandomSpec(3, 3, "density"), [0], 2)
+        sampling.draw_samples(RandomSpec(3, 3, "density"), 0, 1, 2)
 
 
 def _observable(spec, index):
@@ -242,7 +245,7 @@ def test_observable_count_validation():
 @pytest.mark.parametrize(
     "draw",
     [lambda count: sample_observables(RandomSpec(3, 3, "density"), 0, count),
-     lambda count: sampling.draw_samples(RandomSpec(3, 3, "density"), [0, 1], count),
+     lambda count: sampling.draw_samples(RandomSpec(3, 3, "density"), 0, 2, count),
      lambda count: repro.pure_volume_rows(3, count, 1)],
     ids=["observables", "draw-samples", "pure-volume"],
 )
@@ -274,30 +277,19 @@ def test_pure_state_stream_is_deterministic():
     "indices",
     [
         # block edges, one sample each
-        [0], [7], [8], [2**64 - 1],
-        # batches that start in the middle of a block
-        range(3, 10), range(13, 22), range(5, 69), range(2**40 + 3, 2**40 + 260),
-        range(2**64 - 259, 2**64 - 2),
-        # out of order, with a repeat
-        [70, 9, 2, 9, 2**33 + 1],
+        (0, 1), (7, 1), (8, 1), (2**64 - 1, 1),
+        # runs that start in the middle of a block
+        (3, 7), (13, 9), (5, 64), (2**40 + 3, 257), (2**64 - 259, 257),
     ],
 )
 def test_normals_match_philox_blocks(indices):
+    """A (start, size) run's row b is the oracle's row of sample start + b."""
+    start, size = indices
     for seed in (0, 1, 2**32, 2**64 - 1):
-        stacks = sampling._normals(RandomSpec(seed, 2, "density"), indices, DRAWS)
+        stacks = sampling._normals(RandomSpec(seed, 2, "density"), start, size, DRAWS)
         for (channel, shape), stack in zip(DRAWS, stacks):
-            expected = np.stack([_row(seed, index, channel, shape) for index in indices])
+            expected = np.stack([_row(seed, index, channel, shape) for index in range(start, start + size)])
             assert stack.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("ensemble, n", [("density", 2), ("real-density", 4), ("pauli-like-structured", 3)])
-def test_an_empty_batch_draws_empty_stacks_on_both_streams(ensemble, n):
-    """No index gives (0, ...) stacks on both the state and the observable
-    stream, with the shapes and dtypes of a one-sample draw."""
-    one = sampling.draw_samples(RandomSpec(5, 3, ensemble), [0], n)
-    (rho, lam, vectors), obs = sampling.draw_samples(RandomSpec(5, 3, ensemble), [], n)
-    for empty, single in zip((rho, lam, vectors, obs), (*one[0], one[1])):
-        assert empty.shape == (0, *single.shape[1:]) and empty.dtype == single.dtype
 
 
 def test_pure_state_matches_two_oracle_calls():
@@ -316,53 +308,43 @@ def test_pure_state_matches_two_oracle_calls():
 @pytest.mark.parametrize(
     "indices",
     [
-        range(3, 10),  # starts mid-block
-        range(5, 6), range(0, 1), range(2**64 - 1, 2**64),  # one element
-        range(8, 16), range(3, 24),  # end on a block edge
-        range(2**63 - 2, 2**63 + 1),  # across 2**63
-        range(2**64 - 259, 2**64),  # up to 2**64 - 1
+        (3, 7),  # starts mid-block
+        (5, 1), (0, 1), (2**64 - 1, 1),  # one element
+        (8, 8), (3, 21),  # end on a block edge
+        (2**63 - 2, 3),  # across 2**63
+        (2**64 - 259, 259),  # up to 2**64 - 1
     ],
 )
 def test_a_range_draws_the_bytes_of_its_list(indices):
-    """A range's two-end check and one slice give the stacks that the
-    index-by-index path gives the same indices as a list."""
+    """A (start, size) run's two-end check and one slice give the stacks,
+    shapes and dtypes that the per-index oracle gives the list of its
+    indices."""
+    start, size = indices
     for seed in (0, 2**64 - 1):
-        spec = RandomSpec(seed, 2, "density")
-        ranged = sampling._normals(spec, indices, DRAWS)
-        listed = sampling._normals(spec, list(indices), DRAWS)
-        for a, b in zip(ranged, listed):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+        stacks = sampling._normals(RandomSpec(seed, 2, "density"), start, size, DRAWS)
+        for (channel, shape), stack in zip(DRAWS, stacks):
+            listed = np.stack([_row(seed, index, channel, shape) for index in range(start, start + size)])
+            assert stack.shape == listed.shape and stack.dtype == listed.dtype
+            assert stack.tobytes() == listed.tobytes()
 
 
 @pytest.mark.parametrize(
     "indices, bad",
-    [(range(2**64 - 3, 2**64 + 1), 2**64), (range(2**64 - 3, 2**64 + 9), 2**64),
-     (range(-1, 4), -1), (range(-9, -1), -9)],
+    [((2**64 - 3, 4), 2**64), ((2**64 - 3, 12), 2**64), ((-1, 5), -1), ((-9, 8), -9)],
 )
 def test_a_range_out_of_uint64_is_refused_before_drawing(no_normals, indices, bad):
-    """The message is the one the first bad index of the same list gives."""
-    spec = RandomSpec(3, 3, "density")
-    message = f"index must be in 0..18446744073709551615, got {bad}"
-    for batch in (indices, list(indices)):
-        with pytest.raises(ValueError) as info:
-            sampling.draw_samples(spec, batch, 2)
-        assert str(info.value) == message
+    """A (start, size) run is refused with the message its first bad index
+    gives: its start, or 2**64 for a run past 2**64 - 1."""
+    with pytest.raises(ValueError) as info:
+        sampling.draw_samples(RandomSpec(3, 3, "density"), *indices, 2)
+    assert str(info.value) == f"index must be in 0..18446744073709551615, got {bad}"
 
 
 def test_a_range_too_long_to_list_is_refused_at_its_end(no_normals):
     """Its first index out of range is 2**64, whatever its length."""
     with pytest.raises(ValueError) as info:
-        sampling.draw_samples(RandomSpec(3, 3, "density"), range(5, 2**70), 2)
+        sampling.draw_samples(RandomSpec(3, 3, "density"), 5, 2**70 - 5, 2)
     assert str(info.value) == "index must be in 0..18446744073709551615, got 18446744073709551616"
-
-
-def test_a_range_of_another_step_is_checked_index_by_index():
-    spec = RandomSpec(3, 2, "density")
-    for indices in (range(9, 2, -2), range(2**64 - 1, 2**64 - 20, -3)):
-        ranged = sampling._normals(spec, indices, DRAWS)
-        listed = sampling._normals(spec, list(indices), DRAWS)
-        assert [a.tobytes() for a in ranged] == [b.tobytes() for b in listed]
 
 
 @pytest.mark.parametrize("index", [-1, 2**64])
@@ -371,7 +353,7 @@ def test_index_outside_uint64_raises(index):
     with pytest.raises(ValueError, match=r"index must be in 0\.\.18446744073709551615"):
         sample_state(spec, index)
     with pytest.raises(ValueError, match=r"index must be in 0\.\.18446744073709551615"):
-        sampling.draw_samples(spec, [0, index], 1)
+        sampling.draw_samples(spec, min(index, 2**64 - 1), 2, 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -383,12 +365,10 @@ def test_pure_state_seed_outside_uint64_raises(seed):
 def test_threads_draw_the_serial_bytes():
     """Each thread keeps its own generator, so concurrent draws of different
     seeds and indices give exactly the serial bytes."""
-    jobs = [
-        (RandomSpec(seed, 4, "density"), range(seed * 2**32, seed * 2**32 + 9)) for seed in range(1, 5)
-    ]
+    jobs = [(RandomSpec(seed, 4, "density"), seed * 2**32, 9) for seed in range(1, 5)]
 
-    def draw(spec, indices):
-        (rho, _, _), observables = sampling.draw_samples(spec, indices, 2)
+    def draw(spec, start, size):
+        (rho, _, _), observables = sampling.draw_samples(spec, start, size, 2)
         return b"".join(a.tobytes() for a in (rho, *observables))
 
     serial = [draw(*job) for job in jobs]
@@ -413,3 +393,71 @@ def test_threads_draw_the_serial_bytes():
     assert not any(thread.is_alive() for thread in threads)
     for expected, got in zip(serial, results):
         assert got == [expected] * 30
+
+
+def _replay_index(tmp_path, index):
+    """replay_record on a one-line file whose record's index is ``index``."""
+    record = {"seed": 3, "ensemble": "density", "dim": 2, "n": 2, "function": "wy", "index": 0}
+    line = json.loads(sweep.format_record(record))
+    line["index"] = index
+    path = tmp_path / "record.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    return lambda: sweep.replay_record(path, 1)
+
+
+# every entry but replay that draws from a sample index, as a callable of that index
+INDEX_ENTRIES = {
+    "evaluate-sample": lambda index: sweep.evaluate_sample(RandomSpec(3, 2, "density"), index, 2, (builtin("wy"),)),
+    "state": lambda index: sample_state(RandomSpec(3, 3, "density"), index),
+    "observables": lambda index: sample_observables(RandomSpec(3, 3, "density"), index, 2),
+    "pure-state": lambda index: sample_pure_state(3, 3, index),
+    "draw-samples": lambda index: sampling.draw_samples(RandomSpec(3, 3, "density"), index, 4, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [(True, "index must be an integer, got True"),
+     (2.0, "index must be an integer, got 2.0"),
+     ("1", "index must be an integer, got '1'"),
+     (-1, "index must be in 0..18446744073709551615, got -1"),
+     (2**64, "index must be in 0..18446744073709551615, got 18446744073709551616")],
+    ids=["bool", "float", "string", "negative", "2**64"],
+)
+@pytest.mark.parametrize("entry", sorted([*INDEX_ENTRIES, "replay"]))
+def test_every_index_entry_refuses_a_bad_start_before_drawing(tmp_path, request, entry, index, message):
+    """One message per bad index whichever entry it reaches, and no normal
+    drawn first; replay prefixes the record's line number."""
+    draw = _replay_index(tmp_path, index) if entry == "replay" else lambda: INDEX_ENTRIES[entry](index)
+    request.getfixturevalue("no_normals")
+    with pytest.raises(ValueError) as info:
+        draw()
+    assert str(info.value) == (f"line 1: {message}" if entry == "replay" else message)
+
+
+def test_every_draw_is_one_run(tmp_path, monkeypatch):
+    """Sweep chunks, replay, evaluate_sample and the three single-sample
+    draws each reach _normals with one (start, size) run: a chunk's kernel
+    calls with theirs, every other entry with its one sample."""
+    runs = []
+    normals = sampling._normals
+
+    def spy(spec, start, size, draws):
+        runs.append((start, size))
+        return normals(spec, start, size, draws)
+
+    monkeypatch.setattr(sampling, "_normals", spy)
+    out = tmp_path / "out.jsonl"
+    # one function: a 256-sample chunk is one kernel call, then 44 samples
+    sweep.run_sweep(sweep.SweepConfig(3, 3, 300, ("wy",), "complex", 7), out)
+    assert runs == [(0, 256), (256, 44)]
+    for run, draw in [
+        ((6, 1), lambda: sweep.replay_record(out, 7)),
+        ((9, 1), lambda: sweep.evaluate_sample(RandomSpec(7, 3, "complex"), 9, 3, (builtin("wy"),))),
+        ((3, 1), lambda: sample_state(RandomSpec(7, 3, "complex"), 3)),
+        ((4, 1), lambda: sample_observables(RandomSpec(7, 3, "complex"), 4, 2)),
+        ((2**64 - 1, 1), lambda: sample_pure_state(7, 3, 2**64 - 1)),
+    ]:
+        runs.clear()
+        draw()
+        assert runs == [run]

@@ -33,7 +33,7 @@ def test_every_stage_of_a_tiny_call_is_timed_and_restored():
     # the state and observable build from their normals are stages, not rest
     assert split["_state_matrices"][1] == split["_observables"][1] == 1
     # the rest too: each stage's best is at most its time in the best whole call
-    assert all(us >= 0.0 for us, _ in split.values())
+    assert all(us >= 0.0 for us, _, _ in split.values())
 
 
 def test_a_replay_sized_call_times_the_density_checks_apart():
@@ -42,8 +42,8 @@ def test_a_replay_sized_call_times_the_density_checks_apart():
     split = stage_split.stage_split("complex", 4, 2, ["wy"], batch=1)
     assert {"density_stack", "as_hermitian", "_checked_eigh"} <= set(split)
     assert all(split[stage][1] == 1 for stage in ("density_stack", "as_hermitian", "_checked_eigh"))
-    assert all(calls is None or calls >= 1 for _, calls in split.values())
-    assert all(us >= 0.0 for us, _ in split.values())
+    assert all(calls is None or calls >= 1 for _, calls, _ in split.values())
+    assert all(us >= 0.0 for us, _, _ in split.values())
 
 
 def test_a_renamed_stage_fails_and_leaves_nothing_wrapped(monkeypatch):
@@ -60,6 +60,33 @@ def test_prints_one_row_per_stage(capsys):
     assert stage_split.main(["--dim", "2", "--n", "1", "--functions", "wy", "--batch", "4"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == [stage for stage, _, _ in stage_split.STAGES] + ["rest", "whole"]
+
+
+def test_shares_are_per_repeat_ratios_that_uniform_load_leaves_alone():
+    """Slowing some repeats uniformly, every stage and the whole call by the
+    same factor, leaves every median share as it was; the best of each
+    stage would now come from other repeats than the best whole call."""
+    spent = [{"a": 10, "b": 30}, {"a": 12, "b": 27}, {"a": 9, "b": 33}, {"a": 11, "b": 29}, {"a": 10, "b": 31}]
+    wholes = [50, 48, 51, 47, 52]
+    shares = stage_split.median_shares(spent, wholes)
+    assert shares == {"a": 0.2, "b": 0.6, "rest": 9 / 48, "whole": 1.0}
+    # powers of two, so every ratio keeps its bits
+    factors = [4, 1, 2, 8, 1]
+    slowed = [{stage: f * t for stage, t in times.items()} for f, times in zip(factors, spent)]
+    slowed_wholes = [f * w for f, w in zip(factors, wholes)]
+    assert stage_split.median_shares(slowed, slowed_wholes) == shares
+    # a's best over the best whole call moves from 9 / 47 to 10 / 48
+    assert min(t["a"] for t in slowed) / min(slowed_wholes) != min(t["a"] for t in spent) / min(wholes)
+
+
+def test_prints_each_stage_share_of_the_call(capsys, monkeypatch):
+    """The share column is the median share, not a best time over the best
+    whole call."""
+    split = {"a": (1.0, 1, 0.25), "rest": (0.5, None, 0.125), "whole": (4.0, None, 1.0)}
+    monkeypatch.setattr(stage_split, "stage_split", lambda *args: split)
+    assert stage_split.main(["--functions", "wy"]) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:]}
+    assert [rows[stage][2] for stage in split] == ["25.0%", "12.5%", "100.0%"]
 
 
 @pytest.mark.parametrize("n, functions, floats", [(1, ["wy"], 3), (2, ["sld", "wy"], 6), (3, ["sld"] * 6, 13)])

@@ -498,6 +498,16 @@ def test_evaluate_sample_checks_its_index(no_normals, index, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("index", [np.uint64(2**64 - 1), np.int64(5)])
+def test_a_numpy_index_prints_the_records_of_its_int(index):
+    """A numpy start prints as the Python int it holds, with no wrap at
+    2**64 - 1."""
+    rspec, functions = RandomSpec(3, 2, "density"), (builtin("wy"), builtin("sld"))
+    records, _ = evaluate_sample(rspec, index, 2, functions)
+    assert records == evaluate_sample(rspec, int(index), 2, functions)[0]
+    assert [record["index"] for record in records] == [int(index)] * 2
+
+
 def test_evaluate_sample_counts_monotonicity_violations():
     """The ordered chain never breaks on real triples, and flipping a pair
     direction makes the same samples register as violations."""
@@ -1270,9 +1280,9 @@ def test_kernel_calls_are_sized_from_the_weighted_coordinates(
     sizes = []
     lines = sweep._lines
 
-    def recording(rspec, indices, *args, **kwargs):
-        sizes.append(len(indices))
-        return lines(rspec, indices, *args, **kwargs)
+    def recording(rspec, start, size, *args, **kwargs):
+        sizes.append(size)
+        return lines(rspec, start, size, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "_lines", recording)
     run_sweep(_config(ensemble=ensemble, dim=dim, n=n, samples=samples), tmp_path / "out.jsonl")

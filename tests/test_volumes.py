@@ -593,7 +593,7 @@ def test_n_at_least_d_squared_is_dependent_without_an_svd(svd_rows, ensemble, di
     """n observables at or above their span, d^2 or, real symmetric,
     d(d+1)/2, are dependent with no SVD; the SVD, run here afterwards, calls
     every such sample dependent too."""
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(9, dim, ensemble), range(16), n)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(9, dim, ensemble), 0, 16, n)
     assert volumes.coordinate_batch(rho, lam, vectors, obs, (SLD,)).dependent.all()
     assert observables_dependent(DensityMatrix(rho[0]), obs[0])
     assert svd_rows == []
@@ -617,7 +617,7 @@ def _forbid(monkeypatch, module, name):
 def _seed_7_complex_d4_n2(count=8):
     """Single-spec states and observable stacks of seed 7's first complex d4 n2
     draws, every one of which the kernel's Gram screen clears."""
-    (rho, _, _), obs = draw_samples(RandomSpec(7, 4, "complex"), range(count), 2)
+    (rho, _, _), obs = draw_samples(RandomSpec(7, 4, "complex"), 0, count, 2)
     return [(DensityMatrix(r), o) for r, o in zip(rho, obs)]
 
 
@@ -699,7 +699,7 @@ def test_one_live_kernel_call_makes_one_product_and_one_determinant_call(monkeyp
     reaches the span, so there the screen row goes unread).  The pair values
     lam_u, lam_v and lam_u - lam_v are formed once, by the one _pairs call
     and its one pair_indices lookup, for the weights and Robertson alike."""
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, ensemble), range(16), n)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(7, dim, ensemble), 0, 16, n)
     functions = (WY, SLD)
     expected = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
     calls = []
@@ -736,7 +736,7 @@ def test_check_reads_the_pair_verdict_of_a_batch_call(monkeypatch, case, slack):
     partner = {"one-way": SLD, "both-way": WY, "rank-deficient": SLD}.get(case) or _crossing_mean()
     functions, count = (WY, partner), 12
     rspec = RandomSpec(19, dim, ensemble)
-    (rho, lam, vectors), obs = draw_samples(rspec, range(count), n)
+    (rho, lam, vectors), obs = draw_samples(rspec, 0, count, n)
     out = volumes.coordinate_batch(rho, lam, vectors, obs, functions)
     assert out.rank_deficient == (case == "rank-deficient")
     if slack == "splitting":
@@ -1016,7 +1016,7 @@ SLICED_FIELDS = ("qfi_gram", "qfi_det", "gap", "main_holds", "equality_consisten
 def test_call_mates_leave_each_functions_bits_alone(ensemble, dim, n):
     """Each function's slices of a four-function kernel call are byte-equal to
     a call of that function alone (complex d4 n4 takes the LU determinant)."""
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(5, dim, ensemble), range(16), n)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(5, dim, ensemble), 0, 16, n)
     kernel = volumes.coordinate_batch
     together = kernel(rho, lam, vectors, obs, CALL_MATES)
     for k, f in enumerate(CALL_MATES):
@@ -1033,7 +1033,7 @@ def test_kernel_without_functions_builds_no_table(monkeypatch):
 
     for module in (monotone, volumes):
         monkeypatch.setattr(module, "mean_table", table)
-    (rho, lam, vectors), obs = draw_samples(RandomSpec(5, 3, "complex"), range(4), 2)
+    (rho, lam, vectors), obs = draw_samples(RandomSpec(5, 3, "complex"), 0, 4, 2)
     out = volumes.coordinate_batch(rho, lam, vectors, obs, ())
     assert out.qfi_gram.shape == (0, 4, 2, 2)
     assert out.cov_gram.shape == (4, 2, 2)

@@ -9,8 +9,9 @@ Usage: PYTHONPATH=src python tools/stage_split.py [--ensemble complex]
 Runs what a sweep chunk runs for one kernel call of ``--batch`` samples,
 one ``sweep._lines`` call (the draw, the kernel and the line format),
 ``REPEATS`` times in this process with seed ``SEED``, and prints for each
-stage its best-of-N exclusive time: the time spent inside the stage's
-functions minus the time of the timed stages they call (so ``det_small``
+stage its best-of-N exclusive time and its share of the call.  The
+exclusive time is the time spent inside the stage's functions minus the
+time of the timed stages they call (so ``det_small``
 holds every determinant, the dependence screen's and Robertson's included,
 ``_dependent`` only the rest of the screen and its SVD, and
 ``density_stack`` only what its ``as_hermitian`` and ``_checked_eigh``
@@ -24,8 +25,15 @@ exclusive time.  Nothing of the kernel is re-implemented here, so a renamed
 stage function fails with an AttributeError before anything is wrapped, and
 one that is no longer called reads 0 calls.
 
+A stage's share is the median, over the repeats, of its exclusive time
+divided by the whole call of the same repeat (``median_shares``): load
+that slows a stretch of repeats slows every stage of each of them alike,
+so it cancels in each repeat's ratios, where the best of each stage may
+come from a different repeat under different load.
+
 It also prints the whole call, best of N with the tracer in place, and the
-unattributed rest: the best whole call minus the sum of the stage bests.
+unattributed rest: the best whole call minus the sum of the stage bests;
+the rest's share is the median of what each repeat's stages leave of it.
 The ``_format_batch`` row also gives its µs per printed float: a call of
 B samples and F functions prints B (1 + 2F + [n even]) floats
 (``floats_per_sample``); every other byte of a line comes from a template.
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -80,40 +88,54 @@ STAGES = (
 )
 
 
+def median_shares(spent, wholes) -> dict:
+    """{stage: median over repeats of its time over the same repeat's whole
+    call}, from one {stage: time} dict per repeat in ``spent`` and the
+    whole calls' times in ``wholes``, plus "rest", what the stages leave of
+    each whole call, and "whole" (1.0)."""
+    rows = [
+        {**times, "rest": whole - sum(times.values()), "whole": whole} for times, whole in zip(spent, wholes)
+    ]
+    return {stage: statistics.median(row[stage] / row["whole"] for row in rows) for stage in rows[0]}
+
+
 def stage_split(ensemble, dim, n, functions, batch) -> dict:
     """Best-of-``REPEATS`` µs/sample of each stage of one kernel call of
-    ``batch`` samples (see the module docstring), as {stage: (µs, calls per
-    run)}, plus "rest" and "whole" entries with no call count (None).  The
-    config is checked as a sweep's is."""
+    ``batch`` samples and its median share of the call (see the module
+    docstring), as {stage: (µs, calls per run, share)}, plus "rest" and
+    "whole" entries with no call count (None).  The config is checked as a
+    sweep's is."""
     config = sweep.SweepConfig(n, dim, batch, tuple(functions), ensemble, SEED)
     spec = RandomSpec(config.seed, config.dim, config.ensemble)
     fs = tuple(builtin(fid) for fid in config.functions)
-    indices = range(config.samples)
     targets = {
         f"{stage}:{name}": getattr(importlib.import_module(f"qfivol.{module}"), name)
         for stage, module, names in STAGES for name in names
     }
 
     def call():
-        sweep._lines(spec, indices, config.n, fs)
+        sweep._lines(spec, 0, config.samples, config.n, fs)
 
     call()  # warm the per-size caches and the thread's generator
-    best, whole = {stage: math.inf for stage, _, _ in STAGES}, math.inf
+    stages = [stage for stage, _, _ in STAGES]
+    repeats, wholes = [], []
     for _ in range(REPEATS):
         with tracing.Tracer(targets, clock=time.perf_counter_ns) as tracer:
             start = time.perf_counter_ns()
             call()
-            whole = min(whole, time.perf_counter_ns() - start)
-        spent, calls = dict.fromkeys(best, 0), dict.fromkeys(best, 0)
+            wholes.append(time.perf_counter_ns() - start)
+        spent, calls = dict.fromkeys(stages, 0), dict.fromkeys(stages, 0)
         for span, own in zip(tracer.spans, tracing.self_times(tracer.spans)):
             stage = span[0].partition(":")[0]
             spent[stage] += own
             calls[stage] += 1
-        best = {stage: min(best[stage], spent[stage]) for stage in best}
+        repeats.append(spent)
+    best = {stage: min(spent[stage] for spent in repeats) for stage in stages}
+    whole, shares = min(wholes), median_shares(repeats, wholes)
     per_sample = 1e-3 / config.samples
-    split = {stage: (best[stage] * per_sample, calls[stage]) for stage in best}
-    split["rest"] = ((whole - sum(best.values())) * per_sample, None)
-    split["whole"] = (whole * per_sample, None)
+    split = {stage: (best[stage] * per_sample, calls[stage], shares[stage]) for stage in best}
+    split["rest"] = ((whole - sum(best.values())) * per_sample, None, shares["rest"])
+    split["whole"] = (whole * per_sample, None, shares["whole"])
     return split
 
 
@@ -133,15 +155,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     functions = [fid for fid in args.functions.split(",") if fid]
     split = stage_split(args.ensemble, args.dim, args.n, functions, args.batch)
-    whole = split["whole"][0]
-    print(f"{args.ensemble} dim {args.dim} n {args.n}, {','.join(functions)}, "
-          f"B {args.batch}, best of {REPEATS}, µs/sample (exclusive)")
+    print(f"{args.ensemble} dim {args.dim} n {args.n}, {','.join(functions)}, B {args.batch}, "
+          f"µs/sample (exclusive) best of {REPEATS}, share median of {REPEATS}")
     floats = floats_per_sample(args.n, functions)
     print(f"{'stage':<16} {'us/sample':>10} {'share':>7} {'calls':>6} {'us/float':>9}")
-    for stage, (us, calls) in split.items():
+    for stage, (us, calls, share) in split.items():
         count = "" if calls is None else calls
         per_float = f"{us / floats:9.3f}" if stage == "_format_batch" else ""
-        print(f"{stage:<16} {us:>10.3f} {100 * us / whole:6.1f}% {count:>6} {per_float}".rstrip())
+        print(f"{stage:<16} {us:>10.3f} {100 * share:6.1f}% {count:>6} {per_float}".rstrip())
     return 0
 
 
